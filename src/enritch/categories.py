@@ -420,7 +420,7 @@ class Presheaf:
 def enumerate_presheaves(c: QCategory) -> list[Presheaf]:
     """All presheaves, types in element load order, values lexicographic."""
     dq = c.quantaloid
-    if dq._homs is None:
+    if not dq.quantale.is_finite:
         raise UnsupportedQuantaleError(
             "presheaf enumeration needs a finite quantale"
         )

@@ -7,8 +7,12 @@ yields the involutive sub-quantaloid on which all typed structures in this
 library live.
 
 ``DiagonalQuantaloid`` is the payload-level kernel used by the relation and
-category layers; the module-level functions (``is_diagonal``, ``d_compose``,
-``d_residual``, ``hom_enumerate``) form the public wrapped API.
+category layers, with one implementation per kind of quantale:
+``FiniteDiagonals`` for table-defined quantales and ``LawvereDiagonals`` for
+the extended rationals.  ``diagonal_quantaloid`` builds a quantale's kernel
+once and keeps it on the quantale.  The module-level functions
+(``is_diagonal``, ``d_compose``, ``d_residual``, ``hom_enumerate``) form the
+public wrapped API.
 
 Closed forms for the extended-rational quantale (writing values numerically,
 ``-`` for the truncated difference and ``max`` in the standard order):
@@ -18,10 +22,11 @@ Closed forms for the extended-rational quantale (writing values numerically,
     w <swarrow> u        = max(q, r, (w + q) - u)    for u: p->q, w: p->r
     v <searrow> w        = max(p, q, (w + q) - v)    for v: q->r, w: p->r
 
-For finite quantales every hom is enumerated and residuals are exhaustive
-joins; construction verifies that homs are closed under joins, contain the
-bottom, and that the three composition expressions agree on every triple, so
-the kernels may use any one of them afterwards.
+For finite quantales every hom is enumerated at construction, which
+verifies that homs are closed under joins, contain the bottom, and that the
+three composition expressions agree on every triple.  Once that has passed,
+the finite kernel is tabulated once per quantale: compose, both residuals and
+the hom meets become table lookups over element indices.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import PreconditionError, ShapeMismatchError, UnsupportedQuantaleError
-from .quantale import FiniteQuantale, LawvereQuantale, Quantale, QuantaleValue
-from .rationals import INF
+from .quantale import Quantale, QuantaleValue
 
 __all__ = [
     "DiagonalHom",
@@ -47,27 +51,138 @@ __all__ = [
 ]
 
 
+def _composites(q: Quantale, u, mid, v) -> tuple:
+    """The three expressions for v . u: (v/mid) (x) u, v (x) (mid\\u) and
+    ((v/mid) (x) mid) (x) (mid\\u)."""
+    over = q._residual_left(v, mid)
+    under = q._residual_right(mid, u)
+    return q._tensor(over, u), q._tensor(v, under), q._tensor(q._tensor(over, mid), under)
+
+
 class DiagonalQuantaloid:
-    """Payload-level diagonal calculus over a quantale instance."""
+    """Payload-level diagonal calculus over a quantale instance.
+
+    This is the kernel interface; ``diagonal_quantaloid`` builds the kernel
+    that fits the quantale, ``FiniteDiagonals`` or ``LawvereDiagonals``.
+    """
 
     def __init__(self, quantale: Quantale):
         self.quantale = quantale
-        self._homs: dict[tuple, tuple] | None = None
-        if isinstance(quantale, FiniteQuantale):
-            self._build_finite_tables()
-            self._verify_kernels()
+        self._build()
 
-    # -- construction-time verification (finite only) -------------------
+    def _build(self) -> None:
+        """Verify and precompute what the kernel needs, once per quantale."""
 
-    def _build_finite_tables(self) -> None:
+    # -- objects ---------------------------------------------------------
+
+    def is_object(self, t) -> bool:
+        """Objects of the involutive part: elements fixed by the involution."""
+        return self.quantale._involve(t) == t
+
+    def objects(self) -> tuple:
+        return tuple(t for t in self.quantale.payloads() if self.is_object(t))
+
+    # -- homs --------------------------------------------------------------
+
+    def _diagonal_equation(self, p, t, u) -> bool:
         q = self.quantale
-        homs = {}
-        for p in q.payloads():
-            for t in q.payloads():
-                homs[(p, t)] = tuple(
-                    u for u in q.payloads() if self._diagonal_equation(p, t, u)
-                )
-        self._homs = homs
+        left = q._tensor(q._residual_left(u, p), p)
+        right = q._tensor(t, q._residual_right(t, u))
+        return left == u and right == u
+
+    def is_hom(self, p, t, u) -> bool:
+        raise NotImplementedError
+
+    def hom(self, p, t) -> tuple:
+        """Every diagonal p -> t in element load order (finite quantales only)."""
+        raise NotImplementedError
+
+    def identity(self, t):
+        return t
+
+    def hom_bottom(self, p, t):
+        return self.quantale.bottom
+
+    def hom_top(self, p, t):
+        raise NotImplementedError
+
+    # -- composition and residuation ---------------------------------------
+
+    def compose(self, u, mid, v):
+        """v . u for u: p -> mid and v: mid -> r."""
+        raise NotImplementedError
+
+    def limpl(self, mid, r, u, w):
+        """w <swarrow> u: the largest v: mid -> r with v . u <= w."""
+        raise NotImplementedError
+
+    def rimpl(self, p, mid, v, w):
+        """v <searrow> w: the largest u: p -> mid with v . u <= w."""
+        raise NotImplementedError
+
+    def hom_join(self, p, t, values: Iterable):
+        return self.quantale._join(values)
+
+    def hom_meet(self, p, t, values: Iterable):
+        """Meet inside the hom lattice: the join of the common lower bounds."""
+        raise NotImplementedError
+
+    def leq(self, a, b) -> bool:
+        return self.quantale._leq(a, b)
+
+    def involve(self, a):
+        return self.quantale._involve(a)
+
+    def format(self, payload) -> str:
+        return self.quantale.format_value(payload)
+
+
+class FiniteDiagonals(DiagonalQuantaloid):
+    """Table-driven kernel of a finite quantale.
+
+    The build enumerates every hom, verifies the kernel laws and then
+    tabulates compose, both residuals and the hom meets over payload indices.
+    A hom meet folds its arguments through the meet table first: in a
+    lattice v lies below every s exactly when it lies below their meet.
+    """
+
+    def _build(self) -> None:
+        q = self.quantale
+        rng = q.payloads()
+        self._homs = {
+            (p, t): tuple(u for u in rng if self._diagonal_equation(p, t, u))
+            for p in rng
+            for t in rng
+        }
+        self._verify_kernels()
+        homs, leq, join, bottom = self._homs, q.leq_table, q.join_table, q.bottom
+
+        def joins_below(pairs) -> tuple:
+            """Indexed by w: the join of every x of the (x, y) pairs with y <= w."""
+            row = []
+            for w in rng:
+                acc = bottom
+                for x, y in pairs:
+                    if leq[y][w]:
+                        acc = join[acc][x]
+                row.append(acc)
+            return tuple(row)
+
+        compose = tuple(
+            tuple(tuple(q._tensor(q._residual_left(v, mid), u) for v in rng) for u in rng)
+            for mid in rng
+        )
+        self._compose = compose
+        self._limpl = tuple(tuple(tuple(
+            joins_below([(v, compose[mid][u][v]) for v in homs[(mid, r)]]) for u in rng
+        ) for r in rng) for mid in rng)
+        self._rimpl = tuple(tuple(tuple(
+            joins_below([(u, compose[mid][u][v]) for u in homs[(p, mid)]]) for v in rng
+        ) for mid in rng) for p in rng)
+        self._hom_meet = tuple(
+            tuple(joins_below([(v, v) for v in homs[(p, t)]]) for t in rng) for p in rng
+        )
+        self._meet, self._top = q.meet_table, q.top
 
     def _verify_kernels(self) -> None:
         q = self.quantale
@@ -94,12 +209,7 @@ class DiagonalQuantaloid:
                 for r in q.payloads():
                     for u in self._homs[(p, m)]:
                         for v in self._homs[(m, r)]:
-                            a = q._tensor(q._residual_left(v, m), u)
-                            b = q._tensor(v, q._residual_right(m, u))
-                            c = q._tensor(
-                                q._tensor(q._residual_left(v, m), m),
-                                q._residual_right(m, u),
-                            )
+                            a, b, c = _composites(q, u, m, v)
                             if not (a == b == c):
                                 raise PreconditionError(
                                     "the three composition expressions disagree at "
@@ -108,117 +218,70 @@ class DiagonalQuantaloid:
                                     f"{q.format_value(m)}->{q.format_value(r)})"
                                 )
 
-    # -- objects ---------------------------------------------------------
+    def is_hom(self, p, t, u) -> bool:
+        return u in self._homs[(p, t)]
 
-    def is_object(self, t) -> bool:
-        """Objects of the involutive part: elements fixed by the involution."""
-        return self.quantale._involve(t) == t
+    def hom(self, p, t) -> tuple:
+        return self._homs[(p, t)]
 
-    def objects(self) -> tuple:
-        return tuple(t for t in self.quantale.payloads() if self.is_object(t))
+    def hom_top(self, p, t):
+        return self.quantale._join(self._homs[(p, t)])
 
-    # -- homs --------------------------------------------------------------
+    def compose(self, u, mid, v):
+        return self._compose[mid][u][v]
 
-    def _diagonal_equation(self, p, t, u) -> bool:
-        q = self.quantale
-        left = q._tensor(q._residual_left(u, p), p)
-        right = q._tensor(t, q._residual_right(t, u))
-        return left == u and right == u
+    def limpl(self, mid, r, u, w):
+        return self._limpl[mid][r][u][w]
+
+    def rimpl(self, p, mid, v, w):
+        return self._rimpl[p][mid][v][w]
+
+    def hom_meet(self, p, t, values: Iterable):
+        # The fold of ``quantale._meet`` without its two property lookups a
+        # call; a tight-span suite makes some 10^5 hom meets.
+        meet, m = self._meet, self._top
+        for s in values:
+            m = meet[m][s]
+        return self._hom_meet[p][t][m]
+
+
+class LawvereDiagonals(DiagonalQuantaloid):
+    """Closed-form kernel of the extended rationals (see the module notes)."""
 
     def is_hom(self, p, t, u) -> bool:
-        if self._homs is not None:
-            return u in self._homs[(p, t)]
         return self._diagonal_equation(p, t, u)
 
     def hom(self, p, t) -> tuple:
-        if self._homs is None:
-            raise UnsupportedQuantaleError(
-                "hom sets of the extended-rational quantaloid are infinite"
-            )
-        return self._homs[(p, t)]
-
-    def identity(self, t):
-        return t
-
-    def hom_bottom(self, p, t):
-        return self.quantale.bottom
+        raise UnsupportedQuantaleError(
+            "hom sets of the extended-rational quantaloid are infinite"
+        )
 
     def hom_top(self, p, t):
-        if self._homs is None:
-            return max(p, t)
-        return self.quantale._join(self._homs[(p, t)])
-
-    # -- composition and residuation ---------------------------------------
+        return max(p, t)
 
     def compose(self, u, mid, v):
-        """v . u for u: p -> mid and v: mid -> r."""
-        q = self.quantale
-        if isinstance(q, LawvereQuantale):
-            return v.monus(mid) + u
-        return q._tensor(q._residual_left(v, mid), u)
+        return v.monus(mid) + u
 
     def limpl(self, mid, r, u, w):
-        """w <swarrow> u: the largest v: mid -> r with v . u <= w."""
-        q = self.quantale
-        if isinstance(q, LawvereQuantale):
-            return max(mid, r, (w + mid).monus(u))
-        return q._join(
-            v for v in self._homs[(mid, r)] if q._leq(self.compose(u, mid, v), w)
-        )
+        return max(mid, r, (w + mid).monus(u))
 
     def rimpl(self, p, mid, v, w):
-        """v <searrow> w: the largest u: p -> mid with v . u <= w."""
-        q = self.quantale
-        if isinstance(q, LawvereQuantale):
-            return max(p, mid, (w + mid).monus(v))
-        return q._join(
-            u for u in self._homs[(p, mid)] if q._leq(self.compose(u, mid, v), w)
-        )
-
-    def hom_join(self, p, t, values: Iterable):
-        q = self.quantale
-        if isinstance(q, LawvereQuantale):
-            result = INF
-            for v in values:
-                if v < result:
-                    result = v
-            return result
-        return q._join(values)
+        return max(p, mid, (w + mid).monus(v))
 
     def hom_meet(self, p, t, values: Iterable):
-        """Meet inside the hom lattice: the join of the common lower bounds."""
-        q = self.quantale
-        if isinstance(q, LawvereQuantale):
-            result = max(p, t)
-            for v in values:
-                if v > result:
-                    result = v
-            return result
-        values = list(values)
-        return q._join(
-            v
-            for v in self._homs[(p, t)]
-            if all(q._leq(v, s) for s in values)
-        )
-
-    def leq(self, a, b) -> bool:
-        return self.quantale._leq(a, b)
-
-    def involve(self, a):
-        return self.quantale._involve(a)
-
-    def format(self, payload) -> str:
-        return self.quantale.format_value(payload)
-
-
-_CACHE: dict[int, DiagonalQuantaloid] = {}
+        result = max(p, t)
+        for v in values:
+            if v > result:
+                result = v
+        return result
 
 
 def diagonal_quantaloid(quantale: Quantale) -> DiagonalQuantaloid:
-    key = id(quantale)
-    if key not in _CACHE:
-        _CACHE[key] = DiagonalQuantaloid(quantale)
-    return _CACHE[key]
+    """The kernel of ``quantale``, built on first use and kept on the quantale."""
+    if quantale._diagonals is None:
+        kernel = FiniteDiagonals if quantale.is_finite else LawvereDiagonals
+        quantale._diagonals = kernel(quantale)
+    return quantale._diagonals
 
 
 # -- wrapped public API ----------------------------------------------------
@@ -281,19 +344,9 @@ def d_compose(v: DiagonalHom, u: DiagonalHom) -> DiagonalHom:
     if u.target != v.source:
         raise ShapeMismatchError(f"cannot compose {u!r} then {v!r}: objects differ")
     base = dq.quantale
-    mid = u.target.payload
-    uu, vv = u.value.payload, v.value.payload
-    if isinstance(base, LawvereQuantale):
-        first = vv.monus(mid) + uu
-        second = vv + uu.monus(mid)
-        third = (vv.monus(mid) + mid) + uu.monus(mid)
-    else:
-        first = base._tensor(base._residual_left(vv, mid), uu)
-        second = base._tensor(vv, base._residual_right(mid, uu))
-        third = base._tensor(
-            base._tensor(base._residual_left(vv, mid), mid),
-            base._residual_right(mid, uu),
-        )
+    first, second, third = _composites(
+        base, u.value.payload, u.target.payload, v.value.payload
+    )
     assert first == second == third, (
         f"composition expressions disagree for {u!r} then {v!r}"
     )

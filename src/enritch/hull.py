@@ -81,7 +81,7 @@ __all__ = [
 
 
 def _require_finite(c: QCategory) -> None:
-    if c.quantaloid._homs is None:
+    if not c.quantaloid.quantale.is_finite:
         raise UnsupportedQuantaleError(
             "this operation enumerates hom sets and needs a finite quantale;"
             " use the partial-metric module for the extended-rational case"
@@ -180,7 +180,9 @@ def tighten(c: QCategory, mu: Presheaf) -> Presheaf:
     n = len(types)
     q = mu.q
     values = tuple(mu.values)
-    max_steps = n * max(len(h) for h in dq._homs.values()) + 1 if n else 1
+    payloads = dq.quantale.payloads()
+    widest = max(len(dq.hom(p, t)) for p in payloads for t in payloads)
+    max_steps = n * widest + 1 if n else 1
     for _ in range(max_steps):
         residual = _tight_residual(c, q, values)
         stale = None
@@ -619,7 +621,7 @@ def enumerate_symmetric_categories(
     element load order, then upper-triangle entries lexicographic.  With
     ``up_to_iso`` relabelings of the points are emitted only once.
     """
-    if dq._homs is None:
+    if not dq.quantale.is_finite:
         raise UnsupportedQuantaleError("enumeration needs a finite quantale")
     seen: set = set()
     for n in range(max_objects + 1):

@@ -7,7 +7,7 @@ Two realizations are provided:
   ``a >= b`` numerically, the unit 0 is the top element, and joins are
   numeric infima).
 * ``FiniteQuantale`` -- a table-defined quantale.  Joins and meets are
-  derived from the order table at load time; nothing else is trusted until
+  derived from the order table on first use; nothing else is trusted until
   ``check_quantale_laws`` has verified every law exhaustively.
 
 Values are wrapped in ``QuantaleValue`` so that mixing two instances raises
@@ -62,6 +62,8 @@ class Quantale:
 
     name = "quantale"
     is_finite = False
+    # The diagonal kernel, built by ``diagonals.diagonal_quantaloid`` on first use.
+    _diagonals = None
 
     # -- payload level ------------------------------------------------
 

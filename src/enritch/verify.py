@@ -222,6 +222,8 @@ def run_suite(
     if theorem not in DOCUMENTED_BOUNDS:
         raise ValueError(f"unknown suite {theorem!r}")
     maximum = DOCUMENTED_BOUNDS[theorem]
+    if bound < 0:
+        raise BoundExceededError(f"suite {theorem} needs a bound of at least 0, got {bound}")
     if bound > maximum:
         raise BoundExceededError(
             f"suite {theorem} is documented up to bound {maximum}, got {bound}"

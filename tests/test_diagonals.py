@@ -1,6 +1,10 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +19,12 @@ from enritch.diagonals import (
     is_diagonal,
     symmetric_objects,
 )
-from enritch.errors import ShapeMismatchError, UnsupportedQuantaleError
+from enritch.errors import PreconditionError, ShapeMismatchError, UnsupportedQuantaleError
+from enritch.fileio import load_quantale
 from enritch.quantale import LAWVERE
 from enritch.rationals import INF, ZERO, ExtRat
+
+DATA = Path(str(files("enritch") / "data"))
 
 
 def lv(x):
@@ -238,3 +245,75 @@ class TestInvolutionLift:
     ):
         for q in (boolean, luk3, nilmin5, diamond):
             assert len(symmetric_objects(q)) == len(q.elements)
+
+
+# -- the finite kernel against the exhaustive definitions it tabulates -------
+
+
+def reference_hom(q, p, t):
+    return tuple(
+        u
+        for u in q.payloads()
+        if q._tensor(q._residual_left(u, p), p) == u == q._tensor(t, q._residual_right(t, u))
+    )
+
+
+def reference_compose(q, u, mid, v):
+    return q._tensor(q._residual_left(v, mid), u)
+
+
+def reference_limpl(q, mid, r, u, w):
+    return q._join(
+        v for v in reference_hom(q, mid, r) if q._leq(reference_compose(q, u, mid, v), w)
+    )
+
+
+def reference_rimpl(q, p, mid, v, w):
+    return q._join(
+        u for u in reference_hom(q, p, mid) if q._leq(reference_compose(q, u, mid, v), w)
+    )
+
+
+def reference_hom_meet(q, p, t, values):
+    return q._join(
+        v for v in reference_hom(q, p, t) if all(q._leq(v, s) for s in values)
+    )
+
+
+class TestFiniteKernelTables:
+    @pytest.mark.parametrize(
+        "name",
+        ["boolean", "lukasiewicz3", "lukasiewicz5", "nilmin5", "diamond",
+         "mutated_lukasiewicz3"],
+    )
+    def test_tables_match_exhaustive_joins(self, name):
+        q = load_quantale(DATA / f"{name}.json")
+        dq = diagonal_quantaloid(q)
+        rng = q.payloads()
+        for p, t in itertools.product(rng, repeat=2):
+            assert dq.hom(p, t) == reference_hom(q, p, t)
+        for u, mid, v in itertools.product(rng, repeat=3):
+            assert dq.compose(u, mid, v) == reference_compose(q, u, mid, v)
+        for a, b, c, d in itertools.product(rng, repeat=4):
+            assert dq.limpl(a, b, c, d) == reference_limpl(q, a, b, c, d)
+            assert dq.rimpl(a, b, c, d) == reference_rimpl(q, a, b, c, d)
+        for p, t in itertools.product(rng, repeat=2):
+            for size in range(4):
+                for values in itertools.product(rng, repeat=size):
+                    expected = reference_hom_meet(q, p, t, values)
+                    assert dq.hom_meet(p, t, list(values)) == expected
+                    assert dq.hom_meet(p, t, iter(values)) == expected
+
+    def test_mutated_boolean_refused(self):
+        q = load_quantale(DATA / "mutated_boolean.json")
+        with pytest.raises(PreconditionError) as info:
+            diagonal_quantaloid(q)
+        assert str(info.value) == "identity 1 is not a diagonal on itself"
+
+    def test_kernel_does_not_keep_its_quantale_alive(self):
+        q = load_quantale(DATA / "lukasiewicz3.json")
+        diagonal_quantaloid(q)
+        ref = weakref.ref(q)
+        del q
+        gc.collect()
+        assert ref() is None

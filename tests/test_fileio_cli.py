@@ -270,6 +270,14 @@ class TestVerifyCommands:
         assert code == 4
         assert json.loads(out)["result"]["error"] == "bound"
 
+    def test_negative_bound_refused(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "t36",
+            "--quantale", str(DATA / "boolean.json"), "--bound", "-1",
+        )
+        assert code == 4
+        assert json.loads(out)["result"]["error"] == "bound"
+
     def test_lax_typing_breaks_the_chain(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "t36",
