@@ -68,6 +68,8 @@ class DiagonalQuantaloid:
 
     def __init__(self, quantale: Quantale):
         self.quantale = quantale
+        # Memos of ``hull.is_essential_bruteforce``; they die with the quantale.
+        self._essentiality: dict = {}
         self._build()
 
     def _build(self) -> None:

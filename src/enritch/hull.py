@@ -358,19 +358,12 @@ def is_hypercomplete(c: QCategory, strict: bool = True) -> HypercompleteResult:
     for q in dq.objects():
         for values in _enumerate_tight_columns(c, q):
             checked += 1
-            found = False
             for z in range(n):
-                if strict:
-                    if types[z] != q:
-                        continue
-                    if all(dq.leq(values[x], hom[x][z]) for x in range(n)):
-                        found = True
-                        break
-                else:
-                    if all(dq.leq(values[x], hom[x][z]) for x in range(n)):
-                        found = True
-                        break
-            if not found:
+                if strict and types[z] != q:
+                    continue
+                if all(dq.leq(values[x], hom[x][z]) for x in range(n)):
+                    break
+            else:
                 return HypercompleteResult(False, Presheaf(c, q, values), checked)
     return HypercompleteResult(True, None, checked)
 
@@ -655,6 +648,13 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
     (up to relabeling) and every functor g out of the codomain, and checks
     that g is fully faithful whenever the composite g . f is.  Refuses when
     the implied bound exceeds ``max_objects``.
+
+    Two memos live on the kernel ``f.domain.quantaloid``, so they last as
+    long as its quantale: the receiving categories, keyed on the object
+    bound, and for each codomain (keyed on the category itself) the
+    functors g that are not fully faithful, with the index of their Z.
+    A call then composes only those g with f.  Threads that fill the same
+    entry at once compute equal values, and the first one stored wins.
     """
     require_functor(f)
     if not is_fully_faithful(f):
@@ -666,16 +666,30 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
         raise BoundExceededError(
             f"would need categories of size {z_bound}, above the bound {max_objects}"
         )
+    cod = f.codomain
     dq = f.domain.quantaloid
-    dom, cod = f.domain, f.codomain
-    checked = 0
-    for z_cat in enumerate_symmetric_categories(dq, z_bound, name_prefix="z", up_to_iso=True):
-        checked += 1
-        for g in all_functors(cod, z_cat):
-            gf = functor_compose(g, f)
-            if is_fully_faithful(gf) and not is_fully_faithful(g):
-                return EssentialResult(False, (z_cat, g), checked)
-    return EssentialResult(True, None, checked)
+    memo = dq._essentiality
+    receivers = memo.get(("receivers", z_bound))
+    if receivers is None:
+        receivers = memo.setdefault(
+            ("receivers", z_bound),
+            tuple(enumerate_symmetric_categories(dq, z_bound, name_prefix="z", up_to_iso=True)),
+        )
+    non_full = memo.get(("non_full", cod))
+    if non_full is None:
+        non_full = memo.setdefault(
+            ("non_full", cod),
+            tuple(
+                (k, g)
+                for k, z_cat in enumerate(receivers)
+                for g in all_functors(cod, z_cat)
+                if not is_fully_faithful(g)
+            ),
+        )
+    for k, g in non_full:
+        if is_fully_faithful(functor_compose(g, f)):
+            return EssentialResult(False, (g.codomain, g), k + 1)
+    return EssentialResult(True, None, len(receivers))
 
 
 # -- transport along dense embeddings -------------------------------------------

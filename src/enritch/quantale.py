@@ -346,16 +346,19 @@ class FiniteQuantale(Quantale):
     def _tensor(self, a: int, b: int) -> int:
         return self.tensor_table[a][b]
 
+    # Joins and meets read the derived fields directly: going through the
+    # properties costs more than a short fold.
+
     def _join(self, values) -> int:
-        result = self.bottom
-        table = self.join_table
+        result = self.bottom if self._bottom is None else self._bottom
+        table = self._join_table or self.join_table
         for v in values:
             result = table[result][v]
         return result
 
     def _meet(self, values) -> int:
-        result = self.top
-        table = self.meet_table
+        result = self.top if self._top is None else self._top
+        table = self._meet_table or self.meet_table
         for v in values:
             result = table[result][v]
         return result

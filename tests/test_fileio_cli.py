@@ -308,15 +308,17 @@ class TestReportStability:
         assert "timing" not in first
 
     def test_verify_report_independent_of_worker_count(self, capsys, monkeypatch):
-        args = (
-            "verify", "t44",
-            "--quantale", str(DATA / "boolean.json"), "--bound", "2",
-        )
-        monkeypatch.setenv("ENRITCH_WORKERS", "1")
-        _, one, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("ENRITCH_WORKERS", "3")
-        _, three, _ = run_cli(capsys, *args)
-        assert one == three
+        # t54 also shares the essentiality memos between the worker threads
+        for suite in ("t44", "t54"):
+            args = (
+                "verify", suite,
+                "--quantale", str(DATA / "boolean.json"), "--bound", "2",
+            )
+            monkeypatch.setenv("ENRITCH_WORKERS", "1")
+            _, one, _ = run_cli(capsys, *args)
+            monkeypatch.setenv("ENRITCH_WORKERS", "3")
+            _, three, _ = run_cli(capsys, *args)
+            assert one == three
 
     def test_witnesses_reproduce(self, capsys, tmp_path):
         # a failing member check names a coordinate; re-checking the named

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -36,7 +38,12 @@ from enritch.hull import (
     tight_span_restriction,
     tighten,
 )
-from enritch.quantale import LAWVERE
+from enritch.quantale import (
+    LAWVERE,
+    boolean_quantale,
+    diamond_frame,
+    nilpotent_minimum_chain,
+)
 
 from conftest import make_category
 
@@ -386,6 +393,72 @@ class TestEssential:
         f = QFunctor(c, c, tuple(c.names))
         with pytest.raises(BoundExceededError):
             is_essential_bruteforce(f, max_objects=3)
+
+
+def reference_essential(f):
+    """The unmemoised loop over every receiving category and functor (oracle)."""
+    dq = f.domain.quantaloid
+    checked = 0
+    for z_cat in enumerate_symmetric_categories(
+        dq, len(f.codomain) + 1, name_prefix="z", up_to_iso=True
+    ):
+        checked += 1
+        for g in all_functors(f.codomain, z_cat):
+            if is_fully_faithful(functor_compose(g, f)) and not is_fully_faithful(g):
+                return False, (z_cat.to_dict(), g.as_dict()), checked
+    return True, None, checked
+
+
+def essential_summary(result):
+    counterexample = None
+    if result.counterexample is not None:
+        z_cat, g = result.counterexample
+        counterexample = (z_cat.to_dict(), g.as_dict())
+    return result.essential, counterexample, result.categories_checked
+
+
+class TestEssentialMemo:
+    @pytest.mark.parametrize(
+        "make, bound, verdicts",
+        [
+            (boolean_quantale, 2, {True, False}),
+            # a fully faithful functor between one-point categories is essential
+            (diamond_frame, 1, {True}),
+            (lambda: nilpotent_minimum_chain(5), 1, {True}),
+        ],
+        ids=["boolean", "diamond", "nilmin5"],
+    )
+    def test_memoised_search_matches_reference_loop(self, make, bound, verdicts):
+        dq = diagonal_quantaloid(make())
+        cats = list(enumerate_symmetric_categories(dq, bound))
+        functors = [
+            f
+            for x_cat in cats
+            for y_cat in cats
+            for f in all_functors(x_cat, y_cat)
+            if is_fully_faithful(f)
+        ]
+        expected = [reference_essential(f) for f in functors]
+        for f, want in zip(functors, expected):
+            dq._essentiality.clear()
+            cold = is_essential_bruteforce(f, max_objects=bound + 1)
+            assert essential_summary(cold) == want
+        # the warm memo now holds every codomain met above
+        for f, want in zip(functors, expected):
+            warm = is_essential_bruteforce(f, max_objects=bound + 1)
+            assert essential_summary(warm) == want
+        assert {want[0] for want in expected} == verdicts
+
+    def test_memos_do_not_keep_the_quantale_alive(self):
+        q = boolean_quantale()
+        pair = boolean_setoid(q, [["1", "0"], ["0", "1"]])
+        f = inclusion_functor(full_subcategory(pair, ["s0"]), pair)
+        assert not is_essential_bruteforce(f).essential
+        assert diagonal_quantaloid(q)._essentiality
+        ref = weakref.ref(q)
+        del q, pair, f
+        gc.collect()
+        assert ref() is None
 
 
 class TestYonedaEssentiality:
