@@ -96,7 +96,9 @@ def load_space(path: str | Path) -> ParMetSpace:
     if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
         raise SchemaError("space points must be a list of names")
     alpha_rows = data["alpha"]
-    if not isinstance(alpha_rows, list):
+    if not isinstance(alpha_rows, list) or not all(
+        isinstance(row, list) for row in alpha_rows
+    ):
         raise SchemaError("space alpha must be a list of rows")
     alpha = tuple(
         tuple(ExtRat.parse(cell) for cell in row) for row in alpha_rows

@@ -36,7 +36,7 @@ from .categories import QCategory
 from .diagonals import diagonal_quantaloid
 from .errors import PreconditionError, SchemaError, ShapeMismatchError
 from .quantale import LAWVERE
-from .rationals import ZERO, ExtRat
+from .rationals import ZERO, ExtRat, integer_rows
 from .relations import QRelation, TypedSet
 
 __all__ = [
@@ -138,15 +138,35 @@ class ParMetReport:
         }
 
 
+def _le(x: int | None, y: int | None) -> bool:
+    """x <= y on ``integer_rows`` values (None is infinity)."""
+    return y is None or (x is not None and x <= y)
+
+
+def _monus(b: int | None, a: int | None) -> int | None:
+    """Truncated difference on ``integer_rows`` values."""
+    if a is None:
+        return 0
+    if b is None:
+        return None
+    return b - a if b > a else 0
+
+
 def validate_partial_metric(space: ParMetSpace) -> ParMetReport:
+    """Check the three axioms; each witness is the first failure in row order.
+
+    The scans run on ``integer_rows``: integers over a common denominator,
+    None for infinity.  With c = alpha(x,y) - alpha(y,y) truncated, the
+    triangle bound c + alpha(y,z) is infinite for every z when c is.
+    """
     pts = space.points
-    a = space.alpha
+    a = integer_rows(space.alpha)
     n = len(pts)
 
     self_witness = None
     for i in range(n):
         for j in range(n):
-            if not (a[i][i] <= a[i][j] and a[j][j] <= a[i][j]):
+            if not (_le(a[i][i], a[i][j]) and _le(a[j][j], a[i][j])):
                 self_witness = (pts[i], pts[j])
                 break
         if self_witness:
@@ -163,10 +183,15 @@ def validate_partial_metric(space: ParMetSpace) -> ParMetReport:
 
     tri_witness = None
     for i in range(n):
+        row_i = a[i]
         for j in range(n):
+            c = _monus(row_i[j], a[j][j])
+            if c is None:
+                continue
+            row_j = a[j]
             for k in range(n):
-                bound = a[i][j].monus(a[j][j]) + a[j][k]
-                if not a[i][k] <= bound:
+                ajk = row_j[k]
+                if ajk is not None and (row_i[k] is None or row_i[k] > c + ajk):
                     tri_witness = (pts[i], pts[j], pts[k])
                     break
             if tri_witness:
@@ -395,15 +420,27 @@ def dense_isometry_check(
     beta(y,y) max beta(y',y') max sup_x(beta(fx, y') + beta(y,y) - beta(fx, y)).
     """
     image = _require_isometric(mapping, dom, cod)
-    b = cod.alpha
+    b = integer_rows(cod.alpha)
     m = len(cod)
     for y in range(m):
+        byy = b[y][y]
+        if byy is None:
+            # rhs >= beta(y,y) is infinite for every y'.
+            if any(v is not None for v in b[y]):
+                return False
+            continue
+        # term = beta(fx,y') + (beta(y,y) - beta(fx,y)), truncated at 0; it
+        # is 0 when beta(fx,y) is infinite and infinite when beta(fx,y') is.
+        shifts = [(b[fx], byy - b[fx][y]) for fx in image if b[fx][y] is not None]
         for y2 in range(m):
-            rhs = max(b[y][y], b[y2][y2])
-            for fx in image:
-                term = (b[fx][y2] + b[y][y]).monus(b[fx][y])
-                if term > rhs:
-                    rhs = term
+            rhs = b[y2][y2]
+            if rhs is not None:
+                rhs = max(rhs, byy)
+                for row, shift in shifts:
+                    if row[y2] is None:
+                        rhs = None
+                        break
+                    rhs = max(rhs, row[y2] + shift)
             if b[y][y2] != rhs:
                 return False
     return True

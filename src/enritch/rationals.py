@@ -16,11 +16,12 @@ All comparisons use the standard numeric order with infinity on top.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import SchemaError
 
-__all__ = ["ExtRat", "INF", "ZERO"]
+__all__ = ["ExtRat", "INF", "ZERO", "integer_rows"]
 
 
 class ExtRat:
@@ -77,7 +78,7 @@ class ExtRat:
             return NotImplemented
         if self._frac is None or other._frac is None:
             return INF
-        return ExtRat(self._frac + other._frac)
+        return _unchecked(self._frac + other._frac)
 
     def monus(self, other: "ExtRat") -> "ExtRat":
         """Truncated difference; see the module docstring for conventions."""
@@ -88,7 +89,7 @@ class ExtRat:
         if self._frac is None:
             return INF
         diff = self._frac - other._frac
-        return ExtRat(diff) if diff > 0 else ZERO
+        return _unchecked(diff) if diff > 0 else ZERO
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExtRat) and self._frac == other._frac
@@ -106,7 +107,13 @@ class ExtRat:
         return self._frac <= other._frac
 
     def __lt__(self, other: "ExtRat") -> bool:
-        return self <= other and self != other
+        if not isinstance(other, ExtRat):
+            return NotImplemented
+        if self._frac is None:
+            return False
+        if other._frac is None:
+            return True
+        return self._frac < other._frac
 
     def __ge__(self, other: "ExtRat") -> bool:
         if not isinstance(other, ExtRat):
@@ -114,7 +121,13 @@ class ExtRat:
         return other <= self
 
     def __gt__(self, other: "ExtRat") -> bool:
-        return other < self
+        if not isinstance(other, ExtRat):
+            return NotImplemented
+        if other._frac is None:
+            return False
+        if self._frac is None:
+            return True
+        return self._frac > other._frac
 
     def __str__(self) -> str:
         return "inf" if self._frac is None else str(self._frac)
@@ -123,5 +136,41 @@ class ExtRat:
         return f"ExtRat({str(self)!r})"
 
 
+_set_frac = ExtRat._frac.__set__  # the slot's own setter, past __setattr__
+
+
+def _unchecked(frac: Fraction) -> ExtRat:
+    """An ExtRat from a reduced, non-negative Fraction, without re-checking it.
+
+    Sums and truncated differences of ExtRat values are such fractions
+    already; only the public constructor needs to convert and check.
+    """
+    value = object.__new__(ExtRat)
+    _set_frac(value, frac)
+    return value
+
+
 INF = ExtRat(None)
 ZERO = ExtRat(0)
+
+
+def integer_rows(matrix) -> list[list[int | None]]:
+    """The rows of a matrix of ExtRat as integers over one common denominator.
+
+    Each finite entry is multiplied by the least common multiple of the
+    finite entries' denominators, which makes it an integer; infinity
+    becomes None.  The scaling is a positive factor, so order, sums and
+    truncated differences of the integers are exactly those of the
+    entries.
+    """
+    denominator = math.lcm(
+        *(cell._frac.denominator for row in matrix for cell in row if cell._frac is not None)
+    )
+    return [
+        [
+            None if cell._frac is None
+            else cell._frac.numerator * (denominator // cell._frac.denominator)
+            for cell in row
+        ]
+        for row in matrix
+    ]

@@ -61,7 +61,7 @@ def make_category(quantale, names, types, rows) -> QCategory:
 
 
 def random_partial_metric(
-    rng, n_points, allow_inf=False, max_self=16, max_slack=12
+    rng, n_points, allow_inf=False, max_self=16, max_slack=12, denominators=(1, 2, 4)
 ) -> ParMetSpace:
     """A valid random partial metric on exact rationals.
 
@@ -71,7 +71,6 @@ def random_partial_metric(
     (s_i + s_j) / 2.  In these coordinates the modified triangle inequality
     is the ordinary one for beta, so the result is always valid.
     """
-    denominators = (1, 2, 4)
     selfs = [
         Fraction(rng.randint(0, max_self), rng.choice(denominators))
         for _ in range(n_points)

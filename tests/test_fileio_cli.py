@@ -89,6 +89,16 @@ class TestFileLoading:
         with pytest.raises(SchemaError):
             fileio.read_json(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("alpha", [["01", "10"], [0, 1]])
+    def test_space_rows_must_be_lists(self, capsys, tmp_path, alpha):
+        doc = tmp_path / "space.json"
+        doc.write_text(json.dumps({"points": ["a", "b"], "alpha": alpha}))
+        with pytest.raises(SchemaError):
+            fileio.load_space(doc)
+        code, out, _ = run_cli(capsys, "hull", "member", str(doc), str(DATA / "mu_13.json"))
+        assert code == 2
+        assert json.loads(out)["result"]["error"] == "schema"
+
     def test_radius_function_name_mismatches(self, tmp_path):
         space = fileio.load_space(DATA / "two_point_classical.json")
         doc = tmp_path / "mu.json"

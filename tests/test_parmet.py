@@ -8,6 +8,7 @@ from enritch.categories import Presheaf, presheaf_hom, validate_category, is_sym
 from enritch.errors import PreconditionError, SchemaError
 from enritch.hull import column_admissible, is_tight_column
 from enritch.parmet import (
+    ParMetReport,
     ParMetSpace,
     RadiusFunction,
     ambient_violation,
@@ -541,3 +542,172 @@ class TestMaximalityGrid:
             for start in starts:
                 mu = tighten_sweep(space_, start)
                 assert grid_maximality_oracle(space_, mu)
+
+
+# -- integer scans against the ExtRat loops they replaced ------------------------
+
+
+def reference_validate(space_: ParMetSpace) -> ParMetReport:
+    """The axiom scans on ExtRat values, as they ran before the integer scans."""
+    pts = space_.points
+    a = space_.alpha
+    n = len(pts)
+
+    self_witness = None
+    for i in range(n):
+        for j in range(n):
+            if not (a[i][i] <= a[i][j] and a[j][j] <= a[i][j]):
+                self_witness = (pts[i], pts[j])
+                break
+        if self_witness:
+            break
+
+    sym_witness = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] != a[j][i]:
+                sym_witness = (pts[i], pts[j])
+                break
+        if sym_witness:
+            break
+
+    tri_witness = None
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                bound = a[i][j].monus(a[j][j]) + a[j][k]
+                if not a[i][k] <= bound:
+                    tri_witness = (pts[i], pts[j], pts[k])
+                    break
+            if tri_witness:
+                break
+        if tri_witness:
+            break
+
+    return ParMetReport(
+        self_bound=self_witness is None,
+        self_bound_witness=self_witness,
+        symmetric=sym_witness is None,
+        symmetric_witness=sym_witness,
+        triangle=tri_witness is None,
+        triangle_witness=tri_witness,
+    )
+
+
+def reference_dense(mapping, dom: ParMetSpace, cod: ParMetSpace) -> bool:
+    """The density identity on ExtRat values, for a map known to be isometric."""
+    image = [cod.index(mapping[name]) for name in dom.points]
+    b = cod.alpha
+    m = len(cod)
+    for y in range(m):
+        for y2 in range(m):
+            rhs = max(b[y][y], b[y2][y2])
+            for fx in image:
+                term = (b[fx][y2] + b[y][y]).monus(b[fx][y])
+                if term > rhs:
+                    rhs = term
+            if b[y][y2] != rhs:
+                return False
+    return True
+
+
+# Denominators 3, 5, 7 and 12 make the common denominator no power of 2.
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 12)
+
+
+def random_cell(rng) -> ExtRat:
+    if rng.random() < 0.15:
+        return INF
+    return ExtRat(Fraction(rng.randint(0, 24), rng.choice(DENOMINATORS)))
+
+
+def from_rows(rows) -> ParMetSpace:
+    return ParMetSpace(
+        tuple(f"p{i}" for i in range(len(rows))), tuple(tuple(row) for row in rows)
+    )
+
+
+def random_matrix(rng, n: int) -> ParMetSpace:
+    """A square matrix that fails the axioms in a random way, or none of them."""
+    kind = rng.randrange(5)
+    if kind == 0:  # anything: mostly self-bound failures
+        return from_rows([[random_cell(rng) for _ in range(n)] for _ in range(n)])
+    if kind == 1:  # self-bound and symmetry hold, the triangle is left to chance
+        diag = [ExtRat(Fraction(rng.randint(0, 6), rng.choice(DENOMINATORS))) for _ in range(n)]
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = diag[i]
+            for j in range(i + 1, n):
+                cell = random_cell(rng)
+                rows[i][j] = rows[j][i] = max(diag[i], diag[j]) + cell
+        return from_rows(rows)
+    valid = random_partial_metric(
+        rng, n, allow_inf=True, max_self=8, max_slack=8, denominators=DENOMINATORS[2:]
+    )
+    rows = [list(row) for row in valid.alpha]
+    if kind == 2 and n:  # one cell, or one symmetric pair, changed
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = random_cell(rng)
+        if rng.random() < 0.5:
+            rows[j][i] = rows[i][j]
+    elif kind == 3 and n:  # a point at infinite distance from all, itself too
+        i = rng.randrange(n)
+        for j in range(n):
+            rows[i][j] = rows[j][i] = INF
+    return from_rows(rows)  # kind 4: left valid
+
+
+def random_isometry(rng, cod: ParMetSpace):
+    """A map into ``cod`` and the domain that makes it isometric."""
+    m = len(cod)
+    if m and rng.random() < 0.7:
+        image = rng.sample(range(m), rng.randint(0, m))
+    else:
+        image = [rng.randrange(m) for _ in range(rng.randint(0, 3))] if m else []
+    dom = ParMetSpace(
+        tuple(f"d{i}" for i in range(len(image))),
+        tuple(tuple(cod.alpha[u][v] for v in image) for u in image),
+    )
+    mapping = {f"d{i}": cod.points[u] for i, u in enumerate(image)}
+    return mapping, dom
+
+
+class TestIntegerScansDifferential:
+    def test_random_small_matrices(self):
+        rng = random.Random(4)
+        seen, dense_seen = set(), set()
+        for _ in range(3000):
+            cod = random_matrix(rng, rng.randint(0, 7))
+            report = validate_partial_metric(cod)
+            assert report.to_dict() == reference_validate(cod).to_dict()
+            seen.add((report.self_bound, report.symmetric, report.triangle))
+            mapping, dom = random_isometry(rng, cod)
+            dense = dense_isometry_check(mapping, dom, cod)
+            assert dense == reference_dense(mapping, dom, cod)
+            dense_seen.add(dense)
+        # Every scan was seen to pass and to fail on its own.
+        assert {(True, True, False), (True, False, True), (False, True, True),
+                (True, True, True)} <= seen
+        assert dense_seen == {True, False}
+
+    def test_large_valid_spaces(self):
+        rng = random.Random(5)
+        for n in (24, 40, 64):
+            valid = random_partial_metric(rng, n, allow_inf=True)
+            # Stretch the last finite distance from p0 far beyond the rest:
+            # only the triangle can fail.
+            rows = [list(row) for row in valid.alpha]
+            far = max(j for j in range(1, n) if not rows[0][j].is_infinite)
+            rows[0][far] = rows[far][0] = ExtRat(Fraction(1000, 7))
+            stretched = from_rows(rows)
+            for space_ in (valid, stretched):
+                assert validate_partial_metric(space_).to_dict() == (
+                    reference_validate(space_).to_dict()
+                )
+                mapping, dom = random_isometry(rng, space_)
+                assert dense_isometry_check(mapping, dom, space_) == reference_dense(
+                    mapping, dom, space_
+                )
+            assert validate_partial_metric(valid).valid
+            report = validate_partial_metric(stretched)
+            assert report.self_bound and report.symmetric and not report.triangle

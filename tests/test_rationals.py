@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -98,3 +100,64 @@ class TestOrder:
     def test_hash_consistency(self):
         assert hash(er(2)) == hash(ExtRat(Fraction(4, 2)))
         assert len({er(1), ExtRat(Fraction(2, 2)), INF, INF}) == 2
+
+
+# Every pair from this grid is checked against Fraction arithmetic, with
+# None standing for infinity.
+GRID = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(7, 3), None]
+
+
+def ext(v) -> ExtRat:
+    return INF if v is None else ExtRat(v)
+
+
+def ref_add(x, y):
+    return None if x is None or y is None else x + y
+
+
+def ref_monus(b, a):
+    if a is None:
+        return Fraction(0)
+    if b is None:
+        return None
+    return max(Fraction(0), b - a)
+
+
+def ref_key(v):
+    """Sort key of the numeric order with infinity on top."""
+    return (1, 0) if v is None else (0, v)
+
+
+class TestOperatorGrid:
+    @pytest.mark.parametrize(
+        "x, y", list(itertools.product(GRID, GRID)), ids=lambda v: str(ext(v))
+    )
+    def test_against_fraction_reference(self, x, y):
+        a, b = ext(x), ext(y)
+        for result, expected in ((a + b, ref_add(x, y)), (a.monus(b), ref_monus(x, y))):
+            assert type(result) is ExtRat
+            assert result.is_infinite == (expected is None)
+            if expected is not None:
+                assert result.fraction == expected
+                assert result.fraction.denominator == expected.denominator
+            assert result == ext(expected)
+            assert hash(result) == hash(ext(expected))
+            with pytest.raises(AttributeError):
+                result._frac = Fraction(5)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq):
+            got = op(a, b)
+            assert type(got) is bool
+            assert got == op(ref_key(x), ref_key(y)), op.__name__
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_int_operands_raise(self):
+        one = er(1)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add):
+            with pytest.raises(TypeError):
+                op(one, 1)
+            with pytest.raises(TypeError):
+                op(1, one)
+        with pytest.raises(TypeError):
+            one.monus(1)
+        assert one != 1
