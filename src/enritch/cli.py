@@ -13,7 +13,8 @@ Every command prints one JSON report to stdout with the fields command,
 inputs (sha256 digests of the files read), result and witnesses, in that
 order.  The report bytes depend only on the inputs; wall-clock timing goes
 to stderr as a single ``timing_ms=...`` line.  Exit codes: 0 pass, 1 check
-failed, 2 schema error, 3 precondition error, 4 bound refusal.
+failed, 2 schema error, 3 precondition error, 4 bound refusal,
+5 broken library invariant.
 
 ``ENRITCH_WORKERS`` shards the verification enumerations; results merge by
 index, so the report never depends on the worker count.
@@ -30,6 +31,7 @@ from . import fileio, parmet, verify
 from .errors import (
     BoundExceededError,
     EnritchError,
+    InvariantError,
     PreconditionError,
     QuantaleMismatchError,
     SchemaError,
@@ -43,6 +45,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 EXIT_BOUND = 4
+EXIT_INVARIANT = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -228,6 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         report, code = _error_report(args, "schema", exc), EXIT_SCHEMA
     except BoundExceededError as exc:
         report, code = _error_report(args, "bound", exc), EXIT_BOUND
+    except InvariantError as exc:
+        report, code = _error_report(args, "invariant", exc), EXIT_INVARIANT
     except (
         PreconditionError,
         ShapeMismatchError,

@@ -27,3 +27,7 @@ class UnsupportedQuantaleError(EnritchError):
 
 class BoundExceededError(EnritchError):
     """A brute-force search was refused because its size bound was exceeded."""
+
+
+class InvariantError(EnritchError):
+    """A result the library built broke one of its own guarantees (a bug)."""

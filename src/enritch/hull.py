@@ -13,6 +13,19 @@ it suffices to search witnesses for tight columns only; this reduction is
 what makes the exhaustive checks below tractable, and the test suite
 cross-validates it against the naive all-columns scan on small instances.
 
+The tight columns themselves come from one depth-first search
+(``_enumerate_tight_columns``) that carries the running residual
+hom <swarrow> mu of the coordinates fixed so far and cuts every prefix
+whose residual, completed at the greatest candidates, already exceeds
+what a tight column allows.  The cut is sound because <swarrow> is antitone
+in mu: no completion can bring the residual back down.  Its cost therefore
+follows the prefixes that can still end tight, not the admissible set; the
+tight span of a tight span, which has only its Yoneda columns, is cheap.
+
+Results the library builds for itself (a tight span, a tightened
+presheaf, an extension) are checked, and a failure raises
+``InvariantError`` rather than an ``assert`` that ``python -O`` strips.
+
 Typing of the witness is subtle: the default ("strict") requires the
 witness object's type to equal the column's type, which is what makes the
 injectivity equivalences hold.  The lax elementwise reading is available
@@ -45,6 +58,7 @@ from .categories import (
 from .diagonals import DiagonalQuantaloid
 from .errors import (
     BoundExceededError,
+    InvariantError,
     PreconditionError,
     ShapeMismatchError,
     UnsupportedQuantaleError,
@@ -142,16 +156,14 @@ def _tight_step(c: QCategory, q, values: Sequence) -> tuple:
 
 def is_tight_column(c: QCategory, q, values: Sequence) -> bool:
     """mu deg = hom <swarrow> mu for a raw column; such a column is
-    automatically a presheaf (asserted)."""
+    automatically a presheaf (checked)."""
     dq = c.quantaloid
     residual = _tight_residual(c, q, values)
     holds = all(
         dq.involve(values[z]) == residual[z] for z in range(len(values))
     )
-    if holds:
-        assert _distributor_holds(c, q, values), (
-            "a column satisfying the tight equation must be a presheaf"
-        )
+    if holds and not _distributor_holds(c, q, values):
+        raise InvariantError("a column satisfying the tight equation must be a presheaf")
     return holds
 
 
@@ -192,7 +204,8 @@ def tighten(c: QCategory, mu: Presheaf) -> Presheaf:
                 break
         if stale is None:
             result = Presheaf(c, q, values)
-            assert is_ambient(c, result), "tightening left the ambient set"
+            if not is_ambient(c, result):
+                raise InvariantError("tightening left the ambient set")
             return result
         z = stale
         # Augmentation through z: join mu with (mu deg <searrow> hom(z, -)) . hom(-, z).
@@ -212,11 +225,12 @@ def tighten(c: QCategory, mu: Presheaf) -> Presheaf:
             )
             for x in range(n)
         )
-        assert new_values != values and all(
+        if new_values == values or not all(
             dq.leq(values[x], new_values[x]) for x in range(n)
-        ), "augmentation must strictly increase the presheaf"
+        ):
+            raise InvariantError("augmentation must strictly increase the presheaf")
         values = new_values
-    raise AssertionError("tightening failed to converge within its step bound")
+    raise InvariantError("tightening failed to converge within its step bound")
 
 
 # -- tight span -------------------------------------------------------------
@@ -225,11 +239,25 @@ def tighten(c: QCategory, mu: Presheaf) -> Presheaf:
 def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
     """All tight columns of type q, in lexicographic hom order.
 
-    The search space is first narrowed to the interval between the least
-    and greatest fixed points of the squared tightness operator (the
+    The search space is first narrowed to the interval [lo, hi] between the
+    least and greatest fixed points of the squared tightness operator (the
     operator itself is antitone, so its square is monotone and every tight
-    column lies in that interval), then walked depth-first with pairwise
-    admissibility pruning.
+    column lies in that interval), then walked depth-first.
+
+    At depth k the walk carries the running residual row_k(z), the meet
+    over the fixed coordinates x < k of hom(x, z) <swarrow> mu(x), inside
+    hom(q, |z|).  A candidate v for mu(k) is admissible iff v deg lies below
+    the meet of row_k(k) and hom(k, k) <swarrow> v; the mirrored inequalities
+    are the involutes of these, since the category is symmetric.  Appending
+    v costs n residuals and n two-argument hom meets.
+
+    The cut: every open coordinate x >= k stays below hi(x) and <swarrow>
+    is antitone in mu, so the final residual at z is at least
+    row_k(z) meet floor_k(z), with floor_k(z) the residual of the open
+    coordinates all at hi.  A tight column has residual mu(z) deg, which is
+    at most hi(z) deg; a prefix whose lower bound exceeds that at some z
+    has no tight completion, and its subtree is skipped.  At a leaf mu is
+    tight iff mu(z) deg equals row_n(z) for every z.
     """
     dq = c.quantaloid
     types = c.objects.types
@@ -246,7 +274,7 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
             if nxt == current:
                 return current
             current = nxt
-        raise AssertionError("squared tightness operator failed to converge")
+        raise InvariantError("squared tightness operator failed to converge")
 
     lo = f2_limit(tuple(dq.hom_bottom(t, q) for t in types))
     hi = f2_limit(tuple(dq.hom_top(t, q) for t in types))
@@ -259,32 +287,42 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
         for z in range(n)
     ]
 
+    limpl, hom_meet, leq, involve = dq.limpl, dq.hom_meet, dq.leq, dq.involve
+    # floor[k][z]: the residual at z of the coordinates x >= k, each at hi[x].
+    floor = [()] * n + [tuple(dq.hom_top(q, t) for t in types)]
+    for x in reversed(range(n)):
+        floor[x] = tuple(
+            hom_meet(q, types[z], (floor[x + 1][z], limpl(q, types[z], hi[x], hom[x][z])))
+            for z in range(n)
+        )
+    # ceiling[z]: mu(z) deg for the fixed coordinates, hi[z] deg for the rest.
+    ceiling = [involve(v) for v in hi]
     partial: list = []
 
-    def compatible(z: int, v) -> bool:
-        vv = dq.involve(v)
-        if not dq.leq(dq.compose(v, q, vv), hom[z][z]):
-            return False
-        for x in range(z):
-            if not dq.leq(dq.compose(partial[x], q, vv), hom[x][z]):
-                return False
-            if not dq.leq(dq.compose(v, q, dq.involve(partial[x])), hom[z][x]):
-                return False
-        return True
-
-    def walk(z: int) -> Iterator[tuple]:
-        if z == n:
-            values = tuple(partial)
-            if values == _tight_step(c, q, values):
-                yield values
+    def walk(k: int, row: Sequence) -> Iterator[tuple]:
+        if k == n:
+            if all(ceiling[z] == row[z] for z in range(n)):
+                yield tuple(partial)
             return
-        for v in domains[z]:
-            if compatible(z, v):
+        t, hom_k, below = types[k], hom[k], floor[k + 1]
+        for v in domains[k]:
+            vv = involve(v)
+            if not leq(vv, hom_meet(q, t, (row[k], limpl(q, t, v, hom_k[k])))):
+                continue
+            ceiling[k] = vv
+            nxt = []
+            for z in range(n):
+                r = hom_meet(q, types[z], (row[z], limpl(q, types[z], v, hom_k[z])))
+                if not leq(hom_meet(q, types[z], (r, below[z])), ceiling[z]):
+                    break
+                nxt.append(r)
+            else:
                 partial.append(v)
-                yield from walk(z + 1)
+                yield from walk(k + 1, nxt)
                 partial.pop()
+        ceiling[k] = involve(hi[k])
 
-    yield from walk(0)
+    yield from walk(0, floor[n])
 
 
 @dataclass(frozen=True)
@@ -317,9 +355,11 @@ def tight_span(c: QCategory) -> TightSpan:
         tuple(presheaf_hom(mu, nu) for nu in members) for mu in members
     )
     category = QCategory(carrier, QRelation(carrier, carrier, entries))
-    assert is_symmetric(category), "the tight span must be symmetric"
+    if not is_symmetric(category):
+        raise InvariantError("the tight span must be symmetric")
     report = validate_category(category)
-    assert report.valid, f"the tight span must be a category: {report.to_dict()}"
+    if not report.valid:
+        raise InvariantError(f"the tight span must be a category: {report.to_dict()}")
     return TightSpan(base=c, members=tuple(members), category=category)
 
 
@@ -528,10 +568,12 @@ def extension_from_presheaf(c: QCategory, mu: Presheaf, new_name: str | None = N
             new_name += "'"
     extended = _extend_matrix(c, mu.q, mu.values, new_name)
     report = validate_category(extended)
-    assert report.valid, (
-        f"an ambient presheaf must induce a valid extension: {report.to_dict()}"
-    )
-    assert is_symmetric(extended)
+    if not report.valid:
+        raise InvariantError(
+            f"an ambient presheaf must induce a valid extension: {report.to_dict()}"
+        )
+    if not is_symmetric(extended):
+        raise InvariantError("an ambient presheaf must induce a symmetric extension")
     return extended
 
 

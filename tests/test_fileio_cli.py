@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from enritch import fileio
+from enritch import fileio, hull
 from enritch.cli import main
 from enritch.diagonals import diagonal_quantaloid
-from enritch.errors import SchemaError
+from enritch.errors import InvariantError, SchemaError
 from enritch.quantale import check_quantale_laws
 
 DATA = Path(str(files("enritch") / "data"))
@@ -304,6 +304,37 @@ class TestVerifyCommands:
             "--quantale", str(DATA / "mutated_lukasiewicz3.json"), "--bound", "1",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("suite", ["l43", "t44"])
+    def test_lukasiewicz5_bound_2_frontier(self, capsys, suite):
+        # every category here has a tight span of up to 13 members; the
+        # search over the span's own tight columns must stay output-sensitive
+        code, out, _ = run_cli(
+            capsys, "verify", suite,
+            "--quantale", str(DATA / "lukasiewicz5.json"), "--bound", "2",
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["categories"] == 61
+        assert result["discrepancies"] == 0
+
+    def test_broken_tight_span_is_an_invariant_error(self, capsys, monkeypatch, boolean):
+        # a span hom stuck at the bottom breaks the identities of the span
+        monkeypatch.setattr(
+            hull, "presheaf_hom", lambda mu, nu: mu.base.quantaloid.quantale.bottom
+        )
+        dq = diagonal_quantaloid(boolean)
+        one = next(c for c in hull.enumerate_symmetric_categories(dq, 1) if len(c) == 1)
+        with pytest.raises(InvariantError, match="the tight span must be a category"):
+            hull.tight_span(one)
+        code, out, _ = run_cli(
+            capsys, "verify", "l43",
+            "--quantale", str(DATA / "boolean.json"), "--bound", "1",
+        )
+        assert code == 5
+        result = json.loads(out)["result"]
+        assert result["error"] == "invariant"
+        assert "the tight span must be a category" in result["message"]
 
 
 class TestReportStability:

@@ -16,6 +16,8 @@ from enritch.categories import (
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import BoundExceededError, PreconditionError, UnsupportedQuantaleError
 from enritch.hull import (
+    _enumerate_tight_columns,
+    _tight_step,
     all_functors,
     column_admissible,
     enumerate_ambient,
@@ -79,6 +81,65 @@ def naive_hypercomplete(c, strict):
             if not witnessed:
                 return False
     return True
+
+
+def reference_tight_columns(c, q):
+    """The tight-column walk the residual search replaced (oracle): the same
+    [lo, hi] domains, pairwise admissibility, tightness tested at the leaves."""
+    dq = c.quantaloid
+    types = c.objects.types
+    hom = c.hom.entries
+    n = len(types)
+    if n == 0:
+        yield ()
+        return
+
+    def f2_limit(start):
+        current = start
+        for _ in range(len(dq.quantale.elements) * n * 2 + 4):
+            nxt = _tight_step(c, q, _tight_step(c, q, current))
+            if nxt == current:
+                return current
+            current = nxt
+        raise AssertionError("squared tightness operator failed to converge")
+
+    lo = f2_limit(tuple(dq.hom_bottom(t, q) for t in types))
+    hi = f2_limit(tuple(dq.hom_top(t, q) for t in types))
+    domains = [
+        tuple(
+            v
+            for v in dq.hom(types[z], q)
+            if dq.leq(lo[z], v) and dq.leq(v, hi[z])
+        )
+        for z in range(n)
+    ]
+
+    partial = []
+
+    def compatible(z, v):
+        vv = dq.involve(v)
+        if not dq.leq(dq.compose(v, q, vv), hom[z][z]):
+            return False
+        for x in range(z):
+            if not dq.leq(dq.compose(partial[x], q, vv), hom[x][z]):
+                return False
+            if not dq.leq(dq.compose(v, q, dq.involve(partial[x])), hom[z][x]):
+                return False
+        return True
+
+    def walk(z):
+        if z == n:
+            values = tuple(partial)
+            if values == _tight_step(c, q, values):
+                yield values
+            return
+        for v in domains[z]:
+            if compatible(z, v):
+                partial.append(v)
+                yield from walk(z + 1)
+                partial.pop()
+
+    yield from walk(0)
 
 
 class TestMembership:
@@ -197,6 +258,51 @@ class TestTightSpan:
         c = make_category(LAWVERE, ["a"], ["0"], [["0"]])
         with pytest.raises(UnsupportedQuantaleError):
             tight_span(c)
+
+
+class TestTightColumnSearch:
+    # (quantale fixture, bound, largest span still compared with the oracle;
+    # the oracle takes minutes on the larger lukasiewicz5 spans)
+    CASES = [
+        ("boolean", 3, None),
+        ("luk3", 3, None),
+        ("nilmin5", 2, None),
+        ("diamond", 2, None),
+        ("luk5", 2, 9),
+    ]
+
+    @pytest.mark.parametrize("fixture, bound, span_limit", CASES, ids=[c[0] for c in CASES])
+    def test_matches_the_leaf_testing_walk(self, request, fixture, bound, span_limit):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        searches = 0
+        for c in enumerate_symmetric_categories(dq, bound):
+            targets = [c]
+            span = tight_span(c)
+            if span_limit is None or len(span.members) <= span_limit:
+                targets.append(span.category)
+            for target in targets:
+                for q in dq.objects():
+                    got = list(_enumerate_tight_columns(target, q))
+                    assert got == list(reference_tight_columns(target, q)), (
+                        target.to_dict(), dq.format(q)
+                    )
+                    searches += 1
+        assert searches > 0
+
+    @pytest.mark.parametrize("fixture, bound, span_limit", CASES, ids=[c[0] for c in CASES])
+    def test_tight_columns_of_a_tight_span_are_its_yoneda_columns(
+        self, request, fixture, bound, span_limit
+    ):
+        # the tight span of a tight span is itself
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        for c in enumerate_symmetric_categories(dq, bound):
+            s = tight_span(c).category
+            found = [
+                (q, values) for q in dq.objects() for values in _enumerate_tight_columns(s, q)
+            ]
+            yonedas = {(yoneda(s, x).q, yoneda(s, x).values) for x in s.names}
+            assert len(found) == len(s) == len(yonedas)
+            assert set(found) == yonedas, c.to_dict()
 
 
 class TestHypercomplete:
