@@ -19,7 +19,6 @@ from .errors import (
     BoundExceededError,
     EnritchError,
     PreconditionError,
-    QuantaleMismatchError,
     SchemaError,
     ShapeMismatchError,
     UnsupportedQuantaleError,

@@ -18,6 +18,7 @@ from typing import Any, Sequence
 
 from .diagonals import DiagonalQuantaloid
 from .errors import (
+    InvariantError,
     PreconditionError,
     ShapeMismatchError,
     UnsupportedQuantaleError,
@@ -168,7 +169,8 @@ def symmetrize(c: QCategory) -> QCategory:
     require_valid(c)
     sym = QCategory(c.objects, rel_meet([c.hom, rel_involve(c.hom)]))
     report = validate_category(sym)
-    assert report.valid, f"symmetrization broke the category laws: {report.to_dict()}"
+    if not report.valid:
+        raise InvariantError(f"symmetrization broke the category laws: {report.to_dict()}")
     return sym
 
 
@@ -322,7 +324,8 @@ def is_fully_faithful(f: QFunctor) -> bool:
         for j in range(n)
     )
     via_graphs = rel_compose(cograph(f), graph(f)) == dom.hom
-    assert pointwise == via_graphs, "fully-faithful criteria disagree"
+    if pointwise != via_graphs:
+        raise InvariantError("fully-faithful criteria disagree")
     return pointwise
 
 
@@ -451,8 +454,10 @@ def presheaf_hom(mu: Presheaf, nu: Presheaf):
 
 
 def copresheaf_values(mu: Presheaf) -> tuple:
-    """The involution of a presheaf column; over a symmetric base this is a
-    copresheaf (hom . values <= values entrywise), which is asserted."""
+    """The involution of a presheaf column on a symmetric base: a copresheaf
+    (hom . values <= values entrywise), which is checked on every call."""
+    if not is_symmetric(mu.base):
+        raise PreconditionError("copresheaf values need a symmetric base category")
     dq = mu.base.quantaloid
     values = tuple(dq.involve(u) for u in mu.values)
     types = mu.base.objects.types
@@ -464,9 +469,10 @@ def copresheaf_values(mu: Presheaf) -> tuple:
             types[z],
             (dq.compose(values[x], types[x], hom[x][z]) for x in range(n)),
         )
-        assert dq.leq(composed, values[z]), (
-            "the involuted column of a presheaf on a symmetric base must be a copresheaf"
-        )
+        if not dq.leq(composed, values[z]):
+            raise InvariantError(
+                "the involuted column of a presheaf on a symmetric base must be a copresheaf"
+            )
     return values
 
 

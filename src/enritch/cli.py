@@ -15,9 +15,6 @@ order.  The report bytes depend only on the inputs; wall-clock timing goes
 to stderr as a single ``timing_ms=...`` line.  Exit codes: 0 pass, 1 check
 failed, 2 schema error, 3 precondition error, 4 bound refusal,
 5 broken library invariant.
-
-``ENRITCH_WORKERS`` shards the verification enumerations; results merge by
-index, so the report never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from .errors import (
     EnritchError,
     InvariantError,
     PreconditionError,
-    QuantaleMismatchError,
     SchemaError,
     ShapeMismatchError,
     UnsupportedQuantaleError,
@@ -236,7 +232,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         PreconditionError,
         ShapeMismatchError,
-        QuantaleMismatchError,
         UnsupportedQuantaleError,
     ) as exc:
         report, code = _error_report(args, "precondition", exc), EXIT_PRECONDITION

@@ -10,9 +10,7 @@ library live.
 category layers, with one implementation per kind of quantale:
 ``FiniteDiagonals`` for table-defined quantales and ``LawvereDiagonals`` for
 the extended rationals.  ``diagonal_quantaloid`` builds a quantale's kernel
-once and keeps it on the quantale.  The module-level functions
-(``is_diagonal``, ``d_compose``, ``d_residual``, ``hom_enumerate``) form the
-public wrapped API.
+once and keeps it on the quantale.
 
 Closed forms for the extended-rational quantale (writing values numerically,
 ``-`` for the truncated difference and ``max`` in the standard order):
@@ -31,24 +29,12 @@ the hom meets become table lookups over element indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import PreconditionError, ShapeMismatchError, UnsupportedQuantaleError
-from .quantale import Quantale, QuantaleValue
+from .errors import PreconditionError, UnsupportedQuantaleError
+from .quantale import Quantale
 
-__all__ = [
-    "DiagonalHom",
-    "DiagonalQuantaloid",
-    "diagonal_quantaloid",
-    "diagonal",
-    "is_diagonal",
-    "d_compose",
-    "d_residual",
-    "hom_enumerate",
-    "identity_diagonal",
-    "symmetric_objects",
-]
+__all__ = ["DiagonalQuantaloid", "diagonal_quantaloid"]
 
 
 def _composites(q: Quantale, u, mid, v) -> tuple:
@@ -285,106 +271,3 @@ def diagonal_quantaloid(quantale: Quantale) -> DiagonalQuantaloid:
         quantale._diagonals = kernel(quantale)
     return quantale._diagonals
 
-
-# -- wrapped public API ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiagonalHom:
-    """A diagonal u: p -> q, serialized as {"p": ..., "q": ..., "u": ...}."""
-
-    source: QuantaleValue
-    target: QuantaleValue
-    value: QuantaleValue
-
-    def to_dict(self) -> dict:
-        fmt = self.source.quantale.format_value
-        return {
-            "p": fmt(self.source.payload),
-            "q": fmt(self.target.payload),
-            "u": fmt(self.value.payload),
-        }
-
-
-def _common_quantaloid(*values: QuantaleValue) -> DiagonalQuantaloid:
-    q = values[0].quantale
-    q.require_same(*values)
-    return diagonal_quantaloid(q)
-
-
-def is_diagonal(p: QuantaleValue, q: QuantaleValue, u: QuantaleValue) -> bool:
-    """Check the defining equation; for divisible quantales this coincides
-    with u <= p meet q, and the coincidence is asserted."""
-    dq = _common_quantaloid(p, q, u)
-    base = dq.quantale
-    holds = dq._diagonal_equation(p.payload, q.payload, u.payload)
-    if base.is_divisible:
-        below = base._leq(u.payload, base._meet((p.payload, q.payload)))
-        assert holds == below, (
-            f"divisible quantale but diagonal test disagrees with u <= p meet q at "
-            f"({p!r}, {q!r}, {u!r})"
-        )
-    return holds
-
-
-def diagonal(p: QuantaleValue, q: QuantaleValue, u: QuantaleValue) -> DiagonalHom:
-    if not is_diagonal(p, q, u):
-        raise PreconditionError(f"{u!r} is not a diagonal {p!r} -> {q!r}")
-    return DiagonalHom(p, q, u)
-
-
-def identity_diagonal(q: QuantaleValue) -> DiagonalHom:
-    return DiagonalHom(q, q, q)
-
-
-def d_compose(v: DiagonalHom, u: DiagonalHom) -> DiagonalHom:
-    """The composite v . u : p -> r of u: p -> q and v: q -> r.
-
-    All three composition expressions are evaluated and must agree.
-    """
-    dq = _common_quantaloid(u.source, u.target, u.value, v.source, v.target, v.value)
-    if u.target != v.source:
-        raise ShapeMismatchError(f"cannot compose {u!r} then {v!r}: objects differ")
-    base = dq.quantale
-    first, second, third = _composites(
-        base, u.value.payload, u.target.payload, v.value.payload
-    )
-    assert first == second == third, (
-        f"composition expressions disagree for {u!r} then {v!r}"
-    )
-    return DiagonalHom(u.source, v.target, QuantaleValue(base, first))
-
-
-def d_residual(side: str, w: DiagonalHom, other: DiagonalHom) -> DiagonalHom:
-    """left: w <swarrow> u (shared source); right: v <searrow> w (shared target)."""
-    dq = _common_quantaloid(
-        w.source, w.target, w.value, other.source, other.target, other.value
-    )
-    base = dq.quantale
-    if side == "left":
-        u = other
-        if u.source != w.source:
-            raise ShapeMismatchError(f"{w!r} and {u!r} must share their source")
-        value = dq.limpl(u.target.payload, w.target.payload, u.value.payload, w.value.payload)
-        return DiagonalHom(u.target, w.target, QuantaleValue(base, value))
-    if side == "right":
-        v = other
-        if v.target != w.target:
-            raise ShapeMismatchError(f"{w!r} and {v!r} must share their target")
-        value = dq.rimpl(w.source.payload, v.source.payload, v.value.payload, w.value.payload)
-        return DiagonalHom(w.source, v.source, QuantaleValue(base, value))
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def hom_enumerate(p: QuantaleValue, q: QuantaleValue) -> list[DiagonalHom]:
-    """All diagonals p -> q in element load order (finite quantales only)."""
-    dq = _common_quantaloid(p, q)
-    base = dq.quantale
-    return [
-        DiagonalHom(p, q, QuantaleValue(base, u)) for u in dq.hom(p.payload, q.payload)
-    ]
-
-
-def symmetric_objects(quantale: Quantale) -> list[QuantaleValue]:
-    dq = diagonal_quantaloid(quantale)
-    return [QuantaleValue(quantale, t) for t in dq.objects()]

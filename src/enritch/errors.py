@@ -9,10 +9,6 @@ class SchemaError(EnritchError):
     """Malformed table or file content (bad shape, unknown name, bad literal)."""
 
 
-class QuantaleMismatchError(EnritchError):
-    """Values from two different quantale instances were combined."""
-
-
 class ShapeMismatchError(EnritchError):
     """Relation or functor shapes are incompatible for the requested operation."""
 

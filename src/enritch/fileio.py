@@ -8,11 +8,7 @@ quantale elements by name):
     space:     {"points": [...], "alpha": [[value]]}
     radius:    {"r": value, "values": {point: value}}
     family:    {"r": value, "family": [{"point": name, "radius": value}]}
-    typed set: {"names": [...], "types": [value]}
-    relation:  {"source": set, "target": set, "entries": [[value]]}
-    category:  {"set": set, "hom": [[value]]}
     functor:   {"map": {name: name}}
-    presheaf:  {"type": value, "values": {point: value}}
 
 Malformed documents raise ``SchemaError`` with enough context to locate the
 problem; JSON syntax errors carry their line and column.
@@ -25,30 +21,20 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .categories import Presheaf, QCategory, QFunctor
-from .diagonals import DiagonalQuantaloid
 from .errors import SchemaError
 from .parmet import ParMetSpace, RadiusFunction
 from .quantale import FiniteQuantale
 from .rationals import ExtRat
-from .relations import QRelation, TypedSet
 
 __all__ = [
     "read_json",
     "file_digest",
     "load_quantale",
-    "dump_quantale",
     "load_space",
-    "dump_space",
     "load_radius_function",
     "dump_radius_function",
     "load_family",
     "load_mapping",
-    "load_typed_set",
-    "load_relation",
-    "load_category",
-    "load_functor",
-    "load_presheaf",
 ]
 
 
@@ -85,10 +71,6 @@ def load_quantale(path: str | Path) -> FiniteQuantale:
     return FiniteQuantale.from_dict(data, name=Path(path).stem)
 
 
-def dump_quantale(q: FiniteQuantale, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(q.to_dict(), indent=2) + "\n")
-
-
 def load_space(path: str | Path) -> ParMetSpace:
     data = read_json(path)
     _require_keys(data, {"points", "alpha"}, "space document")
@@ -104,10 +86,6 @@ def load_space(path: str | Path) -> ParMetSpace:
         tuple(ExtRat.parse(cell) for cell in row) for row in alpha_rows
     )
     return ParMetSpace(tuple(points), alpha)
-
-
-def dump_space(space: ParMetSpace, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(space.to_dict(), indent=2) + "\n")
 
 
 def load_radius_function(path: str | Path, space: ParMetSpace) -> RadiusFunction:
@@ -158,55 +136,3 @@ def load_mapping(path: str | Path) -> dict[str, str]:
         raise SchemaError("functor map must be an object of name-to-name entries")
     return dict(mapping)
 
-
-def load_typed_set(data: Any, dq: DiagonalQuantaloid) -> TypedSet:
-    _require_keys(data, {"names", "types"}, "typed-set document")
-    names = data["names"]
-    types = data["types"]
-    if not isinstance(names, list) or not isinstance(types, list):
-        raise SchemaError("typed set needs parallel name and type lists")
-    return TypedSet(
-        dq,
-        tuple(names),
-        tuple(dq.quantale.parse_value(t) for t in types),
-    )
-
-
-def load_relation(path: str | Path, dq: DiagonalQuantaloid) -> QRelation:
-    data = read_json(path)
-    _require_keys(data, {"source", "target", "entries"}, "relation document")
-    source = load_typed_set(data["source"], dq)
-    target = load_typed_set(data["target"], dq)
-    entries = tuple(
-        tuple(dq.quantale.parse_value(cell) for cell in row)
-        for row in data["entries"]
-    )
-    return QRelation(source, target, entries)
-
-
-def load_category(path: str | Path, dq: DiagonalQuantaloid) -> QCategory:
-    data = read_json(path)
-    _require_keys(data, {"set", "hom"}, "category document")
-    carrier = load_typed_set(data["set"], dq)
-    entries = tuple(
-        tuple(dq.quantale.parse_value(cell) for cell in row) for row in data["hom"]
-    )
-    return QCategory(carrier, QRelation(carrier, carrier, entries))
-
-
-def load_functor(path: str | Path, domain: QCategory, codomain: QCategory) -> QFunctor:
-    return QFunctor.from_dict(domain, codomain, load_mapping(path))
-
-
-def load_presheaf(path: str | Path, category: QCategory) -> Presheaf:
-    data = read_json(path)
-    _require_keys(data, {"type", "values"}, "presheaf document")
-    values = data["values"]
-    if set(values) != set(category.names):
-        raise SchemaError("presheaf values must cover exactly the carrier")
-    parse = category.quantaloid.quantale.parse_value
-    return Presheaf(
-        category,
-        parse(data["type"]),
-        tuple(parse(values[name]) for name in category.names),
-    )

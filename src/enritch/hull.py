@@ -695,8 +695,7 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
     long as its quantale: the receiving categories, keyed on the object
     bound, and for each codomain (keyed on the category itself) the
     functors g that are not fully faithful, with the index of their Z.
-    A call then composes only those g with f.  Threads that fill the same
-    entry at once compute equal values, and the first one stored wins.
+    A call then composes only those g with f.
     """
     require_functor(f)
     if not is_fully_faithful(f):
@@ -713,20 +712,16 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
     memo = dq._essentiality
     receivers = memo.get(("receivers", z_bound))
     if receivers is None:
-        receivers = memo.setdefault(
-            ("receivers", z_bound),
-            tuple(enumerate_symmetric_categories(dq, z_bound, name_prefix="z", up_to_iso=True)),
+        receivers = memo[("receivers", z_bound)] = tuple(
+            enumerate_symmetric_categories(dq, z_bound, name_prefix="z", up_to_iso=True)
         )
     non_full = memo.get(("non_full", cod))
     if non_full is None:
-        non_full = memo.setdefault(
-            ("non_full", cod),
-            tuple(
-                (k, g)
-                for k, z_cat in enumerate(receivers)
-                for g in all_functors(cod, z_cat)
-                if not is_fully_faithful(g)
-            ),
+        non_full = memo[("non_full", cod)] = tuple(
+            (k, g)
+            for k, z_cat in enumerate(receivers)
+            for g in all_functors(cod, z_cat)
+            if not is_fully_faithful(g)
         )
     for k, g in non_full:
         if is_fully_faithful(functor_compose(g, f)):

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .categories import QCategory
 from .diagonals import diagonal_quantaloid
-from .errors import PreconditionError, SchemaError, ShapeMismatchError
+from .errors import InvariantError, PreconditionError, SchemaError, ShapeMismatchError
 from .quantale import LAWVERE
 from .rationals import ZERO, ExtRat, integer_rows
 from .relations import QRelation, TypedSet
@@ -91,12 +91,6 @@ class ParMetSpace:
 
     def d(self, x: str, y: str) -> ExtRat:
         return self.alpha[self.index(x)][self.index(y)]
-
-    def to_dict(self) -> dict:
-        return {
-            "points": list(self.points),
-            "alpha": [[str(v) for v in row] for row in self.alpha],
-        }
 
 
 @dataclass(frozen=True)
@@ -311,16 +305,14 @@ def tighten_sweep(space: ParMetSpace, mu: RadiusFunction) -> RadiusFunction:
             values[z] = new
         candidate = RadiusFunction(r, tuple(values))
         if tight_member(space, candidate):
-            for old, new in zip(mu.values, candidate.values):
-                assert new <= old, "tightening must not increase any value"
+            if any(new > old for old, new in zip(mu.values, candidate.values)):
+                raise InvariantError("tightening must not increase any value")
             return candidate
-    raise AssertionError(
-        f"tightening did not reach a fixed point within {cap} sweeps"
-    )
+    raise InvariantError(f"tightening did not reach a fixed point within {cap} sweeps")
 
 
 def sigma(space: ParMetSpace, mu: RadiusFunction, lam: RadiusFunction) -> ExtRat:
-    """The tight-span distance; symmetry is asserted on every call."""
+    """The tight-span distance; symmetry is checked on every call."""
     for f in (mu, lam):
         if not tight_member(space, f):
             raise PreconditionError("sigma is only defined between tight functions")
@@ -335,7 +327,8 @@ def sigma(space: ParMetSpace, mu: RadiusFunction, lam: RadiusFunction) -> ExtRat
 
     forward = one_way(mu, lam)
     backward = one_way(lam, mu)
-    assert forward == backward, "sigma must be symmetric between tight functions"
+    if forward != backward:
+        raise InvariantError("sigma must be symmetric between tight functions")
     return forward
 
 
@@ -491,7 +484,7 @@ def classical_tight_check(space: ParMetSpace, mu: RadiusFunction) -> bool:
     """The untruncated fixed-point equation mu(x) = sup_y(alpha(x,y) - mu(y)).
 
     Because the self term alpha(x,x) - mu(x) pins the raw supremum at or
-    above -mu(x), the raw and truncated readings agree; this is asserted on
+    above -mu(x), the raw and truncated readings agree; this is checked on
     every call.
     """
     _require_classical(space, mu)
@@ -507,9 +500,10 @@ def classical_tight_check(space: ParMetSpace, mu: RadiusFunction) -> bool:
             raw_ok = False
             break
     truncated_ok = tight_member(space, mu)
-    assert raw_ok == truncated_ok, (
-        "raw and truncated tight equations must agree on classical metrics"
-    )
+    if raw_ok != truncated_ok:
+        raise InvariantError(
+            "raw and truncated tight equations must agree on classical metrics"
+        )
     return raw_ok
 
 
@@ -555,7 +549,8 @@ def sample_ambient(space: ParMetSpace, r: ExtRat, seed: int) -> RadiusFunction:
         slack = ExtRat(Fraction(rng.randint(0, 8), rng.choice((1, 2, 3, 4))))
         values.append(base + slack)
     mu = RadiusFunction(r, tuple(values))
-    assert is_ambient_function(space, mu), "generator must produce ambient output"
+    if not is_ambient_function(space, mu):
+        raise InvariantError("generator must produce ambient output")
     return mu
 
 

@@ -10,10 +10,9 @@ Two realizations are provided:
   derived from the order table on first use; nothing else is trusted until
   ``check_quantale_laws`` has verified every law exhaustively.
 
-Values are wrapped in ``QuantaleValue`` so that mixing two instances raises
-``QuantaleMismatchError`` instead of silently producing nonsense.  All
-objects here are immutable after construction and safe to share between
-threads.
+Values are bare payloads (``ExtRat`` or element indices) handled by the
+underscore operations of their quantale; ``parse_value`` and
+``format_value`` convert them to and from their names.
 """
 
 from __future__ import annotations
@@ -22,22 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
-from .errors import QuantaleMismatchError, SchemaError, UnsupportedQuantaleError
+from .errors import SchemaError, UnsupportedQuantaleError
 from .rationals import INF, ZERO, ExtRat
 
 __all__ = [
     "Quantale",
     "LawvereQuantale",
     "FiniteQuantale",
-    "QuantaleValue",
     "LawReport",
     "LAWVERE",
-    "leq",
-    "tensor",
-    "join",
-    "meet",
-    "residual",
-    "involve",
     "check_quantale_laws",
     "boolean_quantale",
     "lukasiewicz_chain",
@@ -46,19 +38,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuantaleValue:
-    """A value tagged with the quantale instance it belongs to."""
-
-    quantale: "Quantale"
-    payload: Any
-
-    def __repr__(self) -> str:
-        return f"<{self.quantale.name}:{self.quantale.format_value(self.payload)}>"
-
-
 class Quantale:
-    """Payload-level operations; public ops live at module level."""
+    """Payload-level operations, shared by every realization."""
 
     name = "quantale"
     is_finite = False
@@ -114,23 +95,6 @@ class Quantale:
 
     def parse_value(self, text) -> Any:
         raise NotImplementedError
-
-    # -- wrapper level ------------------------------------------------
-
-    def value(self, payload) -> QuantaleValue:
-        return QuantaleValue(self, self._normalize(payload))
-
-    def _normalize(self, payload):
-        return payload
-
-    def require_same(self, *values: QuantaleValue) -> None:
-        for v in values:
-            if not isinstance(v, QuantaleValue):
-                raise QuantaleMismatchError(f"expected a QuantaleValue, got {v!r}")
-            if v.quantale is not self:
-                raise QuantaleMismatchError(
-                    f"value from {v.quantale.name} used with {self.name}"
-                )
 
 
 class LawvereQuantale(Quantale):
@@ -457,58 +421,22 @@ class FiniteQuantale(Quantale):
         missing = {"elements", "leq", "tensor", "unit", "involution"} - set(data)
         if missing:
             raise SchemaError(f"quantale document is missing keys: {sorted(missing)}")
+
+        def names(value) -> bool:
+            return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+        tensor, leq = data["tensor"], data["leq"]
+        if not (names(data["elements"]) and names(data["involution"])):
+            raise SchemaError("quantale elements and involution must be lists of names")
+        if not (isinstance(tensor, list) and all(names(row) for row in tensor)):
+            raise SchemaError("quantale tensor must be a list of rows of names")
+        if not (isinstance(leq, list) and all(isinstance(row, list) for row in leq)):
+            raise SchemaError("quantale leq must be a list of rows")
+        if not isinstance(data["unit"], str):
+            raise SchemaError(f"quantale unit must be a name, got {data['unit']!r}")
         return cls(
-            data["elements"], data["leq"], data["tensor"], data["unit"],
-            data["involution"], name=name,
+            data["elements"], leq, tensor, data["unit"], data["involution"], name=name
         )
-
-
-# -- public operations on wrapped values --------------------------------
-
-
-def leq(a: QuantaleValue, b: QuantaleValue) -> bool:
-    a.quantale.require_same(a, b)
-    return a.quantale._leq(a.payload, b.payload)
-
-
-def tensor(a: QuantaleValue, b: QuantaleValue) -> QuantaleValue:
-    a.quantale.require_same(a, b)
-    return QuantaleValue(a.quantale, a.quantale._tensor(a.payload, b.payload))
-
-
-def join(values: Iterable[QuantaleValue], quantale: Quantale | None = None) -> QuantaleValue:
-    values = list(values)
-    if quantale is None:
-        if not values:
-            raise QuantaleMismatchError("empty join needs an explicit quantale")
-        quantale = values[0].quantale
-    quantale.require_same(*values)
-    return QuantaleValue(quantale, quantale._join(v.payload for v in values))
-
-
-def meet(values: Iterable[QuantaleValue], quantale: Quantale | None = None) -> QuantaleValue:
-    values = list(values)
-    if quantale is None:
-        if not values:
-            raise QuantaleMismatchError("empty meet needs an explicit quantale")
-        quantale = values[0].quantale
-    quantale.require_same(*values)
-    return QuantaleValue(quantale, quantale._meet(v.payload for v in values))
-
-
-def residual(side: str, x: QuantaleValue, y: QuantaleValue) -> QuantaleValue:
-    """left: x/y = join {p : p (x) y <= x};  right: x\\y = join {q : x (x) q <= y}."""
-    x.quantale.require_same(x, y)
-    q = x.quantale
-    if side == "left":
-        return QuantaleValue(q, q._residual_left(x.payload, y.payload))
-    if side == "right":
-        return QuantaleValue(q, q._residual_right(x.payload, y.payload))
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def involve(a: QuantaleValue) -> QuantaleValue:
-    return QuantaleValue(a.quantale, a.quantale._involve(a.payload))
 
 
 # -- law verification ----------------------------------------------------

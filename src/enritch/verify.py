@@ -20,18 +20,11 @@ and the inclusion W -> X along the inclusion of W into every one-point
 extension of W, for every full subcategory W of X.  This family is rich
 enough to refute injectivity whenever hypercompleteness fails (the failing
 column itself builds a failing extension) while staying desk-scale.
-
-Suites shard deterministically: shard k of W takes every W-th enumeration
-index starting at k, and results merge by index, so worker count never
-changes a report.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
 
 from .categories import QCategory, QFunctor, graph, yoneda
 from .diagonals import diagonal_quantaloid
@@ -56,39 +49,9 @@ from .hull import (
 )
 from .quantale import FiniteQuantale
 
-__all__ = ["DOCUMENTED_BOUNDS", "run_suite", "worker_count"]
+__all__ = ["DOCUMENTED_BOUNDS", "run_suite"]
 
 DOCUMENTED_BOUNDS = {"t36": 3, "l43": 3, "t44": 3, "t54": 2}
-
-
-def worker_count() -> int:
-    raw = os.environ.get("ENRITCH_WORKERS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
-def _sharded(
-    items: Sequence, work: Callable, workers: int
-) -> list:
-    """Apply ``work`` to every (index, item), merging shard results by index."""
-    if workers <= 1 or len(items) <= 1:
-        return [work(i, item) for i, item in enumerate(items)]
-
-    def run_shard(k: int) -> list:
-        return [
-            (i, work(i, items[i])) for i in range(k, len(items), workers)
-        ]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        shards = list(pool.map(run_shard, range(workers)))
-    merged = [None] * len(items)
-    for shard in shards:
-        for i, result in shard:
-            merged[i] = result
-    return merged
 
 
 def _t36_single(x_cat: QCategory, strict: bool) -> dict:
@@ -197,8 +160,7 @@ def _t44_single(x_cat: QCategory, strict: bool) -> dict:
     }
 
 
-def _t54_single(pair: tuple[QCategory, QFunctor], bound: int) -> dict:
-    _, f = pair
+def _t54_single(f: QFunctor, bound: int) -> dict:
     dense = is_dense(f)
     essential = is_essential_bruteforce(f, max_objects=bound + 1).essential
     return {
@@ -216,7 +178,6 @@ def run_suite(
     quantale: FiniteQuantale,
     bound: int,
     strict: bool = True,
-    workers: int | None = None,
 ) -> dict:
     """Run one named suite and produce a structured, byte-stable report."""
     if theorem not in DOCUMENTED_BOUNDS:
@@ -228,24 +189,21 @@ def run_suite(
         raise BoundExceededError(
             f"suite {theorem} is documented up to bound {maximum}, got {bound}"
         )
-    if workers is None:
-        workers = worker_count()
-    dq = diagonal_quantaloid(quantale)
+    cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
 
     if theorem == "t54":
-        cats = list(enumerate_symmetric_categories(dq, bound))
-        items: list = []
-        for x_cat in cats:
-            for y_cat in cats:
-                for f in all_functors(x_cat, y_cat):
-                    if is_fully_faithful(f):
-                        items.append((x_cat, f))
-        results = _sharded(items, lambda i, it: _t54_single(it, bound), workers)
+        functors = [
+            f
+            for x_cat in cats
+            for y_cat in cats
+            for f in all_functors(x_cat, y_cat)
+            if is_fully_faithful(f)
+        ]
+        results = [_t54_single(f, bound) for f in functors]
         label = "functors"
     else:
         single = {"t36": _t36_single, "l43": _l43_single, "t44": _t44_single}[theorem]
-        items = list(enumerate_symmetric_categories(dq, bound))
-        results = _sharded(items, lambda i, it: single(it, strict), workers)
+        results = [single(x_cat, strict) for x_cat in cats]
         label = "categories"
 
     discrepancies = [r for r in results if not r["agree"]]

@@ -8,6 +8,7 @@ from enritch.categories import (
     QFunctor,
     check_adjunction,
     cograph,
+    copresheaf_values,
     enumerate_presheaves,
     graph,
     is_fully_faithful,
@@ -347,14 +348,18 @@ class TestPresheaves:
 
 class TestCopresheaves:
     def test_involuted_presheaves_are_copresheaves(self, boolean, luk3):
-        from enritch.categories import copresheaf_values
-
         for quantale in (boolean, luk3):
             dq = diagonal_quantaloid(quantale)
             for c in enumerate_symmetric_categories(dq, 2):
                 for mu in enumerate_presheaves(c):
-                    values = copresheaf_values(mu)  # asserts the law itself
+                    values = copresheaf_values(mu)  # checks the law itself
                     assert values == tuple(dq.involve(u) for u in mu.values)
+
+    def test_non_symmetric_base_is_a_precondition_error(self):
+        c = make_category(LAWVERE, ["a", "b"], ["0", "0"], [["0", "1"], ["5", "0"]])
+        assert validate_category(c).valid and not is_symmetric(c)
+        with pytest.raises(PreconditionError, match="symmetric base"):
+            copresheaf_values(yoneda(c, "a"))
 
 
 class TestYoneda:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from enritch import fileio, hull
+from enritch import fileio, hull, parmet
 from enritch.cli import main
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import InvariantError, SchemaError
@@ -20,19 +20,19 @@ def run_cli(capsys, *argv):
 
 
 class TestFileLoading:
-    def test_quantale_round_trip(self, tmp_path):
-        q = fileio.load_quantale(DATA / "lukasiewicz5.json")
+    def test_quantale_round_trip(self):
+        path = DATA / "lukasiewicz5.json"
+        q = fileio.load_quantale(path)
         assert check_quantale_laws(q).passed
-        out = tmp_path / "again.json"
-        fileio.dump_quantale(q, out)
-        assert json.loads(out.read_text()) == q.to_dict()
+        assert q.to_dict() == fileio.read_json(path)
 
     def test_space_and_radius_round_trip(self, tmp_path):
         space = fileio.load_space(DATA / "two_point_partial.json")
         assert space.points == ("a", "b")
-        out = tmp_path / "space.json"
-        fileio.dump_space(space, out)
-        assert fileio.load_space(out) == space
+        mu = fileio.load_radius_function(DATA / "mu_33.json", space)
+        out = tmp_path / "mu.json"
+        fileio.dump_radius_function(mu, space, out)
+        assert fileio.load_radius_function(out, space) == mu
 
     def test_radius_function_alignment(self):
         space = fileio.load_space(DATA / "two_point_classical.json")
@@ -44,37 +44,6 @@ class TestFileLoading:
         r, family = fileio.load_family(DATA / "family_no_witness.json", space)
         assert str(r) == "0"
         assert [(p, str(v)) for p, v in family] == [("a", "2"), ("b", "2")]
-
-    def test_category_and_functor_documents(self, tmp_path, boolean):
-        dq = diagonal_quantaloid(boolean)
-        cat_doc = {
-            "set": {"names": ["a", "b"], "types": ["1", "1"]},
-            "hom": [["1", "1"], ["1", "1"]],
-        }
-        cat_path = tmp_path / "cat.json"
-        cat_path.write_text(json.dumps(cat_doc))
-        cat = fileio.load_category(cat_path, dq)
-        assert cat.names == ("a", "b")
-
-        fun_path = tmp_path / "fun.json"
-        fun_path.write_text(json.dumps({"map": {"a": "b", "b": "a"}}))
-        f = fileio.load_functor(fun_path, cat, cat)
-        assert f.assignment == ("b", "a")
-
-        pre_path = tmp_path / "pre.json"
-        pre_path.write_text(json.dumps({"type": "1", "values": {"a": "0", "b": "0"}}))
-        mu = fileio.load_presheaf(pre_path, cat)
-        assert mu.values == (0, 0)
-
-        rel_doc = {
-            "source": {"names": ["x"], "types": ["1"]},
-            "target": {"names": ["y"], "types": ["0"]},
-            "entries": [["0"]],
-        }
-        rel_path = tmp_path / "rel.json"
-        rel_path.write_text(json.dumps(rel_doc))
-        rel = fileio.load_relation(rel_path, dq)
-        assert rel.entries == ((0,),)
 
     def test_schema_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -135,6 +104,21 @@ class TestQuantaleCheckCommand:
         assert code == 2
         assert json.loads(out)["result"]["error"] == "schema"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("elements", "01"), ("tensor", ["00", "01"]), ("involution", "01"), ("unit", ["1"])],
+    )
+    def test_malformed_tables_exit_2(self, capsys, tmp_path, key, value):
+        doc = fileio.read_json(DATA / "boolean.json")
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (("quantale", "check", str(bad)),
+                     ("verify", "l43", "--quantale", str(bad), "--bound", "1")):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 2, (key, argv)
+            assert json.loads(out)["result"]["error"] == "schema"
+
 
 class TestHullCommands:
     def test_member_pass_and_fail(self, capsys):
@@ -167,6 +151,20 @@ class TestHullCommands:
         code, out, _ = run_cli(capsys, "hull", "tighten", space, str(thin), "--out", str(tmp_path / "o.json"))
         assert code == 3
         assert json.loads(out)["result"]["error"] == "precondition"
+
+    def test_tighten_invariant_exit(self, capsys, monkeypatch, tmp_path):
+        # a sweep result that never passes the member check breaks the tightener
+        monkeypatch.setattr(parmet, "tight_member", lambda space, mu: False)
+        out_path = tmp_path / "tight.json"
+        code, out, _ = run_cli(
+            capsys, "hull", "tighten", str(DATA / "two_point_classical.json"),
+            str(DATA / "mu_33.json"), "--out", str(out_path),
+        )
+        assert code == 5
+        result = json.loads(out)["result"]
+        assert result["error"] == "invariant"
+        assert "did not reach a fixed point" in result["message"]
+        assert not out_path.exists()
 
     def test_sigma(self, capsys, tmp_path):
         space = str(DATA / "two_point_classical.json")
@@ -339,27 +337,15 @@ class TestVerifyCommands:
 
 class TestReportStability:
     def test_stdout_bytes_stable_across_runs(self, capsys):
-        args = (
-            "hull", "member",
-            str(DATA / "two_point_classical.json"), str(DATA / "mu_13.json"),
-        )
-        _, first, _ = run_cli(capsys, *args)
-        _, second, _ = run_cli(capsys, *args)
-        assert first == second
-        assert "timing" not in first
-
-    def test_verify_report_independent_of_worker_count(self, capsys, monkeypatch):
-        # t54 also shares the essentiality memos between the worker threads
-        for suite in ("t44", "t54"):
-            args = (
-                "verify", suite,
-                "--quantale", str(DATA / "boolean.json"), "--bound", "2",
-            )
-            monkeypatch.setenv("ENRITCH_WORKERS", "1")
-            _, one, _ = run_cli(capsys, *args)
-            monkeypatch.setenv("ENRITCH_WORKERS", "3")
-            _, three, _ = run_cli(capsys, *args)
-            assert one == three
+        for args in [
+            ("hull", "member",
+             str(DATA / "two_point_classical.json"), str(DATA / "mu_13.json")),
+            ("verify", "t54", "--quantale", str(DATA / "boolean.json"), "--bound", "2"),
+        ]:
+            _, first, _ = run_cli(capsys, *args)
+            _, second, _ = run_cli(capsys, *args)
+            assert first == second
+            assert "timing" not in first
 
     def test_witnesses_reproduce(self, capsys, tmp_path):
         # a failing member check names a coordinate; re-checking the named

@@ -215,7 +215,7 @@ class TestTightMembership:
                     continue
                 assert tight_member(space_, nu) == grid_maximality_oracle(
                     space_, nu
-                ), (space_.to_dict(), nu.values)
+                ), (space_, nu.values)
 
     def test_ill_typed_rejected(self):
         with pytest.raises(PreconditionError):

@@ -4,61 +4,54 @@ from fractions import Fraction
 
 import pytest
 
-from enritch.errors import QuantaleMismatchError, SchemaError
-from enritch.quantale import (
-    LAWVERE,
-    FiniteQuantale,
-    check_quantale_laws,
-    involve,
-    join,
-    leq,
-    meet,
-    residual,
-    tensor,
-)
+from enritch.errors import SchemaError
+from enritch.quantale import LAWVERE, FiniteQuantale, check_quantale_laws
 from enritch.rationals import INF, ZERO, ExtRat
 
+Q = LAWVERE
+
+
 def lv(x):
-    return LAWVERE.value(x)
+    return Q.parse_value(x)
 
 
 class TestLawvereOrder:
     def test_leq_is_reversed_numeric_order(self):
-        assert leq(lv(5), lv(3))
-        assert not leq(lv(3), lv(5))
-        assert leq(lv(3), lv(3))
+        assert Q._leq(lv(5), lv(3))
+        assert not Q._leq(lv(3), lv(5))
+        assert Q._leq(lv(3), lv(3))
 
     def test_zero_is_top(self):
         # leq(0, q) holds only for q = 0
         for q in [1, 2, "7/2"]:
-            assert not leq(lv(0), lv(q))
-        assert leq(lv(0), lv(0))
-        assert leq(lv("inf"), lv(0))
+            assert not Q._leq(lv(0), lv(q))
+        assert Q._leq(lv(0), lv(0))
+        assert Q._leq(lv("inf"), lv(0))
 
     def test_tensor_is_addition(self):
-        assert tensor(lv(3), lv(5)).payload == ExtRat(8)
+        assert Q._tensor(lv(3), lv(5)) == ExtRat(8)
 
     def test_infinity_absorbing(self):
-        assert tensor(lv("inf"), lv(2)).payload == INF
-        assert tensor(lv(2), lv("inf")).payload == INF
+        assert Q._tensor(lv("inf"), lv(2)) == INF
+        assert Q._tensor(lv(2), lv("inf")) == INF
 
     def test_join_is_numeric_infimum(self):
-        assert join([lv(3), lv(5)]).payload == ExtRat(3)
-        assert join([], LAWVERE).payload == INF
-        assert meet([], LAWVERE).payload == ZERO
-        assert meet([lv(3), lv(5)]).payload == ExtRat(5)
+        assert Q._join([lv(3), lv(5)]) == ExtRat(3)
+        assert Q._join([]) == INF
+        assert Q._meet([]) == ZERO
+        assert Q._meet([lv(3), lv(5)]) == ExtRat(5)
 
     def test_involution_trivial(self):
-        assert involve(lv(3)).payload == ExtRat(3)
+        assert Q._involve(lv(3)) == ExtRat(3)
 
 
 class TestLawvereResiduals:
     def test_closed_form_examples(self):
-        # p -> q = max(0, q - p): here computed as residual('left', q, p)
-        assert residual("left", lv(5), lv(3)).payload == ExtRat(2)
-        assert residual("left", lv(3), lv(5)).payload == ExtRat(0)
-        assert residual("left", lv("inf"), lv("inf")).payload == ZERO
-        assert residual("right", lv(3), lv(5)).payload == ExtRat(2)
+        # p -> q = max(0, q - p): here computed as the left residual q / p
+        assert Q._residual_left(lv(5), lv(3)) == ExtRat(2)
+        assert Q._residual_left(lv(3), lv(5)) == ExtRat(0)
+        assert Q._residual_left(lv("inf"), lv("inf")) == ZERO
+        assert Q._residual_right(lv(3), lv(5)) == ExtRat(2)
 
     def test_adjunction_sampled_with_zero_and_infinity(self):
         rng = random.Random(23)
@@ -66,10 +59,10 @@ class TestLawvereResiduals:
             ExtRat(Fraction(rng.randint(0, 24), rng.randint(1, 8))) for _ in range(30)
         ]
         for _ in range(2000):
-            a, b, c = (lv(rng.choice(pool)) for _ in range(3))
-            lhs = leq(tensor(a, b), c)
-            mid = leq(a, residual("left", c, b))
-            rhs = leq(b, residual("right", a, c))
+            a, b, c = (rng.choice(pool) for _ in range(3))
+            lhs = Q._leq(Q._tensor(a, b), c)
+            mid = Q._leq(a, Q._residual_left(c, b))
+            rhs = Q._leq(b, Q._residual_right(a, c))
             assert lhs == mid == rhs
 
     def test_closed_form_equals_adjunction_oracle(self):
@@ -94,14 +87,14 @@ class TestFiniteInstances:
             assert report.passed, (q.name, report.failures())
 
     def test_boolean_two_element_order(self, boolean):
-        zero, one = boolean.value("0"), boolean.value("1")
-        assert leq(zero, one)
-        assert not leq(one, zero)
+        zero, one = boolean.parse_value("0"), boolean.parse_value("1")
+        assert boolean._leq(zero, one)
+        assert not boolean._leq(one, zero)
 
     def test_lukasiewicz_tensor_value(self, luk3):
         # 1/2 (x) 1/2 = 0; cross-checked against the adjunction oracle below
-        half = luk3.value("1/2")
-        assert tensor(half, half) == luk3.value("0")
+        half = luk3.parse_value("1/2")
+        assert luk3._tensor(half, half) == luk3.parse_value("0")
 
     def test_lukasiewicz_residual_against_brute_force(self, luk3, luk5):
         for q in (luk3, luk5):
@@ -118,9 +111,9 @@ class TestFiniteInstances:
                     assert q._residual_right(u, w) == brute
 
     def test_diamond_joins(self, diamond):
-        a, b, top = diamond.value("a"), diamond.value("b"), diamond.value("top")
-        assert join([a, b]) == top
-        assert meet([a, b]) == diamond.value("bot")
+        a, b, top = (diamond.parse_value(name) for name in ("a", "b", "top"))
+        assert diamond._join([a, b]) == top
+        assert diamond._meet([a, b]) == diamond.parse_value("bot")
 
     def test_nilpotent_minimum_is_integral_not_divisible(self, nilmin5):
         assert nilmin5.unit == nilmin5.top
@@ -137,14 +130,6 @@ class TestFiniteInstances:
                     lhs = q._involve(q._residual_left(a, b))
                     rhs = q._residual_right(q._involve(b), q._involve(a))
                     assert lhs == rhs
-
-    def test_mismatched_instances_raise(self, boolean, luk3):
-        with pytest.raises(QuantaleMismatchError):
-            tensor(boolean.value("1"), luk3.value("1"))
-        with pytest.raises(QuantaleMismatchError):
-            leq(boolean.value("0"), lv(3))
-        with pytest.raises(QuantaleMismatchError):
-            join([], None)
 
 
 class TestLawSuiteFailures:
@@ -186,6 +171,15 @@ class TestLawSuiteFailures:
         assert not report.results[0][1]
 
 
+BOOLEAN_DOC = {
+    "elements": ["0", "1"],
+    "leq": [[True, True], [False, True]],
+    "tensor": [["0", "0"], ["0", "1"]],
+    "unit": "1",
+    "involution": ["0", "1"],
+}
+
+
 class TestSerialization:
     def test_round_trip(self, luk5):
         data = luk5.to_dict()
@@ -225,6 +219,20 @@ class TestSerialization:
                     "involution": ["a"],
                 }
             )
+        # strings are not lists of names, and a name must be a string
+        for key, value in [
+            ("elements", "01"),
+            ("involution", "01"),
+            ("tensor", ["00", "01"]),
+            ("tensor", "0001"),
+            ("leq", [[True, True], "ft"]),
+            ("leq", "tf"),
+            ("unit", ["1"]),
+            ("unit", 1),
+            ("elements", ["0", 1]),
+        ]:
+            with pytest.raises(SchemaError):
+                FiniteQuantale.from_dict({**BOOLEAN_DOC, key: value})
 
     def test_json_stability(self, boolean):
         once = json.dumps(boolean.to_dict())
