@@ -13,8 +13,8 @@ Every command prints one JSON report to stdout with the fields command,
 inputs (sha256 digests of the files read), result and witnesses, in that
 order.  The report bytes depend only on the inputs; wall-clock timing goes
 to stderr as a single ``timing_ms=...`` line.  Exit codes: 0 pass, 1 check
-failed, 2 schema error, 3 precondition error, 4 bound refusal,
-5 broken library invariant.
+failed, 2 schema error (also a file that cannot be read or written),
+3 precondition error, 4 bound refusal, 5 broken library invariant.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ quantale elements by name):
     family:    {"r": value, "family": [{"point": name, "radius": value}]}
     functor:   {"map": {name: name}}
 
-Malformed documents raise ``SchemaError`` with enough context to locate the
-problem; JSON syntax errors carry their line and column.
+Malformed documents, and files that cannot be read or written, raise
+``SchemaError`` with enough context to locate the problem; JSON syntax
+errors carry their line and column.
 """
 
 from __future__ import annotations
@@ -109,7 +110,10 @@ def load_radius_function(path: str | Path, space: ParMetSpace) -> RadiusFunction
 def dump_radius_function(
     mu: RadiusFunction, space: ParMetSpace, path: str | Path
 ) -> None:
-    Path(path).write_text(json.dumps(mu.to_dict(space), indent=2) + "\n")
+    try:
+        Path(path).write_text(json.dumps(mu.to_dict(space), indent=2) + "\n")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def load_family(path: str | Path, space: ParMetSpace) -> tuple[ExtRat, list[tuple[str, ExtRat]]]:

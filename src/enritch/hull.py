@@ -22,6 +22,10 @@ in mu: no completion can bring the residual back down.  Its cost therefore
 follows the prefixes that can still end tight, not the admissible set; the
 tight span of a tight span, which has only its Yoneda columns, is cheap.
 
+The injective hull of X is its tight span with the dense, fully faithful
+Yoneda embedding x |-> hom(-, x) (``TightSpan.yoneda_embedding``); tight
+presheaves transport back along dense fully faithful functors only.
+
 Results the library builds for itself (a tight span, a tightened
 presheaf, an extension) are checked, and a failure raises
 ``InvariantError`` rather than an ``assert`` that ``python -O`` strips.
@@ -54,6 +58,7 @@ from .categories import (
     underlying_order,
     validate_category,
     validate_functor,
+    yoneda,
 )
 from .diagonals import DiagonalQuantaloid
 from .errors import (
@@ -333,11 +338,15 @@ class TightSpan:
     members: tuple[Presheaf, ...]
     category: QCategory
 
-    def index_of(self, values: tuple, q) -> int | None:
-        for i, mu in enumerate(self.members):
-            if mu.q == q and mu.values == values:
-                return i
-        return None
+    def yoneda_embedding(self) -> QFunctor | None:
+        """The functor x |-> hom(-, x) from the base into the span, or None
+        when some Yoneda column is not a member."""
+        names = {
+            (mu.q, mu.values): name for mu, name in zip(self.members, self.category.names)
+        }
+        columns = (yoneda(self.base, x) for x in self.base.names)
+        assignment = tuple(names.get((mu.q, mu.values)) for mu in columns)
+        return None if None in assignment else QFunctor(self.base, self.category, assignment)
 
 
 def tight_span(c: QCategory) -> TightSpan:
@@ -735,7 +744,6 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
 @dataclass(frozen=True)
 class TransportResult:
     pairs: tuple[tuple[Presheaf, Presheaf], ...]
-    dense: bool
     failures: tuple[str, ...]
 
     @property
@@ -748,11 +756,11 @@ def tight_span_restriction(f: QFunctor) -> TransportResult:
 
     For dense fully faithful f the images are tight on the domain and the
     assignment is a bijective isometry between the two tight spans; any
-    violation is reported rather than raised.
+    violation is reported rather than raised.  Other functors are refused.
     """
     require_functor(f)
-    if not is_fully_faithful(f):
-        raise PreconditionError("transport needs a fully faithful functor")
+    if not is_fully_faithful(f) or not is_dense(f):
+        raise PreconditionError("transport needs a dense fully faithful functor")
     _require_finite(f.domain)
     dq = f.domain.quantaloid
     dom, cod = f.domain, f.codomain
@@ -763,7 +771,6 @@ def tight_span_restriction(f: QFunctor) -> TransportResult:
 
     pairs = []
     failures: list[str] = []
-    dense = is_dense(f)
     image_keys = []
     for lam in span_cod.members:
         values = tuple(
@@ -777,29 +784,26 @@ def tight_span_restriction(f: QFunctor) -> TransportResult:
             )
             for x in range(len(dom))
         )
-        if dense and not is_tight_column(dom, lam.q, values):
+        if not is_tight_column(dom, lam.q, values):
             failures.append(
                 f"image of {lam.to_dict()} is not tight on the domain"
             )
             continue
-        image = Presheaf(dom, lam.q, values)
-        pairs.append((lam, image))
+        pairs.append((lam, Presheaf(dom, lam.q, values)))
         image_keys.append((lam.q, values))
 
-    if dense:
-        span_dom = tight_span(dom)
-        if len(set(image_keys)) != len(image_keys):
-            failures.append("transport is not injective")
-        wanted = {(mu.q, mu.values) for mu in span_dom.members}
-        if set(image_keys) != wanted:
-            failures.append("transport is not onto the domain tight span")
-        for i, (lam_i, img_i) in enumerate(pairs):
-            for lam_j, img_j in pairs[i:]:
-                if presheaf_hom(lam_i, lam_j) != presheaf_hom(img_i, img_j):
-                    failures.append("transport is not an isometry")
-                    break
-
-    return TransportResult(tuple(pairs), dense, tuple(failures))
+    span_dom = tight_span(dom)
+    if len(set(image_keys)) != len(image_keys):
+        failures.append("transport is not injective")
+    wanted = {(mu.q, mu.values) for mu in span_dom.members}
+    if set(image_keys) != wanted:
+        failures.append("transport is not onto the domain tight span")
+    for i, (lam_i, img_i) in enumerate(pairs):
+        for lam_j, img_j in pairs[i:]:
+            if presheaf_hom(lam_i, lam_j) != presheaf_hom(img_i, img_j):
+                failures.append("transport is not an isometry")
+                break
+    return TransportResult(tuple(pairs), tuple(failures))
 
 
 # -- ambient enumeration (for maximality checks) --------------------------------

@@ -89,9 +89,6 @@ class ParMetSpace:
         except ValueError:
             raise SchemaError(f"unknown point {name!r}") from None
 
-    def d(self, x: str, y: str) -> ExtRat:
-        return self.alpha[self.index(x)][self.index(y)]
-
 
 @dataclass(frozen=True)
 class RadiusFunction:
@@ -390,6 +387,9 @@ def hyperconvex_family_check(
 def _require_isometric(
     mapping: dict[str, str], dom: ParMetSpace, cod: ParMetSpace
 ) -> list[int]:
+    extra = set(mapping) - set(dom.points)
+    if extra:
+        raise SchemaError(f"mapping names unknown points: {sorted(extra)}")
     image = []
     for name in dom.points:
         if name not in mapping:
@@ -442,34 +442,14 @@ def dense_isometry_check(
 # -- classical reduction -----------------------------------------------------------
 
 
-_NEG_INF = ("neg_inf",)
-_POS_INF = ("pos_inf",)
-
-
-def _signed_diff(a: ExtRat, b: ExtRat):
-    """a - b as a signed extended value; inf - inf is 0 to match the monus."""
+def _signed(a: ExtRat, b: ExtRat) -> tuple:
+    """a - b as a (rank, value) pair whose tuple order is the extended order:
+    rank 0 is -inf, 1 finite, 2 +inf.  inf - inf is 0 to match the monus."""
     if b.is_infinite:
-        return ("fin", Fraction(0)) if a.is_infinite else _NEG_INF
+        return (1, 0) if a.is_infinite else (0, 0)
     if a.is_infinite:
-        return _POS_INF
-    return ("fin", a.fraction - b.fraction)
-
-
-def _signed_max(current, candidate):
-    order = {"neg_inf": 0, "fin": 1, "pos_inf": 2}
-    if order[candidate[0]] != order[current[0]]:
-        return candidate if order[candidate[0]] > order[current[0]] else current
-    if candidate[0] == "fin" and candidate[1] > current[1]:
-        return candidate
-    return current
-
-
-def _matches(signed, value: ExtRat) -> bool:
-    if signed == _POS_INF:
-        return value.is_infinite
-    if signed == _NEG_INF:
-        return False
-    return not value.is_infinite and value.fraction == signed[1]
+        return (2, 0)
+    return (1, a.fraction - b.fraction)
 
 
 def _require_classical(space: ParMetSpace, mu: RadiusFunction) -> None:
@@ -491,14 +471,11 @@ def classical_tight_check(space: ParMetSpace, mu: RadiusFunction) -> bool:
     _require_well_typed(space, mu)
     a = space.alpha
     n = len(space)
-    raw_ok = True
-    for i in range(n):
-        sup = _NEG_INF
-        for j in range(n):
-            sup = _signed_max(sup, _signed_diff(a[i][j], mu.values[j]))
-        if not _matches(sup, mu.values[i]):
-            raw_ok = False
-            break
+    raw_ok = all(
+        max(_signed(a[i][j], mu.values[j]) for j in range(n))
+        == _signed(mu.values[i], ZERO)
+        for i in range(n)
+    )
     truncated_ok = tight_member(space, mu)
     if raw_ok != truncated_ok:
         raise InvariantError(
@@ -513,24 +490,13 @@ def classical_sigma_check(
     """sup(mu - lam) = sup(lam - mu) = sigma >= 0 for classical tight pairs."""
     _require_classical(space, mu)
     _require_classical(space, lam)
-    n = len(space)
-
-    def raw_sup(first: RadiusFunction, second: RadiusFunction):
-        sup = _NEG_INF
-        for i in range(n):
-            sup = _signed_max(sup, _signed_diff(first.values[i], second.values[i]))
-        return sup
-
     value = sigma(space, mu, lam)
-    forward = raw_sup(mu, lam)
-    backward = raw_sup(lam, mu)
-    if n == 0:
+    if len(space) == 0:
         return value == ZERO
-    if forward != backward or not _matches(forward, value):
-        return False
-    if forward == _NEG_INF or (forward[0] == "fin" and forward[1] < 0):
-        return False
-    return True
+    forward = max(_signed(x, y) for x, y in zip(mu.values, lam.values))
+    backward = max(_signed(y, x) for x, y in zip(mu.values, lam.values))
+    # Matching sigma, an ExtRat, also makes the supremum non-negative.
+    return forward == backward == _signed(value, ZERO)
 
 
 # -- generators --------------------------------------------------------------------

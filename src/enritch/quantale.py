@@ -80,10 +80,6 @@ class Quantale:
         raise NotImplementedError
 
     @property
-    def is_commutative(self) -> bool:
-        raise NotImplementedError
-
-    @property
     def is_divisible(self) -> bool:
         raise NotImplementedError
 
@@ -102,15 +98,6 @@ class LawvereQuantale(Quantale):
 
     name = "lawvere"
     is_finite = False
-
-    def _normalize(self, payload):
-        if isinstance(payload, ExtRat):
-            return payload
-        if isinstance(payload, (int, Fraction)):
-            return ExtRat(payload)
-        if isinstance(payload, str):
-            return ExtRat.parse(payload)
-        raise SchemaError(f"cannot interpret {payload!r} as an extended rational")
 
     def _leq(self, a: ExtRat, b: ExtRat) -> bool:
         return a >= b
@@ -150,10 +137,6 @@ class LawvereQuantale(Quantale):
         return INF
 
     @property
-    def is_commutative(self) -> bool:
-        return True
-
-    @property
     def is_divisible(self) -> bool:
         return True
 
@@ -161,7 +144,13 @@ class LawvereQuantale(Quantale):
         return str(payload)
 
     def parse_value(self, text) -> ExtRat:
-        return self._normalize(text)
+        if isinstance(text, ExtRat):
+            return text
+        if isinstance(text, (int, Fraction)):
+            return ExtRat(text)
+        if isinstance(text, str):
+            return ExtRat.parse(text)
+        raise SchemaError(f"cannot interpret {text!r} as an extended rational")
 
 
 LAWVERE = LawvereQuantale()
@@ -223,7 +212,6 @@ class FiniteQuantale(Quantale):
         self._res_right: tuple | None = None
         self._top: int | None = None
         self._bottom: int | None = None
-        self._commutative: bool | None = None
         self._divisible: bool | None = None
 
     def _lookup(self, element: str, label: str) -> int:
@@ -297,13 +285,6 @@ class FiniteQuantale(Quantale):
 
     # -- payload ops ----------------------------------------------------
 
-    def _normalize(self, payload):
-        if isinstance(payload, str):
-            return self._lookup(payload, "value")
-        if isinstance(payload, int) and 0 <= payload < len(self.elements):
-            return payload
-        raise SchemaError(f"cannot interpret {payload!r} as an element of {self.name}")
-
     def _leq(self, a: int, b: int) -> bool:
         return self.leq_table[a][b]
 
@@ -373,18 +354,11 @@ class FiniteQuantale(Quantale):
         return self.elements[payload]
 
     def parse_value(self, text) -> int:
-        return self._normalize(text)
-
-    @property
-    def is_commutative(self) -> bool:
-        if self._commutative is None:
-            n = len(self.elements)
-            self._commutative = all(
-                self.tensor_table[a][b] == self.tensor_table[b][a]
-                for a in range(n)
-                for b in range(n)
-            )
-        return self._commutative
+        if isinstance(text, str):
+            return self._lookup(text, "value")
+        if isinstance(text, int) and 0 <= text < len(self.elements):
+            return text
+        raise SchemaError(f"cannot interpret {text!r} as an element of {self.name}")
 
     @property
     def is_divisible(self) -> bool:

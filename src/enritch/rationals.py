@@ -40,14 +40,6 @@ class ExtRat:
         raise AttributeError("ExtRat is immutable")
 
     @classmethod
-    def infinity(cls) -> "ExtRat":
-        return cls(None)
-
-    @classmethod
-    def ratio(cls, numerator: int, denominator: int = 1) -> "ExtRat":
-        return cls(Fraction(numerator, denominator))
-
-    @classmethod
     def parse(cls, text: str) -> "ExtRat":
         """Parse "p/q", "n" or "inf" (the serialization used in all files)."""
         if not isinstance(text, str):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from .categories import QCategory, QFunctor, graph, yoneda
+from .categories import QCategory, QFunctor, graph
 from .diagonals import diagonal_quantaloid
 from .errors import BoundExceededError
 from .hull import (
@@ -105,19 +105,11 @@ def _l43_single(x_cat: QCategory, strict: bool) -> dict:
 
 def _t44_single(x_cat: QCategory, strict: bool) -> dict:
     span = tight_span(x_cat)
-    assignment = []
-    embedded = True
-    for name in x_cat.names:
-        column = yoneda(x_cat, name)
-        idx = span.index_of(column.values, column.q)
-        if idx is None:
-            embedded = False
-            break
-        assignment.append(f"t{idx}")
+    embedding = span.yoneda_embedding()
+    embedded = embedding is not None
 
     fully_faithful = dense = codense = columns_tight = transport_ok = maximal = False
     if embedded:
-        embedding = QFunctor(x_cat, span.category, tuple(assignment))
         fully_faithful = is_fully_faithful(embedding)
         dense = is_dense(embedding)
         codense = is_codense(embedding)
@@ -131,8 +123,7 @@ def _t44_single(x_cat: QCategory, strict: bool) -> dict:
             )
             for j in range(len(span.members))
         )
-        transport = tight_span_restriction(embedding)
-        transport_ok = transport.dense and transport.ok
+        transport_ok = fully_faithful and dense and tight_span_restriction(embedding).ok
         dq = x_cat.quantaloid
         maximal = True
         ambient = enumerate_ambient(x_cat)

@@ -166,6 +166,17 @@ class TestHullCommands:
         assert "did not reach a fixed point" in result["message"]
         assert not out_path.exists()
 
+    def test_tighten_unwritable_output_is_a_schema_error(self, capsys, tmp_path):
+        out_path = tmp_path / "no" / "such" / "dir" / "tight.json"
+        code, out, _ = run_cli(
+            capsys, "hull", "tighten", str(DATA / "two_point_classical.json"),
+            str(DATA / "mu_33.json"), "--out", str(out_path),
+        )
+        assert code == 2
+        result = json.loads(out)["result"]
+        assert result["error"] == "schema"
+        assert result["message"].startswith(f"cannot write {out_path}")
+
     def test_sigma(self, capsys, tmp_path):
         space = str(DATA / "two_point_classical.json")
         other = tmp_path / "mu31.json"
@@ -198,6 +209,19 @@ class TestHullCommands:
             str(DATA / "map_into_discrete.json"),
         )
         assert code == 1 and json.loads(out)["result"]["dense"] is False
+
+    def test_dense_map_naming_unknown_points_is_a_schema_error(self, capsys, tmp_path):
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"map": {"a": "a", "b": "b", "zzz": "nowhere"}}))
+        code, out, _ = run_cli(
+            capsys, "hull", "dense",
+            str(DATA / "two_point_classical.json"),
+            str(DATA / "three_point_with_midpoint.json"),
+            str(mapping),
+        )
+        assert code == 2
+        result = json.loads(out)["result"]
+        assert result == {"error": "schema", "message": "mapping names unknown points: ['zzz']"}
 
     def test_hyperfamily_outcomes(self, capsys):
         space = str(DATA / "two_point_classical.json")

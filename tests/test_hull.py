@@ -16,6 +16,7 @@ from enritch.categories import (
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import BoundExceededError, PreconditionError, UnsupportedQuantaleError
 from enritch.hull import (
+    TightSpan,
     _enumerate_tight_columns,
     _tight_step,
     all_functors,
@@ -203,15 +204,55 @@ class TestTighten:
             tighten(c, mu)
 
 
+def linear_yoneda_assignment(span):
+    """The Yoneda embedding's assignment as a linear scan of the members
+    finds it, or None when a Yoneda column is missing."""
+    assignment = []
+    for x in span.base.names:
+        mu = yoneda(span.base, x)
+        for lam, name in zip(span.members, span.category.names):
+            if lam.q == mu.q and lam.values == mu.values:
+                assignment.append(name)
+                break
+        else:
+            return None
+    return tuple(assignment)
+
+
 class TestTightSpan:
     def test_one_point_category_span_contains_yoneda(self, luk3):
         c = make_category(luk3, ["p"], ["1/2"], [["1/2"]])
         span = tight_span(c)
-        mu = yoneda(c, "p")
-        idx = span.index_of(mu.values, mu.q)
-        assert idx is not None
+        embedding = span.yoneda_embedding()
+        assert embedding is not None
         # the span hom at the image reproduces the identity
-        assert span.category.hom.entries[idx][idx] == luk3.parse_value("1/2")
+        image = embedding("p")
+        assert span.category.hom.at(image, image) == luk3.parse_value("1/2")
+
+    @pytest.mark.parametrize(
+        "name, bound",
+        [("boolean", 3), ("luk3", 3), ("nilmin5", 2), ("diamond", 2)],
+    )
+    def test_yoneda_embedding_matches_linear_lookup(self, request, name, bound):
+        dq = diagonal_quantaloid(request.getfixturevalue(name))
+        for c in enumerate_symmetric_categories(dq, bound):
+            span = tight_span(c)
+            embedding = span.yoneda_embedding()
+            assert embedding.domain == c and embedding.codomain == span.category
+            assert embedding.assignment == linear_yoneda_assignment(span)
+
+    def test_yoneda_embedding_missing_member(self, luk3):
+        c = make_category(luk3, ["p", "q"], ["1", "1"], [["1", "1/2"], ["1/2", "1"]])
+        span = tight_span(c)
+        image = span.yoneda_embedding()("q")
+        kept = [name for name in span.category.names if name != image]
+        smaller = TightSpan(
+            c,
+            tuple(mu for mu, name in zip(span.members, span.category.names) if name != image),
+            full_subcategory(span.category, kept),
+        )
+        assert linear_yoneda_assignment(smaller) is None
+        assert smaller.yoneda_embedding() is None
 
     def test_empty_category_span(self, boolean):
         c = make_category(boolean, [], [], [])
@@ -577,11 +618,7 @@ class TestYonedaEssentiality:
             span = tight_span(c)
             if len(span.members) > 2:
                 continue
-            assignment = []
-            for x in c.names:
-                mu = yoneda(c, x)
-                assignment.append(f"t{span.index_of(mu.values, mu.q)}")
-            embedding = QFunctor(c, span.category, tuple(assignment))
+            embedding = span.yoneda_embedding()
             assert is_dense(embedding)
             assert is_essential_bruteforce(embedding, max_objects=3).essential
             confirmed += 1
@@ -593,7 +630,6 @@ class TestTransport:
         c = boolean_setoid(boolean, [["1", "1"], ["1", "1"]])
         f = QFunctor(c, c, tuple(c.names))
         result = tight_span_restriction(f)
-        assert result.dense
         assert result.ok
         for lam, image in result.pairs:
             assert lam.values == image.values
@@ -602,15 +638,15 @@ class TestTransport:
         for quantale in (boolean, luk3):
             dq = diagonal_quantaloid(quantale)
             for c in enumerate_symmetric_categories(dq, 2):
-                span = tight_span(c)
-                assignment = []
-                for x in c.names:
-                    mu = yoneda(c, x)
-                    assignment.append(f"t{span.index_of(mu.values, mu.q)}")
-                embedding = QFunctor(c, span.category, tuple(assignment))
-                result = tight_span_restriction(embedding)
-                assert result.dense
+                result = tight_span_restriction(tight_span(c).yoneda_embedding())
                 assert result.ok, result.failures
+
+    def test_non_dense_functor_refused(self, boolean):
+        pair = boolean_setoid(boolean, [["1", "0"], ["0", "1"]])
+        f = inclusion_functor(full_subcategory(pair, ["s0"]), pair)
+        assert is_fully_faithful(f) and not is_dense(f)
+        with pytest.raises(PreconditionError):
+            tight_span_restriction(f)
 
     def test_dense_pair_embedding_bijection(self, boolean):
         pair = boolean_setoid(boolean, [["1", "1"], ["1", "1"]])
@@ -638,15 +674,8 @@ class TestOtherInstances:
                 assert hyper == retract, (quantale.name, c.to_dict())
                 span = tight_span(c)  # asserts symmetry and validity itself
                 assert is_hypercomplete(span.category).holds
-                for i, x in enumerate(c.names):
-                    mu = yoneda(c, x)
-                    idx = span.index_of(mu.values, mu.q)
-                    assert idx is not None
-                assignment = tuple(
-                    f"t{span.index_of(yoneda(c, x).values, yoneda(c, x).q)}"
-                    for x in c.names
-                )
-                embedding = QFunctor(c, span.category, assignment)
+                embedding = span.yoneda_embedding()
+                assert embedding is not None
                 assert is_fully_faithful(embedding)
                 assert is_dense(embedding)
 

@@ -43,3 +43,57 @@ def test_no_library_asserts():
         ("cli.py", "_run", "raise AssertionError"),
         ("cli.py", "_run_hull", "raise AssertionError"),
     ]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _definitions(tree: ast.Module):
+    """(name, is_method, first line, last line) of every top-level function
+    and method, dunders excepted."""
+    for node in tree.body:
+        methods = node.body if isinstance(node, ast.ClassDef) else ()
+        for item, is_method in [(node, False)] + [(m, True) for m in methods]:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                item.name.startswith("__") and item.name.endswith("__")
+            ):
+                yield item.name, is_method, item.lineno, item.end_lineno
+
+
+def _references(tree: ast.Module):
+    """(name, line, is attribute?) of every name a module mentions: variable
+    names, imports, identifier-like strings such as the (module, function)
+    pairs of a tracer, and attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno, False
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno, False
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno, True
+
+
+def test_every_function_and_method_has_a_caller():
+    # A method counts as called only through an attribute, so a local
+    # variable or a point named like it does not keep it alive.
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((REPO / folder).rglob("*.py"))
+    }
+    references: dict[str, list] = {}
+    for path, tree in trees.items():
+        for name, line, is_attribute in _references(tree):
+            references.setdefault(name, []).append((path, line, is_attribute))
+    uncalled = []
+    for path in sorted((REPO / "src" / "enritch").glob("*.py")):
+        for name, is_method, first, last in _definitions(trees[path]):
+            if not any(
+                where != path or not first <= line <= last
+                for where, line, is_attribute in references.get(name, ())
+                if is_attribute or not is_method
+            ):
+                uncalled.append(f"{path.name}:{first} {name}")
+    assert uncalled == []

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from enritch import parmet
 from enritch.categories import Presheaf, presheaf_hom, validate_category, is_symmetric
 from enritch.errors import PreconditionError, SchemaError
 from enritch.hull import column_admissible, is_tight_column
@@ -318,6 +319,10 @@ class TestDensity:
     def test_missing_point_rejected(self):
         with pytest.raises(SchemaError):
             dense_isometry_check({"a": "a"}, TWO_POINT, MIDPOINT)
+
+    def test_unknown_point_rejected(self):
+        with pytest.raises(SchemaError, match="names unknown points"):
+            dense_isometry_check({"a": "a", "b": "b", "zzz": "m"}, TWO_POINT, MIDPOINT)
 
 
 class TestClassicalReduction:
@@ -711,3 +716,125 @@ class TestIntegerScansDifferential:
             assert validate_partial_metric(valid).valid
             report = validate_partial_metric(stretched)
             assert report.self_bound and report.symmetric and not report.triangle
+
+
+# -- (rank, value) signed values against the tagged helpers they replaced ---------
+
+
+_NEG_INF = ("neg_inf",)
+_POS_INF = ("pos_inf",)
+
+
+def _signed_diff(a: ExtRat, b: ExtRat):
+    if b.is_infinite:
+        return ("fin", Fraction(0)) if a.is_infinite else _NEG_INF
+    if a.is_infinite:
+        return _POS_INF
+    return ("fin", a.fraction - b.fraction)
+
+
+def _signed_max(current, candidate):
+    order = {"neg_inf": 0, "fin": 1, "pos_inf": 2}
+    if order[candidate[0]] != order[current[0]]:
+        return candidate if order[candidate[0]] > order[current[0]] else current
+    if candidate[0] == "fin" and candidate[1] > current[1]:
+        return candidate
+    return current
+
+
+def _matches(signed, value: ExtRat) -> bool:
+    if signed == _POS_INF:
+        return value.is_infinite
+    if signed == _NEG_INF:
+        return False
+    return not value.is_infinite and value.fraction == signed[1]
+
+
+def reference_sup(firsts, seconds):
+    """sup of firsts - seconds, folded over tagged signed values."""
+    sup = _NEG_INF
+    for a, b in zip(firsts, seconds):
+        sup = _signed_max(sup, _signed_diff(a, b))
+    return sup
+
+
+def reference_raw_tight(space_: ParMetSpace, mu: RadiusFunction) -> bool:
+    """The untruncated tight equation on tagged signed values."""
+    return all(
+        _matches(reference_sup(row, mu.values), v) for row, v in zip(space_.alpha, mu.values)
+    )
+
+
+def reference_sigma_check(space_: ParMetSpace, mu, lam) -> bool:
+    value = parmet.sigma(space_, mu, lam)
+    forward = reference_sup(mu.values, lam.values)
+    backward = reference_sup(lam.values, mu.values)
+    if len(space_) == 0:
+        return value == ZERO
+    if forward != backward or not _matches(forward, value):
+        return False
+    if forward == _NEG_INF or (forward[0] == "fin" and forward[1] < 0):
+        return False
+    return True
+
+
+def classical_functions(rng, space_: ParMetSpace) -> list[RadiusFunction]:
+    """Tight and non-tight radius functions at base radius 0, some infinite."""
+    n = len(space_)
+    out = [RadiusFunction(ZERO, row) for row in space_.alpha]  # Yoneda columns
+    for seed in range(3):
+        start = sample_ambient(space_, ZERO, seed=rng.randrange(10**6))
+        out += [start, tighten_sweep(space_, start)]
+    for mu in list(out):
+        if n:
+            i = rng.randrange(n)
+            bumped = list(mu.values)
+            bumped[i] = INF if rng.random() < 0.3 else bumped[i] + ExtRat(Fraction(1, 2))
+            out.append(RadiusFunction(ZERO, tuple(bumped)))
+    return out
+
+
+def classical_spaces():
+    rng = random.Random(11)
+    for n in range(7):
+        for _ in range(4):
+            yield rng, random_partial_metric(rng, n, allow_inf=True, max_self=0)
+
+
+class TestSignedValuesDifferential:
+    def test_tight_check_matches_tagged_reference(self):
+        verdicts = set()
+        saw_infinite = False
+        for rng, space_ in classical_spaces():
+            saw_infinite |= any(v.is_infinite for row in space_.alpha for v in row)
+            for mu in classical_functions(rng, space_):
+                verdict = classical_tight_check(space_, mu)
+                assert verdict == reference_raw_tight(space_, mu)
+                verdicts.add(verdict)
+        assert saw_infinite
+        assert verdicts == {True, False}
+
+    def test_sigma_check_matches_tagged_reference(self, monkeypatch):
+        # On tight pairs both checks pass.  With sigma replaced by a stub the
+        # raw suprema are compared on any pair, against candidate values that
+        # include the forward supremum itself.
+        true_sigma = parmet.sigma
+        verdicts = set()
+        for rng, space_ in classical_spaces():
+            functions = classical_functions(rng, space_)
+            tight = [mu for mu in functions if tight_member(space_, mu)]
+            for mu, lam in itertools.product(tight, repeat=2):
+                assert classical_sigma_check(space_, mu, lam)
+                assert reference_sigma_check(space_, mu, lam)
+            for mu, lam in itertools.product(functions[::2], repeat=2):
+                forward = reference_sup(mu.values, lam.values)
+                candidates = [ZERO, ExtRat(1), INF]
+                if forward[0] == "fin" and forward[1] >= 0:
+                    candidates.append(ExtRat(forward[1]))
+                for value in candidates:
+                    monkeypatch.setattr(parmet, "sigma", lambda *_: value)
+                    verdict = classical_sigma_check(space_, mu, lam)
+                    assert verdict == reference_sigma_check(space_, mu, lam)
+                    verdicts.add(verdict)
+            monkeypatch.setattr(parmet, "sigma", true_sigma)
+        assert verdicts == {True, False}
