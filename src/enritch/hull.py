@@ -445,29 +445,39 @@ def inclusion_functor(sub: QCategory, sup: QCategory) -> QFunctor:
     return f
 
 
-def all_functors(domain: QCategory, codomain: QCategory) -> Iterator[QFunctor]:
-    """Every valid functor, in lexicographic assignment order."""
-    candidates = []
-    for t in domain.objects.types:
-        matching = tuple(
-            name
-            for name, s in zip(codomain.names, codomain.objects.types)
-            if s == t
-        )
-        if not matching:
-            return
-        candidates.append(matching)
-    for assignment in itertools.product(*candidates):
+def _functor_search(domain: QCategory, codomain: QCategory, pools: Sequence) -> Iterator[QFunctor]:
+    """Every valid functor sending the i-th domain object into pools[i] (a
+    tuple of codomain names), in lexicographic order over the pools."""
+    for assignment in itertools.product(*pools):
         f = QFunctor(domain, codomain, assignment)
         if validate_functor(f).valid:
             yield f
 
 
+def _of_type(c: QCategory, t) -> tuple[str, ...]:
+    return tuple(name for name, s in zip(c.names, c.objects.types) if s == t)
+
+
+def all_functors(domain: QCategory, codomain: QCategory) -> Iterator[QFunctor]:
+    """Every valid functor, in lexicographic assignment order.
+
+    Each object's pool is the codomain objects of its type; ``extend_along``
+    and ``find_one_point_retraction`` run the same search on narrower pools.
+    """
+    pools = []
+    for t in domain.objects.types:
+        pools.append(_of_type(codomain, t))
+        if not pools[-1]:
+            return  # an empty pool admits no functor; skip the other pools
+    yield from _functor_search(domain, codomain, pools)
+
+
 def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
     """Search an h with h . g isomorphic to f, for fully faithful g.
 
-    Returns the first such functor in lexicographic order, or None when the
-    exhaustive search over type-preserving maps fails.
+    Returns the first functor, in the search order of ``all_functors``, that
+    sends each y to an object of its type isomorphic to f(x) whenever
+    g(x) = y, or None when there is none.
     """
     if f.domain != g.domain:
         raise ShapeMismatchError("f and g must share their domain")
@@ -479,58 +489,18 @@ def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
         raise PreconditionError("g must be fully faithful")
 
     y_cat, z_cat = g.codomain, f.codomain
-    dq = y_cat.quantaloid
     iso = underlying_order(z_cat)
-    required_class: list[int | None] = [None] * len(y_cat)
-    for x_i, y_name in enumerate(g.assignment):
-        y_i = y_cat.objects.index(y_name)
-        cls = iso.class_index(f.assignment[x_i])
-        if required_class[y_i] is None:
-            required_class[y_i] = cls
-        elif required_class[y_i] != cls:
+    # g(x) may only go to f(x)'s iso class (same type, listed in Z order).
+    required_class: dict[str, tuple[str, ...]] = {}
+    for y_name, z_name in zip(g.assignment, f.assignment):
+        cls = iso.iso_classes[iso.class_index(z_name)]
+        if required_class.setdefault(y_name, cls) != cls:
             return None
-
-    z_names = z_cat.names
-    z_types = z_cat.objects.types
-    candidates = []
-    for y_i, t in enumerate(y_cat.objects.types):
-        pool = tuple(
-            j
-            for j in range(len(z_names))
-            if z_types[j] == t
-            and (required_class[y_i] is None or iso.class_index(z_names[j]) == required_class[y_i])
-        )
-        if not pool:
-            return None
-        candidates.append(pool)
-
-    y_hom = y_cat.hom.entries
-    z_hom = z_cat.hom.entries
-    partial: list[int] = []
-
-    def compatible(y_i: int, j: int) -> bool:
-        if not dq.leq(y_hom[y_i][y_i], z_hom[j][j]):
-            return False
-        for w in range(y_i):
-            if not dq.leq(y_hom[w][y_i], z_hom[partial[w]][j]):
-                return False
-            if not dq.leq(y_hom[y_i][w], z_hom[j][partial[w]]):
-                return False
-        return True
-
-    def walk(y_i: int) -> QFunctor | None:
-        if y_i == len(y_cat):
-            return QFunctor(y_cat, z_cat, tuple(z_names[j] for j in partial))
-        for j in candidates[y_i]:
-            if compatible(y_i, j):
-                partial.append(j)
-                found = walk(y_i + 1)
-                if found is not None:
-                    return found
-                partial.pop()
-        return None
-
-    return walk(0)
+    pools = [
+        required_class[y] if y in required_class else _of_type(z_cat, t)
+        for y, t in zip(y_cat.names, y_cat.objects.types)
+    ]
+    return next(_functor_search(y_cat, z_cat, pools), None)
 
 
 def one_point_extensions(c: QCategory, new_name: str | None = None) -> Iterator[QCategory]:
@@ -587,7 +557,11 @@ def extension_from_presheaf(c: QCategory, mu: Presheaf, new_name: str | None = N
 
 
 def find_one_point_retraction(x_cat: QCategory, y_cat: QCategory) -> QFunctor | None:
-    """A functor Y -> X restricting to the identity on X, if one exists."""
+    """A functor Y -> X restricting to the identity on X, if one exists.
+
+    The search of ``all_functors``, with each point of X its own only
+    candidate and the extra point free among the points of X of its type.
+    """
     _require_symmetric(x_cat)
     _require_symmetric(y_cat)
     extra = [name for name in y_cat.names if name not in x_cat.names]
@@ -604,16 +578,9 @@ def find_one_point_retraction(x_cat: QCategory, y_cat: QCategory) -> QFunctor | 
                     f"homs disagree at ({name!r}, {other!r}); not a supercategory"
                 )
     y0 = extra[0]
-    target_type = y_cat.type_payload(y0)
-    for z in x_cat.names:
-        if x_cat.type_payload(z) != target_type:
-            continue
-        mapping = {name: name for name in x_cat.names}
-        mapping[y0] = z
-        h = QFunctor.from_dict(y_cat, x_cat, mapping)
-        if validate_functor(h).valid:
-            return h
-    return None
+    y0_pool = _of_type(x_cat, y_cat.type_payload(y0))
+    pools = [y0_pool if name == y0 else (name,) for name in y_cat.names]
+    return next(_functor_search(y_cat, x_cat, pools), None)
 
 
 # -- density and essentiality --------------------------------------------------

@@ -57,7 +57,10 @@ class TypedSet:
         return len(self.names)
 
     def index(self, name: str) -> int:
-        return self.names.index(name)
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise ShapeMismatchError(f"unknown object {name!r}") from None
 
     def type_of(self, name: str):
         return self.types[self.index(name)]

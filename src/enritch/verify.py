@@ -57,31 +57,24 @@ DOCUMENTED_BOUNDS = {"t36": 3, "l43": 3, "t44": 3, "t54": 2}
 def _t36_single(x_cat: QCategory, strict: bool) -> dict:
     hyper = is_hypercomplete(x_cat, strict=strict).holds
 
-    retract = True
-    for ext in one_point_extensions(x_cat):
-        if find_one_point_retraction(x_cat, ext) is None:
-            retract = False
-            break
-
-    inject = True
-    identity = QFunctor(x_cat, x_cat, tuple(x_cat.names))
-    for ext in one_point_extensions(x_cat):
-        if extend_along(identity, inclusion_functor(x_cat, ext)) is None:
-            inject = False
-            break
-    if inject:
-        for size in range(len(x_cat)):
-            for names in itertools.combinations(x_cat.names, size):
-                sub = full_subcategory(x_cat, names)
-                into_x = inclusion_functor(sub, x_cat)
-                for ext in one_point_extensions(sub):
-                    if extend_along(into_x, inclusion_functor(sub, ext)) is None:
-                        inject = False
-                        break
-                if not inject:
-                    break
-            if not inject:
-                break
+    retract = all(
+        find_one_point_retraction(x_cat, ext) is not None
+        for ext in one_point_extensions(x_cat)
+    )
+    # W = X first, then the proper full subcategories by size.
+    subcategories = itertools.chain(
+        [x_cat],
+        (
+            full_subcategory(x_cat, names)
+            for size in range(len(x_cat))
+            for names in itertools.combinations(x_cat.names, size)
+        ),
+    )
+    inject = all(
+        extend_along(into_x, inclusion_functor(into_x.domain, ext)) is not None
+        for into_x in (inclusion_functor(sub, x_cat) for sub in subcategories)
+        for ext in one_point_extensions(into_x.domain)
+    )
 
     return {
         "category": x_cat.to_dict(),

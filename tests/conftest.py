@@ -9,6 +9,7 @@ from enritch.diagonals import diagonal_quantaloid
 from enritch.parmet import ParMetSpace, validate_partial_metric
 from enritch.quantale import (
     LAWVERE,
+    FiniteQuantale,
     boolean_quantale,
     diamond_frame,
     lukasiewicz_chain,
@@ -41,6 +42,24 @@ def nilmin5():
 @pytest.fixture(scope="session")
 def diamond():
     return diamond_frame()
+
+
+@pytest.fixture(scope="session")
+def diamond_swap():
+    """The diamond frame with the involution that swaps its atoms a and b.
+
+    Every other instance has the identity involution, under which hom(x, -)
+    and hom(-, x) cannot be told apart.
+    """
+    frame = diamond_frame()
+    return FiniteQuantale(
+        elements=frame.elements,
+        leq_table=frame.leq_table,
+        tensor_table=[[frame.elements[k] for k in row] for row in frame.tensor_table],
+        unit="top",
+        involution_table=["bot", "b", "a", "top"],
+        name="diamond_swap",
+    )
 
 
 @pytest.fixture(scope="session")

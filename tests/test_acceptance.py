@@ -136,10 +136,10 @@ def test_criterion_3_injectivity_equivalence_chain():
     report(3, f"categories checked: {totals}, zero discrepancies, {elapsed:.2f}s")
 
 
-def test_criterion_4_tight_span_is_the_injective_hull():
+def test_criterion_4_tight_span_is_the_injective_hull(diamond_swap):
     started = time.monotonic()
     counts = {}
-    for quantale in (boolean_quantale(), lukasiewicz_chain(3)):
+    for quantale in (boolean_quantale(), lukasiewicz_chain(3), diamond_swap):
         l43 = run_suite("l43", quantale, bound=3)
         assert l43["result"], l43
         t44 = run_suite("t44", quantale, bound=3)

@@ -23,7 +23,7 @@ from enritch.categories import (
     yoneda_lemma_holds,
 )
 from enritch.diagonals import diagonal_quantaloid
-from enritch.errors import PreconditionError, UnsupportedQuantaleError
+from enritch.errors import PreconditionError, ShapeMismatchError, UnsupportedQuantaleError
 from enritch.hull import all_functors, enumerate_symmetric_categories, functor_compose
 from enritch.quantale import LAWVERE
 from enritch.relations import rel_compose, rel_involve, rel_residual
@@ -203,6 +203,25 @@ class TestFunctors:
 
         sub = full_subcategory(big, ["a", "c"])
         assert is_fully_faithful(inclusion_functor(sub, big))
+
+    def test_unknown_object_name_is_a_shape_mismatch(self, luk3):
+        from enritch.hull import full_subcategory
+
+        c = make_category(luk3, ["a", "b"], ["1", "1"], [["1", "1/2"], ["1/2", "1"]])
+        mu = yoneda(c, "a")
+        f = QFunctor(c, c, ("a", "b"))
+        lookups = [
+            lambda: c.objects.index("z"),
+            lambda: full_subcategory(c, ["a", "z"]),
+            lambda: yoneda(c, "z"),
+            lambda: c.hom.at("a", "z"),
+            lambda: c.type_payload("z"),
+            lambda: mu.at("z"),
+            lambda: f("z"),
+        ]
+        for lookup in lookups:
+            with pytest.raises(ShapeMismatchError, match="unknown object 'z'"):
+                lookup()
 
 
 class TestGraphs:

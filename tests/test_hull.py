@@ -11,6 +11,8 @@ from enritch.categories import (
     graph,
     is_fully_faithful,
     presheaf_hom,
+    underlying_order,
+    validate_functor,
     yoneda,
 )
 from enritch.diagonals import diagonal_quantaloid
@@ -231,7 +233,7 @@ class TestTightSpan:
 
     @pytest.mark.parametrize(
         "name, bound",
-        [("boolean", 3), ("luk3", 3), ("nilmin5", 2), ("diamond", 2)],
+        [("boolean", 3), ("luk3", 3), ("nilmin5", 2), ("diamond", 2), ("diamond_swap", 3)],
     )
     def test_yoneda_embedding_matches_linear_lookup(self, request, name, bound):
         dq = diagonal_quantaloid(request.getfixturevalue(name))
@@ -309,6 +311,7 @@ class TestTightColumnSearch:
         ("luk3", 3, None),
         ("nilmin5", 2, None),
         ("diamond", 2, None),
+        ("diamond_swap", 3, None),
         ("luk5", 2, 9),
     ]
 
@@ -391,6 +394,135 @@ class TestHypercomplete:
                     is_hypercomplete(c, strict=strict).holds
                     == naive_hypercomplete(c, strict)
                 )
+
+
+def reference_extend_along(f, g):
+    """The depth-first search extend_along ran before it shared the search
+    of all_functors (oracle): candidates filtered by type and required iso
+    class, hom-increasing checked against the points placed so far."""
+    y_cat, z_cat = g.codomain, f.codomain
+    dq = y_cat.quantaloid
+    iso = underlying_order(z_cat)
+    required_class = [None] * len(y_cat)
+    for x_i, y_name in enumerate(g.assignment):
+        y_i = y_cat.objects.index(y_name)
+        cls = iso.class_index(f.assignment[x_i])
+        if required_class[y_i] is None:
+            required_class[y_i] = cls
+        elif required_class[y_i] != cls:
+            return None
+
+    z_names = z_cat.names
+    z_types = z_cat.objects.types
+    candidates = []
+    for y_i, t in enumerate(y_cat.objects.types):
+        pool = tuple(
+            j
+            for j in range(len(z_names))
+            if z_types[j] == t
+            and (required_class[y_i] is None or iso.class_index(z_names[j]) == required_class[y_i])
+        )
+        if not pool:
+            return None
+        candidates.append(pool)
+
+    y_hom = y_cat.hom.entries
+    z_hom = z_cat.hom.entries
+    partial = []
+
+    def compatible(y_i, j):
+        if not dq.leq(y_hom[y_i][y_i], z_hom[j][j]):
+            return False
+        for w in range(y_i):
+            if not dq.leq(y_hom[w][y_i], z_hom[partial[w]][j]):
+                return False
+            if not dq.leq(y_hom[y_i][w], z_hom[j][partial[w]]):
+                return False
+        return True
+
+    def walk(y_i):
+        if y_i == len(y_cat):
+            return QFunctor(y_cat, z_cat, tuple(z_names[j] for j in partial))
+        for j in candidates[y_i]:
+            if compatible(y_i, j):
+                partial.append(j)
+                found = walk(y_i + 1)
+                if found is not None:
+                    return found
+                partial.pop()
+        return None
+
+    return walk(0)
+
+
+def reference_retraction(x_cat, y_cat):
+    """The loop find_one_point_retraction ran before it shared the search
+    of all_functors (oracle): the extra point tried at each X point of its
+    type, in X order."""
+    (y0,) = [name for name in y_cat.names if name not in x_cat.names]
+    target_type = y_cat.type_payload(y0)
+    for z in x_cat.names:
+        if x_cat.type_payload(z) != target_type:
+            continue
+        mapping = {name: name for name in x_cat.names}
+        mapping[y0] = z
+        h = QFunctor.from_dict(y_cat, x_cat, mapping)
+        if validate_functor(h).valid:
+            return h
+    return None
+
+
+def t36_extension_family(x_cat):
+    """Every (f, g) pair verify t36 hands to extend_along for x_cat, in its
+    order: W = X first, then the proper full subcategories W by size, each
+    inclusion W -> X along the inclusion of W into each one-point extension."""
+    subs = [x_cat] + [
+        full_subcategory(x_cat, names)
+        for size in range(len(x_cat))
+        for names in itertools.combinations(x_cat.names, size)
+    ]
+    for sub in subs:
+        into_x = inclusion_functor(sub, x_cat)
+        for ext in one_point_extensions(sub):
+            yield into_x, inclusion_functor(sub, ext)
+
+
+def same_functor(got, want):
+    if want is None:
+        return got is None
+    return got is not None and got == want and got.as_dict() == want.as_dict()
+
+
+class TestSharedFunctorSearch:
+    """extend_along and find_one_point_retraction against the searches they
+    replaced, on every extension problem and retraction verify t36 poses."""
+
+    CASES = [
+        ("boolean", 3),
+        ("luk3", 3),
+        ("nilmin5", 2),
+        ("diamond", 2),
+        ("diamond_swap", 2),
+    ]
+
+    @pytest.mark.parametrize("fixture, bound", CASES, ids=[c[0] for c in CASES])
+    def test_matches_the_replaced_searches(self, request, fixture, bound):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        extensions = retractions = 0
+        found = [0, 0]
+        for x_cat in enumerate_symmetric_categories(dq, bound):
+            for f, g in t36_extension_family(x_cat):
+                want = reference_extend_along(f, g)
+                assert same_functor(extend_along(f, g), want), (f.as_dict(), g.as_dict())
+                extensions += 1
+                found[0] += want is not None
+            for ext in one_point_extensions(x_cat):
+                want = reference_retraction(x_cat, ext)
+                assert same_functor(find_one_point_retraction(x_cat, ext), want), ext.to_dict()
+                retractions += 1
+                found[1] += want is not None
+        # both outcomes occur, so neither branch is compared vacuously
+        assert 0 < found[0] < extensions and 0 < found[1] < retractions
 
 
 class TestExtensions:

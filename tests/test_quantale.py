@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import SchemaError
 from enritch.quantale import LAWVERE, FiniteQuantale, check_quantale_laws
 from enritch.rationals import INF, ZERO, ExtRat
@@ -110,6 +111,14 @@ class TestFiniteInstances:
                     # commutative, so both residuals coincide
                     assert q._residual_right(u, w) == brute
 
+    def test_diamond_swap_is_a_quantale_with_two_objects(self, diamond_swap):
+        report = check_quantale_laws(diamond_swap)
+        assert report.passed, report.failures()
+        a, b = (diamond_swap.parse_value(name) for name in ("a", "b"))
+        assert diamond_swap._involve(a) == b
+        dq = diagonal_quantaloid(diamond_swap)
+        assert [dq.format(t) for t in dq.objects()] == ["bot", "top"]
+
     def test_diamond_joins(self, diamond):
         a, b, top = (diamond.parse_value(name) for name in ("a", "b", "top"))
         assert diamond._join([a, b]) == top
@@ -119,9 +128,11 @@ class TestFiniteInstances:
         assert nilmin5.unit == nilmin5.top
         assert not nilmin5.is_divisible
 
-    def test_involution_distributes_over_joins_and_residuals(self, luk3, nilmin5, diamond):
+    def test_involution_distributes_over_joins_and_residuals(
+        self, luk3, nilmin5, diamond, diamond_swap
+    ):
         # (join S) deg = join (S deg) and (w / u) deg = u deg \ w deg, exhaustively
-        for q in (luk3, nilmin5, diamond):
+        for q in (luk3, nilmin5, diamond, diamond_swap):
             for a in q.payloads():
                 for b in q.payloads():
                     assert q._involve(q.join_table[a][b]) == q.join_table[
