@@ -13,16 +13,11 @@ object as a presheaf of its own type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .diagonals import DiagonalQuantaloid
-from .errors import (
-    InvariantError,
-    PreconditionError,
-    ShapeMismatchError,
-    UnsupportedQuantaleError,
-)
+from .errors import InvariantError, PreconditionError, ShapeMismatchError
 from .relations import (
     QRelation,
     TypedSet,
@@ -179,12 +174,14 @@ class UnderlyingOrder:
     pairs: frozenset
     iso_classes: tuple[tuple[str, ...], ...]
     separated: bool
+    # Object name -> index of its iso class; determined by the fields above.
+    class_of: dict[str, int] = field(compare=False, repr=False)
 
     def class_index(self, name: str) -> int:
-        for i, cls in enumerate(self.iso_classes):
-            if name in cls:
-                return i
-        raise KeyError(name)
+        try:
+            return self.class_of[name]
+        except KeyError:
+            raise ShapeMismatchError(f"unknown object {name!r}") from None
 
     def isomorphic(self, a: str, b: str) -> bool:
         return self.class_index(a) == self.class_index(b)
@@ -204,16 +201,14 @@ def underlying_order(c: QCategory) -> UnderlyingOrder:
                 pairs.add((names[i], names[j]))
     classes: list[list[str]] = []
     assigned: dict[str, int] = {}
-    for i, name in enumerate(names):
-        placed = False
+    for name in names:
         for idx, cls in enumerate(classes):
             rep = cls[0]
             if (name, rep) in pairs and (rep, name) in pairs:
                 cls.append(name)
                 assigned[name] = idx
-                placed = True
                 break
-        if not placed:
+        else:
             assigned[name] = len(classes)
             classes.append([name])
     separated = all(len(cls) == 1 for cls in classes)
@@ -221,6 +216,7 @@ def underlying_order(c: QCategory) -> UnderlyingOrder:
         pairs=frozenset(pairs),
         iso_classes=tuple(tuple(cls) for cls in classes),
         separated=separated,
+        class_of=assigned,
     )
 
 
@@ -423,10 +419,6 @@ class Presheaf:
 def enumerate_presheaves(c: QCategory) -> list[Presheaf]:
     """All presheaves, types in element load order, values lexicographic."""
     dq = c.quantaloid
-    if not dq.quantale.is_finite:
-        raise UnsupportedQuantaleError(
-            "presheaf enumeration needs a finite quantale"
-        )
     result = []
     types = c.objects.types
     for q in dq.objects():

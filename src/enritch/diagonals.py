@@ -10,12 +10,13 @@ library live.
 category layers, with one implementation per kind of quantale:
 ``FiniteDiagonals`` for table-defined quantales and ``LawvereDiagonals`` for
 the extended rationals.  ``diagonal_quantaloid`` builds a quantale's kernel
-once and keeps it on the quantale.
+once and keeps it on the quantale; no other code asks whether a quantale
+is finite.  Over the extended rationals ``objects`` and ``hom`` refuse.
 
 Closed forms for the extended-rational quantale (writing values numerically,
 ``-`` for the truncated difference and ``max`` in the standard order):
 
-    hom(p, q)            = { u : u >= max(p, q) }
+    hom(p, q)            = { u : u >= max(p, q) }   (solves the diagonal equation)
     compose(u: p->q, v: q->r) = (v - q) + u
     w <swarrow> u        = max(q, r, (w + q) - u)    for u: p->q, w: p->r
     v <searrow> w        = max(p, q, (w + q) - v)    for v: q->r, w: p->r
@@ -68,15 +69,10 @@ class DiagonalQuantaloid:
         return self.quantale._involve(t) == t
 
     def objects(self) -> tuple:
+        """The symmetric objects; refused over the extended rationals."""
         return tuple(t for t in self.quantale.payloads() if self.is_object(t))
 
     # -- homs --------------------------------------------------------------
-
-    def _diagonal_equation(self, p, t, u) -> bool:
-        q = self.quantale
-        left = q._tensor(q._residual_left(u, p), p)
-        right = q._tensor(t, q._residual_right(t, u))
-        return left == u and right == u
 
     def is_hom(self, p, t, u) -> bool:
         raise NotImplementedError
@@ -137,8 +133,13 @@ class FiniteDiagonals(DiagonalQuantaloid):
     def _build(self) -> None:
         q = self.quantale
         rng = q.payloads()
+
+        def diagonal(p, t, u) -> bool:
+            left = q._tensor(q._residual_left(u, p), p)
+            return left == u and q._tensor(t, q._residual_right(t, u)) == u
+
         self._homs = {
-            (p, t): tuple(u for u in rng if self._diagonal_equation(p, t, u))
+            (p, t): tuple(u for u in rng if diagonal(p, t, u))
             for p in rng
             for t in rng
         }
@@ -237,9 +238,10 @@ class LawvereDiagonals(DiagonalQuantaloid):
     """Closed-form kernel of the extended rationals (see the module notes)."""
 
     def is_hom(self, p, t, u) -> bool:
-        return self._diagonal_equation(p, t, u)
+        return u >= p and u >= t
 
     def hom(self, p, t) -> tuple:
+        """Refused: the kernel is where enumeration over the extended rationals stops."""
         raise UnsupportedQuantaleError(
             "hom sets of the extended-rational quantaloid are infinite"
         )

@@ -61,13 +61,7 @@ from .categories import (
     yoneda,
 )
 from .diagonals import DiagonalQuantaloid
-from .errors import (
-    BoundExceededError,
-    InvariantError,
-    PreconditionError,
-    ShapeMismatchError,
-    UnsupportedQuantaleError,
-)
+from .errors import BoundExceededError, InvariantError, PreconditionError, ShapeMismatchError
 from .relations import QRelation, TypedSet, rel_residual
 
 __all__ = [
@@ -97,14 +91,6 @@ __all__ = [
     "enumerate_symmetric_categories",
     "enumerate_ambient",
 ]
-
-
-def _require_finite(c: QCategory) -> None:
-    if not c.quantaloid.quantale.is_finite:
-        raise UnsupportedQuantaleError(
-            "this operation enumerates hom sets and needs a finite quantale;"
-            " use the partial-metric module for the extended-rational case"
-        )
 
 
 def _require_symmetric(c: QCategory) -> None:
@@ -153,6 +139,13 @@ def _tight_residual(c: QCategory, q, values: Sequence) -> tuple:
     )
 
 
+def _chain_bound(c: QCategory, q) -> int:
+    """Steps bounding a strictly monotone chain of type-q columns, whose
+    coordinate z moves at most len(hom(|z|, q)) - 1 times."""
+    dq = c.quantaloid
+    return sum(len(dq.hom(t, q)) for t in c.objects.types) + 1
+
+
 def _tight_step(c: QCategory, q, values: Sequence) -> tuple:
     """One application of the tightness operator (involution of the residual)."""
     dq = c.quantaloid
@@ -188,7 +181,6 @@ def tighten(c: QCategory, mu: Presheaf) -> Presheaf:
     joins in the augmentation column through z; each step strictly increases
     the presheaf, so the loop terminates on finite quantales.
     """
-    _require_finite(c)
     if not is_ambient(c, mu):
         raise PreconditionError("tighten needs an ambient presheaf")
     dq = c.quantaloid
@@ -197,10 +189,7 @@ def tighten(c: QCategory, mu: Presheaf) -> Presheaf:
     n = len(types)
     q = mu.q
     values = tuple(mu.values)
-    payloads = dq.quantale.payloads()
-    widest = max(len(dq.hom(p, t)) for p in payloads for t in payloads)
-    max_steps = n * widest + 1 if n else 1
-    for _ in range(max_steps):
+    for _ in range(_chain_bound(c, q)):
         residual = _tight_residual(c, q, values)
         stale = None
         for z in range(n):
@@ -272,9 +261,11 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
         yield ()
         return
 
+    steps = _chain_bound(c, q)
+
     def f2_limit(start: tuple) -> tuple:
         current = start
-        for _ in range(len(dq.quantale.elements) * n * 2 + 4):
+        for _ in range(steps):
             nxt = _tight_step(c, q, _tight_step(c, q, current))
             if nxt == current:
                 return current
@@ -351,7 +342,6 @@ class TightSpan:
 
 def tight_span(c: QCategory) -> TightSpan:
     """Enumerate all tight presheaves and materialize them as a category."""
-    _require_finite(c)
     _require_symmetric(c)
     dq = c.quantaloid
     members: list[Presheaf] = []
@@ -381,14 +371,6 @@ class HypercompleteResult:
     witness: Presheaf | None
     tight_columns_checked: int
 
-    def to_dict(self) -> dict:
-        return {
-            "check": "hypercomplete",
-            "result": self.holds,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "tight_columns_checked": self.tight_columns_checked,
-        }
-
 
 def is_hypercomplete(c: QCategory, strict: bool = True) -> HypercompleteResult:
     """Does every admissible column admit a witness object?
@@ -397,7 +379,6 @@ def is_hypercomplete(c: QCategory, strict: bool = True) -> HypercompleteResult:
     tight one of the same type, and the witness condition is downward
     closed, so the answer agrees with the all-columns definition.
     """
-    _require_finite(c)
     _require_symmetric(c)
     dq = c.quantaloid
     types = c.objects.types
@@ -483,7 +464,6 @@ def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
         raise ShapeMismatchError("f and g must share their domain")
     for cat in (f.domain, f.codomain, g.codomain):
         _require_symmetric(cat)
-    _require_finite(f.codomain)
     require_functor(f)
     if not is_fully_faithful(g):
         raise PreconditionError("g must be fully faithful")
@@ -503,18 +483,22 @@ def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
     return next(_functor_search(y_cat, z_cat, pools), None)
 
 
-def one_point_extensions(c: QCategory, new_name: str | None = None) -> Iterator[QCategory]:
+def _fresh_name(c: QCategory) -> str:
+    """The first of y0, y0', y0'', ... that is not an object of c."""
+    name = "y0"
+    while name in c.names:
+        name += "'"
+    return name
+
+
+def one_point_extensions(c: QCategory) -> Iterator[QCategory]:
     """All symmetric supercategories with exactly one extra point.
 
     Order: new-point types in element load order, columns lexicographic.
     """
-    _require_finite(c)
     _require_symmetric(c)
     dq = c.quantaloid
-    if new_name is None:
-        new_name = "y0"
-        while new_name in c.names:
-            new_name += "'"
+    new_name = _fresh_name(c)
     types = c.objects.types
     n = len(types)
     for q in dq.objects():
@@ -537,15 +521,11 @@ def _extend_matrix(c: QCategory, q, column: Sequence, new_name: str) -> QCategor
     return QCategory(carrier, QRelation(carrier, carrier, entries))
 
 
-def extension_from_presheaf(c: QCategory, mu: Presheaf, new_name: str | None = None) -> QCategory:
+def extension_from_presheaf(c: QCategory, mu: Presheaf) -> QCategory:
     """The one-point extension whose new column is an ambient presheaf."""
     if not is_ambient(c, mu):
         raise PreconditionError("the extension column must be ambient")
-    if new_name is None:
-        new_name = "y0"
-        while new_name in c.names:
-            new_name += "'"
-    extended = _extend_matrix(c, mu.q, mu.values, new_name)
+    extended = _extend_matrix(c, mu.q, mu.values, _fresh_name(c))
     report = validate_category(extended)
     if not report.valid:
         raise InvariantError(
@@ -632,12 +612,11 @@ def enumerate_symmetric_categories(
     element load order, then upper-triangle entries lexicographic.  With
     ``up_to_iso`` relabelings of the points are emitted only once.
     """
-    if not dq.quantale.is_finite:
-        raise UnsupportedQuantaleError("enumeration needs a finite quantale")
+    objects = dq.objects()
     seen: set = set()
     for n in range(max_objects + 1):
         names = tuple(f"{name_prefix}{i}" for i in range(n))
-        for types in itertools.product(dq.objects(), repeat=n):
+        for types in itertools.product(objects, repeat=n):
             pair_indices = [(i, j) for i in range(n) for j in range(i + 1, n)]
             pools = [dq.hom(types[i], types[j]) for i, j in pair_indices]
             for choice in itertools.product(*pools):
@@ -673,7 +652,6 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
     functors g that are not fully faithful, with the index of their Z.
     A call then composes only those g with f.
     """
-    require_functor(f)
     if not is_fully_faithful(f):
         raise PreconditionError("essentiality is only defined for fully faithful functors")
     _require_symmetric(f.domain)
@@ -725,10 +703,8 @@ def tight_span_restriction(f: QFunctor) -> TransportResult:
     assignment is a bijective isometry between the two tight spans; any
     violation is reported rather than raised.  Other functors are refused.
     """
-    require_functor(f)
     if not is_fully_faithful(f) or not is_dense(f):
         raise PreconditionError("transport needs a dense fully faithful functor")
-    _require_finite(f.domain)
     dq = f.domain.quantaloid
     dom, cod = f.domain, f.codomain
     span_cod = tight_span(cod)

@@ -84,7 +84,10 @@ class Quantale:
         raise NotImplementedError
 
     def payloads(self) -> Sequence:
-        raise UnsupportedQuantaleError(f"{self.name} has infinitely many elements")
+        raise UnsupportedQuantaleError(
+            f"{self.name} has infinitely many elements;"
+            " the partial-metric module covers the extended rationals"
+        )
 
     def format_value(self, payload) -> str:
         raise NotImplementedError

@@ -44,8 +44,7 @@ def diamond():
     return diamond_frame()
 
 
-@pytest.fixture(scope="session")
-def diamond_swap():
+def swapped_diamond() -> FiniteQuantale:
     """The diamond frame with the involution that swaps its atoms a and b.
 
     Every other instance has the identity involution, under which hom(x, -)
@@ -60,6 +59,11 @@ def diamond_swap():
         involution_table=["bot", "b", "a", "top"],
         name="diamond_swap",
     )
+
+
+@pytest.fixture(scope="session")
+def diamond_swap():
+    return swapped_diamond()
 
 
 @pytest.fixture(scope="session")

@@ -146,6 +146,15 @@ class TestUnderlyingOrder:
         assert not order.separated
         assert order.iso_classes == (("a", "b"),)
 
+    def test_unknown_object_is_a_shape_mismatch(self, boolean):
+        c = make_category(boolean, ["x0", "x1"], ["1", "1"], [["1", "1"], ["1", "1"]])
+        order = underlying_order(c)
+        assert order.isomorphic("x0", "x1") and order.class_index("x1") == 0
+        with pytest.raises(ShapeMismatchError, match="unknown object 'nope'"):
+            order.isomorphic("x0", "nope")
+        with pytest.raises(ShapeMismatchError):
+            order.class_index("nope")
+
     def test_iso_iff_equal_rows_iff_equal_columns(self, boolean, luk3):
         for quantale in (boolean, luk3):
             dq = diagonal_quantaloid(quantale)

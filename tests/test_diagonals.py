@@ -38,8 +38,13 @@ class TestDiagonalMembership:
         assert not LV.is_hom(lv(3), lv(1), lv(2))  # u below the source
         assert LV.is_hom(lv(2), lv(2), lv(2))  # identity diagonal
         # the extended rationals are divisible: membership is u <= p meet q
+        q = LAWVERE
         for p, t, u in itertools.product(rational_pool(7), repeat=3):
-            assert LV.is_hom(p, t, u) == LAWVERE._leq(u, LAWVERE._meet((p, t)))
+            assert LV.is_hom(p, t, u) == q._leq(u, q._meet((p, t)))
+            # the closed form is the diagonal equation (u/p) (x) p = u = t (x) (t\u)
+            left = q._tensor(q._residual_left(u, p), p)
+            right = q._tensor(t, q._residual_right(t, u))
+            assert LV.is_hom(p, t, u) == (left == u == right), (p, t, u)
 
     def test_divisible_equivalence_on_chains(self, luk3, diamond):
         # for divisible instances membership is exactly u <= p meet q

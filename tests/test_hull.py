@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -43,6 +44,7 @@ from enritch.hull import (
     tight_span_restriction,
     tighten,
 )
+from enritch.parmet import ParMetSpace, to_category
 from enritch.quantale import (
     LAWVERE,
     boolean_quantale,
@@ -50,7 +52,7 @@ from enritch.quantale import (
     nilpotent_minimum_chain,
 )
 
-from conftest import make_category
+from conftest import make_category, random_partial_metric
 
 
 def boolean_setoid(boolean, pattern):
@@ -523,6 +525,59 @@ class TestSharedFunctorSearch:
                 found[1] += want is not None
         # both outcomes occur, so neither branch is compared vacuously
         assert 0 < found[0] < extensions and 0 < found[1] < retractions
+
+
+def lawvere_pair():
+    """A valid 2-point partial metric as a category over the extended rationals."""
+    v = LAWVERE.parse_value
+    return to_category(ParMetSpace(("a", "b"), ((v("1"), v("3")), (v("3"), v("2")))))
+
+
+def identity_functor(c):
+    return QFunctor(c, c, c.names)
+
+
+class TestLawvereInput:
+    """Enumeration over the extended rationals is refused by the kernel alone
+    (``objects`` and ``hom``); what does not enumerate runs there exactly."""
+
+    REFUSED = {
+        "tight_span": tight_span,
+        "is_hypercomplete": is_hypercomplete,
+        "one_point_extensions": lambda c: list(one_point_extensions(c)),
+        "tighten": lambda c: tighten(c, yoneda(c, "a")),
+        "tight_span_restriction": lambda c: tight_span_restriction(identity_functor(c)),
+        "is_essential_bruteforce": lambda c: is_essential_bruteforce(identity_functor(c)),
+        "enumerate_symmetric_categories": lambda c: list(
+            enumerate_symmetric_categories(c.quantaloid, 2)
+        ),
+        "enumerate_presheaves": enumerate_presheaves,
+        "enumerate_ambient": enumerate_ambient,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(REFUSED))
+    def test_enumerating_entry_points_refuse(self, entry):
+        with pytest.raises(UnsupportedQuantaleError):
+            self.REFUSED[entry](lawvere_pair())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extend_along_matches_the_reference(self, seed):
+        rng = random.Random(seed)
+        # few self-distances, so points often share a type and the pools overlap
+        x_cat = to_category(random_partial_metric(rng, 3, max_self=2, denominators=(1,)))
+        subs = [
+            full_subcategory(x_cat, names)
+            for size in range(len(x_cat) + 1)
+            for names in itertools.combinations(x_cat.names, size)
+        ]
+        for w in subs:
+            f = inclusion_functor(w, x_cat)
+            for v in subs:
+                if set(w.names) <= set(v.names):
+                    g = inclusion_functor(w, v)
+                    want = reference_extend_along(f, g)
+                    assert want is not None  # the inclusion of v extends f
+                    assert same_functor(extend_along(f, g), want), (w.names, v.names)
 
 
 class TestExtensions:
