@@ -229,6 +229,10 @@ class QFunctor:
     assignment: tuple[str, ...]
 
     def __post_init__(self):
+        if self.domain.objects.quantaloid is not self.codomain.objects.quantaloid:
+            raise ShapeMismatchError("domain and codomain live over different quantaloids")
+        if type(self.assignment) is not tuple:
+            object.__setattr__(self, "assignment", tuple(self.assignment))
         if len(self.assignment) != len(self.domain):
             raise ShapeMismatchError("assignment must cover every domain object")
         for target in self.assignment:
@@ -383,6 +387,8 @@ class Presheaf:
     values: tuple
 
     def __post_init__(self):
+        if type(self.values) is not tuple:
+            object.__setattr__(self, "values", tuple(self.values))
         dq = self.base.quantaloid
         if not dq.is_object(self.q):
             raise PreconditionError(

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import PreconditionError, UnsupportedQuantaleError
-from .quantale import Quantale
+from .quantale import Quantale, _first_witness
 
 __all__ = ["DiagonalQuantaloid", "diagonal_quantaloid"]
 
@@ -174,38 +174,34 @@ class FiniteDiagonals(DiagonalQuantaloid):
         self._meet, self._top = q.meet_table, q.top
 
     def _verify_kernels(self) -> None:
-        q = self.quantale
-        for (p, t), hom in self._homs.items():
+        q, homs, fmt = self.quantale, self._homs, self.quantale.format_value
+
+        def hom_fault(p, t):
+            hom = homs[(p, t)]
             if q.bottom not in hom:
-                raise PreconditionError(
-                    f"hom({q.format_value(p)}, {q.format_value(t)}) misses the bottom;"
-                    " the quantale is not join-preserving enough for diagonals"
-                )
-            for u in hom:
-                for v in hom:
-                    if q._join((u, v)) not in hom:
-                        raise PreconditionError(
-                            f"hom({q.format_value(p)}, {q.format_value(t)})"
-                            " is not closed under joins"
-                        )
-        for p in q.payloads():
-            if self.identity(p) not in self._homs[(p, p)]:
-                raise PreconditionError(
-                    f"identity {q.format_value(p)} is not a diagonal on itself"
-                )
-        for p in q.payloads():
-            for m in q.payloads():
-                for r in q.payloads():
-                    for u in self._homs[(p, m)]:
-                        for v in self._homs[(m, r)]:
-                            a, b, c = _composites(q, u, m, v)
-                            if not (a == b == c):
-                                raise PreconditionError(
-                                    "the three composition expressions disagree at "
-                                    f"({q.format_value(u)}: {q.format_value(p)}->"
-                                    f"{q.format_value(m)}, {q.format_value(v)}: "
-                                    f"{q.format_value(m)}->{q.format_value(r)})"
-                                )
+                return (f"hom({fmt(p)}, {fmt(t)}) misses the bottom; the quantale"
+                        " is not join-preserving enough for diagonals")
+            if any(q._join((u, v)) not in hom for u in hom for v in hom):
+                return f"hom({fmt(p)}, {fmt(t)}) is not closed under joins"
+            return None
+
+        def composite_fault(p, m, r):
+            return next((
+                "the three composition expressions disagree at "
+                f"({fmt(u)}: {fmt(p)}->{fmt(m)}, {fmt(v)}: {fmt(m)}->{fmt(r)})"
+                for u in homs[(p, m)] for v in homs[(m, r)]
+                if len(set(_composites(q, u, m, v))) > 1
+            ), None)
+
+        # Every message is non-empty, so ``or`` runs the next scan only on None.
+        message = (
+            _first_witness(q, 2, hom_fault)
+            or _first_witness(q, 1, lambda p: None if self.identity(p) in homs[(p, p)]
+                              else f"identity {fmt(p)} is not a diagonal on itself")
+            or _first_witness(q, 3, composite_fault)
+        )
+        if message is not None:
+            raise PreconditionError(message)
 
     def is_hom(self, p, t, u) -> bool:
         return u in self._homs[(p, t)]

@@ -17,6 +17,7 @@ underscore operations of their quantale; ``parse_value`` and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
@@ -329,24 +330,18 @@ class FiniteQuantale(Quantale):
     @property
     def top(self) -> int:
         if self._top is None:
-            n = len(self.elements)
-            for c in range(n):
-                if all(self.leq_table[a][c] for a in range(n)):
-                    self._top = c
-                    break
-            else:
+            self._top = _first_witness(self, 1, lambda c: c if all(
+                self.leq_table[a][c] for a in self.payloads()) else None)
+            if self._top is None:
                 raise SchemaError("the order has no top element")
         return self._top
 
     @property
     def bottom(self) -> int:
         if self._bottom is None:
-            n = len(self.elements)
-            for c in range(n):
-                if all(self.leq_table[c][a] for a in range(n)):
-                    self._bottom = c
-                    break
-            else:
+            self._bottom = _first_witness(self, 1, lambda c: c if all(
+                self.leq_table[c][a] for a in self.payloads()) else None)
+            if self._bottom is None:
                 raise SchemaError("the order has no bottom element")
         return self._bottom
 
@@ -367,19 +362,12 @@ class FiniteQuantale(Quantale):
     def is_divisible(self) -> bool:
         """u <= q implies (u/q) (x) q = u = q (x) (q\\u), tested exhaustively."""
         if self._divisible is None:
-            self._divisible = True
-            for q in self.payloads():
-                for u in self.payloads():
-                    if not self.leq_table[u][q]:
-                        continue
-                    if (
-                        self._tensor(self._residual_left(u, q), q) != u
-                        or self._tensor(q, self._residual_right(q, u)) != u
-                    ):
-                        self._divisible = False
-                        break
-                if not self._divisible:
-                    break
+            self._divisible = _first_witness(
+                self, 2, lambda q, u: (q, u) if self.leq_table[u][q] and (
+                    self._tensor(self._residual_left(u, q), q) != u
+                    or self._tensor(q, self._residual_right(q, u)) != u
+                ) else None
+            ) is None
         return self._divisible
 
     def to_dict(self) -> dict:
@@ -442,126 +430,85 @@ class LawReport:
         }
 
 
+def _first_witness(q: Quantale, arity: int, witness):
+    """The first ``witness(*elements)`` that is not None, over the ``arity``-tuples
+    of payloads in load order with the last position varying fastest."""
+    for elements in itertools.product(q.payloads(), repeat=arity):
+        found = witness(*elements)
+        if found is not None:
+            return found
+    return None
+
+
 def check_quantale_laws(q: FiniteQuantale) -> LawReport:
-    """Exhaustively verify every defining law; witnesses name offending elements."""
-    results: list[tuple[str, bool, str | None]] = []
-    names = q.elements
-    rng = range(len(names))
+    """Exhaustively verify every defining law; witnesses name offending elements.
 
-    def record(law: str, witness: str | None):
-        results.append((law, witness is None, witness))
+    A witness is the first failing element tuple in load order, the last
+    position varying fastest.  A broken order or lattice ends the report,
+    since every later law reads the join table.
+    """
+    names, leq, tensor, involve = q.elements, q.leq_table, q._tensor, q._involve
 
-    def partial_order_witness() -> str | None:
-        for a in rng:
-            if not q.leq_table[a][a]:
-                return f"not reflexive at {names[a]}"
-        for a in rng:
-            for b in rng:
-                if a != b and q.leq_table[a][b] and q.leq_table[b][a]:
-                    return f"not antisymmetric at ({names[a]}, {names[b]})"
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if q.leq_table[a][b] and q.leq_table[b][c] and not q.leq_table[a][c]:
-                        return f"not transitive at ({names[a]}, {names[b]}, {names[c]})"
-        return None
+    def report(laws: list[tuple[str, str | None]]) -> LawReport:
+        return LawReport(tuple((law, witness is None, witness) for law, witness in laws))
 
-    witness = partial_order_witness()
-    record("partial_order", witness)
-    if witness is not None:
-        return LawReport(tuple(results))
+    def at(*elements) -> str:
+        """One element by name, several as a parenthesized tuple of names."""
+        if len(elements) == 1:
+            return names[elements[0]]
+        return "(" + ", ".join(names[e] for e in elements) + ")"
 
+    def failure(arity: int, fails, prefix: str = "") -> str | None:
+        return _first_witness(q, arity, lambda *e: prefix + at(*e) if fails(*e) else None)
+
+    # Each prefixed witness is non-empty, so ``or`` runs the next scan only on None.
+    order = (
+        failure(1, lambda a: not leq[a][a], "not reflexive at ")
+        or failure(2, lambda a, b: a != b and leq[a][b] and leq[b][a], "not antisymmetric at ")
+        or failure(3, lambda a, b, c: leq[a][b] and leq[b][c] and not leq[a][c],
+                   "not transitive at ")
+    )
+    if order is not None:
+        return report([("partial_order", order)])
     try:
         q._derive_lattice()
-        record("complete_lattice", None)
     except SchemaError as exc:
-        record("complete_lattice", str(exc))
-        return LawReport(tuple(results))
+        return report([("partial_order", None), ("complete_lattice", str(exc))])
+    join, bottom, unit = q.join_table, q.bottom, q.unit
 
-    def associativity_witness() -> str | None:
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if q._tensor(q._tensor(a, b), c) != q._tensor(a, q._tensor(b, c)):
-                        return f"({names[a]}, {names[b]}, {names[c]})"
+    # Binary and empty joins suffice for arbitrary joins in a finite lattice.
+    def join_fault(a, b, c):
+        jbc = join[b][c]
+        if tensor(a, jbc) != join[tensor(a, b)][tensor(a, c)]:
+            return "left arg at " + at(a, b, c)
+        if tensor(jbc, a) != join[tensor(b, a)][tensor(c, a)]:
+            return "right arg at " + at(a, b, c)
         return None
 
-    record("tensor_associative", associativity_witness())
-
-    def unit_witness() -> str | None:
-        for a in rng:
-            if q._tensor(q.unit, a) != a or q._tensor(a, q.unit) != a:
-                return names[a]
-        return None
-
-    record("unit_identity", unit_witness())
-    record(
-        "unit_is_top",
-        None if q.unit == q.top else f"unit {names[q.unit]} is not the top element",
-    )
-
-    def join_preservation_witness() -> str | None:
-        # Binary and empty joins suffice for arbitrary joins in a finite lattice.
-        for a in rng:
-            if q._tensor(a, q.bottom) != q.bottom or q._tensor(q.bottom, a) != q.bottom:
-                return f"bottom not absorbed at {names[a]}"
-            for b in rng:
-                for c in rng:
-                    jbc = q.join_table[b][c]
-                    if q._tensor(a, jbc) != q.join_table[q._tensor(a, b)][q._tensor(a, c)]:
-                        return f"left arg at ({names[a]}, {names[b]}, {names[c]})"
-                    if q._tensor(jbc, a) != q.join_table[q._tensor(b, a)][q._tensor(c, a)]:
-                        return f"right arg at ({names[a]}, {names[b]}, {names[c]})"
-        return None
-
-    record("tensor_join_preserving", join_preservation_witness())
-
-    def involution_witnesses() -> tuple[str | None, str | None, str | None]:
-        invol = None
-        for a in rng:
-            if q._involve(q._involve(a)) != a:
-                invol = names[a]
-                break
-        anti = None
-        for a in rng:
-            for b in rng:
-                if q._involve(q._tensor(a, b)) != q._tensor(q._involve(b), q._involve(a)):
-                    anti = f"({names[a]}, {names[b]})"
-                    break
-            if anti:
-                break
-        joins = None
-        if q._involve(q.bottom) != q.bottom:
-            joins = "bottom not preserved"
-        else:
-            for a in rng:
-                for b in rng:
-                    if q._involve(q.join_table[a][b]) != q.join_table[q._involve(a)][q._involve(b)]:
-                        joins = f"({names[a]}, {names[b]})"
-                        break
-                if joins:
-                    break
-        return invol, anti, joins
-
-    invol, anti, joins = involution_witnesses()
-    record("involution_involutive", invol)
-    record("involution_antihomomorphism", anti)
-    record("involution_join_preserving", joins)
-
-    def adjunction_witness() -> str | None:
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    lhs = q.leq_table[q._tensor(a, b)][c]
-                    mid = q.leq_table[a][q._residual_left(c, b)]
-                    rhs = q.leq_table[b][q._residual_right(a, c)]
-                    if not (lhs == mid == rhs):
-                        return f"({names[a]}, {names[b]}, {names[c]})"
-        return None
-
-    record("residuation_adjunction", adjunction_witness())
-
-    return LawReport(tuple(results))
+    return report([
+        ("partial_order", None),
+        ("complete_lattice", None),
+        ("tensor_associative", failure(
+            3, lambda a, b, c: tensor(tensor(a, b), c) != tensor(a, tensor(b, c))
+        )),
+        ("unit_identity", failure(1, lambda a: tensor(unit, a) != a or tensor(a, unit) != a)),
+        ("unit_is_top", None if unit == q.top else f"unit {names[unit]} is not the top element"),
+        ("tensor_join_preserving", _first_witness(q, 1, lambda a: (
+            "bottom not absorbed at " + at(a)
+            if tensor(a, bottom) != bottom or tensor(bottom, a) != bottom
+            else _first_witness(q, 2, lambda b, c: join_fault(a, b, c))
+        ))),
+        ("involution_involutive", failure(1, lambda a: involve(involve(a)) != a)),
+        ("involution_antihomomorphism", failure(
+            2, lambda a, b: involve(tensor(a, b)) != tensor(involve(b), involve(a))
+        )),
+        ("involution_join_preserving", "bottom not preserved" if involve(bottom) != bottom
+         else failure(2, lambda a, b: involve(join[a][b]) != join[involve(a)][involve(b)])),
+        ("residuation_adjunction", failure(3, lambda a, b, c: not (
+            leq[tensor(a, b)][c] == leq[a][q._residual_left(c, b)]
+            == leq[b][q._residual_right(a, c)]
+        ))),
+    ])
 
 
 # -- built-in instances ---------------------------------------------------

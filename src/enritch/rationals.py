@@ -25,12 +25,15 @@ __all__ = ["ExtRat", "INF", "ZERO", "integer_rows"]
 
 
 class ExtRat:
-    """A non-negative rational or infinity, immutable and hashable."""
+    """A non-negative rational or infinity, immutable and hashable, built from
+    an int, a Fraction or None (infinity); text goes through ``parse``."""
 
     __slots__ = ("_frac",)
 
     def __init__(self, value: int | Fraction | None = 0):
         if value is not None:
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"ExtRat takes an int, a Fraction or None, got {value!r}")
             value = Fraction(value)
             if value < 0:
                 raise ValueError(f"ExtRat must be non-negative, got {value}")

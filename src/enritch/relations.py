@@ -4,7 +4,8 @@ A ``TypedSet`` is a finite list of named objects, each carrying a type from
 the symmetric objects of a diagonal quantaloid.  A ``QRelation`` from X to Y
 stores one diagonal value |x| -> |y| per pair; composition joins through the
 middle set, residuation meets across it, and the involution transposes with
-entrywise involution.  Matrices are dense, validated eagerly, and immutable.
+entrywise involution.  Matrices are dense, validated eagerly, and immutable;
+list inputs are stored as tuples, so that they compare and hash like tuples.
 
 Empty sets are legal throughout; composites over an empty middle set give
 the bottom relation, residuals over an empty index give hom-lattice tops.
@@ -42,6 +43,10 @@ class TypedSet:
     types: tuple
 
     def __post_init__(self):
+        if type(self.names) is not tuple:
+            object.__setattr__(self, "names", tuple(self.names))
+        if type(self.types) is not tuple:
+            object.__setattr__(self, "types", tuple(self.types))
         if len(self.names) != len(self.types):
             raise ShapeMismatchError("names and types must have equal length")
         if len(set(self.names)) != len(self.names):
@@ -86,11 +91,16 @@ class QRelation:
         if self.source.quantaloid is not self.target.quantaloid:
             raise ShapeMismatchError("source and target live over different quantaloids")
         dq = self.source.quantaloid
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         if len(self.entries) != len(self.source):
             raise ShapeMismatchError(
                 f"expected {len(self.source)} rows, got {len(self.entries)}"
             )
         for i, row in enumerate(self.entries):
+            if type(row) is not tuple:
+                object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+                return self.__post_init__()
             if len(row) != len(self.target):
                 raise ShapeMismatchError(
                     f"row {i} has {len(row)} entries, expected {len(self.target)}"

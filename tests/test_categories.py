@@ -5,6 +5,7 @@ import pytest
 
 from enritch.categories import (
     Presheaf,
+    QCategory,
     QFunctor,
     check_adjunction,
     cograph,
@@ -24,12 +25,45 @@ from enritch.categories import (
 )
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import PreconditionError, ShapeMismatchError, UnsupportedQuantaleError
-from enritch.hull import all_functors, enumerate_symmetric_categories, functor_compose
+from enritch.hull import (
+    all_functors,
+    enumerate_symmetric_categories,
+    functor_compose,
+    one_point_extensions,
+    tight_span,
+)
 from enritch.quantale import LAWVERE
-from enritch.relations import rel_compose, rel_involve, rel_residual
+from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve, rel_residual
 
 from conftest import make_category
 from test_relations import random_relation
+
+
+class TestListInputs:
+    def test_lists_build_the_same_values_as_tuples(self, boolean):
+        dq = diagonal_quantaloid(boolean)
+        carrier = TypedSet(dq, ("a", "b"), (1, 1))
+        c = QCategory(carrier, QRelation(carrier, carrier, ((1, 0), (0, 1))))
+        listed_carrier = TypedSet(dq, ["a", "b"], [1, 1])
+        listed = QCategory(
+            listed_carrier, QRelation(listed_carrier, listed_carrier, [[1, 0], [0, 1]])
+        )
+        assert listed == c and hash(listed) == hash(c)
+        assert is_symmetric(listed)
+        assert tight_span(listed).category == tight_span(c).category
+        assert list(one_point_extensions(listed)) == list(one_point_extensions(c))
+        f = QFunctor(listed, c, ["a", "b"])
+        assert f == QFunctor(c, c, ("a", "b")) and hash(f) == hash(QFunctor(c, c, ("a", "b")))
+        mu = Presheaf(listed, 1, [1, 0])
+        assert mu == yoneda(c, "a") and hash(mu) == hash(yoneda(c, "a"))
+
+    def test_tuple_inputs_are_kept_without_a_copy(self, boolean):
+        dq = diagonal_quantaloid(boolean)
+        names, types, rows = ("a", "b"), (1, 1), ((1, 0), (0, 1))
+        carrier = TypedSet(dq, names, types)
+        hom = QRelation(carrier, carrier, rows)
+        assert carrier.names is names and carrier.types is types
+        assert hom.entries is rows
 
 
 class TestValidation:
@@ -212,6 +246,13 @@ class TestFunctors:
 
         sub = full_subcategory(big, ["a", "c"])
         assert is_fully_faithful(inclusion_functor(sub, big))
+
+    def test_categories_over_different_quantaloids_refused(self, boolean, luk3):
+        # payload 1 is "1" in boolean but "1/2" in lukasiewicz3
+        x = make_category(boolean, ["p"], ["1"], [["1"]])
+        y = make_category(luk3, ["p", "q"], ["1", "1"], [["1", "1/2"], ["1/2", "1"]])
+        with pytest.raises(ShapeMismatchError, match="different quantaloids"):
+            QFunctor(x, y, ("p",))
 
     def test_unknown_object_name_is_a_shape_mismatch(self, luk3):
         from enritch.hull import full_subcategory

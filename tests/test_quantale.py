@@ -1,12 +1,21 @@
 import json
 import random
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import SchemaError
-from enritch.quantale import LAWVERE, FiniteQuantale, check_quantale_laws
+from enritch.quantale import (
+    LAWVERE,
+    FiniteQuantale,
+    boolean_quantale,
+    check_quantale_laws,
+    diamond_frame,
+    lukasiewicz_chain,
+    nilpotent_minimum_chain,
+)
 from enritch.rationals import INF, ZERO, ExtRat
 
 Q = LAWVERE
@@ -192,6 +201,21 @@ BOOLEAN_DOC = {
 
 
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("boolean", boolean_quantale),
+            ("lukasiewicz3", lambda: lukasiewicz_chain(3)),
+            ("lukasiewicz5", lambda: lukasiewicz_chain(5)),
+            ("nilmin5", lambda: nilpotent_minimum_chain(5)),
+            ("diamond", diamond_frame),
+        ],
+    )
+    def test_shipped_file_matches_builtin(self, name, make):
+        # The CLI and the benchmark read the files; the tests build the instances.
+        shipped = files("enritch") / "data" / f"{name}.json"
+        assert json.loads(shipped.read_text()) == make().to_dict()
+
     def test_round_trip(self, luk5):
         data = luk5.to_dict()
         again = FiniteQuantale.from_dict(data, name=luk5.name)

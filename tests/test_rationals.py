@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,12 @@ class TestConstruction:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ExtRat(Fraction(-1, 2))
+
+    def test_only_int_fraction_or_none_accepted(self):
+        assert ExtRat(None) == INF and ExtRat(3) == ExtRat(Fraction(3))
+        for bad in [0.1, 0.5, "3/4", "inf", Decimal("1")]:
+            with pytest.raises(TypeError, match="an int, a Fraction or None"):
+                ExtRat(bad)
 
     def test_immutable(self):
         a = er(1)
