@@ -159,6 +159,22 @@ def is_symmetric(c: QCategory) -> bool:
     return c.hom == rel_involve(c.hom)
 
 
+def _require_symmetric(c: QCategory) -> None:
+    """Refuse a category that is not valid and symmetric.
+
+    Success is decided once per instance and kept in an attribute outside
+    the dataclass fields, which ``==``, ``hash`` and ``to_dict`` ignore; a
+    refusal is not kept.  It is assigned rather than cached through
+    ``__dict__``, which would give every checked category a dict of its own.
+    """
+    if getattr(c, "_symmetric", False):
+        return
+    require_valid(c)
+    if not is_symmetric(c):
+        raise PreconditionError("the category must be symmetric")
+    object.__setattr__(c, "_symmetric", True)
+
+
 def symmetrize(c: QCategory) -> QCategory:
     """Meet the hom with its involution transpose; the result is again valid."""
     require_valid(c)
@@ -312,18 +328,30 @@ def require_functor(f: QFunctor) -> None:
         raise PreconditionError(f"not a functor: {report.to_dict()}")
 
 
-def is_fully_faithful(f: QFunctor) -> bool:
-    """Entrywise hom equality, cross-checked against cograph . graph = hom."""
-    require_functor(f)
+def _fully_faithful(f: QFunctor) -> bool:
+    """Entrywise hom equality, trusting that f is already a valid functor."""
     dom, cod = f.domain, f.codomain
     cod_index = [cod.objects.index(t) for t in f.assignment]
+    dom_hom, cod_hom = dom.hom.entries, cod.hom.entries
     n = len(dom)
-    pointwise = all(
-        dom.hom.entries[i][j] == cod.hom.entries[cod_index[i]][cod_index[j]]
+    return all(
+        dom_hom[i][j] == cod_hom[cod_index[i]][cod_index[j]]
         for i in range(n)
         for j in range(n)
     )
-    via_graphs = rel_compose(cograph(f), graph(f)) == dom.hom
+
+
+def is_fully_faithful(f: QFunctor) -> bool:
+    """Entrywise hom equality, cross-checked against cograph . graph = hom.
+
+    This is the validating boundary: it refuses an invalid functor, and a
+    disagreement between the two criteria raises ``InvariantError``.  The
+    essentiality search calls the pointwise ``_fully_faithful`` directly on
+    functors its own search built or composed from valid ones.
+    """
+    require_functor(f)
+    pointwise = _fully_faithful(f)
+    via_graphs = rel_compose(cograph(f), graph(f)) == f.domain.hom
     if pointwise != via_graphs:
         raise InvariantError("fully-faithful criteria disagree")
     return pointwise

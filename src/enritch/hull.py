@@ -47,6 +47,8 @@ from .categories import (
     QCategory,
     QFunctor,
     _distributor_holds,
+    _fully_faithful,
+    _require_symmetric,
     cograph,
     enumerate_presheaves,
     graph,
@@ -54,7 +56,6 @@ from .categories import (
     is_symmetric,
     presheaf_hom,
     require_functor,
-    require_valid,
     underlying_order,
     validate_category,
     validate_functor,
@@ -91,12 +92,6 @@ __all__ = [
     "enumerate_symmetric_categories",
     "enumerate_ambient",
 ]
-
-
-def _require_symmetric(c: QCategory) -> None:
-    require_valid(c)
-    if not is_symmetric(c):
-        raise PreconditionError("the category must be symmetric")
 
 
 # -- membership -------------------------------------------------------------
@@ -651,6 +646,12 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
     bound, and for each codomain (keyed on the category itself) the
     functors g that are not fully faithful, with the index of their Z.
     A call then composes only those g with f.
+
+    Only the entry checks validate: ``is_fully_faithful(f)`` refuses an
+    invalid f and cross-checks its answer, and both ends of f must be valid
+    and symmetric.  The inner loops trust what they test, since every g
+    comes out of the validating functor search and g . f composes two valid
+    functors, and use the pointwise ``_fully_faithful``.
     """
     if not is_fully_faithful(f):
         raise PreconditionError("essentiality is only defined for fully faithful functors")
@@ -675,10 +676,10 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
             (k, g)
             for k, z_cat in enumerate(receivers)
             for g in all_functors(cod, z_cat)
-            if not is_fully_faithful(g)
+            if not _fully_faithful(g)
         )
     for k, g in non_full:
-        if is_fully_faithful(functor_compose(g, f)):
+        if _fully_faithful(functor_compose(g, f)):
             return EssentialResult(False, (g.codomain, g), k + 1)
     return EssentialResult(True, None, len(receivers))
 

@@ -97,21 +97,23 @@ class QRelation:
             raise ShapeMismatchError(
                 f"expected {len(self.source)} rows, got {len(self.entries)}"
             )
-        for i, row in enumerate(self.entries):
+        width = len(self.target)
+        is_hom = dq.is_hom
+        target_types = self.target.types
+        for i, (row, s) in enumerate(zip(self.entries, self.source.types)):
             if type(row) is not tuple:
                 object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
                 return self.__post_init__()
-            if len(row) != len(self.target):
+            if len(row) != width:
                 raise ShapeMismatchError(
-                    f"row {i} has {len(row)} entries, expected {len(self.target)}"
+                    f"row {i} has {len(row)} entries, expected {width}"
                 )
-            for j, u in enumerate(row):
-                if not dq.is_hom(self.source.types[i], self.target.types[j], u):
+            for j, (u, t) in enumerate(zip(row, target_types)):
+                if not is_hom(s, t, u):
                     raise PreconditionError(
                         f"entry ({self.source.names[i]}, {self.target.names[j]}) ="
                         f" {dq.format(u)} is not a diagonal"
-                        f" {dq.format(self.source.types[i])} ->"
-                        f" {dq.format(self.target.types[j])}"
+                        f" {dq.format(s)} -> {dq.format(t)}"
                     )
 
     @property

@@ -25,6 +25,7 @@ from enritch.categories import (
 from enritch.cli import main
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import PreconditionError, SchemaError, ShapeMismatchError
+from enritch.hull import is_hypercomplete, one_point_extensions, tight_span
 from enritch.parmet import ParMetSpace, RadiusFunction, ambient_violation
 from enritch.quantale import FiniteQuantale, boolean_quantale
 from enritch.rationals import ZERO, ExtRat
@@ -176,6 +177,11 @@ def indiscrete_pair():
     return make_category(BOOL, ["a", "b"], ["1", "1"], [["1", "1"], ["1", "1"]])
 
 
+def one_way_pair():
+    """hom(a, b) = 1, hom(b, a) = 0: a valid category that is not symmetric."""
+    return make_category(BOOL, ["a", "b"], ["1", "1"], [["1", "1"], ["0", "1"]])
+
+
 CATEGORY_CASES = {
     "hom_not_on_the_carrier": in_memory(
         ShapeMismatchError,
@@ -249,6 +255,24 @@ def test_relations_refuse(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(CATEGORY_CASES))
 def test_categories_refuse(case, tmp_path, capsys):
     refused(CATEGORY_CASES[case], tmp_path, capsys)
+
+
+# A category is decided symmetric once and the answer kept on it; a refusal
+# is not kept, so every later call refuses again with the same message.
+NOT_SYMMETRIC_INPUTS = {
+    "not_valid": (lambda: make_category(BOOL, ["a"], ["1"], [["0"]]), "not a valid category"),
+    "not_symmetric": (one_way_pair, "the category must be symmetric"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_SYMMETRIC_INPUTS))
+def test_symmetry_refusal_repeats(case):
+    build, message = NOT_SYMMETRIC_INPUTS[case]
+    c = build()
+    for call in (tight_span, is_hypercomplete, lambda c: list(one_point_extensions(c))) * 3:
+        with pytest.raises(PreconditionError, match=message):
+            call(c)
+    assert "_symmetric" not in vars(c)
 
 
 @pytest.mark.parametrize("case", sorted(VERIFY_CASES))

@@ -8,6 +8,9 @@ import pytest
 from enritch.categories import (
     Presheaf,
     QFunctor,
+    _fully_faithful,
+    _require_symmetric,
+    cograph,
     enumerate_presheaves,
     graph,
     is_fully_faithful,
@@ -51,6 +54,7 @@ from enritch.quantale import (
     diamond_frame,
     nilpotent_minimum_chain,
 )
+from enritch.relations import rel_compose
 
 from conftest import make_category, random_partial_metric
 
@@ -793,6 +797,90 @@ class TestEssentialMemo:
         del q, pair, f
         gc.collect()
         assert ref() is None
+
+
+def via_graphs(f):
+    """The cross-check the validating is_fully_faithful keeps."""
+    return rel_compose(cograph(f), graph(f)) == f.domain.hom
+
+
+class TestTrustedFullyFaithful:
+    """is_essential_bruteforce tests fully-faithfulness pointwise, without
+    validating, on the functors all_functors yields and on the composites
+    g . f it forms; there the pointwise test must agree with cograph .
+    graph = hom, and every composite must be a valid functor."""
+
+    # Bound 2 at least: between categories of at most one object every
+    # functor is fully faithful, so no composite would be formed.
+    CASES = [("diamond", 2), ("luk3", 2), ("diamond_swap", 2)]
+
+    @pytest.mark.parametrize("fixture, bound", CASES, ids=[c[0] for c in CASES])
+    def test_pointwise_agrees_with_the_graph_criterion(self, request, fixture, bound):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        cats = list(enumerate_symmetric_categories(dq, bound))
+        receivers = {
+            size: list(
+                enumerate_symmetric_categories(dq, size, name_prefix="z", up_to_iso=True)
+            )
+            for size in range(1, bound + 2)
+        }
+        functor_verdicts, composite_verdicts = set(), set()
+        non_full = {}  # codomain -> the g the essentiality memo keeps
+        for x_cat in cats:
+            for y_cat in cats:
+                for f in all_functors(x_cat, y_cat):
+                    full = via_graphs(f)
+                    assert _fully_faithful(f) == full, f.as_dict()
+                    functor_verdicts.add(full)
+                    if not full:
+                        continue
+                    if y_cat not in non_full:
+                        non_full[y_cat] = []
+                        for z_cat in receivers[len(y_cat) + 1]:
+                            for g in all_functors(y_cat, z_cat):
+                                g_full = via_graphs(g)
+                                assert _fully_faithful(g) == g_full, g.as_dict()
+                                functor_verdicts.add(g_full)
+                                if not g_full:
+                                    non_full[y_cat].append(g)
+                    for g in non_full[y_cat]:
+                        h = functor_compose(g, f)
+                        assert validate_functor(h).valid, (f.as_dict(), g.as_dict())
+                        assert _fully_faithful(h) == via_graphs(h), h.as_dict()
+                        composite_verdicts.add(_fully_faithful(h))
+        # both answers occur, so neither side is compared vacuously
+        assert functor_verdicts == {True, False}
+        assert composite_verdicts == {True, False}
+
+
+def boolean_pair(boolean, rows):
+    return make_category(boolean, ["a", "b"], ["1", "1"], rows)
+
+
+class TestSymmetryMemo:
+    def test_success_is_decided_once(self, boolean, monkeypatch):
+        import enritch.categories as categories
+
+        calls = []
+        real = categories.validate_category
+        monkeypatch.setattr(
+            categories, "validate_category", lambda c: calls.append(c) or real(c)
+        )
+        c = boolean_pair(boolean, [["1", "0"], ["0", "1"]])
+        for _ in range(3):
+            _require_symmetric(c)
+        assert len(calls) == 1
+        assert "_symmetric" in vars(c)
+
+    def test_memo_takes_no_part_in_equality(self, boolean):
+        checked = boolean_pair(boolean, [["1", "1"], ["1", "1"]])
+        _require_symmetric(checked)
+        fresh = boolean_pair(boolean, [["1", "1"], ["1", "1"]])
+        assert "_symmetric" not in vars(fresh)
+        assert checked == fresh and fresh == checked
+        assert hash(checked) == hash(fresh)
+        assert checked.to_dict() == fresh.to_dict()
+        assert len({checked, fresh}) == 1
 
 
 class TestYonedaEssentiality:
