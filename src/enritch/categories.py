@@ -162,17 +162,33 @@ def is_symmetric(c: QCategory) -> bool:
 def _require_symmetric(c: QCategory) -> None:
     """Refuse a category that is not valid and symmetric.
 
-    Success is decided once per instance and kept in an attribute outside
-    the dataclass fields, which ``==``, ``hash`` and ``to_dict`` ignore; a
-    refusal is not kept.  It is assigned rather than cached through
-    ``__dict__``, which would give every checked category a dict of its own.
+    Success is decided once per instance and kept as the mark of
+    ``_mark_symmetric``; a refusal is not kept.  A marked category is
+    trusted without a check: either it passed here, or the hull built it
+    from a marked one in a way that keeps both laws (``one_point_extensions``
+    and ``full_subcategory`` say why).
     """
     if getattr(c, "_symmetric", False):
         return
     require_valid(c)
     if not is_symmetric(c):
         raise PreconditionError("the category must be symmetric")
-    object.__setattr__(c, "_symmetric", True)
+    _mark_symmetric(c)
+
+
+def _mark_symmetric(c: QCategory, parent: QCategory | None = None) -> None:
+    """Mark c as known to be valid and symmetric; given a parent, only when
+    the parent carries the mark.
+
+    The mark is an attribute outside the dataclass fields, which ``==``,
+    ``hash`` and ``to_dict`` ignore.  It is assigned rather than cached
+    through ``__dict__``, which would give every checked category a dict of
+    its own.  Only a category that passed ``_require_symmetric``, or one
+    built from a marked category by a construction that keeps both laws,
+    may carry it.
+    """
+    if parent is None or getattr(parent, "_symmetric", False):
+        object.__setattr__(c, "_symmetric", True)
 
 
 def symmetrize(c: QCategory) -> QCategory:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from .categories import QCategory, QFunctor, graph
+from .categories import QCategory, QFunctor, _fully_faithful, graph
 from .diagonals import diagonal_quantaloid
 from .errors import BoundExceededError
 from .hull import (
@@ -176,12 +176,14 @@ def run_suite(
     cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
 
     if theorem == "t54":
+        # all_functors yields validated functors only; each one kept is
+        # checked again by is_fully_faithful at is_essential_bruteforce's entry.
         functors = [
             f
             for x_cat in cats
             for y_cat in cats
             for f in all_functors(x_cat, y_cat)
-            if is_fully_faithful(f)
+            if _fully_faithful(f)
         ]
         results = [_t54_single(f, bound) for f in functors]
         label = "functors"

@@ -25,7 +25,7 @@ from enritch.categories import (
 from enritch.cli import main
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import PreconditionError, SchemaError, ShapeMismatchError
-from enritch.hull import is_hypercomplete, one_point_extensions, tight_span
+from enritch.hull import full_subcategory, is_hypercomplete, one_point_extensions, tight_span
 from enritch.parmet import ParMetSpace, RadiusFunction, ambient_violation
 from enritch.quantale import FiniteQuantale, boolean_quantale
 from enritch.rationals import ZERO, ExtRat
@@ -258,10 +258,15 @@ def test_categories_refuse(case, tmp_path, capsys):
 
 
 # A category is decided symmetric once and the answer kept on it; a refusal
-# is not kept, so every later call refuses again with the same message.
+# is not kept, so every later call refuses again with the same message.  A
+# full subcategory inherits the answer only from a parent that was checked.
 NOT_SYMMETRIC_INPUTS = {
     "not_valid": (lambda: make_category(BOOL, ["a"], ["1"], [["0"]]), "not a valid category"),
     "not_symmetric": (one_way_pair, "the category must be symmetric"),
+    "not_symmetric_subcategory": (
+        lambda: full_subcategory(one_way_pair(), ["a", "b"]),
+        "the category must be symmetric",
+    ),
 }
 
 

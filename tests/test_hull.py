@@ -14,8 +14,10 @@ from enritch.categories import (
     enumerate_presheaves,
     graph,
     is_fully_faithful,
+    is_symmetric,
     presheaf_hom,
     underlying_order,
+    validate_category,
     validate_functor,
     yoneda,
 )
@@ -55,6 +57,7 @@ from enritch.quantale import (
     nilpotent_minimum_chain,
 )
 from enritch.relations import rel_compose
+from enritch.verify import run_suite
 
 from conftest import make_category, random_partial_metric
 
@@ -881,6 +884,110 @@ class TestSymmetryMemo:
         assert hash(checked) == hash(fresh)
         assert checked.to_dict() == fresh.to_dict()
         assert len({checked, fresh}) == 1
+
+
+def marked(c):
+    return vars(c).get("_symmetric", False)
+
+
+class TestSymmetricMark:
+    """one_point_extensions and full_subcategory hand back categories marked
+    valid and symmetric, which _require_symmetric then trusts; the checks the
+    mark skips run here on every category of the t36 and t54 bounds."""
+
+    CASES = [
+        ("boolean", 3),
+        ("luk3", 3),
+        ("nilmin5", 2),
+        ("diamond", 2),
+        ("diamond_swap", 2),
+    ]
+
+    @staticmethod
+    def assert_checked(c):
+        assert marked(c), c.to_dict()
+        assert validate_category(c).valid, c.to_dict()
+        assert is_symmetric(c), c.to_dict()
+
+    @pytest.mark.parametrize("fixture, bound", CASES, ids=[c[0] for c in CASES])
+    def test_marks_are_sound(self, request, fixture, bound):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        extensions = subcategories = 0
+        for x_cat in enumerate_symmetric_categories(dq, bound):
+            for ext in one_point_extensions(x_cat):
+                self.assert_checked(ext)
+                extensions += 1
+            assert marked(x_cat)  # one_point_extensions checked it on entry
+            for size in range(len(x_cat) + 1):
+                for names in itertools.combinations(x_cat.names, size):
+                    self.assert_checked(full_subcategory(x_cat, names))
+                    subcategories += 1
+        assert extensions and subcategories
+
+    def test_unchecked_parent_leaves_subcategories_unmarked(self, boolean):
+        one_way = boolean_pair(boolean, [["1", "1"], ["0", "1"]])
+        # {a} alone is symmetric, but its parent was never checked
+        for size in range(3):
+            for names in itertools.combinations(one_way.names, size):
+                assert not marked(full_subcategory(one_way, names))
+
+
+class TestValidateOnce:
+    """find_one_point_retraction and extend_along trust the mark of a
+    one-point extension, and extend_along tests g pointwise once require_functor
+    has passed it."""
+
+    @pytest.mark.parametrize("fixture, bound", [("boolean", 2), ("luk3", 2)])
+    def test_extensions_are_not_validated_again(self, request, monkeypatch, fixture, bound):
+        import enritch.categories as categories
+
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        problems = []
+        for x_cat in enumerate_symmetric_categories(dq, bound):
+            _require_symmetric(x_cat)
+            for ext in one_point_extensions(x_cat):
+                problems.append((find_one_point_retraction, x_cat, ext))
+            problems.extend(
+                (extend_along, f, g) for f, g in t36_extension_family(x_cat)
+            )
+        calls = []
+        for name in ("require_valid", "rel_compose"):
+            real = getattr(categories, name)
+            monkeypatch.setattr(
+                categories,
+                name,
+                lambda *args, name=name, real=real: calls.append(name) or real(*args),
+            )
+        for call, a, b in problems:
+            call(a, b)
+        assert problems
+        # every category involved carries the mark, so nothing is revalidated
+        assert calls == []
+
+    CASES = [("boolean", 2), ("diamond", 2), ("nilmin5", 2), ("diamond_swap", 2)]
+
+    @pytest.mark.parametrize("fixture, bound", CASES, ids=[c[0] for c in CASES])
+    def test_t54_filter_matches_the_validating_filter(
+        self, request, monkeypatch, fixture, bound
+    ):
+        import enritch.verify as verify
+
+        quantale = request.getfixturevalue(fixture)
+        checked, validating = [], []
+        monkeypatch.setattr(
+            verify, "_t54_single", lambda f, bound: checked.append(f) or {"agree": True}
+        )
+        monkeypatch.setattr(
+            verify, "is_fully_faithful", lambda f: validating.append(f) or is_fully_faithful(f)
+        )
+        run_suite("t54", quantale, bound)
+        assert validating == []  # the filter trusts what all_functors yields
+        cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
+        every = [f for x in cats for y in cats for f in all_functors(x, y)]
+        want = [f for f in every if is_fully_faithful(f)]
+        assert 0 < len(want) < len(every)  # the filter drops some functors
+        assert len(checked) == len(want)
+        assert all(same_functor(got, f) for got, f in zip(checked, want))
 
 
 class TestYonedaEssentiality:
