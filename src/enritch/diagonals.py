@@ -11,7 +11,8 @@ category layers, with one implementation per kind of quantale:
 ``FiniteDiagonals`` for table-defined quantales and ``LawvereDiagonals`` for
 the extended rationals.  ``diagonal_quantaloid`` builds a quantale's kernel
 once and keeps it on the quantale; no other code asks whether a quantale
-is finite.  Over the extended rationals ``objects`` and ``hom`` refuse.
+is finite.  Over the extended rationals ``objects``, ``hom`` and
+``column_tables`` refuse.
 
 Closed forms for the extended-rational quantale (writing values numerically,
 ``-`` for the truncated difference and ``max`` in the standard order):
@@ -25,7 +26,10 @@ For finite quantales every hom is enumerated at construction, which
 verifies that homs are closed under joins, contain the bottom, and that the
 three composition expressions agree on every triple.  Once that has passed,
 the finite kernel is tabulated once per quantale: compose, both residuals and
-the hom meets become table lookups over element indices.
+the hom meets become table lookups over element indices.  ``column_tables(q)``
+hands a search over type-q columns those tables themselves (the meet, leq and
+involution tables, the top, and the residuals and hom meets out of q), so
+that its inner loops index tuples instead of calling the kernel.
 """
 
 from __future__ import annotations
@@ -119,6 +123,20 @@ class DiagonalQuantaloid:
 
     def format(self, payload) -> str:
         return self.quantale.format_value(payload)
+
+    # -- tables ------------------------------------------------------------
+
+    def column_tables(self, q) -> tuple:
+        """The lookup tables of a search over columns of type q (finite
+        quantales only): ``(meet, leq, involve, top, residual, hom_meet)``.
+
+        ``meet``, ``leq`` and ``involve`` are the quantale's tables over
+        element indices and ``top`` its top; ``residual[r][u][w]`` is
+        ``limpl(q, r, u, w)`` and ``hom_meet[t][m]`` is the largest element
+        of hom(q, t) below m, so ``hom_meet(q, t, (a, b))`` is
+        ``hom_meet[t][meet[a][b]]``.
+        """
+        raise NotImplementedError
 
 
 class FiniteDiagonals(DiagonalQuantaloid):
@@ -229,6 +247,11 @@ class FiniteDiagonals(DiagonalQuantaloid):
             m = meet[m][s]
         return self._hom_meet[p][t][m]
 
+    def column_tables(self, q) -> tuple:
+        quantale = self.quantale
+        return (self._meet, quantale.leq_table, quantale.involution_table, self._top,
+                self._limpl[q], self._hom_meet[q])
+
 
 class LawvereDiagonals(DiagonalQuantaloid):
     """Closed-form kernel of the extended rationals (see the module notes)."""
@@ -244,6 +267,12 @@ class LawvereDiagonals(DiagonalQuantaloid):
 
     def hom_top(self, p, t):
         return max(p, t)
+
+    def column_tables(self, q) -> tuple:
+        """Refused: the extended rationals have no finite tables."""
+        raise UnsupportedQuantaleError(
+            "the extended-rational quantaloid has no finite lookup tables"
+        )
 
     def compose(self, u, mid, v):
         return v.monus(mid) + u

@@ -24,9 +24,11 @@ those can be many more than the columns found.  The tight span of a tight
 span has only its Yoneda columns, yet it is not cheap.  Over nilmin5, the
 search over a 10-object span visits 383 nodes for its 10 columns and the one
 over the 13-object span 2,318 nodes for 13 columns; at bound 2 the ``l43``
-and ``t44`` suites together visit 3,064 and 4,636 such nodes for 80 and 26
-columns.  The codomain search inside ``tight_span_restriction`` takes about
-83 % of ``verify t44`` on nilmin5 at bound 3 under cProfile.
+and ``t44`` suites visit 6,363 and 7,173 nodes in all for 595 and 890
+columns.  The search runs on the diagonal kernel's lookup tables, so a node
+costs a few tuple lookups per object; it still takes about 47 % of ``verify
+t44`` on nilmin5 at bound 3 under cProfile, nearly all of it under
+``tight_span_restriction``.
 
 The injective hull of X is its tight span with the dense, fully faithful
 Yoneda embedding x |-> hom(-, x) (``TightSpan.yoneda_embedding``); tight
@@ -148,12 +150,6 @@ def _chain_bound(c: QCategory, q) -> int:
     return sum(len(dq.hom(t, q)) for t in c.objects.types) + 1
 
 
-def _tight_step(c: QCategory, q, values: Sequence) -> tuple:
-    """One application of the tightness operator (involution of the residual)."""
-    dq = c.quantaloid
-    return tuple(dq.involve(r) for r in _tight_residual(c, q, values))
-
-
 def is_tight_column(c: QCategory, q, values: Sequence) -> bool:
     """mu deg = hom <swarrow> mu for a raw column; such a column is
     automatically a presheaf (checked)."""
@@ -235,6 +231,11 @@ def tighten(c: QCategory, mu: Presheaf) -> Presheaf:
 def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
     """All tight columns of type q, in lexicographic hom order.
 
+    The search runs on the finite kernel's tables (``column_tables``): a
+    hom meet is a lookup after one meet-table step, and the residual
+    hom(x, z) <swarrow> v is read from a row per coordinate x and value v,
+    built once per search.
+
     The search space is first narrowed to the interval [lo, hi] between the
     least and greatest fixed points of the squared tightness operator (the
     operator itself is antitone, so its square is monotone and every tight
@@ -245,7 +246,7 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
     hom(q, |z|).  A candidate v for mu(k) is admissible iff v deg lies below
     the meet of row_k(k) and hom(k, k) <swarrow> v; the mirrored inequalities
     are the involutes of these, since the category is symmetric.  Appending
-    v costs n residuals and n two-argument hom meets.
+    v reads its residual row and costs n two-element hom meets.
 
     The cut: every open coordinate x >= k stays below hi(x) and <swarrow>
     is antitone in mu, so the final residual at z is at least
@@ -263,12 +264,32 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
         yield ()
         return
 
+    meet, leq, involve, top, limpl, hom_meet = dq.column_tables(q)
+    # caps[z][m]: the largest element of hom(q, |z|) below m.
+    caps = [hom_meet[t] for t in types]
+    # residual[x][v][z] = hom(x, z) <swarrow> v.
+    residual = [
+        [tuple(limpl[t][v][h] for t, h in zip(types, hom[x])) for v in range(len(involve))]
+        for x in range(n)
+    ]
+
+    def tight_step(values: tuple) -> tuple:
+        """(hom <swarrow> mu) deg: one application of the tightness operator."""
+        rows = [residual[x][v] for x, v in enumerate(values)]
+        out = []
+        for z, cap in enumerate(caps):
+            m = top
+            for row in rows:
+                m = meet[m][row[z]]
+            out.append(involve[cap[m]])
+        return tuple(out)
+
     steps = _chain_bound(c, q)
 
     def f2_limit(start: tuple) -> tuple:
         current = start
         for _ in range(steps):
-            nxt = _tight_step(c, q, _tight_step(c, q, current))
+            nxt = tight_step(tight_step(current))
             if nxt == current:
                 return current
             current = nxt
@@ -277,48 +298,43 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
     lo = f2_limit(tuple(dq.hom_bottom(t, q) for t in types))
     hi = f2_limit(tuple(dq.hom_top(t, q) for t in types))
     domains = [
-        tuple(
-            v
-            for v in dq.hom(types[z], q)
-            if dq.leq(lo[z], v) and dq.leq(v, hi[z])
-        )
+        tuple(v for v in dq.hom(types[z], q) if leq[lo[z]][v] and leq[v][hi[z]])
         for z in range(n)
     ]
 
-    limpl, hom_meet, leq, involve = dq.limpl, dq.hom_meet, dq.leq, dq.involve
     # floor[k][z]: the residual at z of the coordinates x >= k, each at hi[x].
     floor = [()] * n + [tuple(dq.hom_top(q, t) for t in types)]
     for x in reversed(range(n)):
         floor[x] = tuple(
-            hom_meet(q, types[z], (floor[x + 1][z], limpl(q, types[z], hi[x], hom[x][z])))
-            for z in range(n)
+            cap[meet[above][r]] for cap, above, r in zip(caps, floor[x + 1], residual[x][hi[x]])
         )
     # ceiling[z]: mu(z) deg for the fixed coordinates, hi[z] deg for the rest.
-    ceiling = [involve(v) for v in hi]
+    ceiling = [involve[v] for v in hi]
     partial: list = []
 
     def walk(k: int, row: Sequence) -> Iterator[tuple]:
         if k == n:
-            if all(ceiling[z] == row[z] for z in range(n)):
+            if ceiling == row:
                 yield tuple(partial)
             return
-        t, hom_k, below = types[k], hom[k], floor[k + 1]
+        cap_k, below, rows_k = caps[k], floor[k + 1], residual[k]
         for v in domains[k]:
-            vv = involve(v)
-            if not leq(vv, hom_meet(q, t, (row[k], limpl(q, t, v, hom_k[k])))):
+            vv = involve[v]
+            res = rows_k[v]
+            if not leq[vv][cap_k[meet[row[k]][res[k]]]]:
                 continue
             ceiling[k] = vv
             nxt = []
-            for z in range(n):
-                r = hom_meet(q, types[z], (row[z], limpl(q, types[z], v, hom_k[z])))
-                if not leq(hom_meet(q, types[z], (r, below[z])), ceiling[z]):
+            for cap, old, new, low, most in zip(caps, row, res, below, ceiling):
+                r = cap[meet[old][new]]
+                if not leq[cap[meet[r][low]]][most]:
                     break
                 nxt.append(r)
             else:
                 partial.append(v)
                 yield from walk(k + 1, nxt)
                 partial.pop()
-        ceiling[k] = involve(hi[k])
+        ceiling[k] = involve[hi[k]]
 
     yield from walk(0, floor[n])
 

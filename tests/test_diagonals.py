@@ -291,6 +291,29 @@ class TestFiniteKernelTables:
                     assert dq.hom_meet(p, t, list(values)) == expected
                     assert dq.hom_meet(p, t, iter(values)) == expected
 
+    @pytest.mark.parametrize(
+        "fixture", ["boolean", "luk3", "luk5", "nilmin5", "diamond", "diamond_swap"]
+    )
+    def test_column_tables_agree_with_the_kernel_calls(self, request, fixture):
+        quantale = request.getfixturevalue(fixture)
+        dq = diagonal_quantaloid(quantale)
+        rng = quantale.payloads()
+        for q in rng:
+            meet, leq, involve, top, residual, hom_meet = dq.column_tables(q)
+            assert top == quantale._meet(())
+            for a in rng:
+                assert involve[a] == dq.involve(a)
+            for a, b in itertools.product(rng, repeat=2):
+                assert meet[a][b] == quantale._meet((a, b))
+                assert leq[a][b] == dq.leq(a, b)
+            for t, u, w in itertools.product(rng, repeat=3):
+                assert residual[t][u][w] == dq.limpl(q, t, u, w)
+            for t, m in itertools.product(rng, repeat=2):
+                assert hom_meet[t][m] == dq.hom_meet(q, t, (m,))
+            # the two-argument hom meet of the tight-column search
+            for t, a, b in itertools.product(rng, repeat=3):
+                assert hom_meet[t][meet[a][b]] == dq.hom_meet(q, t, (a, b))
+
     def test_mutated_boolean_refused(self):
         q = load_quantale(DATA / "mutated_boolean.json")
         with pytest.raises(PreconditionError) as info:

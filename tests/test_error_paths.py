@@ -24,10 +24,15 @@ from enritch.categories import (
 )
 from enritch.cli import main
 from enritch.diagonals import diagonal_quantaloid
-from enritch.errors import PreconditionError, SchemaError, ShapeMismatchError
+from enritch.errors import (
+    PreconditionError,
+    SchemaError,
+    ShapeMismatchError,
+    UnsupportedQuantaleError,
+)
 from enritch.hull import full_subcategory, is_hypercomplete, one_point_extensions, tight_span
 from enritch.parmet import ParMetSpace, RadiusFunction, ambient_violation
-from enritch.quantale import FiniteQuantale, boolean_quantale
+from enritch.quantale import LAWVERE, FiniteQuantale, boolean_quantale
 from enritch.rationals import ZERO, ExtRat
 from enritch.relations import QRelation, TypedSet, rel_identity
 
@@ -147,6 +152,13 @@ def in_memory(error, call):
     return (error, None, lambda _: call(), None)
 
 
+KERNEL_CASES = {
+    "lawvere_column_tables": in_memory(
+        UnsupportedQuantaleError,
+        lambda: diagonal_quantaloid(LAWVERE).column_tables(LAWVERE.parse_value("0")),
+    ),
+}
+
 RELATION_CASES = {
     "names_and_types_differ": in_memory(
         ShapeMismatchError, lambda: TypedSet(DQ, ("a", "b"), (ONE,))
@@ -245,6 +257,11 @@ def test_finite_quantale_refuses(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(PARMET_CASES))
 def test_parmet_refuses(case, tmp_path, capsys):
     refused(PARMET_CASES[case], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_refuses(case, tmp_path, capsys):
+    refused(KERNEL_CASES[case], tmp_path, capsys)
 
 
 @pytest.mark.parametrize("case", sorted(RELATION_CASES))

@@ -22,11 +22,17 @@ from enritch.categories import (
     yoneda,
 )
 from enritch.diagonals import diagonal_quantaloid
-from enritch.errors import BoundExceededError, PreconditionError, UnsupportedQuantaleError
+from enritch.errors import (
+    BoundExceededError,
+    InvariantError,
+    PreconditionError,
+    UnsupportedQuantaleError,
+)
 from enritch.hull import (
     TightSpan,
+    _chain_bound,
     _enumerate_tight_columns,
-    _tight_step,
+    _tight_residual,
     all_functors,
     column_admissible,
     enumerate_ambient,
@@ -95,6 +101,82 @@ def naive_hypercomplete(c, strict):
     return True
 
 
+def tight_step(c, q, values):
+    """One application of the tightness operator (involution of the residual)."""
+    dq = c.quantaloid
+    return tuple(dq.involve(r) for r in _tight_residual(c, q, values))
+
+
+def kernel_call_tight_columns(c, q):
+    """The cut search on per-call kernel methods that the table-driven
+    search replaced (oracle): the same [lo, hi] narrowing, carried residual
+    rows, cut and leaf test, each hom meet and residual one kernel call."""
+    dq = c.quantaloid
+    types = c.objects.types
+    hom = c.hom.entries
+    n = len(types)
+    if n == 0:
+        yield ()
+        return
+
+    steps = _chain_bound(c, q)
+
+    def f2_limit(start):
+        current = start
+        for _ in range(steps):
+            nxt = tight_step(c, q, tight_step(c, q, current))
+            if nxt == current:
+                return current
+            current = nxt
+        raise InvariantError("squared tightness operator failed to converge")
+
+    lo = f2_limit(tuple(dq.hom_bottom(t, q) for t in types))
+    hi = f2_limit(tuple(dq.hom_top(t, q) for t in types))
+    domains = [
+        tuple(
+            v
+            for v in dq.hom(types[z], q)
+            if dq.leq(lo[z], v) and dq.leq(v, hi[z])
+        )
+        for z in range(n)
+    ]
+
+    limpl, hom_meet, leq, involve = dq.limpl, dq.hom_meet, dq.leq, dq.involve
+    floor = [()] * n + [tuple(dq.hom_top(q, t) for t in types)]
+    for x in reversed(range(n)):
+        floor[x] = tuple(
+            hom_meet(q, types[z], (floor[x + 1][z], limpl(q, types[z], hi[x], hom[x][z])))
+            for z in range(n)
+        )
+    ceiling = [involve(v) for v in hi]
+    partial = []
+
+    def walk(k, row):
+        if k == n:
+            if all(ceiling[z] == row[z] for z in range(n)):
+                yield tuple(partial)
+            return
+        t, hom_k, below = types[k], hom[k], floor[k + 1]
+        for v in domains[k]:
+            vv = involve(v)
+            if not leq(vv, hom_meet(q, t, (row[k], limpl(q, t, v, hom_k[k])))):
+                continue
+            ceiling[k] = vv
+            nxt = []
+            for z in range(n):
+                r = hom_meet(q, types[z], (row[z], limpl(q, types[z], v, hom_k[z])))
+                if not leq(hom_meet(q, types[z], (r, below[z])), ceiling[z]):
+                    break
+                nxt.append(r)
+            else:
+                partial.append(v)
+                yield from walk(k + 1, nxt)
+                partial.pop()
+        ceiling[k] = involve(hi[k])
+
+    yield from walk(0, floor[n])
+
+
 def reference_tight_columns(c, q):
     """The tight-column walk the residual search replaced (oracle): the same
     [lo, hi] domains, pairwise admissibility, tightness tested at the leaves."""
@@ -109,7 +191,7 @@ def reference_tight_columns(c, q):
     def f2_limit(start):
         current = start
         for _ in range(len(dq.quantale.elements) * n * 2 + 4):
-            nxt = _tight_step(c, q, _tight_step(c, q, current))
+            nxt = tight_step(c, q, tight_step(c, q, current))
             if nxt == current:
                 return current
             current = nxt
@@ -142,7 +224,7 @@ def reference_tight_columns(c, q):
     def walk(z):
         if z == n:
             values = tuple(partial)
-            if values == _tight_step(c, q, values):
+            if values == tight_step(c, q, values):
                 yield values
             return
         for v in domains[z]:
@@ -324,9 +406,10 @@ class TestTightColumnSearch:
         ("luk5", 2, 9),
     ]
 
-    @pytest.mark.parametrize("fixture, bound, span_limit", CASES, ids=[c[0] for c in CASES])
-    def test_matches_the_leaf_testing_walk(self, request, fixture, bound, span_limit):
-        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+    @staticmethod
+    def assert_search_matches(dq, bound, span_limit, oracle):
+        """The search agrees with ``oracle`` on every base category and on
+        its tight span, whose search builds the tight span of a tight span."""
         searches = 0
         for c in enumerate_symmetric_categories(dq, bound):
             targets = [c]
@@ -336,11 +419,19 @@ class TestTightColumnSearch:
             for target in targets:
                 for q in dq.objects():
                     got = list(_enumerate_tight_columns(target, q))
-                    assert got == list(reference_tight_columns(target, q)), (
-                        target.to_dict(), dq.format(q)
-                    )
+                    assert got == list(oracle(target, q)), (target.to_dict(), dq.format(q))
                     searches += 1
         assert searches > 0
+
+    @pytest.mark.parametrize("fixture, bound, span_limit", CASES, ids=[c[0] for c in CASES])
+    def test_matches_the_leaf_testing_walk(self, request, fixture, bound, span_limit):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        self.assert_search_matches(dq, bound, span_limit, reference_tight_columns)
+
+    @pytest.mark.parametrize("fixture, bound, span_limit", CASES, ids=[c[0] for c in CASES])
+    def test_matches_the_kernel_call_search(self, request, fixture, bound, span_limit):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        self.assert_search_matches(dq, bound, span_limit, kernel_call_tight_columns)
 
     @pytest.mark.parametrize("fixture, bound, span_limit", CASES, ids=[c[0] for c in CASES])
     def test_tight_columns_of_a_tight_span_are_its_yoneda_columns(

@@ -97,3 +97,17 @@ def test_every_function_and_method_has_a_caller():
             ):
                 uncalled.append(f"{path.name}:{first} {name}")
     assert uncalled == []
+
+
+def test_only_the_kernel_reads_the_quantale_tables():
+    # The other layers reach a quantale through its diagonal kernel, which
+    # decides finiteness and hands out the tables a search needs.
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                node.attr.endswith("_table") or node.attr == "is_finite"
+            ):
+                readers.add(path.name)
+    assert readers == {"diagonals.py", "quantale.py"}
