@@ -2,8 +2,7 @@
 
 A category here is a typed set with a square hom relation that contains the
 identity relation and absorbs its own square.  Symmetry means the hom equals
-its involution transpose; symmetrization meets the hom with that transpose
-and is the universal way of forcing symmetry.
+its involution transpose.
 
 Presheaves are columns into a one-object category; the presheaf category
 hom is the left residual, and the Yoneda columns hom(-, x) realize every
@@ -22,10 +21,7 @@ from .relations import (
     QRelation,
     TypedSet,
     rel_compose,
-    rel_identity,
     rel_involve,
-    rel_leq,
-    rel_meet,
     single_set,
 )
 
@@ -39,19 +35,15 @@ __all__ = [
     "validate_category",
     "require_valid",
     "is_symmetric",
-    "symmetrize",
     "underlying_order",
     "validate_functor",
+    "require_functor",
     "is_fully_faithful",
     "graph",
     "cograph",
-    "check_adjunction",
     "enumerate_presheaves",
     "presheaf_hom",
-    "copresheaf_values",
     "yoneda",
-    "yoneda_lemma_holds",
-    "one_object_category",
 ]
 
 
@@ -86,11 +78,6 @@ class QCategory:
             "set": self.objects.to_dict(),
             "hom": [[fmt(u) for u in row] for row in self.hom.entries],
         }
-
-
-def one_object_category(dq: DiagonalQuantaloid, type_payload, name: str = "*") -> QCategory:
-    carrier = single_set(dq, type_payload, name)
-    return QCategory(carrier, rel_identity(carrier))
 
 
 @dataclass(frozen=True)
@@ -189,16 +176,6 @@ def _mark_symmetric(c: QCategory, parent: QCategory | None = None) -> None:
     """
     if parent is None or getattr(parent, "_symmetric", False):
         object.__setattr__(c, "_symmetric", True)
-
-
-def symmetrize(c: QCategory) -> QCategory:
-    """Meet the hom with its involution transpose; the result is again valid."""
-    require_valid(c)
-    sym = QCategory(c.objects, rel_meet([c.hom, rel_involve(c.hom)]))
-    report = validate_category(sym)
-    if not report.valid:
-        raise InvariantError(f"symmetrization broke the category laws: {report.to_dict()}")
-    return sym
 
 
 @dataclass(frozen=True)
@@ -395,13 +372,6 @@ def cograph(f: QFunctor) -> QRelation:
     return QRelation(cod.objects, dom.objects, entries)
 
 
-def check_adjunction(f: QFunctor) -> bool:
-    """hom_X <= cograph . graph and graph . cograph <= hom_Y."""
-    lower = rel_leq(f.domain.hom, rel_compose(cograph(f), graph(f)))
-    upper = rel_leq(rel_compose(graph(f), cograph(f)), f.codomain.hom)
-    return lower and upper
-
-
 # -- presheaves -------------------------------------------------------------
 
 
@@ -495,39 +465,8 @@ def presheaf_hom(mu: Presheaf, nu: Presheaf):
     )
 
 
-def copresheaf_values(mu: Presheaf) -> tuple:
-    """The involution of a presheaf column on a symmetric base: a copresheaf
-    (hom . values <= values entrywise), which is checked on every call."""
-    if not is_symmetric(mu.base):
-        raise PreconditionError("copresheaf values need a symmetric base category")
-    dq = mu.base.quantaloid
-    values = tuple(dq.involve(u) for u in mu.values)
-    types = mu.base.objects.types
-    hom = mu.base.hom.entries
-    n = len(types)
-    for z in range(n):
-        composed = dq.hom_join(
-            mu.q,
-            types[z],
-            (dq.compose(values[x], types[x], hom[x][z]) for x in range(n)),
-        )
-        if not dq.leq(composed, values[z]):
-            raise InvariantError(
-                "the involuted column of a presheaf on a symmetric base must be a copresheaf"
-            )
-    return values
-
-
 def yoneda(c: QCategory, x: str) -> Presheaf:
     """The column hom(-, x) as a presheaf of type |x|."""
     j = c.objects.index(x)
     values = tuple(c.hom.entries[i][j] for i in range(len(c)))
     return Presheaf(c, c.objects.types[j], values)
-
-
-def yoneda_lemma_holds(c: QCategory, mu: Presheaf) -> bool:
-    """hom_P(yoneda(x), mu) must equal mu(x) for every object x."""
-    return all(
-        presheaf_hom(yoneda(c, x), mu) == mu.values[i]
-        for i, x in enumerate(c.names)
-    )

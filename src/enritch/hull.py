@@ -34,9 +34,9 @@ The injective hull of X is its tight span with the dense, fully faithful
 Yoneda embedding x |-> hom(-, x) (``TightSpan.yoneda_embedding``); tight
 presheaves transport back along dense fully faithful functors only.
 
-Results the library builds for itself (a tight span, a tightened
-presheaf, an extension) are checked, and a failure raises
-``InvariantError`` rather than an ``assert`` that ``python -O`` strips.
+Results the library builds for itself (a tight span, the tight columns
+of a search) are checked, and a failure raises ``InvariantError`` rather
+than an ``assert`` that ``python -O`` strips.
 
 Typing of the witness is subtle: the default ("strict") requires the
 witness object's type to equal the column's type, which is what makes the
@@ -76,10 +76,8 @@ from .relations import QRelation, TypedSet, rel_residual
 
 __all__ = [
     "is_ambient",
-    "is_tight",
     "is_tight_column",
     "column_admissible",
-    "tighten",
     "TightSpan",
     "tight_span",
     "HypercompleteResult",
@@ -87,7 +85,6 @@ __all__ = [
     "extend_along",
     "find_one_point_retraction",
     "one_point_extensions",
-    "extension_from_presheaf",
     "full_subcategory",
     "inclusion_functor",
     "functor_compose",
@@ -161,68 +158,6 @@ def is_tight_column(c: QCategory, q, values: Sequence) -> bool:
     if holds and not _distributor_holds(c, q, values):
         raise InvariantError("a column satisfying the tight equation must be a presheaf")
     return holds
-
-
-def is_tight(c: QCategory, mu: Presheaf) -> bool:
-    if mu.base != c:
-        raise ShapeMismatchError("presheaf does not live on this category")
-    return is_tight_column(c, mu.q, mu.values)
-
-
-# -- tightening -------------------------------------------------------------
-
-
-def tighten(c: QCategory, mu: Presheaf) -> Presheaf:
-    """A maximal (tight) presheaf above an ambient one.
-
-    Repeatedly finds the first object z where the tight equation fails and
-    joins in the augmentation column through z; each step strictly increases
-    the presheaf, so the loop terminates on finite quantales.
-    """
-    if not is_ambient(c, mu):
-        raise PreconditionError("tighten needs an ambient presheaf")
-    dq = c.quantaloid
-    types = c.objects.types
-    hom = c.hom.entries
-    n = len(types)
-    q = mu.q
-    values = tuple(mu.values)
-    for _ in range(_chain_bound(c, q)):
-        residual = _tight_residual(c, q, values)
-        stale = None
-        for z in range(n):
-            if dq.involve(values[z]) != residual[z]:
-                stale = z
-                break
-        if stale is None:
-            result = Presheaf(c, q, values)
-            if not is_ambient(c, result):
-                raise InvariantError("tightening left the ambient set")
-            return result
-        z = stale
-        # Augmentation through z: join mu with (mu deg <searrow> hom(z, -)) . hom(-, z).
-        bound = dq.hom_meet(
-            types[z],
-            q,
-            (
-                dq.rimpl(types[z], q, dq.involve(values[w]), hom[z][w])
-                for w in range(n)
-            ),
-        )
-        new_values = tuple(
-            dq.hom_join(
-                types[x],
-                q,
-                (values[x], dq.compose(hom[x][z], types[z], bound)),
-            )
-            for x in range(n)
-        )
-        if new_values == values or not all(
-            dq.leq(values[x], new_values[x]) for x in range(n)
-        ):
-            raise InvariantError("augmentation must strictly increase the presheaf")
-        values = new_values
-    raise InvariantError("tightening failed to converge within its step bound")
 
 
 # -- tight span -------------------------------------------------------------
@@ -558,21 +493,6 @@ def _extend_matrix(c: QCategory, q, column: Sequence, new_name: str) -> QCategor
         for i in range(n)
     ) + (tuple(dq.involve(column[i]) for i in range(n)) + (dq.identity(q),),)
     return QCategory(carrier, QRelation(carrier, carrier, entries))
-
-
-def extension_from_presheaf(c: QCategory, mu: Presheaf) -> QCategory:
-    """The one-point extension whose new column is an ambient presheaf."""
-    if not is_ambient(c, mu):
-        raise PreconditionError("the extension column must be ambient")
-    extended = _extend_matrix(c, mu.q, mu.values, _fresh_name(c))
-    report = validate_category(extended)
-    if not report.valid:
-        raise InvariantError(
-            f"an ambient presheaf must induce a valid extension: {report.to_dict()}"
-        )
-    if not is_symmetric(extended):
-        raise InvariantError("an ambient presheaf must induce a symmetric extension")
-    return extended
 
 
 def find_one_point_retraction(x_cat: QCategory, y_cat: QCategory) -> QFunctor | None:

@@ -27,16 +27,14 @@ the default semantics of the finite-quantale hull engine.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .categories import QCategory
 from .diagonals import diagonal_quantaloid
 from .errors import InvariantError, PreconditionError, SchemaError, ShapeMismatchError
 from .quantale import LAWVERE
-from .rationals import ZERO, ExtRat, integer_rows
+from .rationals import ExtRat, integer_rows
 from .relations import QRelation, TypedSet
 
 __all__ = [
@@ -45,18 +43,14 @@ __all__ = [
     "ParMetReport",
     "FamilyCheckResult",
     "validate_partial_metric",
-    "is_matthews",
+    "require_valid_space",
     "hyperconvex_family_check",
     "ambient_violation",
-    "is_ambient_function",
     "tight_member",
     "tight_violation",
     "tighten_sweep",
     "sigma",
     "dense_isometry_check",
-    "classical_tight_check",
-    "classical_sigma_check",
-    "sample_ambient",
     "to_category",
 ]
 
@@ -206,21 +200,6 @@ def require_valid_space(space: ParMetSpace) -> None:
         raise PreconditionError(f"not a partial metric: {report.to_dict()}")
 
 
-def is_matthews(space: ParMetSpace) -> bool:
-    """The original axioms: finite distances and separation on top."""
-    if not validate_partial_metric(space).valid:
-        return False
-    a = space.alpha
-    n = len(space)
-    for i in range(n):
-        for j in range(n):
-            if a[i][j].is_infinite:
-                return False
-            if i != j and a[i][i] == a[j][j] == a[i][j]:
-                return False
-    return True
-
-
 # -- radius functions ---------------------------------------------------------
 
 
@@ -245,10 +224,6 @@ def ambient_violation(space: ParMetSpace, mu: RadiusFunction) -> tuple[str, str]
             if not a[i][j] <= mu.values[i].monus(mu.r) + mu.values[j]:
                 return (space.points[i], space.points[j])
     return None
-
-
-def is_ambient_function(space: ParMetSpace, mu: RadiusFunction) -> bool:
-    return ambient_violation(space, mu) is None
 
 
 def tight_violation(space: ParMetSpace, mu: RadiusFunction) -> str | None:
@@ -437,87 +412,6 @@ def dense_isometry_check(
             if b[y][y2] != rhs:
                 return False
     return True
-
-
-# -- classical reduction -----------------------------------------------------------
-
-
-def _signed(a: ExtRat, b: ExtRat) -> tuple:
-    """a - b as a (rank, value) pair whose tuple order is the extended order:
-    rank 0 is -inf, 1 finite, 2 +inf.  inf - inf is 0 to match the monus."""
-    if b.is_infinite:
-        return (1, 0) if a.is_infinite else (0, 0)
-    if a.is_infinite:
-        return (2, 0)
-    return (1, a.fraction - b.fraction)
-
-
-def _require_classical(space: ParMetSpace, mu: RadiusFunction) -> None:
-    for i in range(len(space)):
-        if space.alpha[i][i] != ZERO:
-            raise PreconditionError("classical checks need a zero diagonal")
-    if mu.r != ZERO:
-        raise PreconditionError("classical checks need base radius 0")
-
-
-def classical_tight_check(space: ParMetSpace, mu: RadiusFunction) -> bool:
-    """The untruncated fixed-point equation mu(x) = sup_y(alpha(x,y) - mu(y)).
-
-    Because the self term alpha(x,x) - mu(x) pins the raw supremum at or
-    above -mu(x), the raw and truncated readings agree; this is checked on
-    every call.
-    """
-    _require_classical(space, mu)
-    _require_well_typed(space, mu)
-    a = space.alpha
-    n = len(space)
-    raw_ok = all(
-        max(_signed(a[i][j], mu.values[j]) for j in range(n))
-        == _signed(mu.values[i], ZERO)
-        for i in range(n)
-    )
-    truncated_ok = tight_member(space, mu)
-    if raw_ok != truncated_ok:
-        raise InvariantError(
-            "raw and truncated tight equations must agree on classical metrics"
-        )
-    return raw_ok
-
-
-def classical_sigma_check(
-    space: ParMetSpace, mu: RadiusFunction, lam: RadiusFunction
-) -> bool:
-    """sup(mu - lam) = sup(lam - mu) = sigma >= 0 for classical tight pairs."""
-    _require_classical(space, mu)
-    _require_classical(space, lam)
-    value = sigma(space, mu, lam)
-    if len(space) == 0:
-        return value == ZERO
-    forward = max(_signed(x, y) for x, y in zip(mu.values, lam.values))
-    backward = max(_signed(y, x) for x, y in zip(mu.values, lam.values))
-    # Matching sigma, an ExtRat, also makes the supremum non-negative.
-    return forward == backward == _signed(value, ZERO)
-
-
-# -- generators --------------------------------------------------------------------
-
-
-def sample_ambient(space: ParMetSpace, r: ExtRat, seed: int) -> RadiusFunction:
-    """A reproducible ambient function: row maxima plus bounded rational slack."""
-    require_valid_space(space)
-    rng = random.Random(seed)
-    values = []
-    for i in range(len(space)):
-        base = r
-        for j in range(len(space)):
-            if space.alpha[i][j] > base:
-                base = space.alpha[i][j]
-        slack = ExtRat(Fraction(rng.randint(0, 8), rng.choice((1, 2, 3, 4))))
-        values.append(base + slack)
-    mu = RadiusFunction(r, tuple(values))
-    if not is_ambient_function(space, mu):
-        raise InvariantError("generator must produce ambient output")
-    return mu
 
 
 # -- bridge to the generic calculus ------------------------------------------------

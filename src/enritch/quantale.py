@@ -32,10 +32,6 @@ __all__ = [
     "LawReport",
     "LAWVERE",
     "check_quantale_laws",
-    "boolean_quantale",
-    "lukasiewicz_chain",
-    "nilpotent_minimum_chain",
-    "diamond_frame",
 ]
 
 
@@ -78,10 +74,6 @@ class Quantale:
 
     @property
     def bottom(self):
-        raise NotImplementedError
-
-    @property
-    def is_divisible(self) -> bool:
         raise NotImplementedError
 
     def payloads(self) -> Sequence:
@@ -139,10 +131,6 @@ class LawvereQuantale(Quantale):
     @property
     def bottom(self) -> ExtRat:
         return INF
-
-    @property
-    def is_divisible(self) -> bool:
-        return True
 
     def format_value(self, payload: ExtRat) -> str:
         return str(payload)
@@ -216,7 +204,6 @@ class FiniteQuantale(Quantale):
         self._res_right: tuple | None = None
         self._top: int | None = None
         self._bottom: int | None = None
-        self._divisible: bool | None = None
 
     def _lookup(self, element: str, label: str) -> int:
         try:
@@ -358,18 +345,6 @@ class FiniteQuantale(Quantale):
             return text
         raise SchemaError(f"cannot interpret {text!r} as an element of {self.name}")
 
-    @property
-    def is_divisible(self) -> bool:
-        """u <= q implies (u/q) (x) q = u = q (x) (q\\u), tested exhaustively."""
-        if self._divisible is None:
-            self._divisible = _first_witness(
-                self, 2, lambda q, u: (q, u) if self.leq_table[u][q] and (
-                    self._tensor(self._residual_left(u, q), q) != u
-                    or self._tensor(q, self._residual_right(q, u)) != u
-                ) else None
-            ) is None
-        return self._divisible
-
     def to_dict(self) -> dict:
         return {
             "elements": list(self.elements),
@@ -510,83 +485,3 @@ def check_quantale_laws(q: FiniteQuantale) -> LawReport:
         ))),
     ])
 
-
-# -- built-in instances ---------------------------------------------------
-
-
-def _chain_cells(values: list[Fraction], op) -> list[list[str]]:
-    return [[str(op(a, b)) for b in values] for a in values]
-
-
-def boolean_quantale() -> FiniteQuantale:
-    """The two-element chain with meet as tensor."""
-    return FiniteQuantale(
-        elements=["0", "1"],
-        leq_table=[[True, True], [False, True]],
-        tensor_table=[["0", "0"], ["0", "1"]],
-        unit="1",
-        involution_table=["0", "1"],
-        name="boolean",
-    )
-
-
-def lukasiewicz_chain(n: int) -> FiniteQuantale:
-    """The n-element chain 0, 1/(n-1), ..., 1 with a*b = max(0, a+b-1)."""
-    if n < 2:
-        raise ValueError("a Lukasiewicz chain needs at least 2 elements")
-    values = [Fraction(k, n - 1) for k in range(n)]
-    names = [str(v) for v in values]
-    return FiniteQuantale(
-        elements=names,
-        leq_table=[[a <= b for b in values] for a in values],
-        tensor_table=_chain_cells(values, lambda a, b: max(Fraction(0), a + b - 1)),
-        unit="1",
-        involution_table=names,
-        name=f"lukasiewicz{n}",
-    )
-
-
-def nilpotent_minimum_chain(n: int) -> FiniteQuantale:
-    """The n-element chain with a*b = 0 if a+b <= 1 else min(a, b)."""
-    if n < 2:
-        raise ValueError("a nilpotent-minimum chain needs at least 2 elements")
-    values = [Fraction(k, n - 1) for k in range(n)]
-    names = [str(v) for v in values]
-
-    def nilmin(a: Fraction, b: Fraction) -> Fraction:
-        return Fraction(0) if a + b <= 1 else min(a, b)
-
-    return FiniteQuantale(
-        elements=names,
-        leq_table=[[a <= b for b in values] for a in values],
-        tensor_table=_chain_cells(values, nilmin),
-        unit="1",
-        involution_table=names,
-        name=f"nilmin{n}",
-    )
-
-
-def diamond_frame() -> FiniteQuantale:
-    """The four-element frame {bot, a, b, top} with a, b incomparable."""
-    elements = ["bot", "a", "b", "top"]
-    order = {
-        ("bot", "bot"), ("bot", "a"), ("bot", "b"), ("bot", "top"),
-        ("a", "a"), ("a", "top"), ("b", "b"), ("b", "top"), ("top", "top"),
-    }
-    leq_table = [[(x, y) in order for y in elements] for x in elements]
-
-    def frame_meet(x: str, y: str) -> str:
-        if (x, y) in order:
-            return x
-        if (y, x) in order:
-            return y
-        return "bot"
-
-    return FiniteQuantale(
-        elements=elements,
-        leq_table=leq_table,
-        tensor_table=[[frame_meet(x, y) for y in elements] for x in elements],
-        unit="top",
-        involution_table=elements,
-        name="diamond",
-    )

@@ -14,7 +14,6 @@ the bottom relation, residuals over an empty index give hom-lattice tops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .diagonals import DiagonalQuantaloid
 from .errors import PreconditionError, ShapeMismatchError
@@ -24,13 +23,8 @@ __all__ = [
     "QRelation",
     "single_set",
     "rel_compose",
-    "rel_identity",
     "rel_residual",
     "rel_involve",
-    "rel_leq",
-    "rel_join",
-    "rel_meet",
-    "bottom_relation",
 ]
 
 
@@ -132,11 +126,6 @@ class QRelation:
         }
 
 
-def _require_parallel(phi: QRelation, psi: QRelation) -> None:
-    if phi.source != psi.source or phi.target != psi.target:
-        raise ShapeMismatchError("relations are not parallel")
-
-
 def rel_compose(psi: QRelation, phi: QRelation) -> QRelation:
     """(psi . phi)(x, z) = join over y of psi(y, z) . phi(x, y)."""
     if phi.target != psi.source:
@@ -158,18 +147,6 @@ def rel_compose(psi: QRelation, phi: QRelation) -> QRelation:
         for i in range(len(phi.source))
     )
     return QRelation(phi.source, psi.target, entries)
-
-
-def rel_identity(x: TypedSet) -> QRelation:
-    dq = x.quantaloid
-    entries = tuple(
-        tuple(
-            dq.identity(x.types[i]) if i == j else dq.hom_bottom(x.types[i], x.types[j])
-            for j in range(len(x))
-        )
-        for i in range(len(x))
-    )
-    return QRelation(x, x, entries)
 
 
 def rel_residual(side: str, outer: QRelation, inner: QRelation) -> QRelation:
@@ -238,64 +215,3 @@ def rel_involve(phi: QRelation) -> QRelation:
         for j in range(len(phi.target))
     )
     return QRelation(phi.target, phi.source, entries)
-
-
-def rel_leq(phi: QRelation, psi: QRelation) -> bool:
-    _require_parallel(phi, psi)
-    dq = phi.quantaloid
-    return all(
-        dq.leq(phi.entries[i][j], psi.entries[i][j])
-        for i in range(len(phi.source))
-        for j in range(len(phi.target))
-    )
-
-
-def rel_join(relations: Sequence[QRelation]) -> QRelation:
-    if not relations:
-        raise ShapeMismatchError("an empty join of relations has no shape")
-    first = relations[0]
-    for other in relations[1:]:
-        _require_parallel(first, other)
-    dq = first.quantaloid
-    entries = tuple(
-        tuple(
-            dq.hom_join(
-                first.source.types[i],
-                first.target.types[j],
-                (rel.entries[i][j] for rel in relations),
-            )
-            for j in range(len(first.target))
-        )
-        for i in range(len(first.source))
-    )
-    return QRelation(first.source, first.target, entries)
-
-
-def rel_meet(relations: Sequence[QRelation]) -> QRelation:
-    if not relations:
-        raise ShapeMismatchError("an empty meet of relations has no shape")
-    first = relations[0]
-    for other in relations[1:]:
-        _require_parallel(first, other)
-    dq = first.quantaloid
-    entries = tuple(
-        tuple(
-            dq.hom_meet(
-                first.source.types[i],
-                first.target.types[j],
-                (rel.entries[i][j] for rel in relations),
-            )
-            for j in range(len(first.target))
-        )
-        for i in range(len(first.source))
-    )
-    return QRelation(first.source, first.target, entries)
-
-
-def bottom_relation(x: TypedSet, y: TypedSet) -> QRelation:
-    dq = x.quantaloid
-    entries = tuple(
-        tuple(dq.hom_bottom(x.types[i], y.types[j]) for j in range(len(y)))
-        for i in range(len(x))
-    )
-    return QRelation(x, y, entries)

@@ -1,47 +1,48 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
 
+from enritch import fileio
 from enritch.categories import QCategory
 from enritch.diagonals import diagonal_quantaloid
 from enritch.parmet import ParMetSpace, validate_partial_metric
-from enritch.quantale import (
-    LAWVERE,
-    FiniteQuantale,
-    boolean_quantale,
-    diamond_frame,
-    lukasiewicz_chain,
-    nilpotent_minimum_chain,
-)
+from enritch.quantale import LAWVERE, FiniteQuantale
 from enritch.rationals import INF, ExtRat
 from enritch.relations import QRelation, TypedSet
 
 
+def shipped_quantale(name: str) -> FiniteQuantale:
+    """A fresh instance of a quantale the package ships in ``data/``: the
+    tables the CLI and the benchmark read."""
+    return fileio.load_quantale(files("enritch") / "data" / f"{name}.json")
+
+
 @pytest.fixture(scope="session")
 def boolean():
-    return boolean_quantale()
+    return shipped_quantale("boolean")
 
 
 @pytest.fixture(scope="session")
 def luk3():
-    return lukasiewicz_chain(3)
+    return shipped_quantale("lukasiewicz3")
 
 
 @pytest.fixture(scope="session")
 def luk5():
-    return lukasiewicz_chain(5)
+    return shipped_quantale("lukasiewicz5")
 
 
 @pytest.fixture(scope="session")
 def nilmin5():
-    return nilpotent_minimum_chain(5)
+    return shipped_quantale("nilmin5")
 
 
 @pytest.fixture(scope="session")
 def diamond():
-    return diamond_frame()
+    return shipped_quantale("diamond")
 
 
 def swapped_diamond() -> FiniteQuantale:
@@ -50,7 +51,7 @@ def swapped_diamond() -> FiniteQuantale:
     Every other instance has the identity involution, under which hom(x, -)
     and hom(-, x) cannot be told apart.
     """
-    frame = diamond_frame()
+    frame = shipped_quantale("diamond")
     return FiniteQuantale(
         elements=frame.elements,
         leq_table=frame.leq_table,

@@ -22,26 +22,17 @@ from enritch.hull import (
 from enritch.parmet import (
     ParMetSpace,
     RadiusFunction,
-    classical_sigma_check,
-    classical_tight_check,
     dense_isometry_check,
-    sample_ambient,
     sigma,
     tight_member,
     tighten_sweep,
 )
-from enritch.quantale import (
-    LAWVERE,
-    boolean_quantale,
-    check_quantale_laws,
-    diamond_frame,
-    lukasiewicz_chain,
-    nilpotent_minimum_chain,
-)
+from enritch.quantale import LAWVERE, check_quantale_laws
 from enritch.rationals import INF, ZERO, ExtRat
 from enritch.verify import run_suite
 
-from conftest import random_partial_metric
+from conftest import random_partial_metric, shipped_quantale
+from oracles import classical_sigma_check, classical_tight_check, sample_ambient
 from test_parmet import grid_maximality_oracle
 
 
@@ -52,11 +43,11 @@ def report(number: int, text: str) -> None:
 def test_criterion_1_quantale_law_suite():
     started = time.monotonic()
     instances = [
-        boolean_quantale(),
-        lukasiewicz_chain(3),
-        lukasiewicz_chain(5),
-        nilpotent_minimum_chain(5),
-        diamond_frame(),
+        shipped_quantale("boolean"),
+        shipped_quantale("lukasiewicz3"),
+        shipped_quantale("lukasiewicz5"),
+        shipped_quantale("nilmin5"),
+        shipped_quantale("diamond"),
     ]
     for quantale in instances:
         law_report = check_quantale_laws(quantale)
@@ -126,7 +117,7 @@ def test_criterion_2_closed_form_residuals_match_oracle():
 def test_criterion_3_injectivity_equivalence_chain():
     started = time.monotonic()
     totals = {}
-    for quantale in (boolean_quantale(), lukasiewicz_chain(3)):
+    for quantale in (shipped_quantale("boolean"), shipped_quantale("lukasiewicz3")):
         outcome = run_suite("t36", quantale, bound=3, strict=True)
         assert outcome["result"], outcome
         assert outcome["discrepancies"] == 0
@@ -139,7 +130,7 @@ def test_criterion_3_injectivity_equivalence_chain():
 def test_criterion_4_tight_span_is_the_injective_hull(diamond_swap):
     started = time.monotonic()
     counts = {}
-    for quantale in (boolean_quantale(), lukasiewicz_chain(3), diamond_swap):
+    for quantale in (shipped_quantale("boolean"), shipped_quantale("lukasiewicz3"), diamond_swap):
         l43 = run_suite("l43", quantale, bound=3)
         assert l43["result"], l43
         t44 = run_suite("t44", quantale, bound=3)
@@ -155,7 +146,7 @@ def test_criterion_5_maximality():
     started = time.monotonic()
     # exhaustive on finite instances
     checked = 0
-    for quantale in (boolean_quantale(), lukasiewicz_chain(3)):
+    for quantale in (shipped_quantale("boolean"), shipped_quantale("lukasiewicz3")):
         dq = diagonal_quantaloid(quantale)
         for cat in enumerate_symmetric_categories(dq, 3):
             span = tight_span(cat)
@@ -279,7 +270,7 @@ def test_criterion_8_density():
     assert not dense_isometry_check({"a": "a"}, one, discrete)
 
     # finite-quantale mirror: density and bounded essentiality agree
-    quantale = boolean_quantale()
+    quantale = shipped_quantale("boolean")
     dq = diagonal_quantaloid(quantale)
     cats = list(enumerate_symmetric_categories(dq, 2))
     functors = 0

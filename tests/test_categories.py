@@ -7,21 +7,16 @@ from enritch.categories import (
     Presheaf,
     QCategory,
     QFunctor,
-    check_adjunction,
     cograph,
-    copresheaf_values,
     enumerate_presheaves,
     graph,
     is_fully_faithful,
     is_symmetric,
-    one_object_category,
     presheaf_hom,
-    symmetrize,
     underlying_order,
     validate_category,
     validate_functor,
     yoneda,
-    yoneda_lemma_holds,
 )
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import PreconditionError, ShapeMismatchError, UnsupportedQuantaleError
@@ -36,6 +31,13 @@ from enritch.quantale import LAWVERE
 from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve, rel_residual
 
 from conftest import make_category
+from oracles import (
+    check_adjunction,
+    copresheaf_values,
+    one_object_category,
+    symmetrize,
+    yoneda_lemma_holds,
+)
 from test_relations import random_relation
 
 

@@ -32,18 +32,19 @@ from enritch.errors import (
 )
 from enritch.hull import full_subcategory, is_hypercomplete, one_point_extensions, tight_span
 from enritch.parmet import ParMetSpace, RadiusFunction, ambient_violation
-from enritch.quantale import LAWVERE, FiniteQuantale, boolean_quantale
+from enritch.quantale import LAWVERE, FiniteQuantale
 from enritch.rationals import ZERO, ExtRat
-from enritch.relations import QRelation, TypedSet, rel_identity
+from enritch.relations import QRelation, TypedSet
 
-from conftest import make_category, swapped_diamond
+from conftest import make_category, shipped_quantale, swapped_diamond
+from oracles import rel_identity
 
 DATA = Path(str(files("enritch") / "data"))
 SPACE = str(DATA / "two_point_classical.json")
 MU = str(DATA / "mu_13.json")
 BOOLEAN_DOC = fileio.read_json(DATA / "boolean.json")
 
-BOOL = boolean_quantale()
+BOOL = shipped_quantale("boolean")
 SWAP = swapped_diamond()
 DQ = diagonal_quantaloid(BOOL)
 ZERO_B, ONE = BOOL.parse_value("0"), BOOL.parse_value("1")

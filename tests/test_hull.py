@@ -38,7 +38,6 @@ from enritch.hull import (
     enumerate_ambient,
     enumerate_symmetric_categories,
     extend_along,
-    extension_from_presheaf,
     find_one_point_retraction,
     full_subcategory,
     functor_compose,
@@ -48,24 +47,18 @@ from enritch.hull import (
     is_dense,
     is_essential_bruteforce,
     is_hypercomplete,
-    is_tight,
     is_tight_column,
     one_point_extensions,
     tight_span,
     tight_span_restriction,
-    tighten,
 )
 from enritch.parmet import ParMetSpace, to_category
-from enritch.quantale import (
-    LAWVERE,
-    boolean_quantale,
-    diamond_frame,
-    nilpotent_minimum_chain,
-)
+from enritch.quantale import LAWVERE
 from enritch.relations import rel_compose
 from enritch.verify import run_suite
 
-from conftest import make_category, random_partial_metric
+from conftest import make_category, random_partial_metric, shipped_quantale
+from oracles import extension_from_presheaf, one_object_category, tighten
 
 
 def boolean_setoid(boolean, pattern):
@@ -252,7 +245,7 @@ class TestMembership:
                 for x in c.names:
                     mu = yoneda(c, x)
                     assert is_ambient(c, mu)
-                    assert is_tight(c, mu)
+                    assert is_tight_column(c, mu.q, mu.values)
 
     def test_tight_implies_ambient_presheaf(self, luk3):
         dq = diagonal_quantaloid(luk3)
@@ -282,7 +275,7 @@ class TestTighten:
             for c in enumerate_symmetric_categories(dq, 2):
                 for mu in enumerate_ambient(c):
                     out = tighten(c, mu)
-                    assert is_tight(c, out)
+                    assert is_tight_column(c, out.q, out.values)
                     assert all(
                         dq.leq(mu.values[i], out.values[i]) for i in range(len(c))
                     )
@@ -367,7 +360,7 @@ class TestTightSpan:
         oracle = [
             (mu.q, mu.values)
             for mu in enumerate_presheaves(c)
-            if is_tight(c, mu)
+            if is_tight_column(c, mu.q, mu.values)
         ]
         assert len(oracle) == 3
         assert sorted(oracle) == sorted((m.q, m.values) for m in span.members)
@@ -382,7 +375,7 @@ class TestTightSpan:
                 expected = [
                     (mu.q, mu.values)
                     for mu in enumerate_presheaves(c)
-                    if is_tight(c, mu)
+                    if is_tight_column(c, mu.q, mu.values)
                 ]
                 assert sorted(expected) == sorted(
                     (mu.q, mu.values) for mu in span.members
@@ -461,8 +454,6 @@ class TestHypercomplete:
         # strict: the type-0 bottom column has no witness of type 0;
         # lax: every column is witnessed elementwise
         dq = diagonal_quantaloid(boolean)
-        from enritch.categories import one_object_category
-
         c = one_object_category(dq, boolean.parse_value("1"), "p")
         strict = is_hypercomplete(c, strict=True)
         assert not strict.holds
@@ -851,17 +842,17 @@ def essential_summary(result):
 
 class TestEssentialMemo:
     @pytest.mark.parametrize(
-        "make, bound, verdicts",
+        "name, bound, verdicts",
         [
-            (boolean_quantale, 2, {True, False}),
+            ("boolean", 2, {True, False}),
             # a fully faithful functor between one-point categories is essential
-            (diamond_frame, 1, {True}),
-            (lambda: nilpotent_minimum_chain(5), 1, {True}),
+            ("diamond", 1, {True}),
+            ("nilmin5", 1, {True}),
         ],
         ids=["boolean", "diamond", "nilmin5"],
     )
-    def test_memoised_search_matches_reference_loop(self, make, bound, verdicts):
-        dq = diagonal_quantaloid(make())
+    def test_memoised_search_matches_reference_loop(self, name, bound, verdicts):
+        dq = diagonal_quantaloid(shipped_quantale(name))
         cats = list(enumerate_symmetric_categories(dq, bound))
         functors = [
             f
@@ -882,7 +873,7 @@ class TestEssentialMemo:
         assert {want[0] for want in expected} == verdicts
 
     def test_memos_do_not_keep_the_quantale_alive(self):
-        q = boolean_quantale()
+        q = shipped_quantale("boolean")
         pair = boolean_setoid(q, [["1", "0"], ["0", "1"]])
         f = inclusion_functor(full_subcategory(pair, ["s0"]), pair)
         assert not is_essential_bruteforce(f).essential
@@ -1207,7 +1198,7 @@ class TestRetractionOntoSpan:
                 ambient = enumerate_ambient(c)
                 images = [tighten(c, mu) for mu in ambient]
                 for mu, image in zip(ambient, images):
-                    if is_tight(c, mu):
+                    if is_tight_column(c, mu.q, mu.values):
                         assert image.values == mu.values
                     assert all(
                         dq.leq(mu.values[i], image.values[i])

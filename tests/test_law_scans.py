@@ -1,27 +1,19 @@
 """The load-time law scans against the nested loops they replaced.
 
-``check_quantale_laws``, ``FiniteQuantale.is_divisible`` and the finite
-kernel's verification all report the first failing element tuple in load
-order.  The references below are the hand-written scans they replaced
-(oracles); seeded mutants of every built-in quantale must get the same law
-report, the same divisibility answer and the same kernel build outcome.
+``check_quantale_laws`` and the finite kernel's verification both report
+the first failing element tuple in load order.  The references below are
+the hand-written scans they replaced (oracles); seeded mutants of every
+shipped quantale must get the same law report and the same kernel build
+outcome.
 """
 
 import random
 
 from enritch.diagonals import FiniteDiagonals, _composites
 from enritch.errors import PreconditionError, SchemaError
-from enritch.quantale import (
-    FiniteQuantale,
-    LawReport,
-    boolean_quantale,
-    check_quantale_laws,
-    diamond_frame,
-    lukasiewicz_chain,
-    nilpotent_minimum_chain,
-)
+from enritch.quantale import FiniteQuantale, LawReport, check_quantale_laws
 
-from conftest import swapped_diamond
+from conftest import shipped_quantale, swapped_diamond
 
 
 def reference_check_quantale_laws(q: FiniteQuantale) -> LawReport:
@@ -142,19 +134,6 @@ def reference_check_quantale_laws(q: FiniteQuantale) -> LawReport:
     return LawReport(tuple(results))
 
 
-def reference_is_divisible(q: FiniteQuantale) -> bool:
-    for v in q.payloads():
-        for u in q.payloads():
-            if not q.leq_table[u][v]:
-                continue
-            if (
-                q._tensor(q._residual_left(u, v), v) != u
-                or q._tensor(v, q._residual_right(v, u)) != u
-            ):
-                return False
-    return True
-
-
 class ReferenceDiagonals(FiniteDiagonals):
     """The finite kernel with the verification it ran before the shared scan."""
 
@@ -201,8 +180,8 @@ def outcome(call, q):
         return type(exc).__name__, str(exc)
 
 
-def scan_results(data: dict, laws, divisible, kernel) -> tuple:
-    """Law report, divisibility and kernel build of a fresh copy of ``data``.
+def scan_results(data: dict, laws, kernel) -> tuple:
+    """Law report and kernel build of a fresh copy of ``data``.
 
     Each side gets its own copy, so that neither sees the tables the other
     derived and cached on the quantale.
@@ -210,14 +189,13 @@ def scan_results(data: dict, laws, divisible, kernel) -> tuple:
     q = FiniteQuantale.from_dict(data, name="mutant")
     return (
         laws(q).to_dict(),
-        outcome(divisible, q),
         outcome(lambda q: kernel(q)._homs, q),
     )
 
 
 SIDES = (
-    (check_quantale_laws, lambda q: q.is_divisible, FiniteDiagonals),
-    (reference_check_quantale_laws, reference_is_divisible, ReferenceDiagonals),
+    (check_quantale_laws, FiniteDiagonals),
+    (reference_check_quantale_laws, ReferenceDiagonals),
 )
 
 
@@ -250,11 +228,11 @@ def mutant(base: dict, rng: random.Random) -> dict:
 
 
 BASES = {
-    "boolean": boolean_quantale,
-    "lukasiewicz3": lambda: lukasiewicz_chain(3),
-    "lukasiewicz5": lambda: lukasiewicz_chain(5),
-    "nilmin5": lambda: nilpotent_minimum_chain(5),
-    "diamond": diamond_frame,
+    "boolean": lambda: shipped_quantale("boolean"),
+    "lukasiewicz3": lambda: shipped_quantale("lukasiewicz3"),
+    "lukasiewicz5": lambda: shipped_quantale("lukasiewicz5"),
+    "nilmin5": lambda: shipped_quantale("nilmin5"),
+    "diamond": lambda: shipped_quantale("diamond"),
     "diamond_swap": swapped_diamond,
 }
 MUTANTS_PER_BASE = 2500
@@ -278,7 +256,6 @@ class TestScansAgreeWithNestedLoops:
         for make in BASES.values():
             q = make()
             assert check_quantale_laws(q) == reference_check_quantale_laws(q)
-            assert q.is_divisible == reference_is_divisible(make())
 
     def test_seeded_mutants(self):
         failed_laws, refusals, compared = set(), set(), 0
@@ -288,7 +265,7 @@ class TestScansAgreeWithNestedLoops:
                 data = mutant(base, rng)
                 got, want = (scan_results(data, *side) for side in SIDES)
                 assert got == want, data
-                report, _, kernel = got
+                report, kernel = got
                 failed_laws |= {law["law"] for law in report["laws"] if not law["ok"]}
                 if kernel[0] == "PreconditionError":
                     refusals |= {

@@ -7,16 +7,16 @@ import pytest
 
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import SchemaError
-from enritch.quantale import (
-    LAWVERE,
-    FiniteQuantale,
+from enritch.quantale import LAWVERE, FiniteQuantale, check_quantale_laws
+from enritch.rationals import INF, ZERO, ExtRat
+
+from oracles import (
     boolean_quantale,
-    check_quantale_laws,
     diamond_frame,
     lukasiewicz_chain,
     nilpotent_minimum_chain,
+    reference_is_divisible,
 )
-from enritch.rationals import INF, ZERO, ExtRat
 
 Q = LAWVERE
 
@@ -135,7 +135,7 @@ class TestFiniteInstances:
 
     def test_nilpotent_minimum_is_integral_not_divisible(self, nilmin5):
         assert nilmin5.unit == nilmin5.top
-        assert not nilmin5.is_divisible
+        assert not reference_is_divisible(nilmin5)
 
     def test_involution_distributes_over_joins_and_residuals(
         self, luk3, nilmin5, diamond, diamond_swap
@@ -212,7 +212,8 @@ class TestSerialization:
         ],
     )
     def test_shipped_file_matches_builtin(self, name, make):
-        # The CLI and the benchmark read the files; the tests build the instances.
+        # The CLI, the benchmark and the test fixtures read the files; the
+        # constructors are an independent description of the same tables.
         shipped = files("enritch") / "data" / f"{name}.json"
         assert json.loads(shipped.read_text()) == make().to_dict()
 

@@ -9,16 +9,13 @@ from enritch.quantale import LAWVERE
 from enritch.relations import (
     QRelation,
     TypedSet,
-    bottom_relation,
     rel_compose,
-    rel_identity,
     rel_involve,
-    rel_join,
-    rel_leq,
-    rel_meet,
     rel_residual,
     single_set,
 )
+
+from oracles import bottom_relation, rel_identity, rel_join, rel_leq, rel_meet
 
 
 def typed_set(quantale, names, types):
