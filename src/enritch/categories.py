@@ -22,7 +22,6 @@ from .relations import (
     TypedSet,
     rel_compose,
     rel_involve,
-    single_set,
 )
 
 __all__ = [
@@ -191,9 +190,6 @@ class UnderlyingOrder:
             return self.class_of[name]
         except KeyError:
             raise ShapeMismatchError(f"unknown object {name!r}") from None
-
-    def isomorphic(self, a: str, b: str) -> bool:
-        return self.class_index(a) == self.class_index(b)
 
 
 def underlying_order(c: QCategory) -> UnderlyingOrder:
@@ -421,12 +417,6 @@ class Presheaf:
 
     def at(self, name: str):
         return self.values[self.base.objects.index(name)]
-
-    def as_relation(self, name: str = "*") -> QRelation:
-        dq = self.base.quantaloid
-        target = single_set(dq, self.q, name)
-        entries = tuple((u,) for u in self.values)
-        return QRelation(self.base.objects, target, entries)
 
     def to_dict(self) -> dict:
         fmt = self.base.quantaloid.format

@@ -1,23 +1,32 @@
 """Exact extended non-negative rational arithmetic.
 
-ExtRat models the interval [0, inf]: either a non-negative rational in
-canonical reduced form or the distinguished value infinity.  Addition is
-commutative and associative with infinity absorbing.  Subtraction is only
-available as a truncated difference (``monus``) whose conventions are chosen
-so that ``b.monus(a)`` equals the residual join ``{r : r + a >= b}`` computed
-in the reversed (quantale) order:
+ExtRat models the interval [0, inf]: either a non-negative rational or the
+distinguished value infinity.  Addition is commutative and associative with
+infinity absorbing.  Subtraction is only available as a truncated difference
+(``monus``) whose conventions are chosen so that ``b.monus(a)`` equals the
+residual join ``{r : r + a >= b}`` computed in the reversed (quantale) order:
 
     b monus inf = 0        (including inf monus inf)
     inf monus a = inf      (a finite)
     b monus a   = max(0, b - a)   otherwise
 
 All comparisons use the standard numeric order with infinity on top.
+
+A value is two ints, a numerator ``_n`` and a denominator ``_d`` in lowest
+terms, with ``_d > 0`` for a finite value; infinity is the pair ``(1, 0)``.
+Then ``a <= b`` is the single cross-multiplication
+``a._n * b._d <= b._n * a._d`` in every case.  Against infinity, the
+product that takes its denominator 0 is 0, and the product that takes its
+numerator 1 is the other value's positive denominator, so infinity sits
+above every finite value with no branch, as ``n / d`` does for ``d -> 0``;
+two infinities give ``0 <= 0``.  Equal values have equal pairs, which makes
+``==`` and ``hash`` a pair comparison.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import SchemaError
 
@@ -28,16 +37,19 @@ class ExtRat:
     """A non-negative rational or infinity, immutable and hashable, built from
     an int, a Fraction or None (infinity); text goes through ``parse``."""
 
-    __slots__ = ("_frac",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, value: int | Fraction | None = 0):
-        if value is not None:
-            if not isinstance(value, (int, Fraction)):
+        if value is None:
+            n, d = 1, 0
+        else:
+            if type(value) is bool or not isinstance(value, (int, Fraction)):
                 raise TypeError(f"ExtRat takes an int, a Fraction or None, got {value!r}")
-            value = Fraction(value)
             if value < 0:
                 raise ValueError(f"ExtRat must be non-negative, got {value}")
-        object.__setattr__(self, "_frac", value)
+            n, d = value.numerator, value.denominator
+        _set_n(self, n)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtRat is immutable")
@@ -54,61 +66,58 @@ class ExtRat:
             frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational literal {text!r}: {exc}") from exc
-        if frac < 0:
+        if frac.numerator < 0:
             raise SchemaError(f"negative rational {text!r} not allowed")
-        return cls(frac)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._frac is None
-
-    @property
-    def fraction(self) -> Fraction:
-        if self._frac is None:
-            raise ValueError("infinity has no finite fraction")
-        return self._frac
+        return _pair(frac.numerator, frac.denominator)
 
     def __add__(self, other: "ExtRat") -> "ExtRat":
         if not isinstance(other, ExtRat):
             return NotImplemented
-        if self._frac is None or other._frac is None:
+        d, e = self._d, other._d
+        if not d or not e:
             return INF
-        return _unchecked(self._frac + other._frac)
+        if d == e:
+            n = self._n + other._n
+        else:
+            n = self._n * e + other._n * d
+            d *= e
+        g = gcd(n, d)
+        return _pair(n // g, d // g)
 
     def monus(self, other: "ExtRat") -> "ExtRat":
         """Truncated difference; see the module docstring for conventions."""
         if not isinstance(other, ExtRat):
             raise TypeError(f"monus needs an ExtRat, got {other!r}")
-        if other._frac is None:
+        d, e = self._d, other._d
+        if not e:
             return ZERO
-        if self._frac is None:
+        if not d:
             return INF
-        diff = self._frac - other._frac
-        return _unchecked(diff) if diff > 0 else ZERO
+        if d == e:
+            n = self._n - other._n
+        else:
+            n = self._n * e - other._n * d
+            d *= e
+        if n <= 0:
+            return ZERO
+        g = gcd(n, d)
+        return _pair(n // g, d // g)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ExtRat) and self._frac == other._frac
+        return isinstance(other, ExtRat) and self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash(self._frac)
+        return hash((self._n, self._d))
 
     def __le__(self, other: "ExtRat") -> bool:
         if not isinstance(other, ExtRat):
             return NotImplemented
-        if other._frac is None:
-            return True
-        if self._frac is None:
-            return False
-        return self._frac <= other._frac
+        return self._n * other._d <= other._n * self._d
 
     def __lt__(self, other: "ExtRat") -> bool:
         if not isinstance(other, ExtRat):
             return NotImplemented
-        if self._frac is None:
-            return False
-        if other._frac is None:
-            return True
-        return self._frac < other._frac
+        return self._n * other._d < other._n * self._d
 
     def __ge__(self, other: "ExtRat") -> bool:
         if not isinstance(other, ExtRat):
@@ -118,30 +127,31 @@ class ExtRat:
     def __gt__(self, other: "ExtRat") -> bool:
         if not isinstance(other, ExtRat):
             return NotImplemented
-        if other._frac is None:
-            return False
-        if self._frac is None:
-            return True
-        return self._frac > other._frac
+        return self._n * other._d > other._n * self._d
 
     def __str__(self) -> str:
-        return "inf" if self._frac is None else str(self._frac)
+        if not self._d:
+            return "inf"
+        return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
 
     def __repr__(self) -> str:
         return f"ExtRat({str(self)!r})"
 
 
-_set_frac = ExtRat._frac.__set__  # the slot's own setter, past __setattr__
+# The slots' own setters, past __setattr__.
+_set_n = ExtRat._n.__set__
+_set_d = ExtRat._d.__set__
 
 
-def _unchecked(frac: Fraction) -> ExtRat:
-    """An ExtRat from a reduced, non-negative Fraction, without re-checking it.
+def _pair(n: int, d: int) -> ExtRat:
+    """An ExtRat from a reduced pair, without re-checking it.
 
-    Sums and truncated differences of ExtRat values are such fractions
-    already; only the public constructor needs to convert and check.
+    Sums and truncated differences of ExtRat values reduce their own pair;
+    only the public constructor needs to convert and check.
     """
     value = object.__new__(ExtRat)
-    _set_frac(value, frac)
+    _set_n(value, n)
+    _set_d(value, d)
     return value
 
 
@@ -158,14 +168,8 @@ def integer_rows(matrix) -> list[list[int | None]]:
     truncated differences of the integers are exactly those of the
     entries.
     """
-    denominator = math.lcm(
-        *(cell._frac.denominator for row in matrix for cell in row if cell._frac is not None)
-    )
+    denominator = lcm(*(cell._d for row in matrix for cell in row if cell._d))
     return [
-        [
-            None if cell._frac is None
-            else cell._frac.numerator * (denominator // cell._frac.denominator)
-            for cell in row
-        ]
+        [cell._n * (denominator // cell._d) if cell._d else None for cell in row]
         for row in matrix
     ]

@@ -21,7 +21,6 @@ from .errors import PreconditionError, ShapeMismatchError
 __all__ = [
     "TypedSet",
     "QRelation",
-    "single_set",
     "rel_compose",
     "rel_residual",
     "rel_involve",
@@ -67,10 +66,6 @@ class TypedSet:
     def to_dict(self) -> dict:
         fmt = self.quantaloid.format
         return {"names": list(self.names), "types": [fmt(t) for t in self.types]}
-
-
-def single_set(quantaloid: DiagonalQuantaloid, type_payload, name: str = "*") -> TypedSet:
-    return TypedSet(quantaloid, (name,), (type_payload,))
 
 
 @dataclass(frozen=True)

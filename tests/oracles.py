@@ -4,8 +4,9 @@ The CLI, the suites and the benchmark reach none of these.  The tests keep
 them as independent oracles for library code (``check_adjunction`` for the
 graph calculus, ``tighten`` and ``extension_from_presheaf`` for the tight
 columns and one-point retractions, the classical checks for
-``tighten_sweep`` and ``sigma``) and to build inputs.  The quantale
-constructors pin the shipped tables in ``src/enritch/data``.
+``tighten_sweep`` and ``sigma``, ``FractionExtRat`` for the int-pair
+``ExtRat``) and to build inputs.  The quantale constructors pin the shipped
+tables in ``src/enritch/data``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from enritch.categories import (
     Presheaf,
     QCategory,
     QFunctor,
+    UnderlyingOrder,
     cograph,
     graph,
     is_symmetric,
@@ -27,7 +29,7 @@ from enritch.categories import (
     yoneda,
 )
 from enritch.diagonals import DiagonalQuantaloid
-from enritch.errors import InvariantError, PreconditionError, ShapeMismatchError
+from enritch.errors import InvariantError, PreconditionError, SchemaError, ShapeMismatchError
 from enritch.hull import (
     _chain_bound,
     _extend_matrix,
@@ -45,8 +47,8 @@ from enritch.parmet import (
     tight_member,
 )
 from enritch.quantale import FiniteQuantale
-from enritch.rationals import ZERO, ExtRat
-from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve, single_set
+from enritch.rationals import INF, ZERO, ExtRat
+from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve
 
 
 # -- quantales -----------------------------------------------------------------
@@ -147,6 +149,10 @@ def reference_is_divisible(q: FiniteQuantale) -> bool:
 # -- relations -----------------------------------------------------------------
 
 
+def single_set(quantaloid: DiagonalQuantaloid, type_payload, name: str = "*") -> TypedSet:
+    return TypedSet(quantaloid, (name,), (type_payload,))
+
+
 def _require_parallel(phi: QRelation, psi: QRelation) -> None:
     if phi.source != psi.source or phi.target != psi.target:
         raise ShapeMismatchError("relations are not parallel")
@@ -226,6 +232,17 @@ def bottom_relation(x: TypedSet, y: TypedSet) -> QRelation:
 
 
 # -- categories ----------------------------------------------------------------
+
+
+def isomorphic(order: UnderlyingOrder, a: str, b: str) -> bool:
+    return order.class_index(a) == order.class_index(b)
+
+
+def presheaf_relation(mu: Presheaf, name: str = "*") -> QRelation:
+    dq = mu.base.quantaloid
+    target = single_set(dq, mu.q, name)
+    entries = tuple((u,) for u in mu.values)
+    return QRelation(mu.base.objects, target, entries)
 
 
 def one_object_category(dq: DiagonalQuantaloid, type_payload, name: str = "*") -> QCategory:
@@ -352,17 +369,148 @@ def extension_from_presheaf(c: QCategory, mu: Presheaf) -> QCategory:
     return extended
 
 
+# -- extended rationals --------------------------------------------------------
+
+
+def to_fraction(v: ExtRat) -> Fraction:
+    """The finite value of an ExtRat as a Fraction."""
+    if v == INF:
+        raise ValueError("infinity has no finite fraction")
+    return Fraction(v._n, v._d)
+
+
+class FractionExtRat:
+    """``ExtRat`` as it was on a ``fractions.Fraction`` (None is infinity),
+    the reference for the int-pair class."""
+
+    __slots__ = ("_frac",)
+
+    def __init__(self, value: int | Fraction | None = 0):
+        if value is not None:
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"ExtRat takes an int, a Fraction or None, got {value!r}")
+            value = Fraction(value)
+            if value < 0:
+                raise ValueError(f"ExtRat must be non-negative, got {value}")
+        object.__setattr__(self, "_frac", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExtRat is immutable")
+
+    @classmethod
+    def parse(cls, text: str) -> "FractionExtRat":
+        """Parse "p/q", "n" or "inf" (the serialization used in all files)."""
+        if not isinstance(text, str):
+            raise SchemaError(f"expected a string rational, got {text!r}")
+        text = text.strip()
+        if text == "inf":
+            return cls(None)
+        try:
+            frac = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"bad rational literal {text!r}: {exc}") from exc
+        if frac < 0:
+            raise SchemaError(f"negative rational {text!r} not allowed")
+        return cls(frac)
+
+    @property
+    def is_infinite(self) -> bool:
+        return self._frac is None
+
+    @property
+    def fraction(self) -> Fraction:
+        if self._frac is None:
+            raise ValueError("infinity has no finite fraction")
+        return self._frac
+
+    def __add__(self, other: "FractionExtRat") -> "FractionExtRat":
+        if not isinstance(other, FractionExtRat):
+            return NotImplemented
+        if self._frac is None or other._frac is None:
+            return FRACTION_INF
+        return _unchecked(self._frac + other._frac)
+
+    def monus(self, other: "FractionExtRat") -> "FractionExtRat":
+        """Truncated difference; see the ``rationals`` docstring for conventions."""
+        if not isinstance(other, FractionExtRat):
+            raise TypeError(f"monus needs an ExtRat, got {other!r}")
+        if other._frac is None:
+            return FRACTION_ZERO
+        if self._frac is None:
+            return FRACTION_INF
+        diff = self._frac - other._frac
+        return _unchecked(diff) if diff > 0 else FRACTION_ZERO
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionExtRat) and self._frac == other._frac
+
+    def __hash__(self) -> int:
+        return hash(self._frac)
+
+    def __le__(self, other: "FractionExtRat") -> bool:
+        if not isinstance(other, FractionExtRat):
+            return NotImplemented
+        if other._frac is None:
+            return True
+        if self._frac is None:
+            return False
+        return self._frac <= other._frac
+
+    def __lt__(self, other: "FractionExtRat") -> bool:
+        if not isinstance(other, FractionExtRat):
+            return NotImplemented
+        if self._frac is None:
+            return False
+        if other._frac is None:
+            return True
+        return self._frac < other._frac
+
+    def __ge__(self, other: "FractionExtRat") -> bool:
+        if not isinstance(other, FractionExtRat):
+            return NotImplemented
+        return other <= self
+
+    def __gt__(self, other: "FractionExtRat") -> bool:
+        if not isinstance(other, FractionExtRat):
+            return NotImplemented
+        if other._frac is None:
+            return False
+        if self._frac is None:
+            return True
+        return self._frac > other._frac
+
+    def __str__(self) -> str:
+        return "inf" if self._frac is None else str(self._frac)
+
+    def __repr__(self) -> str:
+        return f"FractionExtRat({str(self)!r})"
+
+
+_set_frac = FractionExtRat._frac.__set__  # the slot's own setter, past __setattr__
+
+
+def _unchecked(frac: Fraction) -> FractionExtRat:
+    """A FractionExtRat from a reduced, non-negative Fraction, unchecked."""
+    value = object.__new__(FractionExtRat)
+    _set_frac(value, frac)
+    return value
+
+
+FRACTION_INF = FractionExtRat(None)
+FRACTION_ZERO = FractionExtRat(0)
+
+
 # -- partial metrics -----------------------------------------------------------
 
 
 def _signed(a: ExtRat, b: ExtRat) -> tuple:
     """a - b as a (rank, value) pair whose tuple order is the extended order:
     rank 0 is -inf, 1 finite, 2 +inf.  inf - inf is 0 to match the monus."""
-    if b.is_infinite:
-        return (1, 0) if a.is_infinite else (0, 0)
-    if a.is_infinite:
+    if b == INF:
+        return (1, 0) if a == INF else (0, 0)
+    if a == INF:
         return (2, 0)
-    return (1, a.fraction - b.fraction)
+    return (1, to_fraction(a) - to_fraction(b))
 
 
 def _require_classical(space: ParMetSpace, mu: RadiusFunction) -> None:

@@ -32,7 +32,7 @@ from enritch.rationals import INF, ZERO, ExtRat
 from enritch.verify import run_suite
 
 from conftest import random_partial_metric, shipped_quantale
-from oracles import classical_sigma_check, classical_tight_check, sample_ambient
+from oracles import classical_sigma_check, classical_tight_check, sample_ambient, to_fraction
 from test_parmet import grid_maximality_oracle
 
 
@@ -81,7 +81,7 @@ def test_criterion_2_closed_form_residuals_match_oracle():
     base = [ZERO, INF] + [
         ExtRat(Fraction(rng.randint(0, 20), rng.randint(1, 6))) for _ in range(14)
     ]
-    grid = sorted(set(base), key=lambda v: (v.is_infinite, v.fraction if not v.is_infinite else 0))
+    grid = sorted(set(base), key=lambda v: (v == INF, to_fraction(v) if v != INF else 0))
     triples = 0
     for p in grid:
         for q in grid:
@@ -100,7 +100,7 @@ def test_criterion_2_closed_form_residuals_match_oracle():
                             assert v >= left
                     # the mirror residual, against the same oracle: here v
                     # ranges over hom(q, r) and the unknown is in hom(p, q)
-                    vv = max(q, r) + w_extra if not w_extra.is_infinite else INF
+                    vv = max(q, r) + w_extra if w_extra != INF else INF
                     right = dq.rimpl(p, q, vv, w)
                     assert right >= max(p, q)
                     assert vv.monus(q) + right >= w
@@ -226,7 +226,7 @@ def test_criterion_7_classical_reduction():
                 ZERO
                 if i == j
                 else base.alpha[i][j].monus(
-                    ExtRat((base.alpha[i][i].fraction + base.alpha[j][j].fraction) / 2)
+                    ExtRat((to_fraction(base.alpha[i][i]) + to_fraction(base.alpha[j][j])) / 2)
                 )
                 for j in range(n)
             )

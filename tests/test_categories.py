@@ -34,7 +34,9 @@ from conftest import make_category
 from oracles import (
     check_adjunction,
     copresheaf_values,
+    isomorphic,
     one_object_category,
+    presheaf_relation,
     symmetrize,
     yoneda_lemma_holds,
 )
@@ -185,9 +187,9 @@ class TestUnderlyingOrder:
     def test_unknown_object_is_a_shape_mismatch(self, boolean):
         c = make_category(boolean, ["x0", "x1"], ["1", "1"], [["1", "1"], ["1", "1"]])
         order = underlying_order(c)
-        assert order.isomorphic("x0", "x1") and order.class_index("x1") == 0
+        assert isomorphic(order, "x0", "x1") and order.class_index("x1") == 0
         with pytest.raises(ShapeMismatchError, match="unknown object 'nope'"):
-            order.isomorphic("x0", "nope")
+            isomorphic(order, "x0", "nope")
         with pytest.raises(ShapeMismatchError):
             order.class_index("nope")
 
@@ -199,7 +201,7 @@ class TestUnderlyingOrder:
                 n = len(c)
                 for i in range(n):
                     for j in range(n):
-                        iso = order.isomorphic(c.names[i], c.names[j])
+                        iso = isomorphic(order, c.names[i], c.names[j])
                         rows_equal = c.hom.entries[i] == c.hom.entries[j]
                         cols_equal = all(
                             c.hom.entries[k][i] == c.hom.entries[k][j]
@@ -468,6 +470,6 @@ class TestYoneda:
                 for mu in sheaves:
                     for nu in sheaves:
                         via_relations = rel_residual(
-                            "left", nu.as_relation("n"), mu.as_relation("m")
+                            "left", presheaf_relation(nu, "n"), presheaf_relation(mu, "m")
                         )
                         assert via_relations.entries[0][0] == presheaf_hom(mu, nu)

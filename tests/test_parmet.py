@@ -25,7 +25,7 @@ from enritch.rationals import INF, ZERO, ExtRat
 
 import oracles
 from conftest import random_partial_metric
-from oracles import classical_sigma_check, classical_tight_check, sample_ambient
+from oracles import classical_sigma_check, classical_tight_check, sample_ambient, to_fraction
 
 
 def er(x):
@@ -138,9 +138,9 @@ def grid(space_, mu, denominators=(1, 2, 4)):
     axes = []
     for i in range(len(space_)):
         top = mu.values[i]
-        vals = [INF] if top.is_infinite else []
-        if not top.is_infinite:
-            limit = top.fraction
+        vals = [INF] if top == INF else []
+        if top != INF:
+            limit = to_fraction(top)
             vals = sorted(
                 {
                     Fraction(k, d)
@@ -342,7 +342,7 @@ class TestClassicalReduction:
                     if i == j
                     else base.alpha[i][j].monus(
                         ExtRat(
-                            (base.alpha[i][i].fraction + base.alpha[j][j].fraction) / 2
+                            (to_fraction(base.alpha[i][i]) + to_fraction(base.alpha[j][j])) / 2
                         )
                     )
                     for j in range(n)
@@ -694,7 +694,7 @@ class TestIntegerScansDifferential:
             # Stretch the last finite distance from p0 far beyond the rest:
             # only the triangle can fail.
             rows = [list(row) for row in valid.alpha]
-            far = max(j for j in range(1, n) if not rows[0][j].is_infinite)
+            far = max(j for j in range(1, n) if rows[0][j] != INF)
             rows[0][far] = rows[far][0] = ExtRat(Fraction(1000, 7))
             stretched = from_rows(rows)
             for space_ in (valid, stretched):
@@ -718,11 +718,11 @@ _POS_INF = ("pos_inf",)
 
 
 def _signed_diff(a: ExtRat, b: ExtRat):
-    if b.is_infinite:
-        return ("fin", Fraction(0)) if a.is_infinite else _NEG_INF
-    if a.is_infinite:
+    if b == INF:
+        return ("fin", Fraction(0)) if a == INF else _NEG_INF
+    if a == INF:
         return _POS_INF
-    return ("fin", a.fraction - b.fraction)
+    return ("fin", to_fraction(a) - to_fraction(b))
 
 
 def _signed_max(current, candidate):
@@ -736,10 +736,10 @@ def _signed_max(current, candidate):
 
 def _matches(signed, value: ExtRat) -> bool:
     if signed == _POS_INF:
-        return value.is_infinite
+        return value == INF
     if signed == _NEG_INF:
         return False
-    return not value.is_infinite and value.fraction == signed[1]
+    return value != INF and to_fraction(value) == signed[1]
 
 
 def reference_sup(firsts, seconds):
@@ -798,7 +798,7 @@ class TestSignedValuesDifferential:
         verdicts = set()
         saw_infinite = False
         for rng, space_ in classical_spaces():
-            saw_infinite |= any(v.is_infinite for row in space_.alpha for v in row)
+            saw_infinite |= any(v == INF for row in space_.alpha for v in row)
             for mu in classical_functions(rng, space_):
                 verdict = classical_tight_check(space_, mu)
                 assert verdict == reference_raw_tight(space_, mu)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 import random
 from decimal import Decimal
@@ -7,7 +8,10 @@ from fractions import Fraction
 import pytest
 
 from enritch.errors import SchemaError
-from enritch.rationals import INF, ZERO, ExtRat
+from enritch.quantale import LAWVERE
+from enritch.rationals import INF, ZERO, ExtRat, integer_rows
+
+from oracles import FractionExtRat, to_fraction
 
 
 def er(x) -> ExtRat:
@@ -16,8 +20,11 @@ def er(x) -> ExtRat:
 
 class TestConstruction:
     def test_canonical_form(self):
-        assert ExtRat(Fraction(2, 4)).fraction == Fraction(1, 2)
-        assert ExtRat(Fraction(6, 3)).fraction == Fraction(2)
+        assert to_fraction(ExtRat(Fraction(2, 4))) == Fraction(1, 2)
+        assert to_fraction(ExtRat(Fraction(6, 3))) == Fraction(2)
+        assert (ExtRat(Fraction(6, 4))._n, ExtRat(Fraction(6, 4))._d) == (3, 2)
+        assert (ExtRat(0)._n, ExtRat(0)._d) == (0, 1)
+        assert (INF._n, INF._d) == (1, 0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -25,14 +32,19 @@ class TestConstruction:
 
     def test_only_int_fraction_or_none_accepted(self):
         assert ExtRat(None) == INF and ExtRat(3) == ExtRat(Fraction(3))
-        for bad in [0.1, 0.5, "3/4", "inf", Decimal("1")]:
+        for bad in [0.1, 0.5, "3/4", "inf", Decimal("1"), True, False]:
             with pytest.raises(TypeError, match="an int, a Fraction or None"):
                 ExtRat(bad)
+        for bad in [True, False]:
+            with pytest.raises(TypeError, match="an int, a Fraction or None"):
+                LAWVERE.parse_value(bad)
 
     def test_immutable(self):
         a = er(1)
-        with pytest.raises(AttributeError):
-            a._frac = Fraction(2)
+        for slot in ("_n", "_d", "_frac"):
+            with pytest.raises(AttributeError):
+                setattr(a, slot, 2)
+        assert (a._n, a._d) == (1, 1)
 
     def test_parse_and_format_round_trip(self):
         for text in ["0", "7", "3/4", "22/7", "inf"]:
@@ -143,14 +155,14 @@ class TestOperatorGrid:
         a, b = ext(x), ext(y)
         for result, expected in ((a + b, ref_add(x, y)), (a.monus(b), ref_monus(x, y))):
             assert type(result) is ExtRat
-            assert result.is_infinite == (expected is None)
+            assert (result == INF) == (expected is None)
             if expected is not None:
-                assert result.fraction == expected
-                assert result.fraction.denominator == expected.denominator
+                assert to_fraction(result) == expected
+                assert result._d == expected.denominator
             assert result == ext(expected)
             assert hash(result) == hash(ext(expected))
             with pytest.raises(AttributeError):
-                result._frac = Fraction(5)
+                result._n = 5
         for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq):
             got = op(a, b)
             assert type(got) is bool
@@ -168,3 +180,78 @@ class TestOperatorGrid:
         with pytest.raises(TypeError):
             one.monus(1)
         assert one != 1
+
+
+# -- differential: the int-pair ExtRat against the Fraction-backed one ------------
+
+DENOMINATORS = (1, 2, 3, 7, 12, 97)
+
+
+def random_value(rng: random.Random) -> Fraction | None:
+    """0, infinity, or a rational over a mixed denominator, some of whose
+    numerators exceed 2**64."""
+    kind = rng.random()
+    if kind < 0.1:
+        return Fraction(0)
+    if kind < 0.2:
+        return None
+    d = rng.choice(DENOMINATORS)
+    n = rng.randint(2**64, 2**70) if kind < 0.4 else rng.randint(0, 40)
+    return Fraction(n, d)
+
+
+def assert_reduced(v: ExtRat) -> None:
+    assert type(v) is ExtRat
+    assert type(v._n) is int and type(v._d) is int
+    assert math.gcd(v._n, v._d) == 1
+    assert v._d >= 0 and v._n >= 0
+
+
+class TestAgainstFractionExtRat:
+    def test_seeded_pairs(self):
+        rng = random.Random(2201)
+        comparisons = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq)
+        for _ in range(20_000):
+            x, y = random_value(rng), random_value(rng)
+            a, b = ExtRat(x), ExtRat(y)
+            ra, rb = FractionExtRat(x), FractionExtRat(y)
+            assert str(a) == str(ra) and str(b) == str(rb)
+            for got, want in ((a + b, ra + rb), (a.monus(b), ra.monus(rb))):
+                assert_reduced(got)
+                assert str(got) == str(want)
+            for op in comparisons:
+                assert op(a, b) is op(ra, rb), (op.__name__, x, y)
+            if a == b:
+                assert hash(a) == hash(b)
+
+    def test_parse_accepts_and_refuses_alike(self):
+        literals = ["0", " 7 ", "3/4", "6/8", "22/7", "inf", " inf", "1.5", "1e3",
+                    "-0", "0/5", "+2", str(2**70) + "/12", "-1", "1/0", "a", "1.5.2",
+                    "", "inf/2", "-inf", "nan", "1/-2", "3 /4"]
+        for text in literals:
+            try:
+                want = str(FractionExtRat.parse(text))
+            except SchemaError:
+                with pytest.raises(SchemaError):
+                    ExtRat.parse(text)
+                continue
+            got = ExtRat.parse(text)
+            assert_reduced(got)
+            assert str(got) == want, text
+
+    def test_integer_rows_reads_the_slots(self):
+        matrix = [
+            [ExtRat(Fraction(1, 2)), INF, ZERO],
+            [ExtRat(Fraction(2**65, 7)), ExtRat(3), ExtRat(Fraction(5, 12))],
+        ]
+        rows = integer_rows(matrix)
+        scale = 84
+        assert rows == [
+            [42, None, 0],
+            [2**65 * 12, 252, 35],
+        ]
+        for row, ints in zip(matrix, rows):
+            for cell, k in zip(row, ints):
+                assert (cell == INF) == (k is None)
+                if k is not None:
+                    assert Fraction(k, scale) == to_fraction(cell)

@@ -12,10 +12,9 @@ from enritch.relations import (
     rel_compose,
     rel_involve,
     rel_residual,
-    single_set,
 )
 
-from oracles import bottom_relation, rel_identity, rel_join, rel_leq, rel_meet
+from oracles import bottom_relation, rel_identity, rel_join, rel_leq, rel_meet, single_set
 
 
 def typed_set(quantale, names, types):
