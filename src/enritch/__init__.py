@@ -3,10 +3,13 @@
 The layers, bottom up:
 
 * ``rationals`` -- extended non-negative rationals with exact arithmetic.
-* ``quantale`` -- integral involutive quantales (table-defined or the
-  extended rationals) with exhaustive law checking.
+* ``quantale`` -- table-defined integral involutive quantales with
+  exhaustive law checking, and ``LAWVERE``, the name of the extended
+  rationals.
 * ``diagonals`` -- the quantaloid of diagonals of a quantale: typed homs,
-  composition and residuation.
+  composition and residuation.  Its kernel is where every quantale's
+  arithmetic is realized: from tables for a finite quantale, and by closed
+  forms only for the extended rationals.
 * ``relations`` / ``categories`` -- matrices over the diagonal homs,
   enriched categories, functors, presheaves.
 * ``hull`` -- tight spans, hypercompleteness, injectivity, density.

@@ -244,16 +244,6 @@ class QFunctor:
             if target not in self.codomain.names:
                 raise ShapeMismatchError(f"{target!r} is not an object of the codomain")
 
-    @classmethod
-    def from_dict(
-        cls, domain: QCategory, codomain: QCategory, mapping: dict[str, str]
-    ) -> "QFunctor":
-        try:
-            assignment = tuple(mapping[name] for name in domain.names)
-        except KeyError as exc:
-            raise ShapeMismatchError(f"mapping misses domain object {exc}") from exc
-        return cls(domain, codomain, assignment)
-
     def __call__(self, name: str) -> str:
         return self.assignment[self.domain.objects.index(name)]
 
@@ -414,9 +404,6 @@ class Presheaf:
                 )
         if not _distributor_holds(self.base, self.q, self.values):
             raise PreconditionError("column violates the distributor law")
-
-    def at(self, name: str):
-        return self.values[self.base.objects.index(name)]
 
     def to_dict(self) -> dict:
         fmt = self.base.quantaloid.format

@@ -6,18 +6,24 @@ Restricting objects to the self-involutive elements (q with q deg = q)
 yields the involutive sub-quantaloid on which all typed structures in this
 library live.
 
-``DiagonalQuantaloid`` is the payload-level kernel used by the relation and
-category layers, with one implementation per kind of quantale:
-``FiniteDiagonals`` for table-defined quantales and ``LawvereDiagonals`` for
-the extended rationals.  ``diagonal_quantaloid`` builds a quantale's kernel
+``DiagonalQuantaloid`` is the kernel interface that the relation, category
+and hull layers call, and the kernel is the one place that realizes a
+quantale's arithmetic.  There is one implementation per kind of quantale:
+``FiniteDiagonals`` reads every op from tables over element indices, and
+``LawvereDiagonals`` realizes the extended rationals (``quantale.LAWVERE``)
+by closed forms only.  ``diagonal_quantaloid`` builds a quantale's kernel
 once and keeps it on the quantale; no other code asks whether a quantale
 is finite.  Over the extended rationals ``objects``, ``hom`` and
 ``column_tables`` refuse.
 
 Closed forms for the extended-rational quantale (writing values numerically,
-``-`` for the truncated difference and ``max`` in the standard order):
+``-`` for the truncated difference and ``max``/``min`` in the standard
+order, where the quantale order is the reverse one):
 
+    a <= b in the quantale  iff  a >= b         (0 is the top, inf the bottom)
+    involution           = the identity          (every value is an object)
     hom(p, q)            = { u : u >= max(p, q) }   (solves the diagonal equation)
+    hom_join             = min, hom_bottom = inf
     compose(u: p->q, v: q->r) = (v - q) + u
     w <swarrow> u        = max(q, r, (w + q) - u)    for u: p->q, w: p->r
     v <searrow> w        = max(p, q, (w + q) - v)    for v: q->r, w: p->r
@@ -26,7 +32,8 @@ For finite quantales every hom is enumerated at construction, which
 verifies that homs are closed under joins, contain the bottom, and that the
 three composition expressions agree on every triple.  Once that has passed,
 the finite kernel is tabulated once per quantale: compose, both residuals and
-the hom meets become table lookups over element indices.  ``column_tables(q)``
+the hom meets become table lookups over element indices, next to the
+quantale's own order, join, meet and involution tables.  ``column_tables(q)``
 hands a search over type-q columns those tables themselves (the meet, leq and
 involution tables, the top, and the residuals and hom meets out of q), so
 that its inner loops index tuples instead of calling the kernel.
@@ -37,12 +44,13 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import PreconditionError, UnsupportedQuantaleError
-from .quantale import Quantale, _first_witness
+from .quantale import FiniteQuantale, Quantale, _first_witness
+from .rationals import INF
 
 __all__ = ["DiagonalQuantaloid", "diagonal_quantaloid"]
 
 
-def _composites(q: Quantale, u, mid, v) -> tuple:
+def _composites(q: FiniteQuantale, u, mid, v) -> tuple:
     """The three expressions for v . u: (v/mid) (x) u, v (x) (mid\\u) and
     ((v/mid) (x) mid) (x) (mid\\u)."""
     over = q._residual_left(v, mid)
@@ -55,6 +63,7 @@ class DiagonalQuantaloid:
 
     This is the kernel interface; ``diagonal_quantaloid`` builds the kernel
     that fits the quantale, ``FiniteDiagonals`` or ``LawvereDiagonals``.
+    Payloads are the quantale's values: element indices or ``ExtRat``.
     """
 
     def __init__(self, quantale: Quantale):
@@ -70,11 +79,11 @@ class DiagonalQuantaloid:
 
     def is_object(self, t) -> bool:
         """Objects of the involutive part: elements fixed by the involution."""
-        return self.quantale._involve(t) == t
+        raise NotImplementedError
 
     def objects(self) -> tuple:
-        """The symmetric objects; refused over the extended rationals."""
-        return tuple(t for t in self.quantale.payloads() if self.is_object(t))
+        """The symmetric objects in element load order (finite quantales only)."""
+        raise NotImplementedError
 
     # -- homs --------------------------------------------------------------
 
@@ -89,7 +98,8 @@ class DiagonalQuantaloid:
         return t
 
     def hom_bottom(self, p, t):
-        return self.quantale.bottom
+        """The least diagonal p -> t: the quantale's bottom."""
+        raise NotImplementedError
 
     def hom_top(self, p, t):
         raise NotImplementedError
@@ -109,20 +119,25 @@ class DiagonalQuantaloid:
         raise NotImplementedError
 
     def hom_join(self, p, t, values: Iterable):
-        return self.quantale._join(values)
+        """Join inside the hom lattice: the quantale's join (the empty one is
+        the bottom)."""
+        raise NotImplementedError
 
     def hom_meet(self, p, t, values: Iterable):
         """Meet inside the hom lattice: the join of the common lower bounds."""
         raise NotImplementedError
 
     def leq(self, a, b) -> bool:
-        return self.quantale._leq(a, b)
+        """The quantale's order."""
+        raise NotImplementedError
 
     def involve(self, a):
-        return self.quantale._involve(a)
+        """The quantale's involution."""
+        raise NotImplementedError
 
     def format(self, payload) -> str:
-        return self.quantale.format_value(payload)
+        """The name of a payload, as reports and files write it."""
+        raise NotImplementedError
 
     # -- tables ------------------------------------------------------------
 
@@ -144,13 +159,16 @@ class FiniteDiagonals(DiagonalQuantaloid):
 
     The build enumerates every hom, verifies the kernel laws and then
     tabulates compose, both residuals and the hom meets over payload indices.
-    A hom meet folds its arguments through the meet table first: in a
-    lattice v lies below every s exactly when it lies below their meet.
+    The order, join, meet and involution come from the quantale's own tables
+    and the names from its elements.  A hom meet folds its arguments through
+    the meet table first: in a lattice v lies below every s exactly when it
+    lies below their meet.
     """
 
     def _build(self) -> None:
         q = self.quantale
         rng = q.payloads()
+        self._names, self._involution = q.elements, q.involution_table
 
         def diagonal(p, t, u) -> bool:
             left = q._tensor(q._residual_left(u, p), p)
@@ -163,6 +181,9 @@ class FiniteDiagonals(DiagonalQuantaloid):
         }
         self._verify_kernels()
         homs, leq, join, bottom = self._homs, q.leq_table, q.join_table, q.bottom
+        self._order, self._joins, self._meets = leq, join, q.meet_table
+        self._bottom, self._top = bottom, q.top
+        self._objects = tuple(t for t in rng if self.is_object(t))
 
         def joins_below(pairs) -> tuple:
             """Indexed by w: the join of every x of the (x, y) pairs with y <= w."""
@@ -189,10 +210,9 @@ class FiniteDiagonals(DiagonalQuantaloid):
         self._hom_meet = tuple(
             tuple(joins_below([(v, v) for v in homs[(p, t)]]) for t in rng) for p in rng
         )
-        self._meet, self._top = q.meet_table, q.top
 
     def _verify_kernels(self) -> None:
-        q, homs, fmt = self.quantale, self._homs, self.quantale.format_value
+        q, homs, fmt = self.quantale, self._homs, self.format
 
         def hom_fault(p, t):
             hom = homs[(p, t)]
@@ -221,14 +241,24 @@ class FiniteDiagonals(DiagonalQuantaloid):
         if message is not None:
             raise PreconditionError(message)
 
+    def is_object(self, t) -> bool:
+        return self._involution[t] == t
+
+    def objects(self) -> tuple:
+        return self._objects
+
     def is_hom(self, p, t, u) -> bool:
         return u in self._homs[(p, t)]
 
     def hom(self, p, t) -> tuple:
         return self._homs[(p, t)]
 
+    def hom_bottom(self, p, t):
+        return self._bottom
+
     def hom_top(self, p, t):
-        return self.quantale._join(self._homs[(p, t)])
+        # Every diagonal p -> t lies below the quantale's top.
+        return self._hom_meet[p][t][self._top]
 
     def compose(self, u, mid, v):
         return self._compose[mid][u][v]
@@ -239,22 +269,46 @@ class FiniteDiagonals(DiagonalQuantaloid):
     def rimpl(self, p, mid, v, w):
         return self._rimpl[p][mid][v][w]
 
+    def hom_join(self, p, t, values: Iterable):
+        join, result = self._joins, self._bottom
+        for v in values:
+            result = join[result][v]
+        return result
+
     def hom_meet(self, p, t, values: Iterable):
-        # The fold of ``quantale._meet`` without its two property lookups a
-        # call; a tight-span suite makes some 10^5 hom meets.
-        meet, m = self._meet, self._top
+        # A tight-span suite makes some 10^5 hom meets: fold the meet table
+        # inline.
+        meet, m = self._meets, self._top
         for s in values:
             m = meet[m][s]
         return self._hom_meet[p][t][m]
 
+    def leq(self, a, b) -> bool:
+        return self._order[a][b]
+
+    def involve(self, a):
+        return self._involution[a]
+
+    def format(self, payload) -> str:
+        return self._names[payload]
+
     def column_tables(self, q) -> tuple:
-        quantale = self.quantale
-        return (self._meet, quantale.leq_table, quantale.involution_table, self._top,
+        return (self._meets, self._order, self._involution, self._top,
                 self._limpl[q], self._hom_meet[q])
 
 
 class LawvereDiagonals(DiagonalQuantaloid):
     """Closed-form kernel of the extended rationals (see the module notes)."""
+
+    def is_object(self, t) -> bool:
+        return self.involve(t) == t
+
+    def objects(self) -> tuple:
+        """Refused: the extended rationals are infinitely many."""
+        raise UnsupportedQuantaleError(
+            f"{self.quantale.name} has infinitely many elements;"
+            " the partial-metric module covers the extended rationals"
+        )
 
     def is_hom(self, p, t, u) -> bool:
         return u >= p and u >= t
@@ -264,6 +318,9 @@ class LawvereDiagonals(DiagonalQuantaloid):
         raise UnsupportedQuantaleError(
             "hom sets of the extended-rational quantaloid are infinite"
         )
+
+    def hom_bottom(self, p, t):
+        return INF
 
     def hom_top(self, p, t):
         return max(p, t)
@@ -283,12 +340,28 @@ class LawvereDiagonals(DiagonalQuantaloid):
     def rimpl(self, p, mid, v, w):
         return max(p, mid, (w + mid).monus(v))
 
+    def hom_join(self, p, t, values: Iterable):
+        result = INF
+        for v in values:
+            if v < result:
+                result = v
+        return result
+
     def hom_meet(self, p, t, values: Iterable):
         result = max(p, t)
         for v in values:
             if v > result:
                 result = v
         return result
+
+    def leq(self, a, b) -> bool:
+        return a >= b
+
+    def involve(self, a):
+        return a
+
+    def format(self, payload) -> str:
+        return str(payload)
 
 
 def diagonal_quantaloid(quantale: Quantale) -> DiagonalQuantaloid:

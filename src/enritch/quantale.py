@@ -1,29 +1,28 @@
 """Integral involutive quantales with exact arithmetic.
 
-Two realizations are provided:
+Two quantales are provided:
 
-* ``LawvereQuantale`` -- the extended non-negative rationals under addition,
-  ordered by the *reverse* of the numeric order (so ``leq(a, b)`` means
-  ``a >= b`` numerically, the unit 0 is the top element, and joins are
-  numeric infima).
-* ``FiniteQuantale`` -- a table-defined quantale.  Joins and meets are
-  derived from the order table on first use; nothing else is trusted until
-  ``check_quantale_laws`` has verified every law exhaustively.
+* ``FiniteQuantale`` -- a table-defined quantale whose payloads are element
+  indices.  Joins and meets are derived from the order table on first use;
+  nothing else is trusted until ``check_quantale_laws`` has verified every
+  law exhaustively.
+* ``LAWVERE`` -- the extended non-negative rationals (``ExtRat``) under
+  addition, ordered by the *reverse* of the numeric order (the unit 0 is
+  the top element, and joins are numeric infima).  It is a name only: the
+  closed forms of its diagonal kernel, ``diagonals.LawvereDiagonals``, are
+  the one place its arithmetic is realized.
 
-Values are bare payloads (``ExtRat`` or element indices) handled by the
-underscore operations of their quantale; ``parse_value`` and
-``format_value`` convert them to and from their names.
+The other layers reach a quantale only through its kernel,
+``diagonals.diagonal_quantaloid``, which also names and formats payloads.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Sequence
 
-from .errors import SchemaError, UnsupportedQuantaleError
-from .rationals import INF, ZERO, ExtRat
+from .errors import SchemaError
 
 __all__ = [
     "Quantale",
@@ -36,113 +35,18 @@ __all__ = [
 
 
 class Quantale:
-    """Payload-level operations, shared by every realization."""
+    """What every quantale carries: a name, and whether its kernel is tabulated."""
 
     name = "quantale"
     is_finite = False
     # The diagonal kernel, built by ``diagonals.diagonal_quantaloid`` on first use.
     _diagonals = None
 
-    # -- payload level ------------------------------------------------
-
-    def _leq(self, a, b) -> bool:
-        raise NotImplementedError
-
-    def _tensor(self, a, b):
-        raise NotImplementedError
-
-    def _join(self, values: Iterable):
-        raise NotImplementedError
-
-    def _meet(self, values: Iterable):
-        raise NotImplementedError
-
-    def _residual_left(self, w, u):
-        """w / u = join {v : v (x) u <= w}."""
-        raise NotImplementedError
-
-    def _residual_right(self, v, w):
-        """v \\ w = join {u : v (x) u <= w}."""
-        raise NotImplementedError
-
-    def _involve(self, a):
-        raise NotImplementedError
-
-    @property
-    def unit(self):
-        raise NotImplementedError
-
-    @property
-    def bottom(self):
-        raise NotImplementedError
-
-    def payloads(self) -> Sequence:
-        raise UnsupportedQuantaleError(
-            f"{self.name} has infinitely many elements;"
-            " the partial-metric module covers the extended rationals"
-        )
-
-    def format_value(self, payload) -> str:
-        raise NotImplementedError
-
-    def parse_value(self, text) -> Any:
-        raise NotImplementedError
-
 
 class LawvereQuantale(Quantale):
     """[0, inf] with addition, unit 0, reverse numeric order, trivial involution."""
 
     name = "lawvere"
-    is_finite = False
-
-    def _leq(self, a: ExtRat, b: ExtRat) -> bool:
-        return a >= b
-
-    def _tensor(self, a: ExtRat, b: ExtRat) -> ExtRat:
-        return a + b
-
-    def _join(self, values) -> ExtRat:
-        result = INF
-        for v in values:
-            if v < result:
-                result = v
-        return result
-
-    def _meet(self, values) -> ExtRat:
-        result = ZERO
-        for v in values:
-            if v > result:
-                result = v
-        return result
-
-    def _residual_left(self, w: ExtRat, u: ExtRat) -> ExtRat:
-        return w.monus(u)
-
-    def _residual_right(self, v: ExtRat, w: ExtRat) -> ExtRat:
-        return w.monus(v)
-
-    def _involve(self, a: ExtRat) -> ExtRat:
-        return a
-
-    @property
-    def unit(self) -> ExtRat:
-        return ZERO
-
-    @property
-    def bottom(self) -> ExtRat:
-        return INF
-
-    def format_value(self, payload: ExtRat) -> str:
-        return str(payload)
-
-    def parse_value(self, text) -> ExtRat:
-        if isinstance(text, ExtRat):
-            return text
-        if isinstance(text, (int, Fraction)):
-            return ExtRat(text)
-        if isinstance(text, str):
-            return ExtRat.parse(text)
-        raise SchemaError(f"cannot interpret {text!r} as an extended rational")
 
 
 LAWVERE = LawvereQuantale()
@@ -276,25 +180,14 @@ class FiniteQuantale(Quantale):
 
     # -- payload ops ----------------------------------------------------
 
-    def _leq(self, a: int, b: int) -> bool:
-        return self.leq_table[a][b]
-
     def _tensor(self, a: int, b: int) -> int:
         return self.tensor_table[a][b]
 
-    # Joins and meets read the derived fields directly: going through the
-    # properties costs more than a short fold.
-
     def _join(self, values) -> int:
+        # Reads the derived fields directly: going through the properties
+        # costs more than a short fold.
         result = self.bottom if self._bottom is None else self._bottom
         table = self._join_table or self.join_table
-        for v in values:
-            result = table[result][v]
-        return result
-
-    def _meet(self, values) -> int:
-        result = self.top if self._top is None else self._top
-        table = self._meet_table or self.meet_table
         for v in values:
             result = table[result][v]
         return result
@@ -334,25 +227,6 @@ class FiniteQuantale(Quantale):
 
     def payloads(self) -> range:
         return range(len(self.elements))
-
-    def format_value(self, payload: int) -> str:
-        return self.elements[payload]
-
-    def parse_value(self, text) -> int:
-        if isinstance(text, str):
-            return self._lookup(text, "value")
-        if isinstance(text, int) and 0 <= text < len(self.elements):
-            return text
-        raise SchemaError(f"cannot interpret {text!r} as an element of {self.name}")
-
-    def to_dict(self) -> dict:
-        return {
-            "elements": list(self.elements),
-            "leq": [list(row) for row in self.leq_table],
-            "tensor": [[self.elements[c] for c in row] for row in self.tensor_table],
-            "unit": self.elements[self._unit],
-            "involution": [self.elements[c] for c in self.involution_table],
-        }
 
     @classmethod
     def from_dict(cls, data: dict, name: str = "finite") -> "FiniteQuantale":

@@ -25,12 +25,20 @@ two infinities give ``0 <= 0``.  Equal values have equal pairs, which makes
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import SchemaError
 
 __all__ = ["ExtRat", "INF", "ZERO", "integer_rows"]
+
+# The interpreter's int-to-string digit limit (its default where the limit
+# is off): ``str`` of a numerator or denominator of more digits raises.
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+_TOO_LONG = 10**_MAX_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
 class ExtRat:
@@ -56,18 +64,26 @@ class ExtRat:
 
     @classmethod
     def parse(cls, text: str) -> "ExtRat":
-        """Parse "p/q", "n" or "inf" (the serialization used in all files)."""
+        """Parse "p/q", "n" or "inf" (the serialization used in all files).
+
+        Any other literal ``Fraction`` reads is accepted too, unless its
+        numerator or denominator has more digits than ``str`` will write.
+        """
         if not isinstance(text, str):
             raise SchemaError(f"expected a string rational, got {text!r}")
         text = text.strip()
         if text == "inf":
             return cls(None)
+        if "e" in text or "E" in text:
+            text = _bounded_exponent(text)
         try:
             frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational literal {text!r}: {exc}") from exc
         if frac.numerator < 0:
             raise SchemaError(f"negative rational {text!r} not allowed")
+        if frac.numerator >= _TOO_LONG or frac.denominator >= _TOO_LONG:
+            raise _too_long(text)
         return _pair(frac.numerator, frac.denominator)
 
     def __add__(self, other: "ExtRat") -> "ExtRat":
@@ -153,6 +169,36 @@ def _pair(n: int, d: int) -> ExtRat:
     _set_n(value, n)
     _set_d(value, d)
     return value
+
+
+def _too_long(text: str) -> SchemaError:
+    return SchemaError(
+        f"rational literal {text[:40]!r} needs a numerator or denominator of"
+        f" more than {_MAX_DIGITS} digits"
+    )
+
+
+def _bounded_exponent(text: str) -> str:
+    """``text``, checked before ``Fraction`` computes 10**|e| for its exponent e.
+
+    A mantissa of w digits, not all zero, times 10**e reduces to a numerator
+    (e >= 0) or denominator (e < 0) of at least 10**(|e| - w), so |e| - w at
+    or past the digit limit is refused.  A zero mantissa is zero whatever the
+    exponent, and gets the exponent 0 instead.
+    """
+    match = _EXPONENT.search(text)
+    if match is None:
+        return text
+    try:
+        exponent = int(match.group(1))
+    except ValueError:
+        return text  # ``Fraction`` refuses it the same way
+    mantissa = text[: match.start()]
+    if abs(exponent) - sum(c.isdecimal() for c in mantissa) < _MAX_DIGITS:
+        return text
+    if any(c.isdecimal() and int(c) for c in mantissa):
+        raise _too_long(text)
+    return mantissa + "e0"
 
 
 INF = ExtRat(None)

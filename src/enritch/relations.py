@@ -112,14 +112,6 @@ class QRelation:
     def at(self, x: str, y: str):
         return self.entries[self.source.index(x)][self.target.index(y)]
 
-    def to_dict(self) -> dict:
-        fmt = self.quantaloid.format
-        return {
-            "source": self.source.to_dict(),
-            "target": self.target.to_dict(),
-            "entries": [[fmt(u) for u in row] for row in self.entries],
-        }
-
 
 def rel_compose(psi: QRelation, phi: QRelation) -> QRelation:
     """(psi . phi)(x, z) = join over y of psi(y, z) . phi(x, y)."""

@@ -72,14 +72,25 @@ def lawvere():
     return LAWVERE
 
 
+def value(quantale, text):
+    """The payload that ``text`` names: an element name of a finite quantale,
+    or over ``LAWVERE`` an extended-rational literal ("n", "p/q", "inf"), an
+    int, a Fraction or an ExtRat."""
+    if isinstance(quantale, FiniteQuantale):
+        return quantale.elements.index(text)
+    if isinstance(text, ExtRat):
+        return text
+    return ExtRat.parse(text) if isinstance(text, str) else ExtRat(text)
+
+
 def make_category(quantale, names, types, rows) -> QCategory:
     """Build a category from element names / value names (or ExtRat strings)."""
     dq = diagonal_quantaloid(quantale)
     carrier = TypedSet(
-        dq, tuple(names), tuple(quantale.parse_value(t) for t in types)
+        dq, tuple(names), tuple(value(quantale, t) for t in types)
     )
     entries = tuple(
-        tuple(quantale.parse_value(cell) for cell in row) for row in rows
+        tuple(value(quantale, cell) for cell in row) for row in rows
     )
     return QCategory(carrier, QRelation(carrier, carrier, entries))
 

@@ -5,8 +5,9 @@ them as independent oracles for library code (``check_adjunction`` for the
 graph calculus, ``tighten`` and ``extension_from_presheaf`` for the tight
 columns and one-point retractions, the classical checks for
 ``tighten_sweep`` and ``sigma``, ``FractionExtRat`` for the int-pair
-``ExtRat``) and to build inputs.  The quantale constructors pin the shipped
-tables in ``src/enritch/data``.
+``ExtRat``, ``LawvereReference`` for the extended-rational kernel's closed
+forms) and to build inputs.  The quantale constructors pin the shipped
+tables in ``src/enritch/data``, through ``quantale_document``.
 """
 
 from __future__ import annotations
@@ -130,6 +131,72 @@ def diamond_frame() -> FiniteQuantale:
         involution_table=elements,
         name="diamond",
     )
+
+
+def quantale_document(q: FiniteQuantale) -> dict:
+    """The JSON document ``fileio.load_quantale`` reads back as ``q``."""
+    return {
+        "elements": list(q.elements),
+        "leq": [list(row) for row in q.leq_table],
+        "tensor": [[q.elements[c] for c in row] for row in q.tensor_table],
+        "unit": q.elements[q.unit],
+        "involution": [q.elements[c] for c in q.involution_table],
+    }
+
+
+class LawvereReference:
+    """The extended rationals' quantale ops, written out one by one: [0, inf]
+    with addition, unit 0, reverse numeric order, trivial involution.
+
+    The library realizes them only as the closed forms of
+    ``diagonals.LawvereDiagonals``; these are the reference those closed
+    forms are checked against.
+    """
+
+    name = "lawvere"
+
+    def _leq(self, a: ExtRat, b: ExtRat) -> bool:
+        return a >= b
+
+    def _tensor(self, a: ExtRat, b: ExtRat) -> ExtRat:
+        return a + b
+
+    def _join(self, values) -> ExtRat:
+        result = INF
+        for v in values:
+            if v < result:
+                result = v
+        return result
+
+    def _meet(self, values) -> ExtRat:
+        result = ZERO
+        for v in values:
+            if v > result:
+                result = v
+        return result
+
+    def _residual_left(self, w: ExtRat, u: ExtRat) -> ExtRat:
+        return w.monus(u)
+
+    def _residual_right(self, v: ExtRat, w: ExtRat) -> ExtRat:
+        return w.monus(v)
+
+    def _involve(self, a: ExtRat) -> ExtRat:
+        return a
+
+    @property
+    def unit(self) -> ExtRat:
+        return ZERO
+
+    @property
+    def bottom(self) -> ExtRat:
+        return INF
+
+    def format_value(self, payload: ExtRat) -> str:
+        return str(payload)
+
+
+LAWVERE_REFERENCE = LawvereReference()
 
 
 def reference_is_divisible(q: FiniteQuantale) -> bool:

@@ -30,7 +30,7 @@ from enritch.hull import (
 from enritch.quantale import LAWVERE
 from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve, rel_residual
 
-from conftest import make_category
+from conftest import make_category, value
 from oracles import (
     check_adjunction,
     copresheaf_values,
@@ -73,7 +73,7 @@ class TestListInputs:
 class TestValidation:
     def test_one_point_category_valid(self, luk3):
         dq = diagonal_quantaloid(luk3)
-        c = one_object_category(dq, luk3.parse_value("1/2"))
+        c = one_object_category(dq, value(luk3, "1/2"))
         assert validate_category(c).valid
 
     def test_triangle_violation_detected(self):
@@ -163,8 +163,8 @@ def _all_small_categories(quantale, max_n):
                     rows[i][j] = u
                 yield (
                     names,
-                    [quantale.format_value(t) for t in types],
-                    [[quantale.format_value(u) for u in row] for row in rows],
+                    [quantale.elements[t] for t in types],
+                    [[quantale.elements[u] for u in row] for row in rows],
                 )
 
 
@@ -262,7 +262,6 @@ class TestFunctors:
         from enritch.hull import full_subcategory
 
         c = make_category(luk3, ["a", "b"], ["1", "1"], [["1", "1/2"], ["1/2", "1"]])
-        mu = yoneda(c, "a")
         f = QFunctor(c, c, ("a", "b"))
         lookups = [
             lambda: c.objects.index("z"),
@@ -270,7 +269,6 @@ class TestFunctors:
             lambda: yoneda(c, "z"),
             lambda: c.hom.at("a", "z"),
             lambda: c.type_payload("z"),
-            lambda: mu.at("z"),
             lambda: f("z"),
         ]
         for lookup in lookups:
@@ -390,17 +388,17 @@ class TestPresheaves:
         c = make_category(boolean, [], [], [])
         sheaves = enumerate_presheaves(c)
         assert len(sheaves) == 2
-        assert sorted(boolean.format_value(m.q) for m in sheaves) == ["0", "1"]
+        assert sorted(boolean.elements[m.q] for m in sheaves) == ["0", "1"]
 
     def test_one_point_type_one_presheaves(self, boolean):
         dq = diagonal_quantaloid(boolean)
-        c = one_object_category(dq, boolean.parse_value("1"))
+        c = one_object_category(dq, value(boolean, "1"))
         values = [
             m.values[0]
             for m in enumerate_presheaves(c)
-            if m.q == boolean.parse_value("1")
+            if m.q == value(boolean, "1")
         ]
-        assert values == [boolean.parse_value("0"), boolean.parse_value("1")]
+        assert values == [value(boolean, "0"), value(boolean, "1")]
 
     def test_count_invariant_under_renaming(self, luk3):
         rows = [["1", "1/2"], ["1/2", "1"]]
@@ -411,7 +409,7 @@ class TestPresheaves:
     def test_distributor_law_enforced(self, boolean):
         c = make_category(boolean, ["a", "b"], ["1", "1"], [["1", "1"], ["1", "1"]])
         with pytest.raises(PreconditionError):
-            Presheaf(c, boolean.parse_value("1"), tuple(boolean.parse_value(v) for v in ("0", "1")))
+            Presheaf(c, value(boolean, "1"), tuple(value(boolean, v) for v in ("0", "1")))
 
     def test_lawvere_enumeration_unsupported(self):
         c = make_category(LAWVERE, ["x"], ["0"], [["0"]])
@@ -459,7 +457,7 @@ class TestYoneda:
             luk3, ["a", "b"], ["1", "1/2"], [["1", "1/2"], ["1/2", "1/2"]]
         )
         mu = yoneda(c, "a")
-        assert presheaf_hom(yoneda(c, "a"), mu) == luk3.parse_value("1")
+        assert presheaf_hom(yoneda(c, "a"), mu) == value(luk3, "1")
 
     def test_presheaf_hom_matches_relation_residual(self, boolean, luk3):
         # the presheaf-category hom is the left residual of the columns

@@ -14,13 +14,14 @@ from enritch.fileio import load_quantale
 from enritch.quantale import LAWVERE
 from enritch.rationals import INF, ZERO, ExtRat
 
-from oracles import reference_is_divisible
+from conftest import value
+from oracles import LAWVERE_REFERENCE, reference_is_divisible
 
 DATA = Path(str(files("enritch") / "data"))
 
 
 def lv(x):
-    return LAWVERE.parse_value(x)
+    return value(LAWVERE, x)
 
 
 LV = diagonal_quantaloid(LAWVERE)
@@ -40,7 +41,7 @@ class TestDiagonalMembership:
         assert not LV.is_hom(lv(3), lv(1), lv(2))  # u below the source
         assert LV.is_hom(lv(2), lv(2), lv(2))  # identity diagonal
         # the extended rationals are divisible: membership is u <= p meet q
-        q = LAWVERE
+        q = LAWVERE_REFERENCE
         for p, t, u in itertools.product(rational_pool(7), repeat=3):
             assert LV.is_hom(p, t, u) == q._leq(u, q._meet((p, t)))
             # the closed form is the diagonal equation (u/p) (x) p = u = t (x) (t\u)
@@ -56,17 +57,17 @@ class TestDiagonalMembership:
             for p in q.payloads():
                 for t in q.payloads():
                     for u in q.payloads():
-                        expected = q._leq(u, q._meet((p, t)))
+                        expected = q.leq_table[u][q.meet_table[p][t]]
                         assert dq.is_hom(p, t, u) == expected
 
     def test_nondivisible_instance_has_proper_hom(self, nilmin5):
         # 1/4 <= 3/4 but 1/4 is not a diagonal 3/4 -> 3/4
         dq = diagonal_quantaloid(nilmin5)
-        q34 = nilmin5.parse_value("3/4")
-        q14 = nilmin5.parse_value("1/4")
-        assert nilmin5._leq(q14, q34)
+        q34 = value(nilmin5, "3/4")
+        q14 = value(nilmin5, "1/4")
+        assert nilmin5.leq_table[q14][q34]
         assert not dq.is_hom(q34, q34, q14)
-        assert dq.is_hom(q34, q34, nilmin5.parse_value("1/2"))
+        assert dq.is_hom(q34, q34, value(nilmin5, "1/2"))
 
     def test_bottom_always_a_diagonal(self, boolean, luk3, nilmin5, diamond):
         for q in (boolean, luk3, nilmin5, diamond):
@@ -78,17 +79,17 @@ class TestDiagonalMembership:
 
 class TestHomEnumeration:
     def test_boolean_full_hom(self, boolean):
-        one = boolean.parse_value("1")
+        one = value(boolean, "1")
         assert diagonal_quantaloid(boolean).hom(one, one) == (0, 1)
 
     def test_boolean_mixed_hom_is_bottom_only(self, boolean):
-        one, zero = boolean.parse_value("1"), boolean.parse_value("0")
+        one, zero = value(boolean, "1"), value(boolean, "0")
         assert diagonal_quantaloid(boolean).hom(one, zero) == (0,)
 
     def test_lukasiewicz_half_hom(self, luk3):
-        half = luk3.parse_value("1/2")
-        names = [luk3.format_value(u) for u in diagonal_quantaloid(luk3).hom(half, half)]
-        assert names == ["0", "1/2"]
+        half = value(luk3, "1/2")
+        dq = diagonal_quantaloid(luk3)
+        assert [dq.format(u) for u in dq.hom(half, half)] == ["0", "1/2"]
 
     def test_identity_morphism_only_on_equal_objects(self, luk3):
         dq = diagonal_quantaloid(luk3)
@@ -98,8 +99,18 @@ class TestHomEnumeration:
             assert dq.hom_top(p, p) == dq.identity(p)
 
     def test_lawvere_enumeration_unsupported(self):
-        with pytest.raises(UnsupportedQuantaleError):
-            LV.hom(lv(0), lv(1))
+        refusals = [
+            (LV.objects, "lawvere has infinitely many elements;"
+             " the partial-metric module covers the extended rationals"),
+            (lambda: LV.hom(lv(0), lv(1)),
+             "hom sets of the extended-rational quantaloid are infinite"),
+            (lambda: LV.column_tables(lv(0)),
+             "the extended-rational quantaloid has no finite lookup tables"),
+        ]
+        for call, message in refusals:
+            with pytest.raises(UnsupportedQuantaleError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestComposition:
@@ -162,7 +173,7 @@ class TestComposition:
         for p, m, r in itertools.product(boolean.payloads(), repeat=3):
             for uu in dq.hom(p, m):
                 for vv in dq.hom(m, r):
-                    assert dq.compose(uu, m, vv) == boolean._meet((uu, vv))
+                    assert dq.compose(uu, m, vv) == boolean.meet_table[uu][vv]
 
 
 class TestResiduation:
@@ -187,13 +198,15 @@ class TestResiduation:
                         res = dq.limpl(m, r, uu, ww)
                         assert dq.is_hom(m, r, res)
                         for vv in dq.hom(m, r):
-                            assert q._leq(dq.compose(uu, m, vv), ww) == q._leq(vv, res)
+                            leq = q.leq_table
+                            assert leq[dq.compose(uu, m, vv)][ww] == leq[vv][res]
                 for vv in dq.hom(m, r):
                     for ww in dq.hom(p, r):
                         res = dq.rimpl(p, m, vv, ww)
                         assert dq.is_hom(p, m, res)
                         for uu in dq.hom(p, m):
-                            assert q._leq(dq.compose(uu, m, vv), ww) == q._leq(uu, res)
+                            leq = q.leq_table
+                            assert leq[dq.compose(uu, m, vv)][ww] == leq[uu][res]
 
     def test_closed_form_matches_grid_oracle(self):
         # feasibility plus dominance over every grid competitor
@@ -236,6 +249,55 @@ class TestInvolutionLift:
             assert diagonal_quantaloid(q).objects() == tuple(q.payloads())
 
 
+# -- the order, join, involution and names each kernel realizes --------------
+
+
+class TestKernelOpsAgainstTheQuantale:
+    def test_lawvere_closed_forms_match_the_reference_ops(self):
+        ref, rng = LAWVERE_REFERENCE, random.Random(61)
+        pool = rational_pool(61, count=24)
+        assert ZERO in pool and INF in pool
+        assert LV.hom_join(ZERO, ZERO, []) == ref._join([]) == INF
+        assert LV.hom_join(ZERO, ZERO, iter(())) == INF
+        for a in pool:
+            assert LV.involve(a) == ref._involve(a)
+            assert LV.is_object(a) == (ref._involve(a) == a)
+            assert LV.format(a) == ref.format_value(a)
+            assert LV.hom_bottom(a, rng.choice(pool)) == ref.bottom
+            for b in pool:
+                assert LV.leq(a, b) == ref._leq(a, b)
+        for size in range(1, 6):
+            for _ in range(200):
+                values = [rng.choice(pool) for _ in range(size)]
+                p, t = rng.choice(pool), rng.choice(pool)
+                assert LV.hom_join(p, t, values) == ref._join(values)
+                assert LV.hom_join(p, t, iter(values)) == ref._join(values)
+
+    @pytest.mark.parametrize(
+        "fixture", ["boolean", "luk3", "luk5", "nilmin5", "diamond", "diamond_swap"]
+    )
+    def test_finite_ops_match_the_quantale_tables(self, request, fixture):
+        q = request.getfixturevalue(fixture)
+        dq, rng = diagonal_quantaloid(q), q.payloads()
+        assert dq.objects() == tuple(t for t in rng if q.involution_table[t] == t)
+        for a in rng:
+            assert dq.involve(a) == q.involution_table[a]
+            assert dq.is_object(a) == (q.involution_table[a] == a)
+            assert dq.format(a) == q.elements[a]
+        for p, t in itertools.product(rng, repeat=2):
+            assert dq.hom_bottom(p, t) == q.bottom
+            assert dq.hom_join(p, t, ()) == q.bottom
+            assert dq.hom_top(p, t) == q._join(dq.hom(p, t))
+            assert dq.leq(p, t) == q.leq_table[p][t]
+            for size in range(1, 4):
+                for values in itertools.product(rng, repeat=size):
+                    expected = q.bottom
+                    for v in values:
+                        expected = q.join_table[expected][v]
+                    assert dq.hom_join(p, t, values) == expected
+                    assert dq.hom_join(p, t, iter(values)) == expected
+
+
 # -- the finite kernel against the exhaustive definitions it tabulates -------
 
 
@@ -253,19 +315,19 @@ def reference_compose(q, u, mid, v):
 
 def reference_limpl(q, mid, r, u, w):
     return q._join(
-        v for v in reference_hom(q, mid, r) if q._leq(reference_compose(q, u, mid, v), w)
+        v for v in reference_hom(q, mid, r) if q.leq_table[reference_compose(q, u, mid, v)][w]
     )
 
 
 def reference_rimpl(q, p, mid, v, w):
     return q._join(
-        u for u in reference_hom(q, p, mid) if q._leq(reference_compose(q, u, mid, v), w)
+        u for u in reference_hom(q, p, mid) if q.leq_table[reference_compose(q, u, mid, v)][w]
     )
 
 
 def reference_hom_meet(q, p, t, values):
     return q._join(
-        v for v in reference_hom(q, p, t) if all(q._leq(v, s) for s in values)
+        v for v in reference_hom(q, p, t) if all(q.leq_table[v][s] for s in values)
     )
 
 
@@ -302,11 +364,11 @@ class TestFiniteKernelTables:
         rng = quantale.payloads()
         for q in rng:
             meet, leq, involve, top, residual, hom_meet = dq.column_tables(q)
-            assert top == quantale._meet(())
+            assert top == quantale.top
             for a in rng:
                 assert involve[a] == dq.involve(a)
             for a, b in itertools.product(rng, repeat=2):
-                assert meet[a][b] == quantale._meet((a, b))
+                assert meet[a][b] == quantale.meet_table[a][b]
                 assert leq[a][b] == dq.leq(a, b)
             for t, u, w in itertools.product(rng, repeat=3):
                 assert residual[t][u][w] == dq.limpl(q, t, u, w)

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from enritch import fileio, hull, parmet
+from enritch import fileio, hull, parmet, verify
 from enritch.cli import main
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import InvariantError, SchemaError
 from enritch.quantale import check_quantale_laws
+
+from oracles import quantale_document
 
 DATA = Path(str(files("enritch") / "data"))
 
@@ -24,7 +26,7 @@ class TestFileLoading:
         path = DATA / "lukasiewicz5.json"
         q = fileio.load_quantale(path)
         assert check_quantale_laws(q).passed
-        assert q.to_dict() == fileio.read_json(path)
+        assert quantale_document(q) == fileio.read_json(path)
 
     def test_space_and_radius_round_trip(self, tmp_path):
         space = fileio.load_space(DATA / "two_point_partial.json")
@@ -177,6 +179,25 @@ class TestHullCommands:
         assert result["error"] == "schema"
         assert result["message"].startswith(f"cannot write {out_path}")
 
+    def test_tighten_refuses_a_distance_str_cannot_write(self, capsys, tmp_path):
+        # "1e5000" is a literal Fraction reads; its 5,001-digit numerator is
+        # past the interpreter's int-to-string limit, so the report could
+        # not be written.
+        space = tmp_path / "far.json"
+        space.write_text(json.dumps(
+            {"points": ["a", "b"], "alpha": [["0", "1e5000"], ["1e5000", "0"]]}
+        ))
+        out_path = tmp_path / "tight.json"
+        code, out, _ = run_cli(
+            capsys, "hull", "tighten", str(space), str(DATA / "mu_33.json"),
+            "--out", str(out_path),
+        )
+        assert code == 2
+        result = json.loads(out)["result"]
+        assert result["error"] == "schema"
+        assert "more than" in result["message"] and "digits" in result["message"]
+        assert not out_path.exists()
+
     def test_sigma(self, capsys, tmp_path):
         space = str(DATA / "two_point_classical.json")
         other = tmp_path / "mu31.json"
@@ -319,6 +340,23 @@ class TestVerifyCommands:
         report = json.loads(out)
         assert report["result"]["discrepancies"] > 0
         assert report["witnesses"] is not None
+
+    @pytest.mark.parametrize("suite", ["t44", "t54"])
+    def test_lax_typing_refused_where_no_check_reads_it(self, capsys, monkeypatch, suite):
+        def enumerate_nothing(*args):
+            raise AssertionError("the refusal comes before the enumeration")
+
+        monkeypatch.setattr(verify, "enumerate_symmetric_categories", enumerate_nothing)
+        code, out, _ = run_cli(
+            capsys, "verify", suite,
+            "--quantale", str(DATA / "lukasiewicz3.json"), "--bound", "2", "--lax-typing",
+        )
+        assert code == 3
+        result = json.loads(out)["result"]
+        assert result["error"] == "precondition"
+        assert result["message"] == (
+            f"suite {suite} has no lax reading: witness typing applies to t36 and l43 only"
+        )
 
     def test_broken_quantale_refused(self, capsys):
         code, out, _ = run_cli(

@@ -54,10 +54,11 @@ from enritch.hull import (
 )
 from enritch.parmet import ParMetSpace, to_category
 from enritch.quantale import LAWVERE
+from enritch.rationals import ExtRat
 from enritch.relations import rel_compose
 from enritch.verify import run_suite
 
-from conftest import make_category, random_partial_metric, shipped_quantale
+from conftest import make_category, random_partial_metric, shipped_quantale, value
 from oracles import extension_from_presheaf, isomorphic, one_object_category, tighten
 
 
@@ -232,8 +233,8 @@ def reference_tight_columns(c, q):
 class TestMembership:
     def test_two_point_metric_tight_and_ambient(self):
         c = make_category(LAWVERE, ["a", "b"], ["0", "0"], [["0", "4"], ["4", "0"]])
-        zero = LAWVERE.parse_value("0")
-        val = LAWVERE.parse_value
+        zero = value(LAWVERE, "0")
+        val = ExtRat.parse
         assert is_tight_column(c, zero, (val("1"), val("3")))
         assert column_admissible(c, zero, (val("2"), val("3")))
         assert not is_tight_column(c, zero, (val("2"), val("3")))
@@ -263,8 +264,8 @@ class TestTighten:
 
     def test_indiscrete_boolean_setoid_example(self, boolean):
         c = boolean_setoid(boolean, [["1", "1"], ["1", "1"]])
-        zero = boolean.parse_value("0")
-        one = boolean.parse_value("1")
+        zero = value(boolean, "0")
+        one = value(boolean, "1")
         mu = Presheaf(c, one, (zero, zero))
         out = tighten(c, mu)
         assert out.values == (one, one)
@@ -283,7 +284,7 @@ class TestTighten:
 
     def test_non_ambient_rejected(self, boolean):
         c = boolean_setoid(boolean, [["1", "0"], ["0", "1"]])
-        one = boolean.parse_value("1")
+        one = value(boolean, "1")
         mu = Presheaf(c, one, (one, one))
         assert not is_ambient(c, mu)
         with pytest.raises(PreconditionError):
@@ -313,7 +314,7 @@ class TestTightSpan:
         assert embedding is not None
         # the span hom at the image reproduces the identity
         image = embedding("p")
-        assert span.category.hom.at(image, image) == luk3.parse_value("1/2")
+        assert span.category.hom.at(image, image) == value(luk3, "1/2")
 
     @pytest.mark.parametrize(
         "name, bound",
@@ -454,7 +455,7 @@ class TestHypercomplete:
         # strict: the type-0 bottom column has no witness of type 0;
         # lax: every column is witnessed elementwise
         dq = diagonal_quantaloid(boolean)
-        c = one_object_category(dq, boolean.parse_value("1"), "p")
+        c = one_object_category(dq, value(boolean, "1"), "p")
         strict = is_hypercomplete(c, strict=True)
         assert not strict.holds
         assert strict.witness.to_dict() == {"type": "0", "values": {"p": "0"}}
@@ -557,7 +558,7 @@ def reference_retraction(x_cat, y_cat):
             continue
         mapping = {name: name for name in x_cat.names}
         mapping[y0] = z
-        h = QFunctor.from_dict(y_cat, x_cat, mapping)
+        h = QFunctor(y_cat, x_cat, tuple(mapping[name] for name in y_cat.names))
         if validate_functor(h).valid:
             return h
     return None
@@ -618,7 +619,7 @@ class TestSharedFunctorSearch:
 
 def lawvere_pair():
     """A valid 2-point partial metric as a category over the extended rationals."""
-    v = LAWVERE.parse_value
+    v = ExtRat.parse
     return to_category(ParMetSpace(("a", "b"), ((v("1"), v("3")), (v("3"), v("2")))))
 
 

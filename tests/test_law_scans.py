@@ -14,6 +14,7 @@ from enritch.errors import PreconditionError, SchemaError
 from enritch.quantale import FiniteQuantale, LawReport, check_quantale_laws
 
 from conftest import shipped_quantale, swapped_diamond
+from oracles import quantale_document
 
 
 def reference_check_quantale_laws(q: FiniteQuantale) -> LawReport:
@@ -142,20 +143,20 @@ class ReferenceDiagonals(FiniteDiagonals):
         for (p, t), hom in self._homs.items():
             if q.bottom not in hom:
                 raise PreconditionError(
-                    f"hom({q.format_value(p)}, {q.format_value(t)}) misses the bottom;"
+                    f"hom({q.elements[p]}, {q.elements[t]}) misses the bottom;"
                     " the quantale is not join-preserving enough for diagonals"
                 )
             for u in hom:
                 for v in hom:
                     if q._join((u, v)) not in hom:
                         raise PreconditionError(
-                            f"hom({q.format_value(p)}, {q.format_value(t)})"
+                            f"hom({q.elements[p]}, {q.elements[t]})"
                             " is not closed under joins"
                         )
         for p in q.payloads():
             if self.identity(p) not in self._homs[(p, p)]:
                 raise PreconditionError(
-                    f"identity {q.format_value(p)} is not a diagonal on itself"
+                    f"identity {q.elements[p]} is not a diagonal on itself"
                 )
         for p in q.payloads():
             for m in q.payloads():
@@ -166,9 +167,9 @@ class ReferenceDiagonals(FiniteDiagonals):
                             if not (a == b == c):
                                 raise PreconditionError(
                                     "the three composition expressions disagree at "
-                                    f"({q.format_value(u)}: {q.format_value(p)}->"
-                                    f"{q.format_value(m)}, {q.format_value(v)}: "
-                                    f"{q.format_value(m)}->{q.format_value(r)})"
+                                    f"({q.elements[u]}: {q.elements[p]}->"
+                                    f"{q.elements[m]}, {q.elements[v]}: "
+                                    f"{q.elements[m]}->{q.elements[r]})"
                                 )
 
 
@@ -260,7 +261,7 @@ class TestScansAgreeWithNestedLoops:
     def test_seeded_mutants(self):
         failed_laws, refusals, compared = set(), set(), 0
         for seed, make in enumerate(BASES.values()):
-            base, rng = make().to_dict(), random.Random(seed)
+            base, rng = quantale_document(make()), random.Random(seed)
             for _ in range(MUTANTS_PER_BASE):
                 data = mutant(base, rng)
                 got, want = (scan_results(data, *side) for side in SIDES)

@@ -96,23 +96,24 @@ def _function_references(tree: ast.Module, module: str | None):
 def _uncalled(trees: dict[Path, ast.Module]) -> list[str]:
     """Functions and methods of ``src/enritch`` that nothing calls.
 
-    ``trees`` maps paths relative to the repository to parsed modules.  A
-    module-level function needs a reference from ``src/`` or ``perfbench/``
-    that resolves to it (``_function_references``); a same-named local
-    variable or a bare string does not count, and neither do the tests.  A
-    method counts as called through any attribute of its name, tests
-    included, so that a local variable or a point named like it does not
+    ``trees`` maps paths relative to the repository to parsed modules.  Only
+    ``src/`` and ``perfbench/`` call: the tests do not count.  A module-level
+    function needs a reference there that resolves to it
+    (``_function_references``); a same-named local variable or a bare string
+    does not count.  A method counts as called through any attribute of its
+    name there, so that a local variable or a point named like it does not
     keep it alive.
     """
     package = Path("src", "enritch")
     attributes, functions = {}, {}
     for path, tree in trees.items():
+        if path.parts[0] not in ("src", "perfbench"):
+            continue
         for name, line in _attributes(tree):
             attributes.setdefault(name, []).append((path, line))
-        if path.parts[0] in ("src", "perfbench"):
-            module = path.stem if path.parent == package else None
-            for key, line in _function_references(tree, module):
-                functions.setdefault(key, []).append((path, line))
+        module = path.stem if path.parent == package else None
+        for key, line in _function_references(tree, module):
+            functions.setdefault(key, []).append((path, line))
     uncalled = []
     for path, tree in trees.items():
         if path.parent != package:
@@ -153,6 +154,21 @@ def test_a_same_named_variable_or_string_is_not_a_caller():
     }
     trees = {Path(path): ast.parse(text) for path, text in sources.items()}
     assert _uncalled(trees) == ["hull.py:1 tighten"]
+
+
+def test_a_method_only_the_tests_call_is_reported():
+    sources = {
+        "src/enritch/quantale.py": (
+            "class Q:\n"
+            "    def parse_value(self, text):\n        return text\n\n"
+            "    def format_value(self, payload):\n        return payload\n"
+        ),
+        "src/enritch/cli.py": "from .quantale import Q\n\nQ().format_value(0)\n",
+        "tests/conftest.py": "def make(q):\n    return q.parse_value('1')\n",
+        "tests/oracles.py": "class R:\n    def parse_value(self, text):\n        return text\n",
+    }
+    trees = {Path(path): ast.parse(text) for path, text in sources.items()}
+    assert _uncalled(trees) == ["quantale.py:2 parse_value"]
 
 
 def test_all_lists_every_public_function():

@@ -438,7 +438,8 @@ class TestBridgeToGenericCalculus:
         ]
         for mapping, dom, cod in cases:
             formula = dense_isometry_check(mapping, dom, cod)
-            f = QFunctor.from_dict(to_category(dom), to_category(cod), mapping)
+            x_cat = to_category(dom)
+            f = QFunctor(x_cat, to_category(cod), tuple(mapping[name] for name in x_cat.names))
             assert formula == is_dense(f)
 
 

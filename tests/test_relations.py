@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from enritch.categories import QCategory
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import PreconditionError, ShapeMismatchError
 from enritch.quantale import LAWVERE
@@ -14,12 +15,13 @@ from enritch.relations import (
     rel_residual,
 )
 
+from conftest import value
 from oracles import bottom_relation, rel_identity, rel_join, rel_leq, rel_meet, single_set
 
 
 def typed_set(quantale, names, types):
     dq = diagonal_quantaloid(quantale)
-    return TypedSet(dq, tuple(names), tuple(quantale.parse_value(t) for t in types))
+    return TypedSet(dq, tuple(names), tuple(value(quantale, t) for t in types))
 
 
 def random_relation(rng, src: TypedSet, tgt: TypedSet) -> QRelation:
@@ -47,12 +49,12 @@ class TestConstruction:
         x = typed_set(boolean, ["a"], ["0"])
         y = typed_set(boolean, ["b"], ["1"])
         with pytest.raises(PreconditionError):
-            QRelation(x, y, ((boolean.parse_value("1"),),))
+            QRelation(x, y, ((value(boolean, "1"),),))
 
     def test_shape_validation(self, boolean):
         x = typed_set(boolean, ["a", "b"], ["1", "1"])
         with pytest.raises(ShapeMismatchError):
-            QRelation(x, x, ((boolean.parse_value("0"),),))
+            QRelation(x, x, ((value(boolean, "0"),),))
 
     def test_empty_sets_are_legal(self, boolean):
         empty = typed_set(boolean, [], [])
@@ -65,7 +67,7 @@ class TestIdentityAndComposition:
     def test_one_point_identity(self, luk3):
         x = typed_set(luk3, ["a"], ["1/2"])
         ident = rel_identity(x)
-        assert ident.entries == ((luk3.parse_value("1/2"),),)
+        assert ident.entries == ((value(luk3, "1/2"),),)
 
     def test_identity_neutral(self, luk3):
         rng = random.Random(3)
@@ -86,13 +88,13 @@ class TestIdentityAndComposition:
         xs = typed_set(LAWVERE, ["x"], ["0"])
         ys = typed_set(LAWVERE, ["y"], ["0"])
         zs = typed_set(LAWVERE, ["z"], ["0"])
-        phi = QRelation(xs, ys, ((LAWVERE.parse_value("2"),),))
-        psi = QRelation(ys, zs, ((LAWVERE.parse_value("3"),),))
+        phi = QRelation(xs, ys, ((value(LAWVERE, "2"),),))
+        psi = QRelation(ys, zs, ((value(LAWVERE, "3"),),))
         assert str(rel_compose(psi, phi).entries[0][0]) == "5"
 
     def test_boolean_matches_ordinary_relation_composition(self, boolean):
         rng = random.Random(9)
-        one = boolean.parse_value("1")
+        one = value(boolean, "1")
         x = typed_set(boolean, ["a", "b"], ["1", "1"])
         y = typed_set(boolean, ["c", "d", "e"], ["1", "1", "1"])
         z = typed_set(boolean, ["f", "g"], ["1", "1"])
@@ -147,8 +149,8 @@ class TestOrderAndResiduals:
 
     def test_extended_rational_leq_is_entrywise_reversed(self):
         x = typed_set(LAWVERE, ["a"], ["0"])
-        small = QRelation(x, x, ((LAWVERE.parse_value("5"),),))
-        big = QRelation(x, x, ((LAWVERE.parse_value("2"),),))
+        small = QRelation(x, x, ((value(LAWVERE, "5"),),))
+        big = QRelation(x, x, ((value(LAWVERE, "2"),),))
         assert rel_leq(small, big)
         assert not rel_leq(big, small)
 
@@ -163,7 +165,7 @@ class TestOrderAndResiduals:
 
     def test_boolean_residual_matches_classical_formula(self, boolean):
         rng = random.Random(4)
-        one = boolean.parse_value("1")
+        one = value(boolean, "1")
         x = typed_set(boolean, ["a", "b"], ["1", "1"])
         y = typed_set(boolean, ["c", "d"], ["1", "1"])
         z = typed_set(boolean, ["e", "f"], ["1", "1"])
@@ -199,7 +201,7 @@ class TestOrderAndResiduals:
         phi = QRelation(x, y, ())
         xi = QRelation(x, z, ())
         out = rel_residual("left", xi, phi)
-        assert out.entries[0][0] == boolean.parse_value("1")
+        assert out.entries[0][0] == value(boolean, "1")
 
 
 class TestInvolution:
@@ -211,8 +213,8 @@ class TestInvolution:
 
     def test_symmetric_matrix_fixed(self, luk3):
         x = typed_set(luk3, ["a", "b"], ["1", "1"])
-        half = luk3.parse_value("1/2")
-        one = luk3.parse_value("1")
+        half = value(luk3, "1/2")
+        one = value(luk3, "1")
         phi = QRelation(x, x, ((one, half), (half, one)))
         assert rel_involve(phi) == phi
 
@@ -384,12 +386,11 @@ class TestExtendedRationalSampling:
 class TestSerialization:
     def test_round_trip_dict(self, luk3):
         x = typed_set(luk3, ["a", "b"], ["1", "1/2"])
-        phi = rel_identity(x)
-        data = phi.to_dict()
-        assert data["source"]["names"] == ["a", "b"]
-        assert data["entries"][0][0] == "1"
+        data = QCategory(x, rel_identity(x)).to_dict()
+        assert data["set"]["names"] == ["a", "b"]
+        assert data["hom"][0][0] == "1"
 
     def test_single_set(self, luk3):
         dq = diagonal_quantaloid(luk3)
-        s = single_set(dq, luk3.parse_value("1/2"))
+        s = single_set(dq, value(luk3, "1/2"))
         assert s.names == ("*",)
