@@ -271,7 +271,10 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
                 partial.pop()
         ceiling[k] = involve[hi[k]]
 
-    yield from walk(0, floor[n])
+    try:
+        yield from walk(0, floor[n])
+    finally:
+        del walk  # walk's own cell holds it: break the cycle, even when abandoned
 
 
 @dataclass(frozen=True)

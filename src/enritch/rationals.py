@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import SchemaError
+from .errors import BoundExceededError, SchemaError
 
 __all__ = ["ExtRat", "INF", "ZERO", "integer_rows"]
 
@@ -148,6 +148,10 @@ class ExtRat:
     def __str__(self) -> str:
         if not self._d:
             return "inf"
+        if self._n >= _TOO_LONG or self._d >= _TOO_LONG:
+            raise BoundExceededError(
+                f"a value needs a numerator or denominator of more than {_MAX_DIGITS} digits"
+            )
         return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
 
     def __repr__(self) -> str:

@@ -14,6 +14,12 @@ checks one named equivalence:
     t54   a fully faithful functor is dense exactly when the bounded
           essentiality brute force says it is essential
 
+t36, l43 and t44 are properties of a category up to isomorphism, so each
+verdict is computed once per isomorphism class (keyed on the canonical
+signature the enumeration uses for ``up_to_iso``) and reused for every
+relabelling; the counts and the witness, the first raw category that
+disagrees, are those of the per-category run.  t54 is checked per functor.
+
 The in-bound extension family for t36 consists of, for each candidate X:
 the identity of X along the inclusion into every one-point extension of X,
 and the inclusion W -> X along the inclusion of W into every one-point
@@ -30,6 +36,7 @@ from .categories import QCategory, QFunctor, _fully_faithful, graph
 from .diagonals import diagonal_quantaloid
 from .errors import BoundExceededError, PreconditionError
 from .hull import (
+    _canonical_signature,
     all_functors,
     enumerate_ambient,
     enumerate_symmetric_categories,
@@ -194,11 +201,23 @@ def run_suite(
             if _fully_faithful(f)
         ]
         results = [_t54_single(f, bound) for f in functors]
-    elif theorem == "t44":
-        results = [_t44_single(x_cat) for x_cat in cats]
     else:
-        single = {"t36": _t36_single, "l43": _l43_single}[theorem]
-        results = [single(x_cat, strict) for x_cat in cats]
+        single = {
+            "t36": lambda x_cat: _t36_single(x_cat, strict),
+            "l43": lambda x_cat: _l43_single(x_cat, strict),
+            "t44": _t44_single,
+        }[theorem]
+        # Each verdict is invariant under relabelling the points: check the
+        # first category of each isomorphism class and reuse its verdict.
+        verdicts: dict = {}
+        results = []
+        for x_cat in cats:
+            key = (len(x_cat), _canonical_signature(x_cat.objects.types, x_cat.hom.entries))
+            if key not in verdicts:
+                verdict = single(x_cat)
+                del verdict["category"]
+                verdicts[key] = verdict
+            results.append({"category": x_cat.to_dict(), **verdicts[key]})
     label = "functors" if theorem == "t54" else "categories"
 
     discrepancies = [r for r in results if not r["agree"]]

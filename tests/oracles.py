@@ -6,7 +6,8 @@ graph calculus, ``tighten`` and ``extension_from_presheaf`` for the tight
 columns and one-point retractions, the classical checks for
 ``tighten_sweep`` and ``sigma``, ``FractionExtRat`` for the int-pair
 ``ExtRat``, ``LawvereReference`` for the extended-rational kernel's closed
-forms) and to build inputs.  The quantale constructors pin the shipped
+forms, ``run_suite_per_category`` for the suites' per-class verdicts) and
+to build inputs.  The quantale constructors pin the shipped
 tables in ``src/enritch/data``, through ``quantale_document``.
 """
 
@@ -29,13 +30,14 @@ from enritch.categories import (
     validate_category,
     yoneda,
 )
-from enritch.diagonals import DiagonalQuantaloid
+from enritch.diagonals import DiagonalQuantaloid, diagonal_quantaloid
 from enritch.errors import InvariantError, PreconditionError, SchemaError, ShapeMismatchError
 from enritch.hull import (
     _chain_bound,
     _extend_matrix,
     _fresh_name,
     _tight_residual,
+    enumerate_symmetric_categories,
     is_ambient,
 )
 from enritch.parmet import (
@@ -50,6 +52,7 @@ from enritch.parmet import (
 from enritch.quantale import FiniteQuantale
 from enritch.rationals import INF, ZERO, ExtRat
 from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve
+from enritch.verify import _l43_single, _t36_single, _t44_single
 
 
 # -- quantales -----------------------------------------------------------------
@@ -434,6 +437,45 @@ def extension_from_presheaf(c: QCategory, mu: Presheaf) -> QCategory:
     if not is_symmetric(extended):
         raise InvariantError("an ambient presheaf must induce a symmetric extension")
     return extended
+
+
+# -- suites --------------------------------------------------------------------
+
+
+def run_suite_per_category(
+    theorem: str, quantale: FiniteQuantale, bound: int, strict: bool = True
+) -> dict:
+    """The report of ``verify.run_suite`` for t36, l43 or t44, with every
+    labelled category checked on its own rather than once per isomorphism
+    class.  Bounds and typing are not re-checked."""
+    cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
+
+    if theorem == "t44":
+        results = [_t44_single(x_cat) for x_cat in cats]
+    else:
+        single = {"t36": _t36_single, "l43": _l43_single}[theorem]
+        results = [single(x_cat, strict) for x_cat in cats]
+
+    discrepancies = [r for r in results if not r["agree"]]
+    return {
+        "check": theorem,
+        "result": not discrepancies,
+        "witness": discrepancies[0] if discrepancies else None,
+        "quantale": quantale.name,
+        "bound": bound,
+        "strict_typing": strict,
+        "categories": len(results),
+        "discrepancies": len(discrepancies),
+    }
+
+
+def relabel(c: QCategory, perm: Sequence[int]) -> QCategory:
+    """The category whose point i is the point perm[i] of c, under c's names."""
+    types = c.objects.types
+    hom = c.hom.entries
+    carrier = TypedSet(c.quantaloid, c.names, tuple(types[p] for p in perm))
+    entries = tuple(tuple(hom[p][r] for r in perm) for p in perm)
+    return QCategory(carrier, QRelation(carrier, carrier, entries))
 
 
 # -- extended rationals --------------------------------------------------------

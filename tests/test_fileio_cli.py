@@ -198,6 +198,25 @@ class TestHullCommands:
         assert "more than" in result["message"] and "digits" in result["message"]
         assert not out_path.exists()
 
+    def test_sigma_refuses_a_value_str_cannot_write(self, capsys, tmp_path):
+        # Both radius functions are tight and each literal is admitted, but
+        # sigma's denominator is the product of their 2,201-digit ones.
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"points": ["a", "b"], "alpha": [["0", "2"], ["2", "0"]]}))
+        paths = []
+        for digit in "73":
+            a = int(digit * 2200 + "1")
+            path = tmp_path / f"mu_{digit}.json"
+            path.write_text(json.dumps({"r": "0", "values": {"a": f"1/{a}", "b": f"{2 * a - 1}/{a}"}}))
+            code, out, _ = run_cli(capsys, "hull", "member", str(space), str(path))
+            assert code == 0 and json.loads(out)["result"]["tight"]
+            paths.append(str(path))
+        code, out, _ = run_cli(capsys, "hull", "sigma", str(space), *paths)
+        assert code == 4
+        result = json.loads(out)["result"]
+        assert result["error"] == "bound"
+        assert "more than" in result["message"] and "digits" in result["message"]
+
     def test_sigma(self, capsys, tmp_path):
         space = str(DATA / "two_point_classical.json")
         other = tmp_path / "mu31.json"

@@ -442,6 +442,42 @@ class TestTightColumnSearch:
             assert len(found) == len(s) == len(yonedas)
             assert set(found) == yonedas, c.to_dict()
 
+    def test_a_search_leaves_nothing_for_the_cyclic_collector(self, nilmin5):
+        # The recursive walker's closure cell points back at it; the search
+        # must break that cycle whether it is exhausted or abandoned after
+        # its first column, as is_hypercomplete abandons it.
+        dq = diagonal_quantaloid(nilmin5)
+        c = list(enumerate_symmetric_categories(dq, 2))[-1]
+        q = dq.objects()[-1]
+        assert list(_enumerate_tight_columns(c, q))
+
+        def exhausted():
+            list(_enumerate_tight_columns(c, q))
+
+        def abandoned():
+            search = _enumerate_tight_columns(c, q)
+            next(search)
+            del search
+
+        flags = gc.get_debug()
+        gc.collect()
+        try:
+            for run in (exhausted, abandoned):
+                gc.set_debug(gc.DEBUG_SAVEALL)
+                run()
+                gc.collect()
+                gc.set_debug(flags)
+                left = [
+                    obj
+                    for obj in gc.garbage
+                    if getattr(obj, "__qualname__", "").startswith("_enumerate_tight_columns")
+                ]
+                gc.garbage.clear()
+                assert left == [], run.__name__
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+
 
 class TestHypercomplete:
     def test_empty_category_not_hypercomplete(self, boolean):

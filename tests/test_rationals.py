@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from enritch.errors import SchemaError
+from enritch.errors import BoundExceededError, SchemaError
 from enritch.rationals import INF, ZERO, ExtRat, integer_rows
 
 from oracles import FractionExtRat, to_fraction
@@ -69,6 +69,20 @@ class TestConstruction:
                 ExtRat.parse(text)
         # a zero mantissa is zero whatever its exponent
         assert ExtRat.parse("0e10000000") == ExtRat.parse("-0.00E-10000000") == ZERO
+
+    def test_format_refuses_a_value_str_cannot_write(self):
+        # each literal is admitted, but their sum's denominator is the
+        # product of two 2,201-digit denominators
+        a = ExtRat.parse("1/" + "7" * 2200 + "1")
+        b = ExtRat.parse("1/" + "3" * 2200 + "1")
+        with pytest.raises(BoundExceededError, match=f"more than {_MAX_DIGITS} digits"):
+            str(a + b)
+        # drawn where parse draws it: at 10**limit, the first int of one digit more
+        assert str(ExtRat(10 ** (_MAX_DIGITS - 1))) == "1" + "0" * (_MAX_DIGITS - 1)
+        for value in [10**_MAX_DIGITS, Fraction(1, 10**_MAX_DIGITS)]:
+            with pytest.raises(BoundExceededError):
+                str(ExtRat(value))
+        assert str(INF) == "inf"
 
     def test_a_huge_exponent_is_refused_before_it_is_expanded(self):
         started = time.perf_counter()

@@ -1,0 +1,96 @@
+"""The suites check one category per isomorphism class.
+
+``run_suite`` reuses the verdict of the first labelled category of each
+class for the rest of it.  The differential tests compare whole reports
+with the per-category oracle; the relabelling tests keep a labelling bug
+in a single-category check visible, since the suite no longer runs every
+labelling.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+import enritch.verify as verify
+from enritch.diagonals import diagonal_quantaloid
+from enritch.hull import enumerate_symmetric_categories
+from enritch.verify import _l43_single, _t36_single, _t44_single, run_suite
+
+from conftest import shipped_quantale, swapped_diamond
+from oracles import relabel, run_suite_per_category
+
+# Every shipped quantale, at every bound whose oracle run finishes in about
+# a second.
+INSTANCES = [
+    ("boolean", 3),
+    ("lukasiewicz3", 3),
+    ("lukasiewicz5", 2),
+    ("nilmin5", 2),
+    ("diamond", 3),
+    ("diamond_swap", 3),
+]
+SUITES = [("t36", True), ("l43", True), ("t44", True), ("t36", False), ("l43", False)]
+
+
+def quantale_named(name: str):
+    return swapped_diamond() if name == "diamond_swap" else shipped_quantale(name)
+
+
+@pytest.mark.parametrize(
+    "theorem, strict", SUITES, ids=[f"{t}-{'strict' if s else 'lax'}" for t, s in SUITES]
+)
+@pytest.mark.parametrize("name, bound", INSTANCES, ids=[f"{n}-b{b}" for n, b in INSTANCES])
+def test_report_matches_the_per_category_oracle(name, bound, theorem, strict):
+    quantale = quantale_named(name)
+    want = run_suite_per_category(theorem, quantale, bound, strict)
+    got = run_suite(theorem, quantale, bound, strict)
+    assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("theorem", ["t36", "l43", "t44"])
+def test_one_check_per_isomorphism_class(monkeypatch, luk3, theorem):
+    name = f"_{theorem}_single"
+    real = getattr(verify, name)
+    checked = []
+    monkeypatch.setattr(
+        verify, name, lambda x_cat, *rest: checked.append(x_cat) or real(x_cat, *rest)
+    )
+    classes = list(
+        enumerate_symmetric_categories(diagonal_quantaloid(luk3), 3, up_to_iso=True)
+    )
+    for _ in range(2):  # the memo lives for one call only
+        checked.clear()
+        assert run_suite(theorem, luk3, 3)["categories"] == 117
+        assert len(checked) == len(classes) == 46
+
+
+def without_category(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k != "category"}
+
+
+@pytest.mark.parametrize("name, bound", INSTANCES, ids=[f"{n}-b{b}" for n, b in INSTANCES])
+def test_single_checks_ignore_the_labelling(name, bound):
+    rng = random.Random(f"relabel-{name}")
+    cats = [
+        c
+        for c in enumerate_symmetric_categories(diagonal_quantaloid(quantale_named(name)), bound)
+        if len(c) >= 2
+    ]
+    moved = 0
+    for x_cat in rng.sample(cats, min(12, len(cats))):
+        perm = list(range(len(x_cat)))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        y_cat = relabel(x_cat, perm)
+        moved += y_cat.to_dict() != x_cat.to_dict()
+        for strict in (True, False):
+            for single in (_t36_single, _l43_single):
+                assert without_category(single(y_cat, strict)) == without_category(
+                    single(x_cat, strict)
+                ), (single.__name__, strict, x_cat.to_dict(), perm)
+        assert without_category(_t44_single(y_cat)) == without_category(_t44_single(x_cat))
+    assert moved > 0  # some relabellings give a different labelled category
+
