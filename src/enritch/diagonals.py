@@ -34,9 +34,9 @@ three composition expressions agree on every triple.  Once that has passed,
 the finite kernel is tabulated once per quantale: compose, both residuals and
 the hom meets become table lookups over element indices, next to the
 quantale's own order, join, meet and involution tables.  ``column_tables(q)``
-hands a search over type-q columns those tables themselves (the meet, leq and
-involution tables, the top, and the residuals and hom meets out of q), so
-that its inner loops index tuples instead of calling the kernel.
+hands a search over type-q columns those tables themselves (the meet, join,
+leq and involution tables, the top, and the residuals and hom meets out of
+q), so that its inner loops index tuples instead of calling the kernel.
 """
 
 from __future__ import annotations
@@ -143,13 +143,16 @@ class DiagonalQuantaloid:
 
     def column_tables(self, q) -> tuple:
         """The lookup tables of a search over columns of type q (finite
-        quantales only): ``(meet, leq, involve, top, residual, hom_meet)``.
+        quantales only):
+        ``(meet, join, leq, involve, top, residual, hom_meet)``.
 
-        ``meet``, ``leq`` and ``involve`` are the quantale's tables over
-        element indices and ``top`` its top; ``residual[r][u][w]`` is
-        ``limpl(q, r, u, w)`` and ``hom_meet[t][m]`` is the largest element
-        of hom(q, t) below m, so ``hom_meet(q, t, (a, b))`` is
-        ``hom_meet[t][meet[a][b]]``.
+        ``meet``, ``join``, ``leq`` and ``involve`` are the quantale's tables
+        over element indices and ``top`` its top.  Every hom is closed under
+        joins (the build verifies it), so ``join[a][b]`` is
+        ``hom_join(p, t, (a, b))`` for a and b in hom(p, t).
+        ``residual[r][u][w]`` is ``limpl(q, r, u, w)`` and ``hom_meet[t][m]``
+        is the largest element of hom(q, t) below m, so
+        ``hom_meet(q, t, (a, b))`` is ``hom_meet[t][meet[a][b]]``.
         """
         raise NotImplementedError
 
@@ -293,7 +296,7 @@ class FiniteDiagonals(DiagonalQuantaloid):
         return self._names[payload]
 
     def column_tables(self, q) -> tuple:
-        return (self._meets, self._order, self._involution, self._top,
+        return (self._meets, self._joins, self._order, self._involution, self._top,
                 self._limpl[q], self._hom_meet[q])
 
 

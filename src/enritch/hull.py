@@ -13,22 +13,22 @@ it suffices to search witnesses for tight columns only; this reduction is
 what makes the exhaustive checks below tractable, and the test suite
 cross-validates it against the naive all-columns scan on small instances.
 
-The tight columns themselves come from one depth-first search
-(``_enumerate_tight_columns``) that carries the running residual
-hom <swarrow> mu of the coordinates fixed so far and cuts every prefix
-whose residual, completed at the greatest candidates, already exceeds
-what a tight column allows.  The cut is sound because <swarrow> is antitone
-in mu: no completion can bring the residual back down.  Its cost therefore
-follows the prefixes that can still end tight, not the admissible set, and
-those can be many more than the columns found.  The tight span of a tight
-span has only its Yoneda columns, yet it is not cheap.  Over nilmin5, the
-search over a 10-object span visits 383 nodes for its 10 columns and the one
-over the 13-object span 2,318 nodes for 13 columns; at bound 2 the ``l43``
-and ``t44`` suites visit 6,363 and 7,173 nodes in all for 595 and 890
-columns.  The search runs on the diagonal kernel's lookup tables, so a node
-costs a few tuple lookups per object; it still takes about 47 % of ``verify
-t44`` on nilmin5 at bound 3 under cProfile, nearly all of it under
-``tight_span_restriction``.
+The tight columns themselves come from one branch-and-propagate search
+(``_enumerate_tight_columns``).  A tight column is a fixed point of the
+antitone map f(mu) = (hom <swarrow> mu) deg, so every tight column in an
+interval [lo, hi] of columns lies in [f(hi), f(lo)] too.  Each node of the
+search narrows its interval to a fixpoint of that step, which is the
+alternating fixpoint of Van Gelder ("The alternating fixpoint of logic
+programs with negation", JCSS 1993; see also Denecker, Marek and
+Truszczynski, "Approximations, stable operators, well-founded fixpoints
+and applications in nonmonotonic reasoning", 2000) carried down the search
+as consistency propagation (Mackworth, "Consistency in networks of
+relations", AIJ 1977).  A node whose bounds cross holds no tight column; a
+node whose bounds meet is one; any other node branches on the coordinate
+with the fewest values left.  The tight span of a tight span, which has
+only its Yoneda columns, is nearly all propagation: over lukasiewicz5 the
+span of the discrete three-point category has 21 objects, and the search of
+its span is a fraction of a second.
 
 The injective hull of X is its tight span with the dense, fully faithful
 Yoneda embedding x |-> hom(-, x) (``TightSpan.yoneda_embedding``); tight
@@ -166,115 +166,90 @@ def is_tight_column(c: QCategory, q, values: Sequence) -> bool:
 def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
     """All tight columns of type q, in lexicographic hom order.
 
-    The search runs on the finite kernel's tables (``column_tables``): a
-    hom meet is a lookup after one meet-table step, and the residual
-    hom(x, z) <swarrow> v is read from a row per coordinate x and value v,
-    built once per search.
+    A node of the search is an interval [lo, hi] of columns, and it first
+    propagates to a fixpoint: hi <- hi meet f(lo), then lo <- lo join f(hi),
+    in each hom(|z|, q), with f(mu) = (hom <swarrow> mu) deg.  f is
+    antitone, so every tight mu in [lo, hi] has f(hi) <= f(mu) = mu <= f(lo)
+    and stays in the narrowed interval.  Both bounds stay diagonals, since
+    homs are closed under joins.  A node is pruned when lo(z) is not below
+    hi(z) at some z; at a fixpoint with lo = hi it is tight, because there
+    mu <= f(mu) <= mu.  Any other node branches on the open coordinate with
+    the fewest diagonals between its bounds, one child per diagonal.  The
+    root (bottom, top) propagates to the least and greatest fixed points of
+    f squared, the alternating fixpoint of Van Gelder (JCSS 1993).
 
-    The search space is first narrowed to the interval [lo, hi] between the
-    least and greatest fixed points of the squared tightness operator (the
-    operator itself is antitone, so its square is monotone and every tight
-    column lies in that interval), then walked depth-first.
-
-    At depth k the walk carries the running residual row_k(z), the meet
-    over the fixed coordinates x < k of hom(x, z) <swarrow> mu(x), inside
-    hom(q, |z|).  A candidate v for mu(k) is admissible iff v deg lies below
-    the meet of row_k(k) and hom(k, k) <swarrow> v; the mirrored inequalities
-    are the involutes of these, since the category is symmetric.  Appending
-    v reads its residual row and costs n two-element hom meets.
-
-    The cut: every open coordinate x >= k stays below hi(x) and <swarrow>
-    is antitone in mu, so the final residual at z is at least
-    row_k(z) meet floor_k(z), with floor_k(z) the residual of the open
-    coordinates all at hi.  A tight column has residual mu(z) deg, which is
-    at most hi(z) deg; a prefix whose lower bound exceeds that at some z
-    has no tight completion, and its subtree is skipped.  At a leaf mu is
-    tight iff mu(z) deg equals row_n(z) for every z.
+    Raising lo only lowers the residuals, so ``below`` = residuals(lo) is
+    kept up to date by meeting in the rows of the raised coordinates; f(hi)
+    is evaluated afresh.  Each round that does not end the propagation
+    moves a bound strictly inward, so a node takes at most ``_chain_bound``
+    rounds.  The columns found are sorted.
     """
     dq = c.quantaloid
     types = c.objects.types
-    hom = c.hom.entries
-    n = len(types)
-    if n == 0:
-        yield ()
-        return
-
-    meet, leq, involve, top, limpl, hom_meet = dq.column_tables(q)
+    meet, join, leq, involve, top, limpl, hom_meet = dq.column_tables(q)
     # caps[z][m]: the largest element of hom(q, |z|) below m.
     caps = [hom_meet[t] for t in types]
-    # residual[x][v][z] = hom(x, z) <swarrow> v.
-    residual = [
-        [tuple(limpl[t][v][h] for t, h in zip(types, hom[x])) for v in range(len(involve))]
-        for x in range(n)
-    ]
-
-    def tight_step(values: tuple) -> tuple:
-        """(hom <swarrow> mu) deg: one application of the tightness operator."""
-        rows = [residual[x][v] for x, v in enumerate(values)]
-        out = []
-        for z, cap in enumerate(caps):
-            m = top
-            for row in rows:
-                m = meet[m][row[z]]
-            out.append(involve[cap[m]])
-        return tuple(out)
-
+    # rows[z]: the residuals into |z| and the column hom(-, z).
+    rows = list(zip((limpl[t] for t in types), zip(*c.hom.entries)))
+    homs = [dq.hom(t, q) for t in types]
     steps = _chain_bound(c, q)
 
-    def f2_limit(start: tuple) -> tuple:
-        current = start
-        for _ in range(steps):
-            nxt = tight_step(tight_step(current))
-            if nxt == current:
-                return current
-            current = nxt
-        raise InvariantError("squared tightness operator failed to converge")
+    def residuals(values: Sequence) -> list:
+        """(hom <swarrow> values)(z) for each z, before the cap."""
+        out = []
+        for lim, col in rows:
+            m = top
+            for v, h in zip(values, col):
+                m = meet[m][lim[v][h]]
+            out.append(m)
+        return out
 
-    lo = f2_limit(tuple(dq.hom_bottom(t, q) for t in types))
-    hi = f2_limit(tuple(dq.hom_top(t, q) for t in types))
-    domains = [
-        tuple(v for v in dq.hom(types[z], q) if leq[lo[z]][v] and leq[v][hi[z]])
-        for z in range(n)
-    ]
+    def narrowed(below: list, lo: Sequence, grown: Sequence) -> list:
+        """residuals(grown) from below = residuals(lo), for grown >= lo: each
+        raised coordinate only lowers the residuals, so its rows meet in."""
+        for x, (v, w) in enumerate(zip(lo, grown)):
+            if v != w:
+                below = [meet[m][lim[w][col[x]]] for m, (lim, col) in zip(below, rows)]
+        return below
 
-    # floor[k][z]: the residual at z of the coordinates x >= k, each at hi[x].
-    floor = [()] * n + [tuple(dq.hom_top(q, t) for t in types)]
-    for x in reversed(range(n)):
-        floor[x] = tuple(
-            cap[meet[above][r]] for cap, above, r in zip(caps, floor[x + 1], residual[x][hi[x]])
-        )
-    # ceiling[z]: mu(z) deg for the fixed coordinates, hi[z] deg for the rest.
-    ceiling = [involve[v] for v in hi]
-    partial: list = []
+    def propagate(lo: list, hi: list, below: list) -> tuple | None:
+        """The fixpoint of the node [lo, hi], or None when it is empty."""
+        for rounds in range(steps):
+            # hi meet f(lo), met in hom(q, |z|) and involuted back
+            narrower = [involve[cap[meet[involve[u]][m]]] for cap, u, m in zip(caps, hi, below)]
+            if rounds and narrower == hi:
+                return lo, hi, below  # lo already holds f(hi)
+            hi = narrower
+            grown = [join[v][involve[cap[m]]] for cap, v, m in zip(caps, lo, residuals(hi))]
+            if not all(leq[v][u] for v, u in zip(grown, hi)):
+                return None
+            if grown == lo:
+                return lo, hi, below
+            lo, below = grown, narrowed(below, lo, grown)
+        raise InvariantError("the bound propagation failed to converge")
 
-    def walk(k: int, row: Sequence) -> Iterator[tuple]:
-        if k == n:
-            if ceiling == row:
-                yield tuple(partial)
-            return
-        cap_k, below, rows_k = caps[k], floor[k + 1], residual[k]
-        for v in domains[k]:
-            vv = involve[v]
-            res = rows_k[v]
-            if not leq[vv][cap_k[meet[row[k]][res[k]]]]:
-                continue
-            ceiling[k] = vv
-            nxt = []
-            for cap, old, new, low, most in zip(caps, row, res, below, ceiling):
-                r = cap[meet[old][new]]
-                if not leq[cap[meet[r][low]]][most]:
-                    break
-                nxt.append(r)
-            else:
-                partial.append(v)
-                yield from walk(k + 1, nxt)
-                partial.pop()
-        ceiling[k] = involve[hi[k]]
-
-    try:
-        yield from walk(0, floor[n])
-    finally:
-        del walk  # walk's own cell holds it: break the cycle, even when abandoned
+    found = []
+    bottom = [dq.hom_bottom(t, q) for t in types]
+    stack = [(bottom, [dq.hom_top(t, q) for t in types], residuals(bottom))]
+    while stack:
+        node = propagate(*stack.pop())
+        if node is None:
+            continue
+        lo, hi, below = node
+        candidates = [
+            (z, [w for w in homs[z] if leq[v][w] and leq[w][u]])
+            for z, (v, u) in enumerate(zip(lo, hi))
+            if v != u
+        ]
+        if not candidates:
+            found.append(tuple(lo))
+            continue
+        z, between = min(candidates, key=lambda pair: len(pair[1]))
+        for w in between:
+            lo_w, hi_w = lo.copy(), hi.copy()
+            lo_w[z] = hi_w[z] = w
+            stack.append((lo_w, hi_w, narrowed(below, lo, lo_w)))
+    yield from sorted(found)
 
 
 @dataclass(frozen=True)

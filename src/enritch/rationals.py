@@ -155,6 +155,9 @@ class ExtRat:
         return str(self._n) if self._d == 1 else f"{self._n}/{self._d}"
 
     def __repr__(self) -> str:
+        # Hex digits are exempt from the digit limit, so repr never raises.
+        if self._n >= _TOO_LONG or self._d >= _TOO_LONG:
+            return f"ExtRat(Fraction({self._n:#x}, {self._d:#x}))"
         return f"ExtRat({str(self)!r})"
 
 

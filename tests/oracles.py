@@ -2,8 +2,9 @@
 
 The CLI, the suites and the benchmark reach none of these.  The tests keep
 them as independent oracles for library code (``check_adjunction`` for the
-graph calculus, ``tighten`` and ``extension_from_presheaf`` for the tight
-columns and one-point retractions, the classical checks for
+graph calculus, ``table_tight_columns`` for the tight-column search,
+``tighten`` and ``extension_from_presheaf`` for the tight columns and
+one-point retractions, the classical checks for
 ``tighten_sweep`` and ``sigma``, ``FractionExtRat`` for the int-pair
 ``ExtRat``, ``LawvereReference`` for the extended-rational kernel's closed
 forms, ``run_suite_per_category`` for the suites' per-class verdicts) and
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from enritch.categories import (
     Presheaf,
@@ -369,6 +370,122 @@ def yoneda_lemma_holds(c: QCategory, mu: Presheaf) -> bool:
 
 
 # -- hull ----------------------------------------------------------------------
+
+
+def table_tight_columns(c: QCategory, q) -> Iterator[tuple]:
+    """The table-driven cut search that the branch-and-propagate search
+    replaced (oracle).  All tight columns of type q, in lexicographic hom
+    order.
+
+    The search runs on the finite kernel's tables (``column_tables``): a
+    hom meet is a lookup after one meet-table step, and the residual
+    hom(x, z) <swarrow> v is read from a row per coordinate x and value v,
+    built once per search.
+
+    The search space is first narrowed to the interval [lo, hi] between the
+    least and greatest fixed points of the squared tightness operator (the
+    operator itself is antitone, so its square is monotone and every tight
+    column lies in that interval), then walked depth-first.
+
+    At depth k the walk carries the running residual row_k(z), the meet
+    over the fixed coordinates x < k of hom(x, z) <swarrow> mu(x), inside
+    hom(q, |z|).  A candidate v for mu(k) is admissible iff v deg lies below
+    the meet of row_k(k) and hom(k, k) <swarrow> v; the mirrored inequalities
+    are the involutes of these, since the category is symmetric.  Appending
+    v reads its residual row and costs n two-element hom meets.
+
+    The cut: every open coordinate x >= k stays below hi(x) and <swarrow>
+    is antitone in mu, so the final residual at z is at least
+    row_k(z) meet floor_k(z), with floor_k(z) the residual of the open
+    coordinates all at hi.  A tight column has residual mu(z) deg, which is
+    at most hi(z) deg; a prefix whose lower bound exceeds that at some z
+    has no tight completion, and its subtree is skipped.  At a leaf mu is
+    tight iff mu(z) deg equals row_n(z) for every z.
+    """
+    dq = c.quantaloid
+    types = c.objects.types
+    hom = c.hom.entries
+    n = len(types)
+    if n == 0:
+        yield ()
+        return
+
+    meet, _join, leq, involve, top, limpl, hom_meet = dq.column_tables(q)
+    # caps[z][m]: the largest element of hom(q, |z|) below m.
+    caps = [hom_meet[t] for t in types]
+    # residual[x][v][z] = hom(x, z) <swarrow> v.
+    residual = [
+        [tuple(limpl[t][v][h] for t, h in zip(types, hom[x])) for v in range(len(involve))]
+        for x in range(n)
+    ]
+
+    def tight_step(values: tuple) -> tuple:
+        """(hom <swarrow> mu) deg: one application of the tightness operator."""
+        rows = [residual[x][v] for x, v in enumerate(values)]
+        out = []
+        for z, cap in enumerate(caps):
+            m = top
+            for row in rows:
+                m = meet[m][row[z]]
+            out.append(involve[cap[m]])
+        return tuple(out)
+
+    steps = _chain_bound(c, q)
+
+    def f2_limit(start: tuple) -> tuple:
+        current = start
+        for _ in range(steps):
+            nxt = tight_step(tight_step(current))
+            if nxt == current:
+                return current
+            current = nxt
+        raise InvariantError("squared tightness operator failed to converge")
+
+    lo = f2_limit(tuple(dq.hom_bottom(t, q) for t in types))
+    hi = f2_limit(tuple(dq.hom_top(t, q) for t in types))
+    domains = [
+        tuple(v for v in dq.hom(types[z], q) if leq[lo[z]][v] and leq[v][hi[z]])
+        for z in range(n)
+    ]
+
+    # floor[k][z]: the residual at z of the coordinates x >= k, each at hi[x].
+    floor = [()] * n + [tuple(dq.hom_top(q, t) for t in types)]
+    for x in reversed(range(n)):
+        floor[x] = tuple(
+            cap[meet[above][r]] for cap, above, r in zip(caps, floor[x + 1], residual[x][hi[x]])
+        )
+    # ceiling[z]: mu(z) deg for the fixed coordinates, hi[z] deg for the rest.
+    ceiling = [involve[v] for v in hi]
+    partial: list = []
+
+    def walk(k: int, row: Sequence) -> Iterator[tuple]:
+        if k == n:
+            if ceiling == row:
+                yield tuple(partial)
+            return
+        cap_k, below, rows_k = caps[k], floor[k + 1], residual[k]
+        for v in domains[k]:
+            vv = involve[v]
+            res = rows_k[v]
+            if not leq[vv][cap_k[meet[row[k]][res[k]]]]:
+                continue
+            ceiling[k] = vv
+            nxt = []
+            for cap, old, new, low, most in zip(caps, row, res, below, ceiling):
+                r = cap[meet[old][new]]
+                if not leq[cap[meet[r][low]]][most]:
+                    break
+                nxt.append(r)
+            else:
+                partial.append(v)
+                yield from walk(k + 1, nxt)
+                partial.pop()
+        ceiling[k] = involve[hi[k]]
+
+    try:
+        yield from walk(0, floor[n])
+    finally:
+        del walk  # walk's own cell holds it: break the cycle, even when abandoned
 
 
 def tighten(c: QCategory, mu: Presheaf) -> Presheaf:

@@ -363,8 +363,14 @@ class TestFiniteKernelTables:
         dq = diagonal_quantaloid(quantale)
         rng = quantale.payloads()
         for q in rng:
-            meet, leq, involve, top, residual, hom_meet = dq.column_tables(q)
+            meet, join, leq, involve, top, residual, hom_meet = dq.column_tables(q)
             assert top == quantale.top
+            # the join that grows a search's lower bounds, inside every hom
+            for p in rng:
+                hom = dq.hom(p, q)
+                for a, b in itertools.product(hom, repeat=2):
+                    assert join[a][b] == dq.hom_join(p, q, (a, b))
+                    assert join[a][b] in hom
             for a in rng:
                 assert involve[a] == dq.involve(a)
             for a, b in itertools.product(rng, repeat=2):

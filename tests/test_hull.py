@@ -59,7 +59,13 @@ from enritch.relations import rel_compose
 from enritch.verify import run_suite
 
 from conftest import make_category, random_partial_metric, shipped_quantale, value
-from oracles import extension_from_presheaf, isomorphic, one_object_category, tighten
+from oracles import (
+    extension_from_presheaf,
+    isomorphic,
+    one_object_category,
+    table_tight_columns,
+    tighten,
+)
 
 
 def boolean_setoid(boolean, pattern):
@@ -428,12 +434,32 @@ class TestTightColumnSearch:
         self.assert_search_matches(dq, bound, span_limit, kernel_call_tight_columns)
 
     @pytest.mark.parametrize("fixture, bound, span_limit", CASES, ids=[c[0] for c in CASES])
+    def test_matches_the_table_driven_cut_search(self, request, fixture, bound, span_limit):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        self.assert_search_matches(dq, bound, span_limit, table_tight_columns)
+
+    def test_matches_the_table_driven_cut_search_on_lukasiewicz5_at_bound_3(self, luk5):
+        dq = diagonal_quantaloid(luk5)
+        searches = 0
+        for c in enumerate_symmetric_categories(dq, 3):
+            for q in dq.objects():
+                got = list(_enumerate_tight_columns(c, q))
+                assert got == list(table_tight_columns(c, q)), (c.to_dict(), dq.format(q))
+                searches += 1
+        assert searches == 1420 * len(dq.objects())
+
+    # (quantale fixture, bound, one category per isomorphism class)
+    SPAN_CASES = [(fixture, bound, False) for fixture, bound, _ in CASES]
+    SPAN_CASES.append(("luk5", 3, True))
+    SPAN_IDS = [c[0] for c in CASES] + ["luk5-bound3-up-to-iso"]
+
+    @pytest.mark.parametrize("fixture, bound, up_to_iso", SPAN_CASES, ids=SPAN_IDS)
     def test_tight_columns_of_a_tight_span_are_its_yoneda_columns(
-        self, request, fixture, bound, span_limit
+        self, request, fixture, bound, up_to_iso
     ):
         # the tight span of a tight span is itself
         dq = diagonal_quantaloid(request.getfixturevalue(fixture))
-        for c in enumerate_symmetric_categories(dq, bound):
+        for c in enumerate_symmetric_categories(dq, bound, up_to_iso=up_to_iso):
             s = tight_span(c).category
             found = [
                 (q, values) for q in dq.objects() for values in _enumerate_tight_columns(s, q)
@@ -442,10 +468,29 @@ class TestTightColumnSearch:
             assert len(found) == len(s) == len(yonedas)
             assert set(found) == yonedas, c.to_dict()
 
+    def test_the_discrete_three_point_frontier(self, luk5):
+        # Every type 1 and every off-diagonal hom 0: the slowest class of
+        # the lukasiewicz5 bound-3 suites, whose span of span a cut
+        # depth-first walk took minutes over.
+        c = make_category(
+            luk5,
+            ["a", "b", "c"],
+            ["1"] * 3,
+            [["1" if i == j else "0" for j in range(3)] for i in range(3)],
+        )
+        span = tight_span(c)
+        assert len(span.members) == 21
+        assert is_hypercomplete(span.category).holds
+        s = span.category
+        dq = s.quantaloid
+        found = [(q, values) for q in dq.objects() for values in _enumerate_tight_columns(s, q)]
+        assert sorted(found) == sorted((yoneda(s, x).q, yoneda(s, x).values) for x in s.names)
+        assert len(set(found)) == 21
+
     def test_a_search_leaves_nothing_for_the_cyclic_collector(self, nilmin5):
-        # The recursive walker's closure cell points back at it; the search
-        # must break that cycle whether it is exhausted or abandoned after
-        # its first column, as is_hypercomplete abandons it.
+        # The search's helpers are closures over its frame; none of them may
+        # form a reference cycle, whether the search is exhausted or
+        # abandoned after its first column, as is_hypercomplete abandons it.
         dq = diagonal_quantaloid(nilmin5)
         c = list(enumerate_symmetric_categories(dq, 2))[-1]
         q = dq.objects()[-1]

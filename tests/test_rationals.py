@@ -84,6 +84,21 @@ class TestConstruction:
                 str(ExtRat(value))
         assert str(INF) == "inf"
 
+    def test_repr_writes_a_value_str_cannot(self):
+        # the sum of the two admitted literals above: str refuses it, repr
+        # falls back to hex digits and still names the value
+        a = ExtRat.parse("1/" + "7" * 2200 + "1")
+        b = ExtRat.parse("1/" + "3" * 2200 + "1")
+        total = a + b
+        with pytest.raises(BoundExceededError):
+            str(total)
+        text = repr(total)
+        assert text.startswith("ExtRat(Fraction(0x")
+        assert eval(text, {"ExtRat": ExtRat, "Fraction": Fraction}) == total
+        assert repr(a) == f"ExtRat({str(a)!r})"
+        assert repr(INF) == "ExtRat('inf')"
+        assert repr(ExtRat(Fraction(3, 4))) == "ExtRat('3/4')"
+
     def test_a_huge_exponent_is_refused_before_it_is_expanded(self):
         started = time.perf_counter()
         with pytest.raises(SchemaError):
