@@ -113,19 +113,8 @@ def validate_category(c: QCategory) -> CategoryReport:
             refl_witness = name
             break
 
-    trans_witness = None
-    n = len(names)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                via = dq.compose(hom[i][j], types[j], hom[j][k])
-                if not dq.leq(via, hom[i][k]):
-                    trans_witness = (names[i], names[j], names[k])
-                    break
-            if trans_witness:
-                break
-        if trans_witness:
-            break
+    witness = dq.transitivity_witness(types, hom)
+    trans_witness = None if witness is None else tuple(names[i] for i in witness)
 
     return CategoryReport(
         reflexive=refl_witness is None,
@@ -150,9 +139,10 @@ def _require_symmetric(c: QCategory) -> None:
 
     Success is decided once per instance and kept as the mark of
     ``_mark_symmetric``; a refusal is not kept.  A marked category is
-    trusted without a check: either it passed here, or the hull built it
-    from a marked one in a way that keeps both laws (``one_point_extensions``
-    and ``full_subcategory`` say why).
+    trusted without a check: either it passed here, or the hull checked it
+    itself (``tight_span``), or built it from a marked one in a way that
+    keeps both laws (``one_point_extensions`` and ``full_subcategory`` say
+    why).
     """
     if getattr(c, "_symmetric", False):
         return
@@ -169,9 +159,9 @@ def _mark_symmetric(c: QCategory, parent: QCategory | None = None) -> None:
     The mark is an attribute outside the dataclass fields, which ``==``,
     ``hash`` and ``to_dict`` ignore.  It is assigned rather than cached
     through ``__dict__``, which would give every checked category a dict of
-    its own.  Only a category that passed ``_require_symmetric``, or one
-    built from a marked category by a construction that keeps both laws,
-    may carry it.
+    its own.  Only a category that passed ``_require_symmetric`` or the
+    same two checks elsewhere, or one built from a marked category by a
+    construction that keeps both laws, may carry it.
     """
     if parent is None or getattr(parent, "_symmetric", False):
         object.__setattr__(c, "_symmetric", True)
@@ -363,19 +353,7 @@ def cograph(f: QFunctor) -> QRelation:
 
 def _distributor_holds(c: QCategory, q, values: Sequence) -> bool:
     """values . hom <= values, the one-sided distributor law for a column."""
-    dq = c.quantaloid
-    types = c.objects.types
-    hom = c.hom.entries
-    n = len(types)
-    for i in range(n):
-        composed = dq.hom_join(
-            types[i],
-            q,
-            (dq.compose(hom[i][j], types[j], values[j]) for j in range(n)),
-        )
-        if not dq.leq(composed, values[i]):
-            return False
-    return True
+    return c.quantaloid.distributor_holds(c.objects.types, c.hom.entries, q, values)
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,18 @@ quantale's own order, join, meet and involution tables.  ``column_tables(q)``
 hands a search over type-q columns those tables themselves (the meet, join,
 leq and involution tables, the top, and the residuals and hom meets out of
 q), so that its inner loops index tuples instead of calling the kernel.
+
+Three matrix scans take a whole matrix where the other ops take a cell:
+``transitivity_witness`` finds the first failure of hom . hom <= hom,
+``distributor_holds`` checks one column's distributor law and
+``residual_matrix`` fills the presheaf homs between two lists of columns.
+The finite kernel runs them on its tables; the base runs them cell by cell
+through the ops above, which is what the extended rationals use.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError, UnsupportedQuantaleError
 from .quantale import FiniteQuantale, Quantale, _first_witness
@@ -138,6 +145,50 @@ class DiagonalQuantaloid:
     def format(self, payload) -> str:
         """The name of a payload, as reports and files write it."""
         raise NotImplementedError
+
+    # -- matrix scans ------------------------------------------------------
+    # The base runs each scan cell by cell through the ops above, which is
+    # what ``LawvereDiagonals`` uses; ``FiniteDiagonals`` scans its tables.
+
+    def transitivity_witness(self, types: Sequence, hom: Sequence) -> tuple | None:
+        """The first (i, j, k), in i, j, k order, with hom[j][k] . hom[i][j]
+        not below hom[i][k], or None when the square matrix ``hom`` over
+        objects of ``types`` absorbs its own square."""
+        n = len(types)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    via = self.compose(hom[i][j], types[j], hom[j][k])
+                    if not self.leq(via, hom[i][k]):
+                        return i, j, k
+        return None
+
+    def distributor_holds(self, types: Sequence, hom: Sequence, q, values: Sequence) -> bool:
+        """values . hom <= values for a column of type q: at every i the join
+        over j of values[j] . hom[i][j] lies below values[i]."""
+        n = len(types)
+        for i in range(n):
+            composed = self.hom_join(
+                types[i],
+                q,
+                (self.compose(hom[i][j], types[j], values[j]) for j in range(n)),
+            )
+            if not self.leq(composed, values[i]):
+                return False
+        return True
+
+    def residual_matrix(self, left: Sequence, right: Sequence) -> tuple:
+        """The matrix of nu <swarrow> mu for (p, mu) in ``left`` and (t, nu) in
+        ``right``, pairs of a type and a column over the same objects: each
+        entry is the hom meet in hom(p, t) of limpl(p, t, mu[i], nu[i]) over
+        i, the presheaf hom from mu to nu."""
+        return tuple(
+            tuple(
+                self.hom_meet(p, t, (self.limpl(p, t, u, w) for u, w in zip(mu, nu)))
+                for t, nu in right
+            )
+            for p, mu in left
+        )
 
     # -- tables ------------------------------------------------------------
 
@@ -294,6 +345,40 @@ class FiniteDiagonals(DiagonalQuantaloid):
 
     def format(self, payload) -> str:
         return self._names[payload]
+
+    def transitivity_witness(self, types: Sequence, hom: Sequence) -> tuple | None:
+        # Indexing by a shared range beats zip and enumerate on matrices of
+        # 2 to 20 rows.
+        compose, order, ks = self._compose, self._order, range(len(types))
+        for i, row in enumerate(hom):
+            for j, (mid, u, hj) in enumerate(zip(types, row, hom)):
+                via = compose[mid][u]
+                for k in ks:
+                    if not order[via[hj[k]]][row[k]]:
+                        return i, j, k
+        return None
+
+    def distributor_holds(self, types: Sequence, hom: Sequence, q, values: Sequence) -> bool:
+        # A join lies below w exactly when each of its arguments does.
+        compose, order = self._compose, self._order
+        for row, w in zip(hom, values):
+            for mid, u, v in zip(types, row, values):
+                if not order[compose[mid][u][v]][w]:
+                    return False
+        return True
+
+    def residual_matrix(self, left: Sequence, right: Sequence) -> tuple:
+        meet, top, limpl, caps = self._meets, self._top, self._limpl, self._hom_meet
+        matrix = []
+        for p, mu in left:
+            lim, cap, row, ks = limpl[p], caps[p], [], range(len(mu))
+            for t, nu in right:
+                m, lim_t = top, lim[t]
+                for k in ks:
+                    m = meet[m][lim_t[mu[k]][nu[k]]]
+                row.append(cap[t][m])
+            matrix.append(tuple(row))
+        return tuple(matrix)
 
     def column_tables(self, q) -> tuple:
         return (self._meets, self._joins, self._order, self._involution, self._top,

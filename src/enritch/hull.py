@@ -272,7 +272,12 @@ class TightSpan:
 
 
 def tight_span(c: QCategory) -> TightSpan:
-    """Enumerate all tight presheaves and materialize them as a category."""
+    """Enumerate all tight presheaves and materialize them as a category.
+
+    The span's hom is the kernel's ``residual_matrix`` of the members with
+    themselves.  The span is checked symmetric and valid here and comes
+    back marked, so ``_require_symmetric`` does not check it again.
+    """
     _require_symmetric(c)
     dq = c.quantaloid
     members: list[Presheaf] = []
@@ -281,15 +286,15 @@ def tight_span(c: QCategory) -> TightSpan:
             members.append(Presheaf(c, q, values))
     names = tuple(f"t{i}" for i in range(len(members)))
     carrier = TypedSet(dq, names, tuple(mu.q for mu in members))
-    entries = tuple(
-        tuple(presheaf_hom(mu, nu) for nu in members) for mu in members
-    )
+    columns = [(mu.q, mu.values) for mu in members]
+    entries = dq.residual_matrix(columns, columns)
     category = QCategory(carrier, QRelation(carrier, carrier, entries))
     if not is_symmetric(category):
         raise InvariantError("the tight span must be symmetric")
     report = validate_category(category)
     if not report.valid:
         raise InvariantError(f"the tight span must be a category: {report.to_dict()}")
+    _mark_symmetric(category)
     return TightSpan(base=c, members=tuple(members), category=category)
 
 
@@ -639,13 +644,17 @@ class TransportResult:
         return not self.failures
 
 
-def tight_span_restriction(f: QFunctor) -> TransportResult:
+def tight_span_restriction(f: QFunctor, domain_span: TightSpan) -> TransportResult:
     """Precompose tight presheaves on the codomain with the graph of f.
 
     For dense fully faithful f the images are tight on the domain and the
     assignment is a bijective isometry between the two tight spans; any
     violation is reported rather than raised.  Other functors are refused.
+    ``domain_span`` is the tight span of f's domain, which the caller has
+    already built; a span of another category is refused.
     """
+    if domain_span.base != f.domain:
+        raise ShapeMismatchError("domain_span is not the tight span of the domain")
     if not is_fully_faithful(f) or not is_dense(f):
         raise PreconditionError("transport needs a dense fully faithful functor")
     dq = f.domain.quantaloid
@@ -678,10 +687,9 @@ def tight_span_restriction(f: QFunctor) -> TransportResult:
         pairs.append((lam, Presheaf(dom, lam.q, values)))
         image_keys.append((lam.q, values))
 
-    span_dom = tight_span(dom)
     if len(set(image_keys)) != len(image_keys):
         failures.append("transport is not injective")
-    wanted = {(mu.q, mu.values) for mu in span_dom.members}
+    wanted = {(mu.q, mu.values) for mu in domain_span.members}
     if set(image_keys) != wanted:
         failures.append("transport is not onto the domain tight span")
     for i, (lam_i, img_i) in enumerate(pairs):

@@ -123,7 +123,7 @@ def _t44_single(x_cat: QCategory) -> dict:
             )
             for j in range(len(span.members))
         )
-        transport_ok = fully_faithful and dense and tight_span_restriction(embedding).ok
+        transport_ok = fully_faithful and dense and tight_span_restriction(embedding, span).ok
         dq = x_cat.quantaloid
         maximal = True
         ambient = enumerate_ambient(x_cat)

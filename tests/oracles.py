@@ -7,8 +7,9 @@ graph calculus, ``table_tight_columns`` for the tight-column search,
 one-point retractions, the classical checks for
 ``tighten_sweep`` and ``sigma``, ``FractionExtRat`` for the int-pair
 ``ExtRat``, ``LawvereReference`` for the extended-rational kernel's closed
-forms, ``run_suite_per_category`` for the suites' per-class verdicts) and
-to build inputs.  The quantale constructors pin the shipped
+forms, the ``cell_*`` loops and ``presheaf_hom_matrix`` for the kernel's
+matrix scans, ``run_suite_per_category`` for the suites' per-class
+verdicts) and to build inputs.  The quantale constructors pin the shipped
 tables in ``src/enritch/data``, through ``quantale_document``.
 """
 
@@ -359,6 +360,47 @@ def copresheaf_values(mu: Presheaf) -> tuple:
                 "the involuted column of a presheaf on a symmetric base must be a copresheaf"
             )
     return values
+
+
+def cell_transitivity_witness(c: QCategory) -> tuple | None:
+    """The per-cell transitivity loop that ``validate_category`` ran before
+    the kernel's ``transitivity_witness`` (oracle): the first (i, j, k) with
+    hom(j, k) . hom(i, j) not below hom(i, k), as indices."""
+    dq = c.quantaloid
+    types = c.objects.types
+    hom = c.hom.entries
+    n = len(types)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                via = dq.compose(hom[i][j], types[j], hom[j][k])
+                if not dq.leq(via, hom[i][k]):
+                    return i, j, k
+    return None
+
+
+def cell_distributor_holds(c: QCategory, q, values: Sequence) -> bool:
+    """The per-cell distributor loop that ``categories._distributor_holds``
+    ran before the kernel's ``distributor_holds`` (oracle)."""
+    dq = c.quantaloid
+    types = c.objects.types
+    hom = c.hom.entries
+    n = len(types)
+    for i in range(n):
+        composed = dq.hom_join(
+            types[i],
+            q,
+            (dq.compose(hom[i][j], types[j], values[j]) for j in range(n)),
+        )
+        if not dq.leq(composed, values[i]):
+            return False
+    return True
+
+
+def presheaf_hom_matrix(left: Sequence[Presheaf], right: Sequence[Presheaf]) -> tuple:
+    """The matrix of ``presheaf_hom`` that ``tight_span`` filled cell by cell
+    before the kernel's ``residual_matrix`` (oracle)."""
+    return tuple(tuple(presheaf_hom(mu, nu) for nu in right) for mu in left)
 
 
 def yoneda_lemma_holds(c: QCategory, mu: Presheaf) -> bool:

@@ -6,7 +6,7 @@ import pytest
 
 from enritch import fileio, hull, parmet, verify
 from enritch.cli import main
-from enritch.diagonals import diagonal_quantaloid
+from enritch.diagonals import FiniteDiagonals, diagonal_quantaloid
 from enritch.errors import InvariantError, SchemaError
 from enritch.quantale import check_quantale_laws
 
@@ -400,7 +400,11 @@ class TestVerifyCommands:
     def test_broken_tight_span_is_an_invariant_error(self, capsys, monkeypatch, boolean):
         # a span hom stuck at the bottom breaks the identities of the span
         monkeypatch.setattr(
-            hull, "presheaf_hom", lambda mu, nu: mu.base.quantaloid.quantale.bottom
+            FiniteDiagonals,
+            "residual_matrix",
+            lambda dq, left, right: tuple(
+                tuple(dq.hom_bottom(p, t) for t, _ in right) for p, _ in left
+            ),
         )
         dq = diagonal_quantaloid(boolean)
         one = next(c for c in hull.enumerate_symmetric_categories(dq, 1) if len(c) == 1)

@@ -26,6 +26,7 @@ from enritch.errors import (
     BoundExceededError,
     InvariantError,
     PreconditionError,
+    ShapeMismatchError,
     UnsupportedQuantaleError,
 )
 from enritch.hull import (
@@ -717,7 +718,11 @@ class TestLawvereInput:
         "is_hypercomplete": is_hypercomplete,
         "one_point_extensions": lambda c: list(one_point_extensions(c)),
         "tighten": lambda c: tighten(c, yoneda(c, "a")),
-        "tight_span_restriction": lambda c: tight_span_restriction(identity_functor(c)),
+        # the domain's span cannot be built either; a stand-in with no members
+        # leaves the refusal to the span of the codomain
+        "tight_span_restriction": lambda c: tight_span_restriction(
+            identity_functor(c), TightSpan(c, (), c)
+        ),
         "is_essential_bruteforce": lambda c: is_essential_bruteforce(identity_functor(c)),
         "enumerate_symmetric_categories": lambda c: list(
             enumerate_symmetric_categories(c.quantaloid, 2)
@@ -1175,7 +1180,7 @@ class TestTransport:
     def test_identity_transport(self, boolean):
         c = boolean_setoid(boolean, [["1", "1"], ["1", "1"]])
         f = QFunctor(c, c, tuple(c.names))
-        result = tight_span_restriction(f)
+        result = tight_span_restriction(f, tight_span(c))
         assert result.ok
         for lam, image in result.pairs:
             assert lam.values == image.values
@@ -1184,7 +1189,8 @@ class TestTransport:
         for quantale in (boolean, luk3):
             dq = diagonal_quantaloid(quantale)
             for c in enumerate_symmetric_categories(dq, 2):
-                result = tight_span_restriction(tight_span(c).yoneda_embedding())
+                span = tight_span(c)
+                result = tight_span_restriction(span.yoneda_embedding(), span)
                 assert result.ok, result.failures
 
     def test_non_dense_functor_refused(self, boolean):
@@ -1192,14 +1198,22 @@ class TestTransport:
         f = inclusion_functor(full_subcategory(pair, ["s0"]), pair)
         assert is_fully_faithful(f) and not is_dense(f)
         with pytest.raises(PreconditionError):
-            tight_span_restriction(f)
+            tight_span_restriction(f, tight_span(f.domain))
+
+    def test_span_of_another_category_refused(self, boolean):
+        pair = boolean_setoid(boolean, [["1", "1"], ["1", "1"]])
+        discrete = boolean_setoid(boolean, [["1", "0"], ["0", "1"]])
+        f = QFunctor(pair, pair, tuple(pair.names))
+        with pytest.raises(ShapeMismatchError, match="not the tight span of the domain"):
+            tight_span_restriction(f, tight_span(discrete))
+        assert tight_span_restriction(f, tight_span(pair)).ok
 
     def test_dense_pair_embedding_bijection(self, boolean):
         pair = boolean_setoid(boolean, [["1", "1"], ["1", "1"]])
         point = full_subcategory(pair, ["s0"])
         f = inclusion_functor(point, pair)
         assert is_dense(f)
-        result = tight_span_restriction(f)
+        result = tight_span_restriction(f, tight_span(point))
         assert result.ok
 
 

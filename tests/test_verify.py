@@ -14,6 +14,8 @@ import random
 
 import pytest
 
+import enritch.categories as categories
+import enritch.hull as hull
 import enritch.verify as verify
 from enritch.diagonals import diagonal_quantaloid
 from enritch.hull import enumerate_symmetric_categories
@@ -65,6 +67,37 @@ def test_one_check_per_isomorphism_class(monkeypatch, luk3, theorem):
         checked.clear()
         assert run_suite(theorem, luk3, 3)["categories"] == 117
         assert len(checked) == len(classes) == 46
+
+
+@pytest.mark.parametrize("name", ["lukasiewicz3", "nilmin5"])
+def test_t44_builds_and_checks_each_span_once(monkeypatch, name):
+    quantale = shipped_quantale(name)
+    spans, checked = [], []
+    real_span, real_validate = hull.tight_span, categories.validate_category
+
+    def counted_span(c):
+        spans.append(real_span(c))
+        return spans[-1]
+
+    def counted_validate(c):
+        checked.append(c)
+        return real_validate(c)
+
+    for module in (hull, verify):
+        monkeypatch.setattr(module, "tight_span", counted_span)
+    for module in (hull, categories):
+        monkeypatch.setattr(module, "validate_category", counted_validate)
+    classes = list(
+        enumerate_symmetric_categories(diagonal_quantaloid(quantale), 2, up_to_iso=True)
+    )
+    assert run_suite("t44", quantale, 2)["discrepancies"] == 0
+    # per class: the span of x, then the span of that span, and nothing else
+    assert len(spans) == 2 * len(classes)
+    for span, span_of_span in zip(spans[::2], spans[1::2]):
+        assert span_of_span.base is span.category
+    # each span category passes validate_category once, inside tight_span
+    for span in spans:
+        assert sum(c is span.category for c in checked) == 1
 
 
 def without_category(report: dict) -> dict:
