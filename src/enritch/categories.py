@@ -5,8 +5,9 @@ identity relation and absorbs its own square.  Symmetry means the hom equals
 its involution transpose.
 
 Presheaves are columns into a one-object category; the presheaf category
-hom is the left residual, and the Yoneda columns hom(-, x) realize every
-object as a presheaf of its own type.
+hom is the left residual, which the kernel's ``residual_matrix`` computes,
+and the Yoneda columns hom(-, x) realize every object as a presheaf of its
+own type.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "graph",
     "cograph",
     "enumerate_presheaves",
-    "presheaf_hom",
     "yoneda",
 ]
 
@@ -402,22 +402,6 @@ def enumerate_presheaves(c: QCategory) -> list[Presheaf]:
             if _distributor_holds(c, q, values):
                 result.append(Presheaf(c, q, tuple(values)))
     return result
-
-
-def presheaf_hom(mu: Presheaf, nu: Presheaf):
-    """The hom from mu to nu in the presheaf category: the value of nu <swarrow> mu."""
-    if mu.base != nu.base:
-        raise ShapeMismatchError("presheaves live on different categories")
-    dq = mu.base.quantaloid
-    types = mu.base.objects.types
-    return dq.hom_meet(
-        mu.q,
-        nu.q,
-        (
-            dq.limpl(mu.q, nu.q, mu.values[i], nu.values[i])
-            for i in range(len(types))
-        ),
-    )
 
 
 def yoneda(c: QCategory, x: str) -> Presheaf:

@@ -35,8 +35,8 @@ the finite kernel is tabulated once per quantale: compose, both residuals and
 the hom meets become table lookups over element indices, next to the
 quantale's own order, join, meet and involution tables.  ``column_tables(q)``
 hands a search over type-q columns those tables themselves (the meet, join,
-leq and involution tables, the top, and the residuals and hom meets out of
-q), so that its inner loops index tuples instead of calling the kernel.
+leq and involution tables, and the residuals and hom meets out of q), so
+that its inner loops index tuples instead of calling the kernel.
 
 Three matrix scans take a whole matrix where the other ops take a cell:
 ``transitivity_witness`` finds the first failure of hom . hom <= hom,
@@ -44,6 +44,10 @@ Three matrix scans take a whole matrix where the other ops take a cell:
 ``residual_matrix`` fills the presheaf homs between two lists of columns.
 The finite kernel runs them on its tables; the base runs them cell by cell
 through the ops above, which is what the extended rationals use.
+``residual_matrix`` is the one presheaf residual of the library: the tight
+equation, the tight-column search, the tight span's hom and the transport
+isometry all read its rows.  The relation calculus (``rel_residual``) keeps
+its per-cell ``limpl``/``rimpl`` and ``hom_meet`` calls.
 """
 
 from __future__ import annotations
@@ -195,10 +199,10 @@ class DiagonalQuantaloid:
     def column_tables(self, q) -> tuple:
         """The lookup tables of a search over columns of type q (finite
         quantales only):
-        ``(meet, join, leq, involve, top, residual, hom_meet)``.
+        ``(meet, join, leq, involve, residual, hom_meet)``.
 
         ``meet``, ``join``, ``leq`` and ``involve`` are the quantale's tables
-        over element indices and ``top`` its top.  Every hom is closed under
+        over element indices.  Every hom is closed under
         joins (the build verifies it), so ``join[a][b]`` is
         ``hom_join(p, t, (a, b))`` for a and b in hom(p, t).
         ``residual[r][u][w]`` is ``limpl(q, r, u, w)`` and ``hom_meet[t][m]``
@@ -381,7 +385,7 @@ class FiniteDiagonals(DiagonalQuantaloid):
         return tuple(matrix)
 
     def column_tables(self, q) -> tuple:
-        return (self._meets, self._joins, self._order, self._involution, self._top,
+        return (self._meets, self._joins, self._order, self._involution,
                 self._limpl[q], self._hom_meet[q])
 
 

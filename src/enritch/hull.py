@@ -13,6 +13,9 @@ it suffices to search witnesses for tight columns only; this reduction is
 what makes the exhaustive checks below tractable, and the test suite
 cross-validates it against the naive all-columns scan on small instances.
 
+Every presheaf residual here, hom <swarrow> mu or nu <swarrow> mu, is a row
+or a matrix of the kernel's ``residual_matrix``.
+
 The tight columns themselves come from one branch-and-propagate search
 (``_enumerate_tight_columns``).  A tight column is a fixed point of the
 antitone map f(mu) = (hom <swarrow> mu) deg, so every tight column in an
@@ -63,7 +66,6 @@ from .categories import (
     graph,
     is_fully_faithful,
     is_symmetric,
-    presheaf_hom,
     require_functor,
     underlying_order,
     validate_category,
@@ -103,12 +105,17 @@ __all__ = [
 # -- membership -------------------------------------------------------------
 
 
+def _require_column(c: QCategory, values: Sequence) -> None:
+    if len(values) != len(c):
+        raise ShapeMismatchError("the column must assign a value to every object")
+
+
 def column_admissible(c: QCategory, q, values: Sequence) -> bool:
     """mu deg . mu <= hom for a raw column of type q (no distributor needed)."""
+    _require_column(c, values)
     dq = c.quantaloid
-    types = c.objects.types
     hom = c.hom.entries
-    n = len(types)
+    n = len(c)
     for x in range(n):
         for z in range(n):
             composed = dq.compose(values[x], q, dq.involve(values[z]))
@@ -124,22 +131,6 @@ def is_ambient(c: QCategory, mu: Presheaf) -> bool:
     return column_admissible(c, mu.q, mu.values)
 
 
-def _tight_residual(c: QCategory, q, values: Sequence) -> tuple:
-    """The column z |-> (hom <swarrow> mu)(z), valued in hom(q, |z|)."""
-    dq = c.quantaloid
-    types = c.objects.types
-    hom = c.hom.entries
-    n = len(types)
-    return tuple(
-        dq.hom_meet(
-            q,
-            types[z],
-            (dq.limpl(q, types[z], values[x], hom[x][z]) for x in range(n)),
-        )
-        for z in range(n)
-    )
-
-
 def _chain_bound(c: QCategory, q) -> int:
     """Steps bounding a strictly monotone chain of type-q columns, whose
     coordinate z moves at most len(hom(|z|, q)) - 1 times."""
@@ -150,11 +141,11 @@ def _chain_bound(c: QCategory, q) -> int:
 def is_tight_column(c: QCategory, q, values: Sequence) -> bool:
     """mu deg = hom <swarrow> mu for a raw column; such a column is
     automatically a presheaf (checked)."""
+    _require_column(c, values)
     dq = c.quantaloid
-    residual = _tight_residual(c, q, values)
-    holds = all(
-        dq.involve(values[z]) == residual[z] for z in range(len(values))
-    )
+    yonedas = list(zip(c.objects.types, zip(*c.hom.entries)))
+    (residuals,) = dq.residual_matrix([(q, values)], yonedas)
+    holds = all(dq.involve(v) == r for v, r in zip(values, residuals))
     if holds and not _distributor_holds(c, q, values):
         raise InvariantError("a column satisfying the tight equation must be a presheaf")
     return holds
@@ -178,33 +169,28 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
     root (bottom, top) propagates to the least and greatest fixed points of
     f squared, the alternating fixpoint of Van Gelder (JCSS 1993).
 
-    Raising lo only lowers the residuals, so ``below`` = residuals(lo) is
-    kept up to date by meeting in the rows of the raised coordinates; f(hi)
-    is evaluated afresh.  Each round that does not end the propagation
-    moves a bound strictly inward, so a node takes at most ``_chain_bound``
-    rounds.  The columns found are sorted.
+    The residuals hom <swarrow> mu are rows of the kernel's
+    ``residual_matrix`` against the Yoneda columns, so f(hi) is one row,
+    evaluated afresh.  Raising lo only lowers the residuals, so ``below`` =
+    residuals(lo) starts as one row and is kept up to date by meeting in the
+    rows of the raised coordinates.  Each round that does not end the
+    propagation moves a bound strictly inward, so a node takes at most
+    ``_chain_bound`` rounds.  The columns found are sorted.
     """
     dq = c.quantaloid
     types = c.objects.types
-    meet, join, leq, involve, top, limpl, hom_meet = dq.column_tables(q)
+    meet, join, leq, involve, limpl, hom_meet = dq.column_tables(q)
     # caps[z][m]: the largest element of hom(q, |z|) below m.
     caps = [hom_meet[t] for t in types]
-    # rows[z]: the residuals into |z| and the column hom(-, z).
-    rows = list(zip((limpl[t] for t in types), zip(*c.hom.entries)))
+    # yonedas[z]: |z| and the column hom(-, z); rows[z]: the residuals into
+    # |z| and the same column.
+    columns = list(zip(*c.hom.entries))
+    yonedas = list(zip(types, columns))
+    rows = list(zip((limpl[t] for t in types), columns))
     homs = [dq.hom(t, q) for t in types]
     steps = _chain_bound(c, q)
 
-    def residuals(values: Sequence) -> list:
-        """(hom <swarrow> values)(z) for each z, before the cap."""
-        out = []
-        for lim, col in rows:
-            m = top
-            for v, h in zip(values, col):
-                m = meet[m][lim[v][h]]
-            out.append(m)
-        return out
-
-    def narrowed(below: list, lo: Sequence, grown: Sequence) -> list:
+    def narrowed(below: Sequence, lo: Sequence, grown: Sequence) -> Sequence:
         """residuals(grown) from below = residuals(lo), for grown >= lo: each
         raised coordinate only lowers the residuals, so its rows meet in."""
         for x, (v, w) in enumerate(zip(lo, grown)):
@@ -212,15 +198,18 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
                 below = [meet[m][lim[w][col[x]]] for m, (lim, col) in zip(below, rows)]
         return below
 
-    def propagate(lo: list, hi: list, below: list) -> tuple | None:
+    def propagate(lo: list, hi: list, below: Sequence) -> tuple | None:
         """The fixpoint of the node [lo, hi], or None when it is empty."""
         for rounds in range(steps):
-            # hi meet f(lo), met in hom(q, |z|) and involuted back
+            # hi meet f(lo), met in hom(q, |z|) and involuted back.  ``below``
+            # mixes a capped row with uncapped meets; both cap alike, since
+            # cap(m meet s) = cap(cap(m) meet s) when homs are closed under joins.
             narrower = [involve[cap[meet[involve[u]][m]]] for cap, u, m in zip(caps, hi, below)]
             if rounds and narrower == hi:
                 return lo, hi, below  # lo already holds f(hi)
             hi = narrower
-            grown = [join[v][involve[cap[m]]] for cap, v, m in zip(caps, lo, residuals(hi))]
+            (residuals,) = dq.residual_matrix([(q, hi)], yonedas)  # capped
+            grown = [join[v][involve[m]] for v, m in zip(lo, residuals)]
             if not all(leq[v][u] for v, u in zip(grown, hi)):
                 return None
             if grown == lo:
@@ -230,7 +219,8 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
 
     found = []
     bottom = [dq.hom_bottom(t, q) for t in types]
-    stack = [(bottom, [dq.hom_top(t, q) for t in types], residuals(bottom))]
+    (below,) = dq.residual_matrix([(q, bottom)], yonedas)
+    stack = [(bottom, [dq.hom_top(t, q) for t in types], below)]
     while stack:
         node = propagate(*stack.pop())
         if node is None:
@@ -667,7 +657,8 @@ def tight_span_restriction(f: QFunctor, domain_span: TightSpan) -> TransportResu
     pairs = []
     failures: list[str] = []
     image_keys = []
-    for lam in span_cod.members:
+    kept = []  # the indices in span_cod of the members whose image is kept
+    for k, lam in enumerate(span_cod.members):
         values = tuple(
             dq.hom_join(
                 dom_types[x],
@@ -686,17 +677,17 @@ def tight_span_restriction(f: QFunctor, domain_span: TightSpan) -> TransportResu
             continue
         pairs.append((lam, Presheaf(dom, lam.q, values)))
         image_keys.append((lam.q, values))
+        kept.append(k)
 
     if len(set(image_keys)) != len(image_keys):
         failures.append("transport is not injective")
     wanted = {(mu.q, mu.values) for mu in domain_span.members}
     if set(image_keys) != wanted:
         failures.append("transport is not onto the domain tight span")
-    for i, (lam_i, img_i) in enumerate(pairs):
-        for lam_j, img_j in pairs[i:]:
-            if presheaf_hom(lam_i, lam_j) != presheaf_hom(img_i, img_j):
-                failures.append("transport is not an isometry")
-                break
+    span_hom = span_cod.category.hom.entries
+    kept_hom = tuple(tuple(span_hom[i][j] for j in kept) for i in kept)
+    if dq.residual_matrix(image_keys, image_keys) != kept_hom:
+        failures.append("transport is not an isometry")
     return TransportResult(tuple(pairs), tuple(failures))
 
 

@@ -7,10 +7,11 @@ graph calculus, ``table_tight_columns`` for the tight-column search,
 one-point retractions, the classical checks for
 ``tighten_sweep`` and ``sigma``, ``FractionExtRat`` for the int-pair
 ``ExtRat``, ``LawvereReference`` for the extended-rational kernel's closed
-forms, the ``cell_*`` loops and ``presheaf_hom_matrix`` for the kernel's
-matrix scans, ``run_suite_per_category`` for the suites' per-class
-verdicts) and to build inputs.  The quantale constructors pin the shipped
-tables in ``src/enritch/data``, through ``quantale_document``.
+forms, the ``cell_*`` loops, ``presheaf_hom``, ``_tight_residual`` and
+``presheaf_hom_matrix`` for the kernel's matrix scans,
+``run_suite_per_category`` for the suites' per-class verdicts) and to
+build inputs.  The quantale constructors pin the shipped tables in
+``src/enritch/data``, through ``quantale_document``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from enritch.categories import (
     cograph,
     graph,
     is_symmetric,
-    presheaf_hom,
     require_valid,
     validate_category,
     yoneda,
@@ -38,7 +38,6 @@ from enritch.hull import (
     _chain_bound,
     _extend_matrix,
     _fresh_name,
-    _tight_residual,
     enumerate_symmetric_categories,
     is_ambient,
 )
@@ -397,6 +396,38 @@ def cell_distributor_holds(c: QCategory, q, values: Sequence) -> bool:
     return True
 
 
+def presheaf_hom(mu: Presheaf, nu: Presheaf):
+    """The hom from mu to nu in the presheaf category: the value of nu <swarrow> mu."""
+    if mu.base != nu.base:
+        raise ShapeMismatchError("presheaves live on different categories")
+    dq = mu.base.quantaloid
+    types = mu.base.objects.types
+    return dq.hom_meet(
+        mu.q,
+        nu.q,
+        (
+            dq.limpl(mu.q, nu.q, mu.values[i], nu.values[i])
+            for i in range(len(types))
+        ),
+    )
+
+
+def _tight_residual(c: QCategory, q, values: Sequence) -> tuple:
+    """The column z |-> (hom <swarrow> mu)(z), valued in hom(q, |z|)."""
+    dq = c.quantaloid
+    types = c.objects.types
+    hom = c.hom.entries
+    n = len(types)
+    return tuple(
+        dq.hom_meet(
+            q,
+            types[z],
+            (dq.limpl(q, types[z], values[x], hom[x][z]) for x in range(n)),
+        )
+        for z in range(n)
+    )
+
+
 def presheaf_hom_matrix(left: Sequence[Presheaf], right: Sequence[Presheaf]) -> tuple:
     """The matrix of ``presheaf_hom`` that ``tight_span`` filled cell by cell
     before the kernel's ``residual_matrix`` (oracle)."""
@@ -452,7 +483,8 @@ def table_tight_columns(c: QCategory, q) -> Iterator[tuple]:
         yield ()
         return
 
-    meet, _join, leq, involve, top, limpl, hom_meet = dq.column_tables(q)
+    meet, _join, leq, involve, limpl, hom_meet = dq.column_tables(q)
+    top = dq.quantale.top
     # caps[z][m]: the largest element of hom(q, |z|) below m.
     caps = [hom_meet[t] for t in types]
     # residual[x][v][z] = hom(x, z) <swarrow> v.

@@ -12,7 +12,6 @@ from enritch.categories import (
     graph,
     is_fully_faithful,
     is_symmetric,
-    presheaf_hom,
     underlying_order,
     validate_category,
     validate_functor,
@@ -36,6 +35,7 @@ from oracles import (
     copresheaf_values,
     isomorphic,
     one_object_category,
+    presheaf_hom,
     presheaf_relation,
     symmetrize,
     yoneda_lemma_holds,

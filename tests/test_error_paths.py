@@ -17,7 +17,6 @@ from enritch.categories import (
     Presheaf,
     QCategory,
     QFunctor,
-    presheaf_hom,
     require_functor,
     require_valid,
     yoneda,
@@ -30,14 +29,21 @@ from enritch.errors import (
     ShapeMismatchError,
     UnsupportedQuantaleError,
 )
-from enritch.hull import full_subcategory, is_hypercomplete, one_point_extensions, tight_span
+from enritch.hull import (
+    column_admissible,
+    full_subcategory,
+    is_hypercomplete,
+    is_tight_column,
+    one_point_extensions,
+    tight_span,
+)
 from enritch.parmet import ParMetSpace, RadiusFunction, ambient_violation
 from enritch.quantale import LAWVERE, FiniteQuantale
 from enritch.rationals import ZERO, ExtRat
 from enritch.relations import QRelation, TypedSet
 
 from conftest import make_category, shipped_quantale, swapped_diamond, value
-from oracles import rel_identity
+from oracles import presheaf_hom, rel_identity
 
 DATA = Path(str(files("enritch") / "data"))
 SPACE = str(DATA / "two_point_classical.json")
@@ -236,6 +242,25 @@ CATEGORY_CASES = {
     ),
 }
 
+LUK3 = shipped_quantale("lukasiewicz3")
+LUK3_ONE = value(LUK3, "1")
+
+
+def column_of_length(check, length: int):
+    """``check`` on a column of ``length`` values over the discrete
+    lukasiewicz3 pair, a valid symmetric category of two objects."""
+    pair = make_category(LUK3, ["a", "b"], ["1", "1"], [["1", "0"], ["0", "1"]])
+    return in_memory(ShapeMismatchError, lambda: check(pair, LUK3_ONE, (LUK3_ONE,) * length))
+
+
+# A raw column must have one value per object; zip and indexing would
+# otherwise truncate it or fail with an IndexError.
+HULL_CASES = {
+    f"{check.__name__}_{length}_values": column_of_length(check, length)
+    for check in (column_admissible, is_tight_column)
+    for length in (0, 1, 3)
+}
+
 VERIFY_CASES = {
     "unknown_suite": in_memory(ValueError, lambda: verify.run_suite("t99", BOOL, 1)),
     # t44 and t54 read no witness typing, so a lax run would be a strict one
@@ -299,6 +324,11 @@ def test_symmetry_refusal_repeats(case):
         with pytest.raises(PreconditionError, match=message):
             call(c)
     assert "_symmetric" not in vars(c)
+
+
+@pytest.mark.parametrize("case", sorted(HULL_CASES))
+def test_hull_refuses(case, tmp_path, capsys):
+    refused(HULL_CASES[case], tmp_path, capsys)
 
 
 @pytest.mark.parametrize("case", sorted(VERIFY_CASES))

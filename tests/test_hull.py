@@ -15,13 +15,12 @@ from enritch.categories import (
     graph,
     is_fully_faithful,
     is_symmetric,
-    presheaf_hom,
     underlying_order,
     validate_category,
     validate_functor,
     yoneda,
 )
-from enritch.diagonals import diagonal_quantaloid
+from enritch.diagonals import FiniteDiagonals, diagonal_quantaloid
 from enritch.errors import (
     BoundExceededError,
     InvariantError,
@@ -33,7 +32,6 @@ from enritch.hull import (
     TightSpan,
     _chain_bound,
     _enumerate_tight_columns,
-    _tight_residual,
     all_functors,
     column_admissible,
     enumerate_ambient,
@@ -61,9 +59,11 @@ from enritch.verify import run_suite
 
 from conftest import make_category, random_partial_metric, shipped_quantale, value
 from oracles import (
+    _tight_residual,
     extension_from_presheaf,
     isomorphic,
     one_object_category,
+    presheaf_hom,
     table_tight_columns,
     tighten,
 )
@@ -1215,6 +1215,52 @@ class TestTransport:
         assert is_dense(f)
         result = tight_span_restriction(f, tight_span(point))
         assert result.ok
+
+    @staticmethod
+    def discrete_pair_embedding(luk3):
+        """The Yoneda embedding of the discrete lukasiewicz3 pair, whose
+        tight span has more members than the pair has points."""
+        c = make_category(luk3, ["a", "b"], ["1", "1"], [["1", "0"], ["0", "1"]])
+        span = tight_span(c)
+        assert len(span.members) > len(c)
+        return span.yoneda_embedding(), span
+
+    def test_span_missing_a_member_is_not_onto(self, luk3):
+        f, span = self.discrete_pair_embedding(luk3)
+        kept = span.category.names[:-1]
+        short = TightSpan(
+            f.domain, span.members[:-1], full_subcategory(span.category, kept)
+        )
+        result = tight_span_restriction(f, short)
+        assert result.failures == ("transport is not onto the domain tight span",)
+
+    @pytest.mark.parametrize("rows_moved", [1, None], ids=["one-entry", "every-row"])
+    def test_perturbed_isometry_is_reported_once(self, monkeypatch, luk3, rows_moved):
+        # move one entry of the residual matrix of the images with
+        # themselves (the only square call on columns over the domain), in
+        # the first row that can move or in every such row
+        f, span = self.discrete_pair_embedding(luk3)
+        original = FiniteDiagonals.residual_matrix
+        moved = []
+
+        def residual_matrix(dq, left, right):
+            matrix = original(dq, left, right)
+            if left is not right or len(left[0][1]) != len(f.domain):
+                return matrix
+            rows = [list(row) for row in matrix]
+            for i, (p, _) in enumerate(left):
+                # the first entry whose hom has another diagonal to move to
+                j = next((j for j, (t, _) in enumerate(right) if len(dq.hom(p, t)) > 1), None)
+                if j is not None and len(moved) != rows_moved:
+                    t = right[j][0]
+                    rows[i][j] = next(u for u in dq.hom(p, t) if u != rows[i][j])
+                    moved.append((i, j))
+            return tuple(map(tuple, rows))
+
+        monkeypatch.setattr(FiniteDiagonals, "residual_matrix", residual_matrix)
+        result = tight_span_restriction(f, span)
+        assert len(moved) == 1 if rows_moved else len(moved) > 1
+        assert result.failures == ("transport is not an isometry",)
 
 
 class TestOtherInstances:

@@ -5,7 +5,9 @@ on the finite kernel's tables and, over the extended rationals, cell by
 cell through the closed forms.  Each is compared with the loop it took over
 (``tests/oracles.py``) on every input the suites can hand it: raw candidate
 matrices, rejected ones included, product columns and tight spans, and on
-seeded partial metrics for the extended rationals.
+seeded partial metrics for the extended rationals.  ``is_tight_column``,
+which reads one row of ``residual_matrix``, is compared with the per-cell
+``_tight_residual`` on the same inputs.
 """
 
 from __future__ import annotations
@@ -15,16 +17,27 @@ import random
 
 import pytest
 
-from enritch.categories import Presheaf, QCategory, enumerate_presheaves, yoneda
-from enritch.diagonals import diagonal_quantaloid
-from enritch.errors import PreconditionError
-from enritch.hull import enumerate_symmetric_categories, tight_span
-from enritch.parmet import to_category
+from enritch.categories import (
+    Presheaf,
+    QCategory,
+    _distributor_holds,
+    enumerate_presheaves,
+    yoneda,
+)
+from enritch.diagonals import DiagonalQuantaloid, diagonal_quantaloid
+from enritch.errors import InvariantError, PreconditionError
+from enritch.hull import enumerate_symmetric_categories, is_tight_column, tight_span
+from enritch.parmet import RadiusFunction, ambient_violation, tighten_sweep, to_category
 from enritch.rationals import ExtRat
 from enritch.relations import QRelation, TypedSet
 
 from conftest import random_partial_metric, shipped_quantale, swapped_diamond
-from oracles import cell_distributor_holds, cell_transitivity_witness, presheaf_hom_matrix
+from oracles import (
+    _tight_residual,
+    cell_distributor_holds,
+    cell_transitivity_witness,
+    presheaf_hom_matrix,
+)
 
 FINITE = ["boolean", "lukasiewicz3", "lukasiewicz5", "nilmin5", "diamond", "diamond_swap"]
 
@@ -186,3 +199,80 @@ def test_lawvere_scans_match_the_cell_loops(seed):
 
     columns = [(mu.q, mu.values) for mu in presheaves]
     assert dq.residual_matrix(columns, columns) == presheaf_hom_matrix(presheaves, presheaves)
+
+
+# -- the tight equation -------------------------------------------------------
+
+
+def reference_is_tight_column(c: QCategory, q, values) -> bool:
+    """``is_tight_column`` on the per-cell ``_tight_residual`` (oracle)."""
+    dq = c.quantaloid
+    holds = tuple(map(dq.involve, values)) == _tight_residual(c, q, values)
+    if holds and not _distributor_holds(c, q, values):
+        raise InvariantError("a column satisfying the tight equation must be a presheaf")
+    return holds
+
+
+def outcome(check, c: QCategory, q, values):
+    """The verdict of ``check``, or the class of the error it raised."""
+    try:
+        return check(c, q, values)
+    except InvariantError as error:
+        return type(error)
+
+
+def same_outcomes(cases) -> set:
+    """Compare ``is_tight_column`` with the oracle on (c, q, values) cases;
+    the outcomes seen."""
+    seen = set()
+    for c, q, values in cases:
+        want = outcome(reference_is_tight_column, c, q, values)
+        assert outcome(is_tight_column, c, q, values) == want, (c.to_dict(), q, values)
+        seen.add(want)
+    return seen
+
+
+def product_columns(dq):
+    """Every column of every type on every category of at most 2 objects."""
+    for c in enumerate_symmetric_categories(dq, 2):
+        for q in dq.objects():
+            for values in itertools.product(*(dq.hom(t, q) for t in c.objects.types)):
+                yield c, q, values
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_is_tight_column_on_every_product_column(name):
+    dq = diagonal_quantaloid(quantale_named(name))
+    assert same_outcomes(product_columns(dq)) == {True, False}
+
+
+def test_is_tight_column_raises_where_the_oracle_does(monkeypatch, luk3, diamond_swap):
+    # a kernel that finds no column a presheaf: every tight column is an
+    # invariant failure, every other column still answers False
+    for quantale in (luk3, diamond_swap):
+        dq = diagonal_quantaloid(quantale)
+        monkeypatch.setattr(type(dq), "distributor_holds", lambda *args: False)
+        assert same_outcomes(product_columns(dq)) == {InvariantError, False}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_is_tight_column_on_partial_metrics(seed, monkeypatch):
+    # the extended rationals take the base class's cell-by-cell residual_matrix
+    rng = random.Random(f"tight-column-{seed}")
+    space = random_partial_metric(rng, rng.randint(2, 6), allow_inf=seed % 2 == 1)
+    c = to_category(space)
+    types, hom, n = c.objects.types, c.hom.entries, len(c)
+    columns = [(types[x], tuple(hom[i][x] for i in range(n))) for x in range(n)]
+    while len(columns) < n + 30:
+        r = ExtRat(rng.randint(0, 20))
+        values = tuple(max(t, r) + ExtRat(rng.randint(0, 40)) for t in types)
+        columns.append((r, values))
+        mu = RadiusFunction(r, values)
+        if ambient_violation(space, mu) is None:
+            columns.append((r, tighten_sweep(space, mu).values))
+    cases = [(c, q, values) for q, values in columns]
+    assert same_outcomes(cases) == {True, False}
+
+    # the Yoneda columns are tight: a kernel that finds no presheaf fails them
+    monkeypatch.setattr(DiagonalQuantaloid, "distributor_holds", lambda *args: False)
+    assert same_outcomes(cases) == {InvariantError, False}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from enritch.categories import Presheaf, presheaf_hom, validate_category, is_symmetric
+from enritch.categories import Presheaf, validate_category, is_symmetric
 from enritch.errors import PreconditionError, SchemaError
 from enritch.hull import column_admissible, is_tight_column
 from enritch.parmet import (
@@ -25,7 +25,13 @@ from enritch.rationals import INF, ZERO, ExtRat
 
 import oracles
 from conftest import random_partial_metric
-from oracles import classical_sigma_check, classical_tight_check, sample_ambient, to_fraction
+from oracles import (
+    classical_sigma_check,
+    classical_tight_check,
+    presheaf_hom,
+    sample_ambient,
+    to_fraction,
+)
 
 
 def er(x):
