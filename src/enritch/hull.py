@@ -436,35 +436,34 @@ def one_point_extensions(c: QCategory) -> Iterator[QCategory]:
 
     Order: new-point types in element load order, columns lexicographic.
 
-    Each extension passes ``validate_category`` here and comes back marked
-    valid and symmetric, so ``_require_symmetric`` does not check it again.
+    Each extension passes ``validate_category`` and comes back marked valid
+    and symmetric, so ``_require_symmetric`` does not check it again.
     Symmetry holds by construction: c is checked symmetric on entry, the
     new row is the involute of the new column, and the new diagonal entry is
     the identity of a type q that the involution fixes.
     """
     _require_symmetric(c)
+    yield from _extensions(c, _fresh_name(c))
+
+
+def _extensions(c: QCategory, new_name: str) -> Iterator[QCategory]:
+    """The valid one-point extensions of the valid symmetric c, marked, in
+    the order of ``one_point_extensions``; c is not checked here."""
     dq = c.quantaloid
-    new_name = _fresh_name(c)
-    types = c.objects.types
-    n = len(types)
     for q in dq.objects():
-        for column in itertools.product(*(dq.hom(types[x], q) for x in range(n))):
-            extended = _extend_matrix(c, q, column, new_name)
+        carrier = TypedSet(dq, c.names + (new_name,), c.objects.types + (q,))
+        for column in itertools.product(*(dq.hom(t, q) for t in c.objects.types)):
+            extended = _extend_matrix(c, carrier, column)
             if validate_category(extended).valid:
                 _mark_symmetric(extended)
                 yield extended
 
 
-def _extend_matrix(c: QCategory, q, column: Sequence, new_name: str) -> QCategory:
+def _extend_matrix(c: QCategory, carrier: TypedSet, column: Sequence) -> QCategory:
+    """c and the last point of ``carrier``, whose hom column is ``column``."""
     dq = c.quantaloid
-    carrier = TypedSet(
-        dq, c.names + (new_name,), c.objects.types + (q,)
-    )
-    n = len(c)
-    entries = tuple(
-        tuple(c.hom.entries[i][j] for j in range(n)) + (column[i],)
-        for i in range(n)
-    ) + (tuple(dq.involve(column[i]) for i in range(n)) + (dq.identity(q),),)
+    entries = tuple(row + (u,) for row, u in zip(c.hom.entries, column))
+    entries += (tuple(dq.involve(u) for u in column) + (dq.identity(carrier.types[-1]),),)
     return QCategory(carrier, QRelation(carrier, carrier, entries))
 
 
@@ -519,63 +518,59 @@ class EssentialResult:
     categories_checked: int
 
 
-def _canonical_signature(types: tuple, entries: tuple) -> tuple:
-    n = len(types)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        sig = (
-            tuple(types[perm[i]] for i in range(n)),
-            tuple(entries[perm[i]][perm[j]] for i in range(n) for j in range(n)),
-        )
-        if best is None or sig < best:
-            best = sig
-    return best
+def _canonical_signature(c: QCategory) -> tuple:
+    """The least (types, row-major hom) over all relabellings of the points:
+    equal exactly for isomorphic categories, of any size.  The least types
+    are the sorted ones, so only the relabellings that sort them are tried."""
+    types, entries = c.objects.types, c.hom.entries
+    blocks = [[i for i, t in enumerate(types) if t == s] for s in sorted(set(types))]
+    perms = itertools.product(*map(itertools.permutations, blocks))
+    return tuple(sorted(types)), min(
+        tuple(entries[i][j] for i in perm for j in perm)
+        for perm in (sum(block_perms, ()) for block_perms in perms)
+    )
 
 
 def enumerate_symmetric_categories(
     dq: DiagonalQuantaloid,
     max_objects: int,
     name_prefix: str = "x",
-    up_to_iso: bool = False,
 ) -> Iterator[QCategory]:
-    """Every valid symmetric category with at most max_objects points.
+    """Every valid symmetric category with at most max_objects points,
+    each marked valid and symmetric.
 
     Deterministic order: size ascending, diagonal types lexicographic in
-    element load order, then upper-triangle entries lexicographic.  With
-    ``up_to_iso`` relabelings of the points are emitted only once.
+    element load order, then upper-triangle entries lexicographic in
+    row-major pair order.
+
+    Level 0 is the empty category and level n + 1 is the valid one-point
+    extensions of level n, whose new last point is ``{name_prefix}{n}``.
+    Every valid (n + 1)-point category arises exactly once, from its full
+    subcategory on the first n points.  Sorting a level by types and
+    row-major hom gives the order above: ``objects()`` and ``hom()`` list
+    payloads in ascending element index, and the types and the upper
+    triangle fix the diagonal and the lower triangle.
     """
-    objects = dq.objects()
-    seen: set = set()
+    carrier = TypedSet(dq, (), ())
+    level = [QCategory(carrier, QRelation(carrier, carrier, ()))]
+    _require_symmetric(level[0])
     for n in range(max_objects + 1):
-        names = tuple(f"{name_prefix}{i}" for i in range(n))
-        for types in itertools.product(objects, repeat=n):
-            pair_indices = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            pools = [dq.hom(types[i], types[j]) for i, j in pair_indices]
-            for choice in itertools.product(*pools):
-                entries = [[None] * n for _ in range(n)]
-                for i in range(n):
-                    entries[i][i] = dq.identity(types[i])
-                for (i, j), u in zip(pair_indices, choice):
-                    entries[i][j] = u
-                    entries[j][i] = dq.involve(u)
-                matrix = tuple(tuple(row) for row in entries)
-                if up_to_iso:
-                    sig = (n, _canonical_signature(types, matrix))
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                carrier = TypedSet(dq, names, types)
-                cat = QCategory(carrier, QRelation(carrier, carrier, matrix))
-                if validate_category(cat).valid:
-                    yield cat
+        yield from level
+        if n < max_objects:
+            new_name = f"{name_prefix}{n}"
+            level = sorted(
+                (ext for c in level for ext in _extensions(c, new_name)),
+                key=lambda c: (c.objects.types, c.hom.entries),
+            )
 
 
 def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResult:
     """Test essentiality by brute force over small receiving categories.
 
-    Enumerates symmetric categories Z with at most |codomain| + 1 objects
-    (up to relabeling) and every functor g out of the codomain, and checks
-    that g is fully faithful whenever the composite g . f is.  Refuses when
+    Enumerates symmetric categories Z with at most |codomain| + 1 objects,
+    up to relabeling (the first of each isomorphism class), and every functor
+    g out of the codomain, and checks that g is fully faithful whenever the
+    composite g . f is.  Refuses when
     the implied bound exceeds ``max_objects``.
 
     Two memos live on the kernel ``f.domain.quantaloid``, so they last as
@@ -604,9 +599,10 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
     memo = dq._essentiality
     receivers = memo.get(("receivers", z_bound))
     if receivers is None:
-        receivers = memo[("receivers", z_bound)] = tuple(
-            enumerate_symmetric_categories(dq, z_bound, name_prefix="z", up_to_iso=True)
-        )
+        classes: dict = {}
+        for z_cat in enumerate_symmetric_categories(dq, z_bound, name_prefix="z"):
+            classes.setdefault(_canonical_signature(z_cat), z_cat)
+        receivers = memo[("receivers", z_bound)] = tuple(classes.values())
     non_full = memo.get(("non_full", cod))
     if non_full is None:
         non_full = memo[("non_full", cod)] = tuple(

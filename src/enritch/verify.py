@@ -1,8 +1,8 @@
 """Exhaustive theorem suites driven by the command line.
 
 Each suite enumerates every symmetric category over a finite quantale up to
-an object bound (raw enumeration in a documented deterministic order) and
-checks one named equivalence:
+an object bound (grown by one-point extensions, in a documented
+deterministic order) and checks one named equivalence:
 
     t36   hypercomplete == every one-point extension retracts
           == every in-bound extension problem is solvable
@@ -16,9 +16,10 @@ checks one named equivalence:
 
 t36, l43 and t44 are properties of a category up to isomorphism, so each
 verdict is computed once per isomorphism class (keyed on the canonical
-signature the enumeration uses for ``up_to_iso``) and reused for every
-relabelling; the counts and the witness, the first raw category that
-disagrees, are those of the per-category run.  t54 is checked per functor.
+signature that also picks ``is_essential_bruteforce``'s receivers) and
+reused for every relabelling; the counts and the witness, the first raw
+category that disagrees, are those of the per-category run.  t54 is checked
+per functor.
 
 The in-bound extension family for t36 consists of, for each candidate X:
 the identity of X along the inclusion into every one-point extension of X,
@@ -58,7 +59,7 @@ from .quantale import FiniteQuantale
 
 __all__ = ["DOCUMENTED_BOUNDS", "run_suite"]
 
-DOCUMENTED_BOUNDS = {"t36": 3, "l43": 3, "t44": 3, "t54": 2}
+DOCUMENTED_BOUNDS = {"t36": 4, "l43": 4, "t44": 4, "t54": 3}
 
 
 def _t36_single(x_cat: QCategory, strict: bool) -> dict:
@@ -84,7 +85,6 @@ def _t36_single(x_cat: QCategory, strict: bool) -> dict:
     )
 
     return {
-        "category": x_cat.to_dict(),
         "hypercomplete": hyper,
         "one_point_retracts": retract,
         "extensions_solvable": inject,
@@ -96,7 +96,6 @@ def _l43_single(x_cat: QCategory, strict: bool) -> dict:
     span = tight_span(x_cat)
     result = is_hypercomplete(span.category, strict=strict)
     return {
-        "category": x_cat.to_dict(),
         "tight_members": len(span.members),
         "span_hypercomplete": result.holds,
         "agree": result.holds,
@@ -139,7 +138,6 @@ def _t44_single(x_cat: QCategory) -> dict:
         [embedded, fully_faithful, dense, codense, columns_tight, transport_ok, maximal]
     )
     return {
-        "category": x_cat.to_dict(),
         "yoneda_in_span": embedded,
         "fully_faithful": fully_faithful,
         "dense": dense,
@@ -193,14 +191,13 @@ def run_suite(
     if theorem == "t54":
         # all_functors yields validated functors only; each one kept is
         # checked again by is_fully_faithful at is_essential_bruteforce's entry.
-        functors = [
-            f
+        verdicts = [
+            _t54_single(f, bound)
             for x_cat in cats
             for y_cat in cats
             for f in all_functors(x_cat, y_cat)
             if _fully_faithful(f)
         ]
-        results = [_t54_single(f, bound) for f in functors]
     else:
         single = {
             "t36": lambda x_cat: _t36_single(x_cat, strict),
@@ -209,25 +206,26 @@ def run_suite(
         }[theorem]
         # Each verdict is invariant under relabelling the points: check the
         # first category of each isomorphism class and reuse its verdict.
-        verdicts: dict = {}
-        results = []
+        memo: dict = {}
+        verdicts = []
         for x_cat in cats:
-            key = (len(x_cat), _canonical_signature(x_cat.objects.types, x_cat.hom.entries))
-            if key not in verdicts:
-                verdict = single(x_cat)
-                del verdict["category"]
-                verdicts[key] = verdict
-            results.append({"category": x_cat.to_dict(), **verdicts[key]})
+            key = _canonical_signature(x_cat)
+            if key not in memo:
+                memo[key] = single(x_cat)
+            verdicts.append(memo[key])
     label = "functors" if theorem == "t54" else "categories"
 
-    discrepancies = [r for r in results if not r["agree"]]
+    failing = [k for k, verdict in enumerate(verdicts) if not verdict["agree"]]
+    witness = verdicts[failing[0]] if failing else None
+    if failing and theorem != "t54":
+        witness = {"category": cats[failing[0]].to_dict(), **witness}
     return {
         "check": theorem,
-        "result": not discrepancies,
-        "witness": discrepancies[0] if discrepancies else None,
+        "result": not failing,
+        "witness": witness,
         "quantale": quantale.name,
         "bound": bound,
         "strict_typing": strict,
-        label: len(results),
-        "discrepancies": len(discrepancies),
+        label: len(verdicts),
+        "discrepancies": len(failing),
     }

@@ -9,13 +9,16 @@ one-point retractions, the classical checks for
 ``ExtRat``, ``LawvereReference`` for the extended-rational kernel's closed
 forms, the ``cell_*`` loops, ``presheaf_hom``, ``_tight_residual`` and
 ``presheaf_hom_matrix`` for the kernel's matrix scans,
-``run_suite_per_category`` for the suites' per-class verdicts) and to
+``run_suite_per_category`` for the suites' per-class verdicts,
+``raw_symmetric_categories`` for the enumeration by one-point extension
+and the essentiality receivers) and to
 build inputs.  The quantale constructors pin the shipped tables in
 ``src/enritch/data``, through ``quantale_document``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -38,7 +41,6 @@ from enritch.hull import (
     _chain_bound,
     _extend_matrix,
     _fresh_name,
-    enumerate_symmetric_categories,
     is_ambient,
 )
 from enritch.parmet import (
@@ -619,7 +621,8 @@ def extension_from_presheaf(c: QCategory, mu: Presheaf) -> QCategory:
     """The one-point extension whose new column is an ambient presheaf."""
     if not is_ambient(c, mu):
         raise PreconditionError("the extension column must be ambient")
-    extended = _extend_matrix(c, mu.q, mu.values, _fresh_name(c))
+    carrier = TypedSet(c.quantaloid, c.names + (_fresh_name(c),), c.objects.types + (mu.q,))
+    extended = _extend_matrix(c, carrier, mu.values)
     report = validate_category(extended)
     if not report.valid:
         raise InvariantError(
@@ -638,14 +641,14 @@ def run_suite_per_category(
 ) -> dict:
     """The report of ``verify.run_suite`` for t36, l43 or t44, with every
     labelled category checked on its own rather than once per isomorphism
-    class.  Bounds and typing are not re-checked."""
-    cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
+    class, over the raw enumeration.  Bounds and typing are not re-checked."""
+    cats = list(raw_symmetric_categories(diagonal_quantaloid(quantale), bound))
 
     if theorem == "t44":
-        results = [_t44_single(x_cat) for x_cat in cats]
+        results = [{"category": x_cat.to_dict(), **_t44_single(x_cat)} for x_cat in cats]
     else:
         single = {"t36": _t36_single, "l43": _l43_single}[theorem]
-        results = [single(x_cat, strict) for x_cat in cats]
+        results = [{"category": x_cat.to_dict(), **single(x_cat, strict)} for x_cat in cats]
 
     discrepancies = [r for r in results if not r["agree"]]
     return {
@@ -658,6 +661,60 @@ def run_suite_per_category(
         "categories": len(results),
         "discrepancies": len(discrepancies),
     }
+
+
+def raw_canonical_signature(types: tuple, entries: tuple) -> tuple:
+    """The least relabelling of (types, entries), as the raw enumeration
+    keyed it."""
+    n = len(types)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        sig = (
+            tuple(types[perm[i]] for i in range(n)),
+            tuple(entries[perm[i]][perm[j]] for i in range(n) for j in range(n)),
+        )
+        if best is None or sig < best:
+            best = sig
+    return best
+
+
+def raw_symmetric_categories(
+    dq: DiagonalQuantaloid,
+    max_objects: int,
+    name_prefix: str = "x",
+    up_to_iso: bool = False,
+) -> Iterator[QCategory]:
+    """Every valid symmetric category with at most max_objects points, by
+    validating every candidate matrix (type tuple x upper triangle).
+
+    Deterministic order: size ascending, diagonal types lexicographic in
+    element load order, then upper-triangle entries lexicographic.  With
+    ``up_to_iso`` relabelings of the points are emitted only once.
+    """
+    objects = dq.objects()
+    seen: set = set()
+    for n in range(max_objects + 1):
+        names = tuple(f"{name_prefix}{i}" for i in range(n))
+        for types in itertools.product(objects, repeat=n):
+            pair_indices = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            pools = [dq.hom(types[i], types[j]) for i, j in pair_indices]
+            for choice in itertools.product(*pools):
+                entries = [[None] * n for _ in range(n)]
+                for i in range(n):
+                    entries[i][i] = dq.identity(types[i])
+                for (i, j), u in zip(pair_indices, choice):
+                    entries[i][j] = u
+                    entries[j][i] = dq.involve(u)
+                matrix = tuple(tuple(row) for row in entries)
+                if up_to_iso:
+                    sig = (n, raw_canonical_signature(types, matrix))
+                    if sig in seen:
+                        continue
+                    seen.add(sig)
+                carrier = TypedSet(dq, names, types)
+                cat = QCategory(carrier, QRelation(carrier, carrier, matrix))
+                if validate_category(cat).valid:
+                    yield cat
 
 
 def relabel(c: QCategory, perm: Sequence[int]) -> QCategory:

@@ -1,0 +1,99 @@
+"""Enumeration by one-point extension against the raw candidate loop.
+
+``enumerate_symmetric_categories`` grows every category from its full
+subcategory on the first n points.  ``raw_symmetric_categories``
+(``tests/oracles.py``) is the loop it replaced: it validates every candidate
+matrix, a type tuple with an upper triangle.  Both must yield the same
+categories, with the same names, in the same order.  The receivers of
+``is_essential_bruteforce`` must be the raw loop's ``up_to_iso`` output,
+and the class key must be the raw loop's n!-relabelling signature.
+
+nilmin5 at bound 4 (17,809 categories) is checked by CI, through
+``assert_matches_raw``, rather than here.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from enritch.categories import QFunctor
+from enritch.diagonals import diagonal_quantaloid
+from enritch.hull import (
+    _canonical_signature,
+    enumerate_symmetric_categories,
+    is_essential_bruteforce,
+)
+
+from conftest import shipped_quantale, swapped_diamond
+from oracles import raw_canonical_signature, raw_symmetric_categories, relabel
+
+FINITE = ["boolean", "lukasiewicz3", "lukasiewicz5", "nilmin5", "diamond", "diamond_swap"]
+
+# (quantale, bound, categories up to the bound, the empty one included)
+INSTANCES = [(name, 3, None) for name in FINITE] + [
+    ("lukasiewicz3", 4, 1170),
+    ("diamond", 4, 2959),
+]
+
+
+def quantale_named(name: str):
+    return swapped_diamond() if name == "diamond_swap" else shipped_quantale(name)
+
+
+def summary(c) -> tuple:
+    return c.names, c.objects.types, c.hom.entries
+
+
+def assert_matches_raw(quantale, bound: int, name_prefix: str = "x") -> int:
+    """Compare the two enumerations on a fresh kernel; the count of both."""
+    dq = diagonal_quantaloid(quantale)
+    got = [summary(c) for c in enumerate_symmetric_categories(dq, bound, name_prefix)]
+    want = [summary(c) for c in raw_symmetric_categories(dq, bound, name_prefix)]
+    assert got == want
+    return len(got)
+
+
+@pytest.mark.parametrize(
+    "name, bound, count", INSTANCES, ids=[f"{n}-b{b}" for n, b, _ in INSTANCES]
+)
+def test_same_sequence_as_the_raw_enumeration(name, bound, count):
+    got = assert_matches_raw(quantale_named(name), bound)
+    assert count is None or got == count
+
+
+def test_name_prefix_and_empty_bounds(luk3):
+    assert assert_matches_raw(luk3, 2, name_prefix="z") == 18
+    dq = diagonal_quantaloid(luk3)
+    assert [summary(c) for c in enumerate_symmetric_categories(dq, 0)] == [((), (), ())]
+    assert list(enumerate_symmetric_categories(dq, -1)) == []
+
+
+# (quantale, receiver bound): every receiver set t54 builds up to bound 3
+# on the quantales whose raw up_to_iso loop stays near a second.
+RECEIVERS = [(name, z) for name in FINITE for z in (1, 2, 3)] + [
+    ("lukasiewicz3", 4),
+    ("diamond", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "name, z_bound", RECEIVERS, ids=[f"{n}-z{z}" for n, z in RECEIVERS]
+)
+def test_receivers_are_the_raw_classes(name, z_bound):
+    dq = diagonal_quantaloid(quantale_named(name))
+    size = z_bound - 1
+    y_cat = next(c for c in enumerate_symmetric_categories(dq, size) if len(c) == size)
+    assert is_essential_bruteforce(QFunctor(y_cat, y_cat, y_cat.names), z_bound).essential
+    receivers = dq._essentiality[("receivers", z_bound)]
+    want = raw_symmetric_categories(dq, z_bound, name_prefix="z", up_to_iso=True)
+    assert [summary(c) for c in receivers] == [summary(c) for c in want]
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_class_key_is_the_raw_signature(name):
+    dq = diagonal_quantaloid(quantale_named(name))
+    for c in enumerate_symmetric_categories(dq, 3):
+        want = raw_canonical_signature(c.objects.types, c.hom.entries)
+        assert _canonical_signature(c) == want, c.to_dict()
+        perm = list(range(len(c)))[::-1]
+        assert _canonical_signature(relabel(c, perm)) == want, c.to_dict()

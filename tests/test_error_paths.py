@@ -32,6 +32,7 @@ from enritch.errors import (
 from enritch.hull import (
     column_admissible,
     full_subcategory,
+    is_ambient,
     is_hypercomplete,
     is_tight_column,
     one_point_extensions,
@@ -43,7 +44,7 @@ from enritch.rationals import ZERO, ExtRat
 from enritch.relations import QRelation, TypedSet
 
 from conftest import make_category, shipped_quantale, swapped_diamond, value
-from oracles import presheaf_hom, rel_identity
+from oracles import rel_identity
 
 DATA = Path(str(files("enritch") / "data"))
 SPACE = str(DATA / "two_point_classical.json")
@@ -238,7 +239,7 @@ CATEGORY_CASES = {
     ),
     "presheaves_on_different_bases": in_memory(
         ShapeMismatchError,
-        lambda: presheaf_hom(yoneda(discrete_pair(), "a"), yoneda(indiscrete_pair(), "a")),
+        lambda: is_ambient(discrete_pair(), yoneda(indiscrete_pair(), "a")),
     ),
 }
 

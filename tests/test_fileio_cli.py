@@ -337,7 +337,7 @@ class TestVerifyCommands:
     def test_bound_refusal(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "t36",
-            "--quantale", str(DATA / "boolean.json"), "--bound", "4",
+            "--quantale", str(DATA / "boolean.json"), "--bound", "5",
         )
         assert code == 4
         assert json.loads(out)["result"]["error"] == "bound"

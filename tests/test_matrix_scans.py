@@ -37,6 +37,7 @@ from oracles import (
     cell_distributor_holds,
     cell_transitivity_witness,
     presheaf_hom_matrix,
+    raw_symmetric_categories,
 )
 
 FINITE = ["boolean", "lukasiewicz3", "lukasiewicz5", "nilmin5", "diamond", "diamond_swap"]
@@ -47,8 +48,8 @@ def quantale_named(name: str):
 
 
 def raw_candidates(dq, max_objects: int):
-    """Every matrix ``enumerate_symmetric_categories`` tests, valid or not,
-    in its order."""
+    """Every matrix the raw enumeration (``raw_symmetric_categories``)
+    tests, valid or not, in its order."""
     objects = dq.objects()
     for n in range(max_objects + 1):
         names = tuple(f"x{i}" for i in range(n))
@@ -116,7 +117,7 @@ SPANS = [(name, 3) for name in FINITE]
 def test_residual_matrix_on_every_tight_span(name, bound):
     dq = diagonal_quantaloid(quantale_named(name))
     spans = 0
-    for c in enumerate_symmetric_categories(dq, bound, up_to_iso=True):
+    for c in raw_symmetric_categories(dq, bound, up_to_iso=True):
         span = tight_span(c)
         members = span.members
         columns = [(mu.q, mu.values) for mu in members]
