@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .diagonals import DiagonalQuantaloid
 from .errors import InvariantError, PreconditionError, ShapeMismatchError
@@ -391,17 +391,21 @@ class Presheaf:
         }
 
 
-def enumerate_presheaves(c: QCategory) -> list[Presheaf]:
-    """All presheaves, types in element load order, values lexicographic."""
+def _presheaf_columns(c: QCategory) -> Iterator[tuple]:
+    """(q, values) for every column that obeys the distributor law, types in
+    element load order, values lexicographic: the one walk over hom columns,
+    which ``enumerate_presheaves`` and the one-point extensions share."""
     dq = c.quantaloid
-    result = []
     types = c.objects.types
     for q in dq.objects():
-        domains = [dq.hom(t, q) for t in types]
-        for values in itertools.product(*domains):
+        for values in itertools.product(*(dq.hom(t, q) for t in types)):
             if _distributor_holds(c, q, values):
-                result.append(Presheaf(c, q, tuple(values)))
-    return result
+                yield q, values
+
+
+def enumerate_presheaves(c: QCategory) -> list[Presheaf]:
+    """All presheaves, types in element load order, values lexicographic."""
+    return [Presheaf(c, q, values) for q, values in _presheaf_columns(c)]
 
 
 def yoneda(c: QCategory, x: str) -> Presheaf:

@@ -6,6 +6,11 @@ mu deg = hom <swarrow> mu and are exactly the maximal ambient presheaves.
 The tight span collects all tight presheaves into a new symmetric category
 whose hom is the presheaf-category hom.
 
+The ambient presheaves are also the one-point extensions of X: a new point
+with hom column mu and hom row mu deg makes a valid symmetric category
+exactly when mu is ambient, so the extensions, and the enumeration of
+small categories grown from them, build no candidate they then reject.
+
 Hypercompleteness asks every self-compatible column to admit a witness
 object.  Because the admissible columns of a fixed type form a
 downward-closed set whose maximal elements are exactly the tight columns,
@@ -60,6 +65,7 @@ from .categories import (
     _distributor_holds,
     _fully_faithful,
     _mark_symmetric,
+    _presheaf_columns,
     _require_symmetric,
     cograph,
     enumerate_presheaves,
@@ -436,27 +442,35 @@ def one_point_extensions(c: QCategory) -> Iterator[QCategory]:
 
     Order: new-point types in element load order, columns lexicographic.
 
-    Each extension passes ``validate_category`` and comes back marked valid
-    and symmetric, so ``_require_symmetric`` does not check it again.
-    Symmetry holds by construction: c is checked symmetric on entry, the
-    new row is the involute of the new column, and the new diagonal entry is
-    the identity of a type q that the involution fixes.
+    The extensions are the ambient presheaves of c: a point y of type q
+    with hom(-, y) = mu and hom(y, -) = mu deg makes a valid category
+    exactly when mu is a presheaf with mu deg . mu <= hom.  Each
+    transitivity triple through y is one of those two laws: (x, y, z) is
+    admissibility; (x, z, y) is the distributor law, and so is (y, x, z),
+    by the symmetry of c and the involution; (y, x, y) holds because the
+    quantale is integral; the rest are identity laws.  Each extension comes
+    back marked valid and symmetric, so ``_require_symmetric`` does not
+    check it.  Symmetry holds by construction: c is checked symmetric on
+    entry, the new row is the involute of the new column, and the new
+    diagonal entry is the identity of a type q that the involution fixes.
     """
     _require_symmetric(c)
     yield from _extensions(c, _fresh_name(c))
 
 
 def _extensions(c: QCategory, new_name: str) -> Iterator[QCategory]:
-    """The valid one-point extensions of the valid symmetric c, marked, in
-    the order of ``one_point_extensions``; c is not checked here."""
+    """The one-point extensions of the valid symmetric c, marked, in the
+    order of ``one_point_extensions``; c is not checked here.  Only the
+    admissible presheaf columns are built, and none is validated again."""
     dq = c.quantaloid
-    for q in dq.objects():
-        carrier = TypedSet(dq, c.names + (new_name,), c.objects.types + (q,))
-        for column in itertools.product(*(dq.hom(t, q) for t in c.objects.types)):
-            extended = _extend_matrix(c, carrier, column)
-            if validate_category(extended).valid:
-                _mark_symmetric(extended)
-                yield extended
+    carriers = {
+        q: TypedSet(dq, c.names + (new_name,), c.objects.types + (q,)) for q in dq.objects()
+    }
+    for q, column in _presheaf_columns(c):
+        if column_admissible(c, q, column):
+            extended = _extend_matrix(c, carriers[q], column)
+            _mark_symmetric(extended)
+            yield extended
 
 
 def _extend_matrix(c: QCategory, carrier: TypedSet, column: Sequence) -> QCategory:
@@ -543,8 +557,9 @@ def enumerate_symmetric_categories(
     element load order, then upper-triangle entries lexicographic in
     row-major pair order.
 
-    Level 0 is the empty category and level n + 1 is the valid one-point
-    extensions of level n, whose new last point is ``{name_prefix}{n}``.
+    Level 0 is the empty category, the only one ``validate_category``
+    checks, and level n + 1 is the one-point extensions of level n (one per
+    ambient presheaf), whose new last point is ``{name_prefix}{n}``.
     Every valid (n + 1)-point category arises exactly once, from its full
     subcategory on the first n points.  Sorting a level by types and
     row-major hom gives the order above: ``objects()`` and ``hom()`` list

@@ -11,7 +11,8 @@ forms, the ``cell_*`` loops, ``presheaf_hom``, ``_tight_residual`` and
 ``presheaf_hom_matrix`` for the kernel's matrix scans,
 ``run_suite_per_category`` for the suites' per-class verdicts,
 ``raw_symmetric_categories`` for the enumeration by one-point extension
-and the essentiality receivers) and to
+and the essentiality receivers, ``validated_extensions`` for the
+one-point extensions) and to
 build inputs.  The quantale constructors pin the shipped tables in
 ``src/enritch/data``, through ``quantale_document``.
 """
@@ -28,6 +29,7 @@ from enritch.categories import (
     QCategory,
     QFunctor,
     UnderlyingOrder,
+    _mark_symmetric,
     cograph,
     graph,
     is_symmetric,
@@ -715,6 +717,19 @@ def raw_symmetric_categories(
                 cat = QCategory(carrier, QRelation(carrier, carrier, matrix))
                 if validate_category(cat).valid:
                     yield cat
+
+
+def validated_extensions(c: QCategory, new_name: str) -> Iterator[QCategory]:
+    """The one-point extensions of the valid symmetric c, by building every
+    candidate column and keeping those that pass ``validate_category``."""
+    dq = c.quantaloid
+    for q in dq.objects():
+        carrier = TypedSet(dq, c.names + (new_name,), c.objects.types + (q,))
+        for column in itertools.product(*(dq.hom(t, q) for t in c.objects.types)):
+            extended = _extend_matrix(c, carrier, column)
+            if validate_category(extended).valid:
+                _mark_symmetric(extended)
+                yield extended
 
 
 def relabel(c: QCategory, perm: Sequence[int]) -> QCategory:

@@ -8,24 +8,44 @@ categories, with the same names, in the same order.  The receivers of
 ``is_essential_bruteforce`` must be the raw loop's ``up_to_iso`` output,
 and the class key must be the raw loop's n!-relabelling signature.
 
-nilmin5 at bound 4 (17,809 categories) is checked by CI, through
-``assert_matches_raw``, rather than here.
+``one_point_extensions`` builds only the admissible presheaf columns and
+validates none of them.  It must yield what the build-and-validate loop it
+replaced (``validated_extensions``) yields, and what the ambient presheaves
+give through ``extension_from_presheaf``; ``enumerate_presheaves`` must be
+the product of the homs filtered by the per-cell distributor law.
+
+nilmin5 (17,809 categories) and lukasiewicz5 (79,424) at bound 4 are
+checked by CI, through ``assert_matches_raw``, rather than here.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from enritch.categories import QFunctor
+import enritch.categories as categories
+import enritch.hull as hull
+from enritch.categories import QFunctor, enumerate_presheaves
 from enritch.diagonals import diagonal_quantaloid
 from enritch.hull import (
     _canonical_signature,
+    _fresh_name,
+    enumerate_ambient,
     enumerate_symmetric_categories,
     is_essential_bruteforce,
+    one_point_extensions,
 )
 
 from conftest import shipped_quantale, swapped_diamond
-from oracles import raw_canonical_signature, raw_symmetric_categories, relabel
+from oracles import (
+    cell_distributor_holds,
+    extension_from_presheaf,
+    raw_canonical_signature,
+    raw_symmetric_categories,
+    relabel,
+    validated_extensions,
+)
 
 FINITE = ["boolean", "lukasiewicz3", "lukasiewicz5", "nilmin5", "diamond", "diamond_swap"]
 
@@ -97,3 +117,57 @@ def test_class_key_is_the_raw_signature(name):
         assert _canonical_signature(c) == want, c.to_dict()
         perm = list(range(len(c)))[::-1]
         assert _canonical_signature(relabel(c, perm)) == want, c.to_dict()
+
+
+# (quantale, bound): every category up to the bound is extended by one point
+EXTENDED = [(name, 2) for name in FINITE] + [("lukasiewicz3", 3), ("diamond_swap", 3)]
+
+
+@pytest.mark.parametrize(
+    "name, bound", EXTENDED, ids=[f"{n}-b{b}" for n, b in EXTENDED]
+)
+def test_extensions_are_the_validated_and_the_ambient_ones(name, bound):
+    # diamond_swap has the one non-trivial involution, on which the
+    # (y, x, z) triples rest
+    dq = diagonal_quantaloid(quantale_named(name))
+    built = 0
+    for c in enumerate_symmetric_categories(dq, bound):
+        got = [summary(ext) for ext in one_point_extensions(c)]
+        validated = validated_extensions(c, _fresh_name(c))
+        assert got == [summary(ext) for ext in validated], c.to_dict()
+        ambient = [extension_from_presheaf(c, mu) for mu in enumerate_ambient(c)]
+        assert got == [summary(ext) for ext in ambient], c.to_dict()
+        built += len(got)
+    assert built
+
+
+@pytest.mark.parametrize(
+    "name, bound", EXTENDED, ids=[f"{n}-b{b}" for n, b in EXTENDED]
+)
+def test_presheaves_are_the_filtered_product(name, bound):
+    dq = diagonal_quantaloid(quantale_named(name))
+    for c in enumerate_symmetric_categories(dq, bound):
+        want = [
+            (q, values)
+            for q in dq.objects()
+            for values in itertools.product(*(dq.hom(t, q) for t in c.objects.types))
+            if cell_distributor_holds(c, q, values)
+        ]
+        got = [(mu.q, mu.values) for mu in enumerate_presheaves(c)]
+        assert got == want, c.to_dict()
+
+
+def test_extensions_are_built_only_when_admissible(monkeypatch, nilmin5):
+    # building every candidate and validating it makes 947 and 946 calls
+    calls = {"validate_category": 0, "_extend_matrix": 0}
+    for module, name in ((categories, "validate_category"), (hull, "_extend_matrix")):
+        real = getattr(module, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert len(list(enumerate_symmetric_categories(diagonal_quantaloid(nilmin5), 3))) == 689
+    # the one validation is the empty level-0 category's
+    assert calls == {"validate_category": 1, "_extend_matrix": 688}

@@ -24,7 +24,7 @@ from enritch.categories import (
     enumerate_presheaves,
     yoneda,
 )
-from enritch.diagonals import DiagonalQuantaloid, diagonal_quantaloid
+from enritch.diagonals import DiagonalQuantaloid, FiniteDiagonals, diagonal_quantaloid
 from enritch.errors import InvariantError, PreconditionError
 from enritch.hull import enumerate_symmetric_categories, is_tight_column, tight_span
 from enritch.parmet import RadiusFunction, ambient_violation, tighten_sweep, to_category
@@ -249,11 +249,16 @@ def test_is_tight_column_on_every_product_column(name):
 
 def test_is_tight_column_raises_where_the_oracle_does(monkeypatch, luk3, diamond_swap):
     # a kernel that finds no column a presheaf: every tight column is an
-    # invariant failure, every other column still answers False
-    for quantale in (luk3, diamond_swap):
-        dq = diagonal_quantaloid(quantale)
-        monkeypatch.setattr(type(dq), "distributor_holds", lambda *args: False)
-        assert same_outcomes(product_columns(dq)) == {InvariantError, False}
+    # invariant failure, every other column still answers False.  The cases
+    # are built first, because the enumeration itself reads the distributor
+    # law, and the patch covers both kernels, which share their class.
+    cases = [
+        list(product_columns(diagonal_quantaloid(quantale)))
+        for quantale in (luk3, diamond_swap)
+    ]
+    monkeypatch.setattr(FiniteDiagonals, "distributor_holds", lambda *args: False)
+    for quantale_cases in cases:
+        assert same_outcomes(quantale_cases) == {InvariantError, False}
 
 
 @pytest.mark.parametrize("seed", range(8))
