@@ -532,11 +532,19 @@ class EssentialResult:
     categories_checked: int
 
 
-def _canonical_signature(c: QCategory) -> tuple:
+def _canonical_signature(c: QCategory, marked: frozenset = frozenset()) -> tuple:
     """The least (types, row-major hom) over all relabellings of the points:
     equal exactly for isomorphic categories, of any size.  The least types
-    are the sorted ones, so only the relabellings that sort them are tried."""
+    are the sorted ones, so only the relabellings that sort them are tried.
+
+    With a non-empty set of ``marked`` point names, each type becomes the
+    pair (type, marked or not), so the marks split the type blocks and the
+    signature is equal exactly when an isomorphism of the categories
+    carries one marked set onto the other.  Unmarked, the value is the
+    plain one above."""
     types, entries = c.objects.types, c.hom.entries
+    if marked:
+        types = tuple((t, name in marked) for t, name in zip(types, c.names))
     blocks = [[i for i, t in enumerate(types) if t == s] for s in sorted(set(types))]
     perms = itertools.product(*map(itertools.permutations, blocks))
     return tuple(sorted(types)), min(

@@ -18,8 +18,11 @@ t36, l43 and t44 are properties of a category up to isomorphism, so each
 verdict is computed once per isomorphism class (keyed on the canonical
 signature that also picks ``is_essential_bruteforce``'s receivers) and
 reused for every relabelling; the counts and the witness, the first raw
-category that disagrees, are those of the per-category run.  t54 is checked
-per functor.
+category that disagrees, are those of the per-category run.  t54 keys its
+verdict on the codomain and the image of the functor, up to isomorphism (the
+codomain's canonical signature with the image marked), and checks the first
+functor of each class; its counts and witness are those of the per-functor
+run.
 
 The in-bound extension family for t36 consists of, for each candidate X:
 the identity of X along the inclusion into every one-point extension of X,
@@ -152,14 +155,7 @@ def _t44_single(x_cat: QCategory) -> dict:
 def _t54_single(f: QFunctor, bound: int) -> dict:
     dense = is_dense(f)
     essential = is_essential_bruteforce(f, max_objects=bound + 1).essential
-    return {
-        "domain": f.domain.to_dict(),
-        "codomain": f.codomain.to_dict(),
-        "map": f.as_dict(),
-        "dense": dense,
-        "essential": essential,
-        "agree": dense == essential,
-    }
+    return {"dense": dense, "essential": essential, "agree": dense == essential}
 
 
 def run_suite(
@@ -189,36 +185,47 @@ def run_suite(
     cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
 
     if theorem == "t54":
-        # all_functors yields validated functors only; each one kept is
-        # checked again by is_fully_faithful at is_essential_bruteforce's entry.
-        verdicts = [
-            _t54_single(f, bound)
+        # all_functors yields validated functors only; the first of each
+        # class is checked again by is_fully_faithful at is_essential_bruteforce's
+        # entry.  For a fully faithful f, density reads only the rows
+        # hom_Y(fx, -), and g . f is fully faithful exactly when g is on
+        # f(X) x f(X): both verdicts depend only on the codomain and the
+        # image f(X), so they are keyed on the two up to isomorphism.
+        items = [
+            f
             for x_cat in cats
             for y_cat in cats
             for f in all_functors(x_cat, y_cat)
             if _fully_faithful(f)
         ]
+        key = lambda f: _canonical_signature(f.codomain, marked=frozenset(f.assignment))
+        single = lambda f: _t54_single(f, bound)
+        shown = lambda f: {
+            "domain": f.domain.to_dict(),
+            "codomain": f.codomain.to_dict(),
+            "map": f.as_dict(),
+        }
     else:
+        # Each verdict is invariant under relabelling the points.
+        items, key = cats, _canonical_signature
         single = {
             "t36": lambda x_cat: _t36_single(x_cat, strict),
             "l43": lambda x_cat: _l43_single(x_cat, strict),
             "t44": _t44_single,
         }[theorem]
-        # Each verdict is invariant under relabelling the points: check the
-        # first category of each isomorphism class and reuse its verdict.
-        memo: dict = {}
-        verdicts = []
-        for x_cat in cats:
-            key = _canonical_signature(x_cat)
-            if key not in memo:
-                memo[key] = single(x_cat)
-            verdicts.append(memo[key])
+        shown = lambda x_cat: {"category": x_cat.to_dict()}
+    # Check the first item of each class and reuse its verdict.
+    memo: dict = {}
+    verdicts = []
+    for item in items:
+        k = key(item)
+        if k not in memo:
+            memo[k] = single(item)
+        verdicts.append(memo[k])
     label = "functors" if theorem == "t54" else "categories"
 
     failing = [k for k, verdict in enumerate(verdicts) if not verdict["agree"]]
-    witness = verdicts[failing[0]] if failing else None
-    if failing and theorem != "t54":
-        witness = {"category": cats[failing[0]].to_dict(), **witness}
+    witness = {**shown(items[failing[0]]), **verdicts[failing[0]]} if failing else None
     return {
         "check": theorem,
         "result": not failing,

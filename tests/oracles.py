@@ -9,7 +9,8 @@ one-point retractions, the classical checks for
 ``ExtRat``, ``LawvereReference`` for the extended-rational kernel's closed
 forms, the ``cell_*`` loops, ``presheaf_hom``, ``_tight_residual`` and
 ``presheaf_hom_matrix`` for the kernel's matrix scans,
-``run_suite_per_category`` for the suites' per-class verdicts,
+``run_suite_per_category`` and ``run_t54_per_functor`` for the suites'
+per-class verdicts, ``marked_signature`` for the marked canonical signature,
 ``raw_symmetric_categories`` for the enumeration by one-point extension
 and the essentiality receivers, ``validated_extensions`` for the
 one-point extensions) and to
@@ -43,7 +44,9 @@ from enritch.hull import (
     _chain_bound,
     _extend_matrix,
     _fresh_name,
+    all_functors,
     is_ambient,
+    is_fully_faithful,
 )
 from enritch.parmet import (
     ParMetSpace,
@@ -57,7 +60,7 @@ from enritch.parmet import (
 from enritch.quantale import FiniteQuantale
 from enritch.rationals import INF, ZERO, ExtRat
 from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve
-from enritch.verify import _l43_single, _t36_single, _t44_single
+from enritch.verify import _l43_single, _t36_single, _t44_single, _t54_single
 
 
 # -- quantales -----------------------------------------------------------------
@@ -665,6 +668,37 @@ def run_suite_per_category(
     }
 
 
+def run_t54_per_functor(quantale: FiniteQuantale, bound: int) -> dict:
+    """The report of ``verify.run_suite`` for t54, with every fully faithful
+    functor between labelled categories checked on its own, over the raw
+    enumeration, and each one's report entry built as it is checked.
+    Bounds are not re-checked."""
+    cats = list(raw_symmetric_categories(diagonal_quantaloid(quantale), bound))
+    results = [
+        {
+            "domain": f.domain.to_dict(),
+            "codomain": f.codomain.to_dict(),
+            "map": f.as_dict(),
+            **_t54_single(f, bound),
+        }
+        for x_cat in cats
+        for y_cat in cats
+        for f in all_functors(x_cat, y_cat)
+        if is_fully_faithful(f)
+    ]
+    discrepancies = [r for r in results if not r["agree"]]
+    return {
+        "check": "t54",
+        "result": not discrepancies,
+        "witness": discrepancies[0] if discrepancies else None,
+        "quantale": quantale.name,
+        "bound": bound,
+        "strict_typing": True,
+        "functors": len(results),
+        "discrepancies": len(discrepancies),
+    }
+
+
 def raw_canonical_signature(types: tuple, entries: tuple) -> tuple:
     """The least relabelling of (types, entries), as the raw enumeration
     keyed it."""
@@ -678,6 +712,14 @@ def raw_canonical_signature(types: tuple, entries: tuple) -> tuple:
         if best is None or sig < best:
             best = sig
     return best
+
+
+def marked_signature(c: QCategory, marked) -> tuple:
+    """``raw_canonical_signature`` of c with each type paired with whether
+    its point is named in ``marked``: the n! reference for the marked
+    ``_canonical_signature``."""
+    colours = tuple((t, name in marked) for t, name in zip(c.objects.types, c.names))
+    return raw_canonical_signature(colours, c.hom.entries)
 
 
 def raw_symmetric_categories(

@@ -30,6 +30,7 @@ from enritch.errors import (
 )
 from enritch.hull import (
     TightSpan,
+    _canonical_signature,
     _chain_bound,
     _enumerate_tight_columns,
     all_functors,
@@ -62,9 +63,12 @@ from oracles import (
     _tight_residual,
     extension_from_presheaf,
     isomorphic,
+    marked_signature,
     one_object_category,
     presheaf_hom,
+    raw_canonical_signature,
     raw_symmetric_categories,
+    relabel,
     table_tight_columns,
     tighten,
 )
@@ -1138,21 +1142,36 @@ class TestValidateOnce:
         # every category involved carries the mark, so nothing is revalidated
         assert calls == []
 
-    CASES = [("boolean", 2), ("diamond", 2), ("nilmin5", 2), ("diamond_swap", 2)]
+    # (quantale, bound, (codomain, image) classes): one is_essential_bruteforce
+    # call per class, against one per fully faithful functor (boolean 42,
+    # diamond 188, nilmin5 317, diamond_swap 56)
+    CASES = [("boolean", 2, 18), ("diamond", 2, 68), ("nilmin5", 2, 110), ("diamond_swap", 2, 22)]
 
-    @pytest.mark.parametrize("fixture, bound", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("fixture, bound, classes", CASES, ids=[c[0] for c in CASES])
     def test_t54_filter_matches_the_validating_filter(
-        self, request, monkeypatch, fixture, bound
+        self, request, monkeypatch, fixture, bound, classes
     ):
         import enritch.verify as verify
 
         quantale = request.getfixturevalue(fixture)
-        checked, validating = [], []
+        keyed, checked, validating, essential = [], [], [], []
+        real_signature, real_single = verify._canonical_signature, verify._t54_single
+        real_essential = verify.is_essential_bruteforce
         monkeypatch.setattr(
-            verify, "_t54_single", lambda f, bound: checked.append(f) or {"agree": True}
+            verify,
+            "_canonical_signature",
+            lambda c, marked=frozenset(): keyed.append((c, marked)) or real_signature(c, marked),
+        )
+        monkeypatch.setattr(
+            verify, "_t54_single", lambda f, bound: checked.append(f) or real_single(f, bound)
         )
         monkeypatch.setattr(
             verify, "is_fully_faithful", lambda f: validating.append(f) or is_fully_faithful(f)
+        )
+        monkeypatch.setattr(
+            verify,
+            "is_essential_bruteforce",
+            lambda f, **kw: essential.append(f) or real_essential(f, **kw),
         )
         run_suite("t54", quantale, bound)
         assert validating == []  # the filter trusts what all_functors yields
@@ -1160,8 +1179,65 @@ class TestValidateOnce:
         every = [f for x in cats for y in cats for f in all_functors(x, y)]
         want = [f for f in every if is_fully_faithful(f)]
         assert 0 < len(want) < len(every)  # the filter drops some functors
-        assert len(checked) == len(want)
-        assert all(same_functor(got, f) for got, f in zip(checked, want))
+        # each kept functor is keyed on its codomain with its image marked
+        assert len(keyed) == len(want)
+        for (c, marked), f in zip(keyed, want):
+            assert c == f.codomain and marked == frozenset(f.assignment)
+        # the first functor of each class, by the n! oracle signature, is checked
+        firsts: dict = {}
+        for f in want:
+            firsts.setdefault(marked_signature(f.codomain, f.assignment), f)
+        assert len(checked) == len(firsts) < len(want)
+        assert all(same_functor(got, f) for got, f in zip(checked, firsts.values()))
+        assert essential == checked
+        assert len(checked) == classes
+
+
+T54_INSTANCES = ["boolean", "luk3", "luk5", "nilmin5", "diamond", "diamond_swap"]
+
+
+class TestT54Classes:
+    """verify t54 checks one functor per isomorphism class of (codomain,
+    image): both of its verdicts are functions of that pair."""
+
+    @staticmethod
+    def verdicts(f) -> tuple:
+        return is_dense(f), is_essential_bruteforce(f, max_objects=3).essential
+
+    @pytest.mark.parametrize("fixture", T54_INSTANCES)
+    def test_verdicts_read_only_the_codomain_and_the_image(self, request, fixture):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        cats = list(enumerate_symmetric_categories(dq, 2))
+        moved = 0
+        for x in cats:
+            for y in cats:
+                perm = list(reversed(range(len(y))))
+                moved_y = relabel(y, perm)  # its point i is the point perm[i] of y
+                for f in all_functors(x, y):
+                    if not is_fully_faithful(f):
+                        continue
+                    want = self.verdicts(f)
+                    image = [name for name in y.names if name in f.assignment]
+                    onto = inclusion_functor(full_subcategory(y, image), y)
+                    assert self.verdicts(onto) == want, f.as_dict()
+                    moved_names = tuple(
+                        y.names[perm.index(y.objects.index(a))] for a in f.assignment
+                    )
+                    then_moved = QFunctor(x, moved_y, moved_names)
+                    assert self.verdicts(then_moved) == want, f.as_dict()
+                    moved += then_moved.as_dict() != f.as_dict()
+        assert moved > 0  # some relabellings move the image
+
+    @pytest.mark.parametrize("fixture", T54_INSTANCES)
+    def test_marked_signature_is_the_least_relabelling(self, request, fixture):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        for c in enumerate_symmetric_categories(dq, 3):
+            unmarked = raw_canonical_signature(c.objects.types, c.hom.entries)
+            assert _canonical_signature(c) == _canonical_signature(c, frozenset()) == unmarked
+            for size in range(1, len(c) + 1):
+                for marked in itertools.combinations(c.names, size):
+                    got = _canonical_signature(c, marked=frozenset(marked))
+                    assert got == marked_signature(c, marked), (c.to_dict(), marked)
 
 
 class TestYonedaEssentiality:

@@ -1,10 +1,12 @@
-"""The suites check one category per isomorphism class.
+"""The suites check one category, or for t54 one functor, per isomorphism
+class.
 
 ``run_suite`` reuses the verdict of the first labelled category of each
-class for the rest of it.  The differential tests compare whole reports
-with the per-category oracle; the relabelling tests keep a labelling bug
-in a single-category check visible, since the suite no longer runs every
-labelling.
+class for the rest of it, and the t54 verdict of the first functor of each
+class of (codomain, image).  The differential tests compare whole reports
+with the per-category and per-functor oracles; the relabelling tests keep a
+labelling bug in a single-category check visible, since the suite no longer
+runs every labelling.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from enritch.hull import enumerate_symmetric_categories
 from enritch.verify import _l43_single, _t36_single, _t44_single, run_suite
 
 from conftest import shipped_quantale, swapped_diamond
-from oracles import raw_symmetric_categories, relabel, run_suite_per_category
+from oracles import (
+    marked_signature,
+    raw_symmetric_categories,
+    relabel,
+    run_suite_per_category,
+    run_t54_per_functor,
+)
 
 # Every shipped quantale, at every bound whose oracle run finishes in about
 # a second.
@@ -50,6 +58,57 @@ def test_report_matches_the_per_category_oracle(name, bound, theorem, strict):
     want = run_suite_per_category(theorem, quantale, bound, strict)
     got = run_suite(theorem, quantale, bound, strict)
     assert json.dumps(got) == json.dumps(want)
+
+
+T54_INSTANCES = [
+    (name, bound)
+    for name in ["boolean", "lukasiewicz3", "diamond", "nilmin5", "lukasiewicz5"]
+    for bound in range(3)
+] + [("diamond_swap", 2), ("boolean", 3)]
+
+
+@pytest.mark.parametrize("name, bound", T54_INSTANCES, ids=[f"{n}-b{b}" for n, b in T54_INSTANCES])
+def test_t54_report_matches_the_per_functor_oracle(name, bound):
+    quantale = quantale_named(name)
+    want = run_t54_per_functor(quantale, bound)
+    got = run_suite("t54", quantale, bound)
+    assert json.dumps(got) == json.dumps(want)
+
+
+def image_class(f) -> tuple:
+    """The n! oracle's signature of f's codomain with f's image marked."""
+    return marked_signature(f.codomain, f.assignment)
+
+
+@pytest.mark.parametrize("name, bound", [("diamond", 2), ("boolean", 3)])
+def test_t54_witness_is_the_first_functor_of_the_failing_class(monkeypatch, name, bound):
+    quantale = quantale_named(name)
+    cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
+    kept = [
+        f
+        for x in cats
+        for y in cats
+        for f in hull.all_functors(x, y)
+        if categories.is_fully_faithful(f)
+    ]
+    classes: dict = {}
+    for f in kept:
+        classes.setdefault(image_class(f), []).append(f)
+    # the largest class that does not hold the first functor
+    chosen = max((c for c in classes.values() if c[0] is not kept[0]), key=len)
+    assert 1 < len(chosen) < len(kept)
+    liar = image_class(chosen[0])
+    real = verify.is_dense
+    # the same lie for every functor of the class, on both paths
+    monkeypatch.setattr(verify, "is_dense", lambda f: real(f) != (image_class(f) == liar))
+    want = run_t54_per_functor(quantale, bound)
+    got = run_suite("t54", quantale, bound)
+    assert json.dumps(got) == json.dumps(want)
+    assert (got["functors"], got["discrepancies"]) == (len(kept), len(chosen))
+    first = chosen[0]
+    assert got["witness"]["map"] == first.as_dict()
+    assert got["witness"]["domain"] == first.domain.to_dict()
+    assert got["witness"]["codomain"] == first.codomain.to_dict()
 
 
 @pytest.mark.parametrize("theorem", ["t36", "l43", "t44"])
