@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .categories import (
     Presheaf,
@@ -75,7 +75,6 @@ from .categories import (
     require_functor,
     underlying_order,
     validate_category,
-    validate_functor,
     yoneda,
 )
 from .diagonals import DiagonalQuantaloid
@@ -95,7 +94,6 @@ __all__ = [
     "one_point_extensions",
     "full_subcategory",
     "inclusion_functor",
-    "functor_compose",
     "all_functors",
     "is_dense",
     "is_codense",
@@ -333,12 +331,6 @@ def is_hypercomplete(c: QCategory, strict: bool = True) -> HypercompleteResult:
 # -- extensions and retractions ----------------------------------------------
 
 
-def functor_compose(g: QFunctor, f: QFunctor) -> QFunctor:
-    if f.codomain != g.domain:
-        raise ShapeMismatchError("functors are not composable")
-    return QFunctor(f.domain, g.codomain, tuple(g(y) for y in f.assignment))
-
-
 def full_subcategory(c: QCategory, names: Sequence[str]) -> QCategory:
     """The objects ``names`` of c with the homs of c between them.
 
@@ -366,31 +358,87 @@ def inclusion_functor(sub: QCategory, sup: QCategory) -> QFunctor:
     return f
 
 
-def _functor_search(domain: QCategory, codomain: QCategory, pools: Sequence) -> Iterator[QFunctor]:
-    """Every valid functor sending the i-th domain object into pools[i] (a
-    tuple of codomain names), in lexicographic order over the pools."""
-    for assignment in itertools.product(*pools):
-        f = QFunctor(domain, codomain, assignment)
-        if validate_functor(f).valid:
-            yield f
+def _functor_search(
+    domain: QCategory, codomain: QCategory, pools: Sequence, equal: Collection = ()
+) -> Iterator[tuple[int, ...]]:
+    """Every functor sending the i-th domain point into pools[i] (a tuple of
+    codomain indices), as its tuple of codomain indices, in lexicographic
+    order over the pools.  Between two domain positions both in ``equal``
+    the homs must be preserved, not just increased.
 
-
-def _of_type(c: QCategory, t) -> tuple[str, ...]:
-    return tuple(name for name, s in zip(c.names, c.objects.types) if s == t)
-
-
-def all_functors(domain: QCategory, codomain: QCategory) -> Iterator[QFunctor]:
-    """Every valid functor, in lexicographic assignment order.
-
-    Each object's pool is the codomain objects of its type; ``extend_along``
-    and ``find_one_point_retraction`` run the same search on narrower pools.
+    A backtracking search (Ullmann, "An algorithm for subgraph isomorphism",
+    J. ACM 1976): the points are placed in order, and each candidate is
+    checked only against the points already placed and itself, in both
+    directions, so a branch is cut at its first failing pair.  This is the
+    check ``validate_functor`` makes, pair by pair, except for types: the
+    search trusts that each pool holds codomain points of its domain
+    point's type, as every caller builds them with ``_of_type`` or from
+    points of that type.
     """
-    pools = []
-    for t in domain.objects.types:
-        pools.append(_of_type(codomain, t))
-        if not pools[-1]:
-            return  # an empty pool admits no functor; skip the other pools
-    yield from _functor_search(domain, codomain, pools)
+    if not pools:
+        yield ()  # the empty functor
+        return
+    if not all(pools):
+        return  # an empty pool admits no functor
+    last = len(pools) - 1
+    leq = domain.quantaloid.leq
+    dom, cod = domain.hom.entries, codomain.hom.entries
+    marks = [k in equal for k in range(len(pools))]
+    placed = [0] * len(pools)
+    # candidates[i]: what is left of pools[i] to try at the i-th point
+    candidates = [iter(pools[0])] + [()] * last
+    i = 0
+    while i >= 0:
+        for a in candidates[i]:
+            placed[i] = a
+            row, hom_i, marked = cod[a], dom[i], marks[i]
+            for j in range(i + 1):
+                b = placed[j]
+                if marked and marks[j]:
+                    if row[b] != hom_i[j] or cod[b][a] != dom[j][i]:
+                        break
+                elif not (leq(hom_i[j], row[b]) and leq(dom[j][i], cod[b][a])):
+                    break
+            else:
+                if i == last:
+                    yield tuple(placed)
+                else:
+                    i += 1
+                    candidates[i] = iter(pools[i])
+                    break
+        else:
+            i -= 1
+
+
+def _of_type(c: QCategory, t) -> tuple[int, ...]:
+    """The indices of the points of c of type t, in order."""
+    return tuple(k for k, s in enumerate(c.objects.types) if s == t)
+
+
+def _as_functor(domain: QCategory, codomain: QCategory, assignment: Sequence) -> QFunctor:
+    names = codomain.names
+    return QFunctor(domain, codomain, tuple(names[a] for a in assignment))
+
+
+def all_functors(
+    domain: QCategory, codomain: QCategory, full: bool = False
+) -> Iterator[QFunctor]:
+    """Every valid functor, in lexicographic assignment order; with ``full``,
+    only the fully faithful ones, in the same order.
+
+    This path validates: each object's pool is the codomain objects of its
+    type, and the search checks every pair of each functor it yields, so
+    callers trust what comes out.  ``full`` asks the search to preserve the
+    homs between all positions.  ``extend_along`` and
+    ``find_one_point_retraction`` run the same search on narrower pools.
+    """
+    types = domain.objects.types
+    if not set(types) <= set(codomain.objects.types):
+        return  # some pool would be empty
+    pools = [_of_type(codomain, t) for t in types]
+    equal = range(len(pools)) if full else ()
+    for assignment in _functor_search(domain, codomain, pools, equal):
+        yield _as_functor(domain, codomain, assignment)
 
 
 def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
@@ -417,16 +465,20 @@ def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
     y_cat, z_cat = g.codomain, f.codomain
     iso = underlying_order(z_cat)
     # g(x) may only go to f(x)'s iso class (same type, listed in Z order).
-    required_class: dict[str, tuple[str, ...]] = {}
+    required_class: dict[str, int] = {}
     for y_name, z_name in zip(g.assignment, f.assignment):
-        cls = iso.iso_classes[iso.class_index(z_name)]
+        cls = iso.class_index(z_name)
         if required_class.setdefault(y_name, cls) != cls:
             return None
+    index = z_cat.names.index
     pools = [
-        required_class[y] if y in required_class else _of_type(z_cat, t)
+        tuple(map(index, iso.iso_classes[required_class[y]]))
+        if y in required_class
+        else _of_type(z_cat, t)
         for y, t in zip(y_cat.names, y_cat.objects.types)
     ]
-    return next(_functor_search(y_cat, z_cat, pools), None)
+    found = next(_functor_search(y_cat, z_cat, pools), None)
+    return None if found is None else _as_functor(y_cat, z_cat, found)
 
 
 def _fresh_name(c: QCategory) -> str:
@@ -504,8 +556,10 @@ def find_one_point_retraction(x_cat: QCategory, y_cat: QCategory) -> QFunctor | 
                 )
     y0 = extra[0]
     y0_pool = _of_type(x_cat, y_cat.type_payload(y0))
-    pools = [y0_pool if name == y0 else (name,) for name in y_cat.names]
-    return next(_functor_search(y_cat, x_cat, pools), None)
+    index = x_cat.names.index
+    pools = [y0_pool if name == y0 else (index(name),) for name in y_cat.names]
+    found = next(_functor_search(y_cat, x_cat, pools), None)
+    return None if found is None else _as_functor(y_cat, x_cat, found)
 
 
 # -- density and essentiality --------------------------------------------------
@@ -596,17 +650,21 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
     composite g . f is.  Refuses when
     the implied bound exceeds ``max_objects``.
 
-    Two memos live on the kernel ``f.domain.quantaloid``, so they last as
+    Because f is fully faithful, hom_X(x, x') = hom_Y(fx, fx'), so g . f is
+    fully faithful exactly when g preserves the homs between the points of
+    f(X).  For each receiver in turn, the functor search yields just those
+    g, in the order of ``all_functors``, and the first that is not fully
+    faithful is the counterexample; no composite is formed.
+
+    One memo lives on the kernel ``f.domain.quantaloid``, so it lasts as
     long as its quantale: the receiving categories, keyed on the object
-    bound, and for each codomain (keyed on the category itself) the
-    functors g that are not fully faithful, with the index of their Z.
-    A call then composes only those g with f.
+    bound, each with its points' indices by type, the pools of the search.
 
     Only the entry checks validate: ``is_fully_faithful(f)`` refuses an
     invalid f and cross-checks its answer, and both ends of f must be valid
-    and symmetric.  The inner loops trust what they test, since every g
-    comes out of the validating functor search and g . f composes two valid
-    functors, and use the pointwise ``_fully_faithful``.
+    and symmetric.  The search checks every pair of each g it yields, from
+    pools of the right type, and the test that g is fully faithful trusts
+    it and compares the homs pointwise.
     """
     if not is_fully_faithful(f):
         raise PreconditionError("essentiality is only defined for fully faithful functors")
@@ -625,18 +683,21 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
         classes: dict = {}
         for z_cat in enumerate_symmetric_categories(dq, z_bound, name_prefix="z"):
             classes.setdefault(_canonical_signature(z_cat), z_cat)
-        receivers = memo[("receivers", z_bound)] = tuple(classes.values())
-    non_full = memo.get(("non_full", cod))
-    if non_full is None:
-        non_full = memo[("non_full", cod)] = tuple(
-            (k, g)
-            for k, z_cat in enumerate(receivers)
-            for g in all_functors(cod, z_cat)
-            if not _fully_faithful(g)
+        receivers = memo[("receivers", z_bound)] = tuple(
+            (z_cat, {t: _of_type(z_cat, t) for t in z_cat.objects.types})
+            for z_cat in classes.values()
         )
-    for k, g in non_full:
-        if _fully_faithful(functor_compose(g, f)):
-            return EssentialResult(False, (g.codomain, g), k + 1)
+    hom, types = cod.hom.entries, cod.objects.types
+    image = {cod.objects.index(y) for y in f.assignment}
+    needed = set(types)
+    for k, (z_cat, by_type) in enumerate(receivers):
+        if not by_type.keys() >= needed:
+            continue  # Z lacks a type of the codomain: no functor
+        pools = [by_type[t] for t in types]
+        z_hom = z_cat.hom.entries
+        for g in _functor_search(cod, z_cat, pools, image):
+            if any(row[j] != z_hom[a][b] for row, a in zip(hom, g) for j, b in enumerate(g)):
+                return EssentialResult(False, (z_cat, _as_functor(cod, z_cat, g)), k + 1)
     return EssentialResult(True, None, len(receivers))
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 
-from .categories import QCategory, QFunctor, _fully_faithful, graph
+from .categories import QCategory, QFunctor, graph
 from .diagonals import diagonal_quantaloid
 from .errors import BoundExceededError, PreconditionError
 from .hull import (
@@ -185,18 +185,19 @@ def run_suite(
     cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
 
     if theorem == "t54":
-        # all_functors yields validated functors only; the first of each
-        # class is checked again by is_fully_faithful at is_essential_bruteforce's
-        # entry.  For a fully faithful f, density reads only the rows
-        # hom_Y(fx, -), and g . f is fully faithful exactly when g is on
-        # f(X) x f(X): both verdicts depend only on the codomain and the
-        # image f(X), so they are keyed on the two up to isomorphism.
+        # The search of all_functors(full=True) checks every pair of each
+        # functor it yields, so the items are trusted as they come; the
+        # first of each class is validated again by is_fully_faithful at
+        # is_essential_bruteforce's entry.  For a fully faithful f, density
+        # reads only the rows hom_Y(fx, -), and g . f is fully faithful
+        # exactly when g is on f(X) x f(X): both verdicts depend only on the
+        # codomain and the image f(X), so they are keyed on the two up to
+        # isomorphism.
         items = [
             f
             for x_cat in cats
             for y_cat in cats
-            for f in all_functors(x_cat, y_cat)
-            if _fully_faithful(f)
+            for f in all_functors(x_cat, y_cat, full=True)
         ]
         key = lambda f: _canonical_signature(f.codomain, marked=frozenset(f.assignment))
         single = lambda f: _t54_single(f, bound)

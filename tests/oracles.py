@@ -10,11 +10,13 @@ one-point retractions, the classical checks for
 forms, the ``cell_*`` loops, ``presheaf_hom``, ``_tight_residual`` and
 ``presheaf_hom_matrix`` for the kernel's matrix scans,
 ``run_suite_per_category`` and ``run_t54_per_functor`` for the suites'
-per-class verdicts, ``marked_signature`` for the marked canonical signature,
+per-class verdicts, ``reference_functor_search`` and
+``reference_all_functors`` for the pruned functor search,
+``functor_compose`` for the composites of the essentiality brute force,
+``marked_signature`` for the marked canonical signature,
 ``raw_symmetric_categories`` for the enumeration by one-point extension
 and the essentiality receivers, ``validated_extensions`` for the
-one-point extensions) and to
-build inputs.  The quantale constructors pin the shipped tables in
+one-point extensions) and to build inputs.  The quantale constructors pin the shipped tables in
 ``src/enritch/data``, through ``quantale_document``.
 """
 
@@ -36,6 +38,7 @@ from enritch.categories import (
     is_symmetric,
     require_valid,
     validate_category,
+    validate_functor,
     yoneda,
 )
 from enritch.diagonals import DiagonalQuantaloid, diagonal_quantaloid
@@ -44,7 +47,6 @@ from enritch.hull import (
     _chain_bound,
     _extend_matrix,
     _fresh_name,
-    all_functors,
     is_ambient,
     is_fully_faithful,
 )
@@ -638,6 +640,43 @@ def extension_from_presheaf(c: QCategory, mu: Presheaf) -> QCategory:
     return extended
 
 
+# -- functor search ----------------------------------------------------------------
+
+
+def reference_functor_search(
+    domain: QCategory, codomain: QCategory, pools: Sequence, equal=()
+) -> Iterator[QFunctor]:
+    """The functor search before it was pruned: every candidate of
+    ``itertools.product`` over pools of codomain names, kept when
+    ``validate_functor`` passes it and, between two positions both in
+    ``equal``, the homs are preserved."""
+    dom, cod = domain.hom.entries, codomain.hom.entries
+    for assignment in itertools.product(*pools):
+        f = QFunctor(domain, codomain, assignment)
+        if not validate_functor(f).valid:
+            continue
+        index = [codomain.objects.index(y) for y in assignment]
+        if all(dom[i][j] == cod[index[i]][index[j]] for i in equal for j in equal):
+            yield f
+
+
+def reference_all_functors(domain: QCategory, codomain: QCategory) -> Iterator[QFunctor]:
+    """Every functor, by ``reference_functor_search`` over the pools of
+    ``all_functors``: the codomain names of each domain point's type."""
+    pools = [
+        tuple(y for y, s in zip(codomain.names, codomain.objects.types) if s == t)
+        for t in domain.objects.types
+    ]
+    yield from reference_functor_search(domain, codomain, pools)
+
+
+def functor_compose(g: QFunctor, f: QFunctor) -> QFunctor:
+    """g . f, for f's codomain equal to g's domain."""
+    if f.codomain != g.domain:
+        raise ShapeMismatchError("functors are not composable")
+    return QFunctor(f.domain, g.codomain, tuple(g(y) for y in f.assignment))
+
+
 # -- suites --------------------------------------------------------------------
 
 
@@ -671,8 +710,8 @@ def run_suite_per_category(
 def run_t54_per_functor(quantale: FiniteQuantale, bound: int) -> dict:
     """The report of ``verify.run_suite`` for t54, with every fully faithful
     functor between labelled categories checked on its own, over the raw
-    enumeration, and each one's report entry built as it is checked.
-    Bounds are not re-checked."""
+    enumeration and the unpruned functor search, and each one's report entry
+    built as it is checked.  Bounds are not re-checked."""
     cats = list(raw_symmetric_categories(diagonal_quantaloid(quantale), bound))
     results = [
         {
@@ -683,7 +722,7 @@ def run_t54_per_functor(quantale: FiniteQuantale, bound: int) -> dict:
         }
         for x_cat in cats
         for y_cat in cats
-        for f in all_functors(x_cat, y_cat)
+        for f in reference_all_functors(x_cat, y_cat)
         if is_fully_faithful(f)
     ]
     discrepancies = [r for r in results if not r["agree"]]

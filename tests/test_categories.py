@@ -22,7 +22,6 @@ from enritch.errors import PreconditionError, ShapeMismatchError, UnsupportedQua
 from enritch.hull import (
     all_functors,
     enumerate_symmetric_categories,
-    functor_compose,
     one_point_extensions,
     tight_span,
 )
@@ -33,6 +32,7 @@ from conftest import make_category, value
 from oracles import (
     check_adjunction,
     copresheaf_values,
+    functor_compose,
     isomorphic,
     one_object_category,
     presheaf_hom,

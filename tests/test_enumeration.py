@@ -104,7 +104,7 @@ def test_receivers_are_the_raw_classes(name, z_bound):
     size = z_bound - 1
     y_cat = next(c for c in enumerate_symmetric_categories(dq, size) if len(c) == size)
     assert is_essential_bruteforce(QFunctor(y_cat, y_cat, y_cat.names), z_bound).essential
-    receivers = dq._essentiality[("receivers", z_bound)]
+    receivers = [z_cat for z_cat, _ in dq._essentiality[("receivers", z_bound)]]
     want = raw_symmetric_categories(dq, z_bound, name_prefix="z", up_to_iso=True)
     assert [summary(c) for c in receivers] == [summary(c) for c in want]
 

@@ -33,6 +33,7 @@ from enritch.hull import (
     _canonical_signature,
     _chain_bound,
     _enumerate_tight_columns,
+    _functor_search,
     all_functors,
     column_admissible,
     enumerate_ambient,
@@ -40,7 +41,6 @@ from enritch.hull import (
     extend_along,
     find_one_point_retraction,
     full_subcategory,
-    functor_compose,
     inclusion_functor,
     is_ambient,
     is_codense,
@@ -62,12 +62,15 @@ from conftest import make_category, random_partial_metric, shipped_quantale, val
 from oracles import (
     _tight_residual,
     extension_from_presheaf,
+    functor_compose,
     isomorphic,
     marked_signature,
     one_object_category,
     presheaf_hom,
     raw_canonical_signature,
     raw_symmetric_categories,
+    reference_all_functors,
+    reference_functor_search,
     relabel,
     table_tight_columns,
     tighten,
@@ -708,6 +711,127 @@ class TestSharedFunctorSearch:
         assert 0 < found[0] < extensions and 0 < found[1] < retractions
 
 
+def _indices(c, names):
+    return tuple(map(c.objects.index, names))
+
+
+def assert_search_matches_reference(domain, codomain, pools, equal=()):
+    """_functor_search over index pools yields the assignments of the
+    product search over the same pools, in its order; returns their number."""
+    index_pools = [_indices(codomain, pool) for pool in pools]
+    got = list(_functor_search(domain, codomain, index_pools, equal))
+    want = [
+        _indices(codomain, f.assignment)
+        for f in reference_functor_search(domain, codomain, pools, equal)
+    ]
+    assert got == want, (domain.to_dict(), codomain.to_dict(), pools, sorted(equal))
+    return len(got)
+
+
+class TestFunctorSearch:
+    """The pruned search against the product search it replaced, which
+    validates every candidate (``reference_functor_search``)."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["boolean", "luk3", "luk5", "nilmin5", "diamond", "diamond_swap"]
+    )
+    def test_every_pair_and_set_of_preserved_positions(self, request, fixture):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        cats = list(enumerate_symmetric_categories(dq, 2))
+        counts = {"none": 0, "all": 0, "partial": 0}
+        for x_cat in cats:
+            n = len(x_cat)
+            subsets = [set(s) for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+            for y_cat in cats:
+                pools = [
+                    tuple(y for y in y_cat.names if y_cat.type_payload(y) == t)
+                    for t in x_cat.objects.types
+                ]
+                for equal in subsets:  # every subset: no domain has more than 2 points
+                    found = assert_search_matches_reference(x_cat, y_cat, pools, equal)
+                    kind = "none" if not equal else "all" if len(equal) == n else "partial"
+                    counts[kind] += found
+                # all_functors is the search over these pools, as functors
+                want = list(reference_all_functors(x_cat, y_cat))
+                assert list(all_functors(x_cat, y_cat)) == want
+                assert list(all_functors(x_cat, y_cat, full=True)) == [
+                    f for f in want if is_fully_faithful(f)
+                ]
+        # every kind yields functors, and preserving every hom drops some
+        assert min(counts.values()) > 0 and counts["all"] < counts["none"]
+
+    def test_categories_that_are_not_symmetric(self, boolean):
+        # every boolean preorder on at most three points: hom(x, y) and
+        # hom(y, x) are independent here, so both directions are checked
+        preorders = []
+        for n in range(4):
+            names = [f"p{i}" for i in range(n)]
+            off = [(i, j) for i in range(n) for j in range(n) if i != j]
+            for bits in itertools.product("01", repeat=len(off)):
+                rows = [["1"] * n for _ in range(n)]
+                for (i, j), bit in zip(off, bits):
+                    rows[i][j] = bit
+                c = make_category(boolean, names, ["1"] * n, rows)
+                if validate_category(c).valid:
+                    preorders.append(c)
+        asymmetric = [c for c in preorders if not is_symmetric(c)]
+        assert len(asymmetric) > 10
+        found = 0
+        for x_cat in preorders:
+            for y_cat in asymmetric:
+                n = len(x_cat)
+                pools = [y_cat.names] * n
+                for equal in ((), set(range(n)), set(range(n)[:1])):
+                    found += assert_search_matches_reference(x_cat, y_cat, pools, equal)
+        assert found > 0
+
+    def test_a_preserved_position_is_also_checked_on_its_diagonal(self, boolean):
+        # the search checks each point against itself; in a valid category
+        # the diagonal is the identity, so only an unvalidated input shows it
+        point = make_category(boolean, ["a"], ["1"], [["1"]])
+        low = make_category(boolean, ["a"], ["1"], [["0"]])
+        assert assert_search_matches_reference(low, point, [("a",)]) == 1
+        assert assert_search_matches_reference(low, point, [("a",)], {0}) == 0
+        assert assert_search_matches_reference(point, low, [("a",)]) == 0
+
+    def test_empty_domain_and_empty_pools(self, boolean):
+        empty = make_category(boolean, [], [], [])
+        point = make_category(boolean, ["a"], ["1"], [["1"]])
+        assert list(_functor_search(empty, point, [])) == [()]
+        assert list(_functor_search(point, empty, [()])) == []
+        assert list(all_functors(point, empty)) == []
+
+    CASES = TestSharedFunctorSearch.CASES
+
+    @pytest.mark.parametrize("fixture, bound", CASES, ids=[c[0] for c in CASES])
+    def test_narrow_pools_of_extensions_and_retractions(self, request, monkeypatch, fixture, bound):
+        """Every search extend_along and find_one_point_retraction start,
+        run in full on the pools they built."""
+        import enritch.hull as hull
+
+        calls = []
+        real = hull._functor_search
+
+        def spy(domain, codomain, pools, equal=()):
+            calls.append((domain, codomain, pools, equal))
+            return real(domain, codomain, pools, equal)
+
+        monkeypatch.setattr(hull, "_functor_search", spy)
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        sizes = set()
+        for x_cat in enumerate_symmetric_categories(dq, bound):
+            for f, g in t36_extension_family(x_cat):
+                extend_along(f, g)
+            for ext in one_point_extensions(x_cat):
+                find_one_point_retraction(x_cat, ext)
+        assert calls
+        for domain, codomain, pools, equal in calls:
+            assert equal == ()
+            names = [tuple(codomain.names[a] for a in pool) for pool in pools]
+            sizes.add(assert_search_matches_reference(domain, codomain, names))
+        assert 0 in sizes and len(sizes) > 2  # both outcomes, several sizes
+
+
 def lawvere_pair():
     """A valid 2-point partial metric as a category over the extended rationals."""
     v = ExtRat.parse
@@ -914,15 +1038,19 @@ class TestEssential:
             is_essential_bruteforce(f, max_objects=3)
 
 
-def reference_essential(f):
-    """The unmemoised loop over every receiving category and functor (oracle)."""
-    dq = f.domain.quantaloid
+def reference_essential(f, receivers=None):
+    """The unmemoised loop over every receiving category and every functor
+    of the product search, composing each with f (oracle).  ``receivers``,
+    when given, is the raw up-to-iso list of the categories with at most
+    |codomain| + 1 points, built once by the caller."""
+    if receivers is None:
+        receivers = raw_symmetric_categories(
+            f.domain.quantaloid, len(f.codomain) + 1, name_prefix="z", up_to_iso=True
+        )
     checked = 0
-    for z_cat in raw_symmetric_categories(
-        dq, len(f.codomain) + 1, name_prefix="z", up_to_iso=True
-    ):
+    for z_cat in receivers:
         checked += 1
-        for g in all_functors(f.codomain, z_cat):
+        for g in reference_all_functors(f.codomain, z_cat):
             if is_fully_faithful(functor_compose(g, f)) and not is_fully_faithful(g):
                 return False, (z_cat.to_dict(), g.as_dict()), checked
     return True, None, checked
@@ -937,6 +1065,17 @@ def essential_summary(result):
 
 
 class TestEssentialMemo:
+    @staticmethod
+    def fully_faithful_functors(dq, bound):
+        cats = list(enumerate_symmetric_categories(dq, bound))
+        return [
+            f
+            for x_cat in cats
+            for y_cat in cats
+            for f in all_functors(x_cat, y_cat)
+            if is_fully_faithful(f)
+        ]
+
     @pytest.mark.parametrize(
         "name, bound, verdicts",
         [
@@ -949,24 +1088,46 @@ class TestEssentialMemo:
     )
     def test_memoised_search_matches_reference_loop(self, name, bound, verdicts):
         dq = diagonal_quantaloid(shipped_quantale(name))
-        cats = list(enumerate_symmetric_categories(dq, bound))
-        functors = [
-            f
-            for x_cat in cats
-            for y_cat in cats
-            for f in all_functors(x_cat, y_cat)
-            if is_fully_faithful(f)
-        ]
+        functors = self.fully_faithful_functors(dq, bound)
         expected = [reference_essential(f) for f in functors]
         for f, want in zip(functors, expected):
             dq._essentiality.clear()
             cold = is_essential_bruteforce(f, max_objects=bound + 1)
             assert essential_summary(cold) == want
-        # the warm memo now holds every codomain met above
+        # the warm memo now holds the receivers of every size met above
         for f, want in zip(functors, expected):
             warm = is_essential_bruteforce(f, max_objects=bound + 1)
             assert essential_summary(warm) == want
         assert {want[0] for want in expected} == verdicts
+
+    @pytest.mark.parametrize("fixture", ["diamond", "nilmin5", "diamond_swap"])
+    def test_bound_two_where_non_essential_functors_occur(self, request, fixture):
+        """The full (essential, counterexample, categories_checked) summary
+        at bound 2, whose codomains of two points admit non-essential
+        functors.  Cold, the memo is cleared before the first functor into
+        each labelled codomain, rather than before every functor, which would
+        rebuild the same receivers hundreds of times; the reference builds
+        its receivers once per size."""
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        functors = self.fully_faithful_functors(dq, 2)
+        receivers = {
+            size: list(raw_symmetric_categories(dq, size, name_prefix="z", up_to_iso=True))
+            for size in (1, 2, 3)
+        }
+        expected = [reference_essential(f, receivers[len(f.codomain) + 1]) for f in functors]
+        seen = set()
+        for f, want in zip(functors, expected):
+            if f.codomain not in seen:
+                seen.add(f.codomain)
+                dq._essentiality.clear()
+            cold = is_essential_bruteforce(f, max_objects=3)
+            assert essential_summary(cold) == want
+        for f, want in zip(functors, expected):
+            warm = is_essential_bruteforce(f, max_objects=3)
+            assert essential_summary(warm) == want
+        assert {want[0] for want in expected} == {True, False}
+        # some counterexample lies past the first receiver
+        assert max(want[2] for want in expected if not want[0]) > 1
 
     def test_memos_do_not_keep_the_quantale_alive(self):
         q = shipped_quantale("boolean")
@@ -986,10 +1147,13 @@ def via_graphs(f):
 
 
 class TestTrustedFullyFaithful:
-    """is_essential_bruteforce tests fully-faithfulness pointwise, without
-    validating, on the functors all_functors yields and on the composites
-    g . f it forms; there the pointwise test must agree with cograph .
-    graph = hom, and every composite must be a valid functor."""
+    """The pruned search yields functors that are trusted, unvalidated, as
+    they come: all_functors' and the g of is_essential_bruteforce, whose
+    full faithfulness is tested pointwise.  There the pointwise test must
+    agree with cograph . graph = hom.  For fully faithful f,
+    is_essential_bruteforce takes g . f to be fully faithful exactly when g
+    preserves the homs on f(X); every composite must be a valid functor
+    whose pointwise test agrees with the graphs and with that criterion."""
 
     # Bound 2 at least: between categories of at most one object every
     # functor is fully faithful, so no composite would be formed.
@@ -1006,7 +1170,7 @@ class TestTrustedFullyFaithful:
             for size in range(1, bound + 2)
         }
         functor_verdicts, composite_verdicts = set(), set()
-        non_full = {}  # codomain -> the g the essentiality memo keeps
+        non_full = {}  # codomain -> its functors g that are not fully faithful
         for x_cat in cats:
             for y_cat in cats:
                 for f in all_functors(x_cat, y_cat):
@@ -1024,10 +1188,17 @@ class TestTrustedFullyFaithful:
                                 functor_verdicts.add(g_full)
                                 if not g_full:
                                     non_full[y_cat].append(g)
+                    image = set(f.assignment)
                     for g in non_full[y_cat]:
                         h = functor_compose(g, f)
                         assert validate_functor(h).valid, (f.as_dict(), g.as_dict())
                         assert _fully_faithful(h) == via_graphs(h), h.as_dict()
+                        on_image = all(
+                            y_cat.hom.at(y, w) == g.codomain.hom.at(g(y), g(w))
+                            for y in image
+                            for w in image
+                        )
+                        assert _fully_faithful(h) == on_image, (f.as_dict(), g.as_dict())
                         composite_verdicts.add(_fully_faithful(h))
         # both answers occur, so neither side is compared vacuously
         assert functor_verdicts == {True, False}
