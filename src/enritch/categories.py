@@ -13,7 +13,7 @@ own type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from .diagonals import DiagonalQuantaloid
@@ -31,11 +31,9 @@ __all__ = [
     "Presheaf",
     "CategoryReport",
     "FunctorReport",
-    "UnderlyingOrder",
     "validate_category",
     "require_valid",
     "is_symmetric",
-    "underlying_order",
     "validate_functor",
     "require_functor",
     "is_fully_faithful",
@@ -168,60 +166,14 @@ def _mark_symmetric(c: QCategory, parent: QCategory | None = None) -> None:
 
 
 @dataclass(frozen=True)
-class UnderlyingOrder:
-    pairs: frozenset
-    iso_classes: tuple[tuple[str, ...], ...]
-    separated: bool
-    # Object name -> index of its iso class; determined by the fields above.
-    class_of: dict[str, int] = field(compare=False, repr=False)
-
-    def class_index(self, name: str) -> int:
-        try:
-            return self.class_of[name]
-        except KeyError:
-            raise ShapeMismatchError(f"unknown object {name!r}") from None
-
-
-def underlying_order(c: QCategory) -> UnderlyingOrder:
-    """x <= y iff the types agree and hom(x, y) is the identity on that type."""
-    dq = c.quantaloid
-    names = c.names
-    types = c.objects.types
-    hom = c.hom.entries
-    pairs = set()
-    n = len(names)
-    for i in range(n):
-        for j in range(n):
-            if types[i] == types[j] and hom[i][j] == dq.identity(types[i]):
-                pairs.add((names[i], names[j]))
-    classes: list[list[str]] = []
-    assigned: dict[str, int] = {}
-    for name in names:
-        for idx, cls in enumerate(classes):
-            rep = cls[0]
-            if (name, rep) in pairs and (rep, name) in pairs:
-                cls.append(name)
-                assigned[name] = idx
-                break
-        else:
-            assigned[name] = len(classes)
-            classes.append([name])
-    separated = all(len(cls) == 1 for cls in classes)
-    return UnderlyingOrder(
-        pairs=frozenset(pairs),
-        iso_classes=tuple(tuple(cls) for cls in classes),
-        separated=separated,
-        class_of=assigned,
-    )
-
-
-@dataclass(frozen=True)
 class QFunctor:
-    """A type-preserving hom-increasing map, stored as a total assignment."""
+    """A type-preserving hom-increasing map, stored as a total assignment:
+    the codomain position of each domain point, in domain order.  Names
+    appear only in ``as_dict``, the form a report shows."""
 
     domain: QCategory
     codomain: QCategory
-    assignment: tuple[str, ...]
+    assignment: tuple[int, ...]
 
     def __post_init__(self):
         if self.domain.objects.quantaloid is not self.codomain.objects.quantaloid:
@@ -230,15 +182,14 @@ class QFunctor:
             object.__setattr__(self, "assignment", tuple(self.assignment))
         if len(self.assignment) != len(self.domain):
             raise ShapeMismatchError("assignment must cover every domain object")
+        n = len(self.codomain)
         for target in self.assignment:
-            if target not in self.codomain.names:
-                raise ShapeMismatchError(f"{target!r} is not an object of the codomain")
-
-    def __call__(self, name: str) -> str:
-        return self.assignment[self.domain.objects.index(name)]
+            if type(target) is not int or not 0 <= target < n:
+                raise ShapeMismatchError(f"{target!r} is not a position in the codomain")
 
     def as_dict(self) -> dict[str, str]:
-        return dict(zip(self.domain.names, self.assignment))
+        names = self.codomain.names
+        return {x: names[a] for x, a in zip(self.domain.names, self.assignment)}
 
 
 @dataclass(frozen=True)
@@ -263,22 +214,18 @@ class FunctorReport:
 
 def validate_functor(f: QFunctor) -> FunctorReport:
     dq = f.domain.quantaloid
-    dom, cod = f.domain, f.codomain
+    dom, cod, fx = f.domain, f.codomain, f.assignment
     type_witness = None
     for i, name in enumerate(dom.names):
-        if dom.objects.types[i] != cod.type_payload(f.assignment[i]):
+        if dom.objects.types[i] != cod.objects.types[fx[i]]:
             type_witness = name
             break
     hom_witness = None
     if type_witness is None:
         n = len(dom)
-        cod_index = [cod.objects.index(t) for t in f.assignment]
         for i in range(n):
             for j in range(n):
-                if not dq.leq(
-                    dom.hom.entries[i][j],
-                    cod.hom.entries[cod_index[i]][cod_index[j]],
-                ):
+                if not dq.leq(dom.hom.entries[i][j], cod.hom.entries[fx[i]][fx[j]]):
                     hom_witness = (dom.names[i], dom.names[j])
                     break
             if hom_witness:
@@ -299,14 +246,9 @@ def require_functor(f: QFunctor) -> None:
 
 def _fully_faithful(f: QFunctor) -> bool:
     """Entrywise hom equality, trusting that f is already a valid functor."""
-    dom, cod = f.domain, f.codomain
-    cod_index = [cod.objects.index(t) for t in f.assignment]
-    dom_hom, cod_hom = dom.hom.entries, cod.hom.entries
-    n = len(dom)
+    dom_hom, cod_hom, fx = f.domain.hom.entries, f.codomain.hom.entries, f.assignment
     return all(
-        dom_hom[i][j] == cod_hom[cod_index[i]][cod_index[j]]
-        for i in range(n)
-        for j in range(n)
+        row[j] == cod_hom[a][b] for row, a in zip(dom_hom, fx) for j, b in enumerate(fx)
     )
 
 
@@ -328,24 +270,15 @@ def is_fully_faithful(f: QFunctor) -> bool:
 
 def graph(f: QFunctor) -> QRelation:
     """The relation X -> Y with entries hom_Y(fx, y)."""
-    dom, cod = f.domain, f.codomain
-    cod_index = [cod.objects.index(t) for t in f.assignment]
-    entries = tuple(
-        tuple(cod.hom.entries[cod_index[i]][j] for j in range(len(cod)))
-        for i in range(len(dom))
-    )
-    return QRelation(dom.objects, cod.objects, entries)
+    cod_hom = f.codomain.hom.entries
+    entries = tuple(cod_hom[a] for a in f.assignment)
+    return QRelation(f.domain.objects, f.codomain.objects, entries)
 
 
 def cograph(f: QFunctor) -> QRelation:
     """The relation Y -> X with entries hom_Y(y, fx)."""
-    dom, cod = f.domain, f.codomain
-    cod_index = [cod.objects.index(t) for t in f.assignment]
-    entries = tuple(
-        tuple(cod.hom.entries[j][cod_index[i]] for i in range(len(dom)))
-        for j in range(len(cod))
-    )
-    return QRelation(cod.objects, dom.objects, entries)
+    entries = tuple(tuple(row[a] for a in f.assignment) for row in f.codomain.hom.entries)
+    return QRelation(f.codomain.objects, f.domain.objects, entries)
 
 
 # -- presheaves -------------------------------------------------------------

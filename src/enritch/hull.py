@@ -73,7 +73,6 @@ from .categories import (
     is_fully_faithful,
     is_symmetric,
     require_functor,
-    underlying_order,
     validate_category,
     yoneda,
 )
@@ -257,11 +256,9 @@ class TightSpan:
     def yoneda_embedding(self) -> QFunctor | None:
         """The functor x |-> hom(-, x) from the base into the span, or None
         when some Yoneda column is not a member."""
-        names = {
-            (mu.q, mu.values): name for mu, name in zip(self.members, self.category.names)
-        }
+        positions = {(mu.q, mu.values): k for k, mu in enumerate(self.members)}
         columns = (yoneda(self.base, x) for x in self.base.names)
-        assignment = tuple(names.get((mu.q, mu.values)) for mu in columns)
+        assignment = tuple(positions.get((mu.q, mu.values)) for mu in columns)
         return None if None in assignment else QFunctor(self.base, self.category, assignment)
 
 
@@ -353,7 +350,7 @@ def full_subcategory(c: QCategory, names: Sequence[str]) -> QCategory:
 
 
 def inclusion_functor(sub: QCategory, sup: QCategory) -> QFunctor:
-    f = QFunctor(sub, sup, tuple(sub.names))
+    f = QFunctor(sub, sup, tuple(map(sup.objects.index, sub.names)))
     require_functor(f)
     return f
 
@@ -415,11 +412,6 @@ def _of_type(c: QCategory, t) -> tuple[int, ...]:
     return tuple(k for k, s in enumerate(c.objects.types) if s == t)
 
 
-def _as_functor(domain: QCategory, codomain: QCategory, assignment: Sequence) -> QFunctor:
-    names = codomain.names
-    return QFunctor(domain, codomain, tuple(names[a] for a in assignment))
-
-
 def all_functors(
     domain: QCategory, codomain: QCategory, full: bool = False
 ) -> Iterator[QFunctor]:
@@ -438,7 +430,7 @@ def all_functors(
     pools = [_of_type(codomain, t) for t in types]
     equal = range(len(pools)) if full else ()
     for assignment in _functor_search(domain, codomain, pools, equal):
-        yield _as_functor(domain, codomain, assignment)
+        yield QFunctor(domain, codomain, assignment)
 
 
 def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
@@ -446,7 +438,11 @@ def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
 
     Returns the first functor, in the search order of ``all_functors``, that
     sends each y to an object of its type isomorphic to f(x) whenever
-    g(x) = y, or None when there is none.
+    g(x) = y, or None when there is none.  The iso class of f(x) is read
+    from Z's hom: the points k of f(x)'s type t with hom(f(x), k) =
+    hom(k, f(x)) = the identity on t, in ascending position.  In a valid
+    category that is an equivalence, so two x with the same g(x) but
+    different classes admit no h.
 
     The boundary checks stay: f and g must be valid functors and their three
     categories valid and symmetric, which ``_require_symmetric`` trusts for a
@@ -463,22 +459,20 @@ def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
         raise PreconditionError("g must be fully faithful")
 
     y_cat, z_cat = g.codomain, f.codomain
-    iso = underlying_order(z_cat)
-    # g(x) may only go to f(x)'s iso class (same type, listed in Z order).
-    required_class: dict[str, int] = {}
-    for y_name, z_name in zip(g.assignment, f.assignment):
-        cls = iso.class_index(z_name)
-        if required_class.setdefault(y_name, cls) != cls:
+    z_types, z_hom = z_cat.objects.types, z_cat.hom.entries
+    # required[y]: the iso class of f(x) for the x with g(x) = y
+    required: dict[int, tuple[int, ...]] = {}
+    for y, z in zip(g.assignment, f.assignment):
+        one = z_cat.quantaloid.identity(z_types[z])
+        iso = tuple(k for k in _of_type(z_cat, z_types[z]) if z_hom[z][k] == one == z_hom[k][z])
+        if required.setdefault(y, iso) != iso:
             return None
-    index = z_cat.names.index
     pools = [
-        tuple(map(index, iso.iso_classes[required_class[y]]))
-        if y in required_class
-        else _of_type(z_cat, t)
-        for y, t in zip(y_cat.names, y_cat.objects.types)
+        required[y] if y in required else _of_type(z_cat, t)
+        for y, t in enumerate(y_cat.objects.types)
     ]
     found = next(_functor_search(y_cat, z_cat, pools), None)
-    return None if found is None else _as_functor(y_cat, z_cat, found)
+    return None if found is None else QFunctor(y_cat, z_cat, found)
 
 
 def _fresh_name(c: QCategory) -> str:
@@ -559,7 +553,7 @@ def find_one_point_retraction(x_cat: QCategory, y_cat: QCategory) -> QFunctor | 
     index = x_cat.names.index
     pools = [y0_pool if name == y0 else (index(name),) for name in y_cat.names]
     found = next(_functor_search(y_cat, x_cat, pools), None)
-    return None if found is None else _as_functor(y_cat, x_cat, found)
+    return None if found is None else QFunctor(y_cat, x_cat, found)
 
 
 # -- density and essentiality --------------------------------------------------
@@ -591,14 +585,14 @@ def _canonical_signature(c: QCategory, marked: frozenset = frozenset()) -> tuple
     equal exactly for isomorphic categories, of any size.  The least types
     are the sorted ones, so only the relabellings that sort them are tried.
 
-    With a non-empty set of ``marked`` point names, each type becomes the
-    pair (type, marked or not), so the marks split the type blocks and the
-    signature is equal exactly when an isomorphism of the categories
+    With a non-empty set of ``marked`` point positions, each type becomes
+    the pair (type, marked or not), so the marks split the type blocks and
+    the signature is equal exactly when an isomorphism of the categories
     carries one marked set onto the other.  Unmarked, the value is the
     plain one above."""
     types, entries = c.objects.types, c.hom.entries
     if marked:
-        types = tuple((t, name in marked) for t, name in zip(types, c.names))
+        types = tuple((t, k in marked) for k, t in enumerate(types))
     blocks = [[i for i, t in enumerate(types) if t == s] for s in sorted(set(types))]
     perms = itertools.product(*map(itertools.permutations, blocks))
     return tuple(sorted(types)), min(
@@ -610,7 +604,6 @@ def _canonical_signature(c: QCategory, marked: frozenset = frozenset()) -> tuple
 def enumerate_symmetric_categories(
     dq: DiagonalQuantaloid,
     max_objects: int,
-    name_prefix: str = "x",
 ) -> Iterator[QCategory]:
     """Every valid symmetric category with at most max_objects points,
     each marked valid and symmetric.
@@ -621,7 +614,7 @@ def enumerate_symmetric_categories(
 
     Level 0 is the empty category, the only one ``validate_category``
     checks, and level n + 1 is the one-point extensions of level n (one per
-    ambient presheaf), whose new last point is ``{name_prefix}{n}``.
+    ambient presheaf), whose new last point is ``x{n}``.
     Every valid (n + 1)-point category arises exactly once, from its full
     subcategory on the first n points.  Sorting a level by types and
     row-major hom gives the order above: ``objects()`` and ``hom()`` list
@@ -634,7 +627,7 @@ def enumerate_symmetric_categories(
     for n in range(max_objects + 1):
         yield from level
         if n < max_objects:
-            new_name = f"{name_prefix}{n}"
+            new_name = f"x{n}"
             level = sorted(
                 (ext for c in level for ext in _extensions(c, new_name)),
                 key=lambda c: (c.objects.types, c.hom.entries),
@@ -681,14 +674,14 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
     receivers = memo.get(("receivers", z_bound))
     if receivers is None:
         classes: dict = {}
-        for z_cat in enumerate_symmetric_categories(dq, z_bound, name_prefix="z"):
+        for z_cat in enumerate_symmetric_categories(dq, z_bound):
             classes.setdefault(_canonical_signature(z_cat), z_cat)
         receivers = memo[("receivers", z_bound)] = tuple(
             (z_cat, {t: _of_type(z_cat, t) for t in z_cat.objects.types})
             for z_cat in classes.values()
         )
     hom, types = cod.hom.entries, cod.objects.types
-    image = {cod.objects.index(y) for y in f.assignment}
+    image = set(f.assignment)
     needed = set(types)
     for k, (z_cat, by_type) in enumerate(receivers):
         if not by_type.keys() >= needed:
@@ -697,7 +690,7 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
         z_hom = z_cat.hom.entries
         for g in _functor_search(cod, z_cat, pools, image):
             if any(row[j] != z_hom[a][b] for row, a in zip(hom, g) for j, b in enumerate(g)):
-                return EssentialResult(False, (z_cat, _as_functor(cod, z_cat, g)), k + 1)
+                return EssentialResult(False, (z_cat, QFunctor(cod, z_cat, g)), k + 1)
     return EssentialResult(True, None, len(receivers))
 
 

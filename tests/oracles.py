@@ -13,6 +13,8 @@ forms, the ``cell_*`` loops, ``presheaf_hom``, ``_tight_residual`` and
 per-class verdicts, ``reference_functor_search`` and
 ``reference_all_functors`` for the pruned functor search,
 ``functor_compose`` for the composites of the essentiality brute force,
+``underlying_order`` for the iso classes ``extend_along`` reads from the
+hom,
 ``marked_signature`` for the marked canonical signature,
 ``raw_symmetric_categories`` for the enumeration by one-point extension
 and the essentiality receivers, ``validated_extensions`` for the
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -31,7 +34,6 @@ from enritch.categories import (
     Presheaf,
     QCategory,
     QFunctor,
-    UnderlyingOrder,
     _mark_symmetric,
     cograph,
     graph,
@@ -312,6 +314,55 @@ def bottom_relation(x: TypedSet, y: TypedSet) -> QRelation:
 
 
 # -- categories ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class UnderlyingOrder:
+    pairs: frozenset
+    iso_classes: tuple[tuple[str, ...], ...]
+    separated: bool
+    # Object name -> index of its iso class; determined by the fields above.
+    class_of: dict[str, int] = field(compare=False, repr=False)
+
+    def class_index(self, name: str) -> int:
+        try:
+            return self.class_of[name]
+        except KeyError:
+            raise ShapeMismatchError(f"unknown object {name!r}") from None
+
+
+def underlying_order(c: QCategory) -> UnderlyingOrder:
+    """x <= y iff the types agree and hom(x, y) is the identity on that type;
+    the iso classes are grown greedily, in name order."""
+    dq = c.quantaloid
+    names = c.names
+    types = c.objects.types
+    hom = c.hom.entries
+    pairs = set()
+    n = len(names)
+    for i in range(n):
+        for j in range(n):
+            if types[i] == types[j] and hom[i][j] == dq.identity(types[i]):
+                pairs.add((names[i], names[j]))
+    classes: list[list[str]] = []
+    assigned: dict[str, int] = {}
+    for name in names:
+        for idx, cls in enumerate(classes):
+            rep = cls[0]
+            if (name, rep) in pairs and (rep, name) in pairs:
+                cls.append(name)
+                assigned[name] = idx
+                break
+        else:
+            assigned[name] = len(classes)
+            classes.append([name])
+    separated = all(len(cls) == 1 for cls in classes)
+    return UnderlyingOrder(
+        pairs=frozenset(pairs),
+        iso_classes=tuple(tuple(cls) for cls in classes),
+        separated=separated,
+        class_of=assigned,
+    )
 
 
 def isomorphic(order: UnderlyingOrder, a: str, b: str) -> bool:
@@ -647,7 +698,7 @@ def reference_functor_search(
     domain: QCategory, codomain: QCategory, pools: Sequence, equal=()
 ) -> Iterator[QFunctor]:
     """The functor search before it was pruned: every candidate of
-    ``itertools.product`` over pools of codomain names, kept when
+    ``itertools.product`` over pools of codomain positions, kept when
     ``validate_functor`` passes it and, between two positions both in
     ``equal``, the homs are preserved."""
     dom, cod = domain.hom.entries, codomain.hom.entries
@@ -655,16 +706,16 @@ def reference_functor_search(
         f = QFunctor(domain, codomain, assignment)
         if not validate_functor(f).valid:
             continue
-        index = [codomain.objects.index(y) for y in assignment]
-        if all(dom[i][j] == cod[index[i]][index[j]] for i in equal for j in equal):
+        a = assignment
+        if all(dom[i][j] == cod[a[i]][a[j]] for i in equal for j in equal):
             yield f
 
 
 def reference_all_functors(domain: QCategory, codomain: QCategory) -> Iterator[QFunctor]:
     """Every functor, by ``reference_functor_search`` over the pools of
-    ``all_functors``: the codomain names of each domain point's type."""
+    ``all_functors``: the codomain positions of each domain point's type."""
     pools = [
-        tuple(y for y, s in zip(codomain.names, codomain.objects.types) if s == t)
+        tuple(k for k, s in enumerate(codomain.objects.types) if s == t)
         for t in domain.objects.types
     ]
     yield from reference_functor_search(domain, codomain, pools)
@@ -674,7 +725,7 @@ def functor_compose(g: QFunctor, f: QFunctor) -> QFunctor:
     """g . f, for f's codomain equal to g's domain."""
     if f.codomain != g.domain:
         raise ShapeMismatchError("functors are not composable")
-    return QFunctor(f.domain, g.codomain, tuple(g(y) for y in f.assignment))
+    return QFunctor(f.domain, g.codomain, tuple(g.assignment[y] for y in f.assignment))
 
 
 # -- suites --------------------------------------------------------------------
@@ -755,16 +806,15 @@ def raw_canonical_signature(types: tuple, entries: tuple) -> tuple:
 
 def marked_signature(c: QCategory, marked) -> tuple:
     """``raw_canonical_signature`` of c with each type paired with whether
-    its point is named in ``marked``: the n! reference for the marked
+    its position is in ``marked``: the n! reference for the marked
     ``_canonical_signature``."""
-    colours = tuple((t, name in marked) for t, name in zip(c.objects.types, c.names))
+    colours = tuple((t, k in marked) for k, t in enumerate(c.objects.types))
     return raw_canonical_signature(colours, c.hom.entries)
 
 
 def raw_symmetric_categories(
     dq: DiagonalQuantaloid,
     max_objects: int,
-    name_prefix: str = "x",
     up_to_iso: bool = False,
 ) -> Iterator[QCategory]:
     """Every valid symmetric category with at most max_objects points, by
@@ -777,7 +827,7 @@ def raw_symmetric_categories(
     objects = dq.objects()
     seen: set = set()
     for n in range(max_objects + 1):
-        names = tuple(f"{name_prefix}{i}" for i in range(n))
+        names = tuple(f"x{i}" for i in range(n))
         for types in itertools.product(objects, repeat=n):
             pair_indices = [(i, j) for i in range(n) for j in range(i + 1, n)]
             pools = [dq.hom(types[i], types[j]) for i, j in pair_indices]

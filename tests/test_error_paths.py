@@ -212,15 +212,24 @@ CATEGORY_CASES = {
         lambda: require_valid(make_category(BOOL, ["a"], ["1"], [["0"]])),
     ),
     "assignment_too_short": in_memory(
-        ShapeMismatchError, lambda: QFunctor(discrete_pair(), discrete_pair(), ("a",))
+        ShapeMismatchError, lambda: QFunctor(discrete_pair(), discrete_pair(), (0,))
     ),
+    # an assignment is a tuple of codomain positions, 0 <= k < len(codomain)
     "assignment_leaves_the_codomain": in_memory(
-        ShapeMismatchError,
-        lambda: QFunctor(discrete_pair(), discrete_pair(), ("a", "zz")),
+        ShapeMismatchError, lambda: QFunctor(discrete_pair(), discrete_pair(), (0, 2))
+    ),
+    "assignment_below_the_codomain": in_memory(
+        ShapeMismatchError, lambda: QFunctor(discrete_pair(), discrete_pair(), (0, -1))
+    ),
+    "assignment_by_name": in_memory(
+        ShapeMismatchError, lambda: QFunctor(discrete_pair(), discrete_pair(), (0, "b"))
+    ),
+    "assignment_by_bool": in_memory(
+        ShapeMismatchError, lambda: QFunctor(discrete_pair(), discrete_pair(), (0, True))
     ),
     "not_hom_increasing": in_memory(
         PreconditionError,
-        lambda: require_functor(QFunctor(indiscrete_pair(), discrete_pair(), ("a", "b"))),
+        lambda: require_functor(QFunctor(indiscrete_pair(), discrete_pair(), (0, 1))),
     ),
     "presheaf_type_not_fixed": in_memory(
         PreconditionError,
@@ -302,6 +311,13 @@ def test_relations_refuse(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(CATEGORY_CASES))
 def test_categories_refuse(case, tmp_path, capsys):
     refused(CATEGORY_CASES[case], tmp_path, capsys)
+
+
+def test_list_assignment_is_stored_as_a_tuple():
+    c = discrete_pair()
+    f = QFunctor(c, c, [1, 0])
+    assert type(f.assignment) is tuple and f.assignment == (1, 0)
+    assert f == QFunctor(c, c, (1, 0)) and f.as_dict() == {"a": "b", "b": "a"}
 
 
 # A category is decided symmetric once and the answer kept on it; a refusal

@@ -444,8 +444,8 @@ class TestBridgeToGenericCalculus:
         ]
         for mapping, dom, cod in cases:
             formula = dense_isometry_check(mapping, dom, cod)
-            x_cat = to_category(dom)
-            f = QFunctor(x_cat, to_category(cod), tuple(mapping[name] for name in x_cat.names))
+            x_cat, y_cat = to_category(dom), to_category(cod)
+            f = QFunctor(x_cat, y_cat, [y_cat.objects.index(mapping[x]) for x in x_cat.names])
             assert formula == is_dense(f)
 
 

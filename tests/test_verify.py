@@ -80,6 +80,10 @@ def image_class(f) -> tuple:
     return marked_signature(f.codomain, f.assignment)
 
 
+# The report form of each case's witness map, domain name -> codomain name.
+WITNESS_MAPS = {("diamond", 2): {"x0": "x0"}, ("boolean", 3): {"x0": "x0", "x1": "x2"}}
+
+
 @pytest.mark.parametrize("name, bound", [("diamond", 2), ("boolean", 3)])
 def test_t54_witness_is_the_first_functor_of_the_failing_class(monkeypatch, name, bound):
     quantale = quantale_named(name)
@@ -106,7 +110,10 @@ def test_t54_witness_is_the_first_functor_of_the_failing_class(monkeypatch, name
     assert json.dumps(got) == json.dumps(want)
     assert (got["functors"], got["discrepancies"]) == (len(kept), len(chosen))
     first = chosen[0]
-    assert got["witness"]["map"] == first.as_dict()
+    shown = got["witness"]["map"]
+    assert shown == first.as_dict() == WITNESS_MAPS[name, bound]
+    assert list(shown) == got["witness"]["domain"]["set"]["names"]
+    assert set(shown.values()) <= set(got["witness"]["codomain"]["set"]["names"])
     assert got["witness"]["domain"] == first.domain.to_dict()
     assert got["witness"]["codomain"] == first.codomain.to_dict()
 
