@@ -4,17 +4,18 @@ A category here is a typed set with a square hom relation that contains the
 identity relation and absorbs its own square.  Symmetry means the hom equals
 its involution transpose.
 
-Presheaves are columns into a one-object category; the presheaf category
-hom is the left residual, which the kernel's ``residual_matrix`` computes,
-and the Yoneda columns hom(-, x) realize every object as a presheaf of its
-own type.
+A presheaf is a (type, column) pair (q, values), a distributor column into
+the one-object category of type q, as the kernel's ``residual_matrix``
+takes it; the library builds every presheaf it holds.  The presheaf
+category hom is the left residual, and the Yoneda columns hom(-, x)
+realize every object as a presheaf of its own type.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .diagonals import DiagonalQuantaloid
 from .errors import InvariantError, PreconditionError, ShapeMismatchError
@@ -28,7 +29,6 @@ from .relations import (
 __all__ = [
     "QCategory",
     "QFunctor",
-    "Presheaf",
     "CategoryReport",
     "FunctorReport",
     "validate_category",
@@ -40,7 +40,6 @@ __all__ = [
     "graph",
     "cograph",
     "enumerate_presheaves",
-    "yoneda",
 ]
 
 
@@ -289,60 +288,13 @@ def _distributor_holds(c: QCategory, q, values: Sequence) -> bool:
     return c.quantaloid.distributor_holds(c.objects.types, c.hom.entries, q, values)
 
 
-@dataclass(frozen=True)
-class Presheaf:
-    """A distributor column into the one-object category of type q."""
-
-    base: QCategory
-    q: Any
-    values: tuple
-
-    def __post_init__(self):
-        if type(self.values) is not tuple:
-            object.__setattr__(self, "values", tuple(self.values))
-        dq = self.base.quantaloid
-        if not dq.is_object(self.q):
-            raise PreconditionError(
-                f"presheaf type {dq.format(self.q)} is not fixed by the involution"
-            )
-        if len(self.values) != len(self.base):
-            raise ShapeMismatchError("presheaf must assign a value to every object")
-        for i, u in enumerate(self.values):
-            if not dq.is_hom(self.base.objects.types[i], self.q, u):
-                raise PreconditionError(
-                    f"presheaf value at {self.base.names[i]!r} is not a diagonal"
-                    f" {dq.format(self.base.objects.types[i])} -> {dq.format(self.q)}"
-                )
-        if not _distributor_holds(self.base, self.q, self.values):
-            raise PreconditionError("column violates the distributor law")
-
-    def to_dict(self) -> dict:
-        fmt = self.base.quantaloid.format
-        return {
-            "type": fmt(self.q),
-            "values": {name: fmt(u) for name, u in zip(self.base.names, self.values)},
-        }
-
-
-def _presheaf_columns(c: QCategory) -> Iterator[tuple]:
+def enumerate_presheaves(c: QCategory) -> Iterator[tuple]:
     """(q, values) for every column that obeys the distributor law, types in
-    element load order, values lexicographic: the one walk over hom columns,
-    which ``enumerate_presheaves`` and the one-point extensions share."""
+    element load order, values lexicographic, lazily: the one walk over hom
+    columns, which ``hull.enumerate_ambient`` filters."""
     dq = c.quantaloid
     types = c.objects.types
     for q in dq.objects():
         for values in itertools.product(*(dq.hom(t, q) for t in types)):
             if _distributor_holds(c, q, values):
                 yield q, values
-
-
-def enumerate_presheaves(c: QCategory) -> list[Presheaf]:
-    """All presheaves, types in element load order, values lexicographic."""
-    return [Presheaf(c, q, values) for q, values in _presheaf_columns(c)]
-
-
-def yoneda(c: QCategory, x: str) -> Presheaf:
-    """The column hom(-, x) as a presheaf of type |x|."""
-    j = c.objects.index(x)
-    values = tuple(c.hom.entries[i][j] for i in range(len(c)))
-    return Presheaf(c, c.objects.types[j], values)

@@ -4,12 +4,14 @@ For a symmetric category X the ambient set consists of the presheaves mu
 with mu deg . mu <= hom; the tight ones additionally satisfy
 mu deg = hom <swarrow> mu and are exactly the maximal ambient presheaves.
 The tight span collects all tight presheaves into a new symmetric category
-whose hom is the presheaf-category hom.
+whose hom is the presheaf-category hom.  Every presheaf here is a
+(q, values) pair, as in ``categories``.
 
 The ambient presheaves are also the one-point extensions of X: a new point
 with hom column mu and hom row mu deg makes a valid symmetric category
 exactly when mu is ambient, so the extensions, and the enumeration of
 small categories grown from them, build no candidate they then reject.
+``enumerate_ambient`` is the one lazy walk over them.
 
 Hypercompleteness asks every self-compatible column to admit a witness
 object.  Because the admissible columns of a fixed type form a
@@ -59,13 +61,11 @@ from dataclasses import dataclass
 from typing import Collection, Iterator, Sequence
 
 from .categories import (
-    Presheaf,
     QCategory,
     QFunctor,
     _distributor_holds,
     _fully_faithful,
     _mark_symmetric,
-    _presheaf_columns,
     _require_symmetric,
     cograph,
     enumerate_presheaves,
@@ -74,14 +74,12 @@ from .categories import (
     is_symmetric,
     require_functor,
     validate_category,
-    yoneda,
 )
 from .diagonals import DiagonalQuantaloid
 from .errors import BoundExceededError, InvariantError, PreconditionError, ShapeMismatchError
 from .relations import QRelation, TypedSet, rel_residual
 
 __all__ = [
-    "is_ambient",
     "is_tight_column",
     "column_admissible",
     "TightSpan",
@@ -127,11 +125,13 @@ def column_admissible(c: QCategory, q, values: Sequence) -> bool:
     return True
 
 
-def is_ambient(c: QCategory, mu: Presheaf) -> bool:
-    """Membership of the ambient set: an admissible presheaf."""
-    if mu.base != c:
-        raise ShapeMismatchError("presheaf does not live on this category")
-    return column_admissible(c, mu.q, mu.values)
+def enumerate_ambient(c: QCategory) -> Iterator[tuple]:
+    """(q, values) for every ambient presheaf, lazily, in the order of
+    ``enumerate_presheaves``: the one walk over ambient columns, which the
+    one-point extensions and ``t44``'s maximality check share."""
+    for q, values in enumerate_presheaves(c):
+        if column_admissible(c, q, values):
+            yield q, values
 
 
 def _chain_bound(c: QCategory, q) -> int:
@@ -247,38 +247,38 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
 
 @dataclass(frozen=True)
 class TightSpan:
-    """The tight presheaves of a symmetric category, also viewed as a category."""
+    """The tight presheaves of a symmetric category, as (q, values) pairs in
+    the order of the span's points, also viewed as a category."""
 
     base: QCategory
-    members: tuple[Presheaf, ...]
+    members: tuple[tuple, ...]
     category: QCategory
 
     def yoneda_embedding(self) -> QFunctor | None:
         """The functor x |-> hom(-, x) from the base into the span, or None
         when some Yoneda column is not a member."""
-        positions = {(mu.q, mu.values): k for k, mu in enumerate(self.members)}
-        columns = (yoneda(self.base, x) for x in self.base.names)
-        assignment = tuple(positions.get((mu.q, mu.values)) for mu in columns)
+        positions = {member: k for k, member in enumerate(self.members)}
+        yonedas = zip(self.base.objects.types, zip(*self.base.hom.entries))
+        assignment = tuple(positions.get(column) for column in yonedas)
         return None if None in assignment else QFunctor(self.base, self.category, assignment)
 
 
 def tight_span(c: QCategory) -> TightSpan:
     """Enumerate all tight presheaves and materialize them as a category.
 
-    The span's hom is the kernel's ``residual_matrix`` of the members with
-    themselves.  The span is checked symmetric and valid here and comes
-    back marked, so ``_require_symmetric`` does not check it again.
+    Each member is checked to be a presheaf.  The span's hom is the
+    kernel's ``residual_matrix`` of the members with themselves.  The span
+    is checked symmetric and valid here and comes back marked, so
+    ``_require_symmetric`` does not check it again.
     """
     _require_symmetric(c)
     dq = c.quantaloid
-    members: list[Presheaf] = []
-    for q in dq.objects():
-        for values in _enumerate_tight_columns(c, q):
-            members.append(Presheaf(c, q, values))
+    members = [(q, values) for q in dq.objects() for values in _enumerate_tight_columns(c, q)]
+    if not all(_distributor_holds(c, q, values) for q, values in members):
+        raise InvariantError("every tight column must be a presheaf")
     names = tuple(f"t{i}" for i in range(len(members)))
-    carrier = TypedSet(dq, names, tuple(mu.q for mu in members))
-    columns = [(mu.q, mu.values) for mu in members]
-    entries = dq.residual_matrix(columns, columns)
+    carrier = TypedSet(dq, names, tuple(q for q, _ in members))
+    entries = dq.residual_matrix(members, members)
     category = QCategory(carrier, QRelation(carrier, carrier, entries))
     if not is_symmetric(category):
         raise InvariantError("the tight span must be symmetric")
@@ -295,7 +295,7 @@ def tight_span(c: QCategory) -> TightSpan:
 @dataclass(frozen=True)
 class HypercompleteResult:
     holds: bool
-    witness: Presheaf | None
+    witness: tuple | None  # a tight (q, values) with no witness object
     tight_columns_checked: int
 
 
@@ -321,7 +321,7 @@ def is_hypercomplete(c: QCategory, strict: bool = True) -> HypercompleteResult:
                 if all(dq.leq(values[x], hom[x][z]) for x in range(n)):
                     break
             else:
-                return HypercompleteResult(False, Presheaf(c, q, values), checked)
+                return HypercompleteResult(False, (q, values), checked)
     return HypercompleteResult(True, None, checked)
 
 
@@ -440,9 +440,7 @@ def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
     sends each y to an object of its type isomorphic to f(x) whenever
     g(x) = y, or None when there is none.  The iso class of f(x) is read
     from Z's hom: the points k of f(x)'s type t with hom(f(x), k) =
-    hom(k, f(x)) = the identity on t, in ascending position.  In a valid
-    category that is an equivalence, so two x with the same g(x) but
-    different classes admit no h.
+    hom(k, f(x)) = the identity on t, in ascending position.
 
     The boundary checks stay: f and g must be valid functors and their three
     categories valid and symmetric, which ``_require_symmetric`` trusts for a
@@ -465,8 +463,7 @@ def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
     for y, z in zip(g.assignment, f.assignment):
         one = z_cat.quantaloid.identity(z_types[z])
         iso = tuple(k for k in _of_type(z_cat, z_types[z]) if z_hom[z][k] == one == z_hom[k][z])
-        if required.setdefault(y, iso) != iso:
-            return None
+        required[y] = iso
     pools = [
         required[y] if y in required else _of_type(z_cat, t)
         for y, t in enumerate(y_cat.objects.types)
@@ -507,16 +504,15 @@ def one_point_extensions(c: QCategory) -> Iterator[QCategory]:
 def _extensions(c: QCategory, new_name: str) -> Iterator[QCategory]:
     """The one-point extensions of the valid symmetric c, marked, in the
     order of ``one_point_extensions``; c is not checked here.  Only the
-    admissible presheaf columns are built, and none is validated again."""
+    ambient columns are built, and none is validated again."""
     dq = c.quantaloid
     carriers = {
         q: TypedSet(dq, c.names + (new_name,), c.objects.types + (q,)) for q in dq.objects()
     }
-    for q, column in _presheaf_columns(c):
-        if column_admissible(c, q, column):
-            extended = _extend_matrix(c, carriers[q], column)
-            _mark_symmetric(extended)
-            yield extended
+    for q, column in enumerate_ambient(c):
+        extended = _extend_matrix(c, carriers[q], column)
+        _mark_symmetric(extended)
+        yield extended
 
 
 def _extend_matrix(c: QCategory, carrier: TypedSet, column: Sequence) -> QCategory:
@@ -699,7 +695,6 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
 
 @dataclass(frozen=True)
 class TransportResult:
-    pairs: tuple[tuple[Presheaf, Presheaf], ...]
     failures: tuple[str, ...]
 
     @property
@@ -727,46 +722,30 @@ def tight_span_restriction(f: QFunctor, domain_span: TightSpan) -> TransportResu
     dom_types = dom.objects.types
     cod_types = cod.objects.types
 
-    pairs = []
     failures: list[str] = []
     image_keys = []
     kept = []  # the indices in span_cod of the members whose image is kept
-    for k, lam in enumerate(span_cod.members):
+    for k, (q, lam) in enumerate(span_cod.members):
         values = tuple(
             dq.hom_join(
                 dom_types[x],
-                lam.q,
-                (
-                    dq.compose(gr[x][y], cod_types[y], lam.values[y])
-                    for y in range(len(cod))
-                ),
+                q,
+                (dq.compose(gr[x][y], cod_types[y], lam[y]) for y in range(len(cod))),
             )
             for x in range(len(dom))
         )
-        if not is_tight_column(dom, lam.q, values):
-            failures.append(
-                f"image of {lam.to_dict()} is not tight on the domain"
-            )
+        if not is_tight_column(dom, q, values):
+            failures.append(f"image of {span_cod.category.names[k]} is not tight on the domain")
             continue
-        pairs.append((lam, Presheaf(dom, lam.q, values)))
-        image_keys.append((lam.q, values))
+        image_keys.append((q, values))
         kept.append(k)
 
     if len(set(image_keys)) != len(image_keys):
         failures.append("transport is not injective")
-    wanted = {(mu.q, mu.values) for mu in domain_span.members}
-    if set(image_keys) != wanted:
+    if set(image_keys) != set(domain_span.members):
         failures.append("transport is not onto the domain tight span")
     span_hom = span_cod.category.hom.entries
     kept_hom = tuple(tuple(span_hom[i][j] for j in kept) for i in kept)
     if dq.residual_matrix(image_keys, image_keys) != kept_hom:
         failures.append("transport is not an isometry")
-    return TransportResult(tuple(pairs), tuple(failures))
-
-
-# -- ambient enumeration (for maximality checks) --------------------------------
-
-
-def enumerate_ambient(c: QCategory) -> list[Presheaf]:
-    """All ambient presheaves, same order as the presheaf enumeration."""
-    return [mu for mu in enumerate_presheaves(c) if is_ambient(c, mu)]
+    return TransportResult(tuple(failures))

@@ -105,6 +105,20 @@ def _l43_single(x_cat: QCategory, strict: bool) -> dict:
     }
 
 
+def _maximal_in_ambient(c: QCategory, members) -> bool:
+    """No ambient column lies strictly above a (q, values) member of its
+    type: one walk over the ambient columns, against the members by type."""
+    leq = c.quantaloid.leq
+    by_type: dict = {}
+    for q, lam in members:
+        by_type.setdefault(q, []).append(lam)
+    return not any(
+        mu != lam and all(map(leq, lam, mu))
+        for q, mu in enumerate_ambient(c)
+        for lam in by_type.get(q, ())
+    )
+
+
 def _t44_single(x_cat: QCategory) -> dict:
     span = tight_span(x_cat)
     embedding = span.yoneda_embedding()
@@ -118,25 +132,11 @@ def _t44_single(x_cat: QCategory) -> dict:
         # Graph columns land in the tight span of the domain.
         gr = graph(embedding).entries
         columns_tight = all(
-            is_tight_column(
-                x_cat,
-                span.members[j].q,
-                tuple(gr[i][j] for i in range(len(x_cat))),
-            )
-            for j in range(len(span.members))
+            is_tight_column(x_cat, q, tuple(row[j] for row in gr))
+            for j, (q, _) in enumerate(span.members)
         )
         transport_ok = fully_faithful and dense and tight_span_restriction(embedding, span).ok
-        dq = x_cat.quantaloid
-        maximal = True
-        ambient = enumerate_ambient(x_cat)
-        for lam in span.members:
-            for mu in ambient:
-                if mu.q != lam.q:
-                    continue
-                if all(
-                    dq.leq(lam.values[i], mu.values[i]) for i in range(len(x_cat))
-                ) and mu.values != lam.values:
-                    maximal = False
+        maximal = _maximal_in_ambient(x_cat, span.members)
     ok = all(
         [embedded, fully_faithful, dense, codense, columns_tight, transport_ok, maximal]
     )

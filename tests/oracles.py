@@ -18,7 +18,10 @@ hom,
 ``marked_signature`` for the marked canonical signature,
 ``raw_symmetric_categories`` for the enumeration by one-point extension
 and the essentiality receivers, ``validated_extensions`` for the
-one-point extensions) and to build inputs.  The quantale constructors pin the shipped tables in
+one-point extensions, ``Presheaf``, ``yoneda`` and ``presheaves`` for the
+(q, values) pairs the library holds, ``ambient_presheaves`` for
+``enumerate_ambient``, ``all_pairs_maximal`` for ``t44``'s maximality
+check) and to build inputs.  The quantale constructors pin the shipped tables in
 ``src/enritch/data``, through ``quantale_document``.
 """
 
@@ -31,17 +34,17 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from enritch.categories import (
-    Presheaf,
     QCategory,
     QFunctor,
+    _distributor_holds,
     _mark_symmetric,
     cograph,
+    enumerate_presheaves,
     graph,
     is_symmetric,
     require_valid,
     validate_category,
     validate_functor,
-    yoneda,
 )
 from enritch.diagonals import DiagonalQuantaloid, diagonal_quantaloid
 from enritch.errors import InvariantError, PreconditionError, SchemaError, ShapeMismatchError
@@ -49,7 +52,7 @@ from enritch.hull import (
     _chain_bound,
     _extend_matrix,
     _fresh_name,
-    is_ambient,
+    column_admissible,
     is_fully_faithful,
 )
 from enritch.parmet import (
@@ -369,6 +372,60 @@ def isomorphic(order: UnderlyingOrder, a: str, b: str) -> bool:
     return order.class_index(a) == order.class_index(b)
 
 
+@dataclass(frozen=True)
+class Presheaf:
+    """A distributor column into the one-object category of type q, checked
+    on construction: the validating reference for the (q, values) pairs the
+    library holds."""
+
+    base: QCategory
+    q: object
+    values: tuple
+
+    def __post_init__(self):
+        if type(self.values) is not tuple:
+            object.__setattr__(self, "values", tuple(self.values))
+        dq = self.base.quantaloid
+        if not dq.is_object(self.q):
+            raise PreconditionError(
+                f"presheaf type {dq.format(self.q)} is not fixed by the involution"
+            )
+        if len(self.values) != len(self.base):
+            raise ShapeMismatchError("presheaf must assign a value to every object")
+        for i, u in enumerate(self.values):
+            if not dq.is_hom(self.base.objects.types[i], self.q, u):
+                raise PreconditionError(
+                    f"presheaf value at {self.base.names[i]!r} is not a diagonal"
+                    f" {dq.format(self.base.objects.types[i])} -> {dq.format(self.q)}"
+                )
+        if not _distributor_holds(self.base, self.q, self.values):
+            raise PreconditionError("column violates the distributor law")
+
+    @property
+    def pair(self) -> tuple:
+        """The (q, values) form the library holds."""
+        return self.q, self.values
+
+    def to_dict(self) -> dict:
+        fmt = self.base.quantaloid.format
+        return {
+            "type": fmt(self.q),
+            "values": {name: fmt(u) for name, u in zip(self.base.names, self.values)},
+        }
+
+
+def yoneda(c: QCategory, x: str) -> Presheaf:
+    """The column hom(-, x) as a presheaf of type |x|."""
+    j = c.objects.index(x)
+    values = tuple(c.hom.entries[i][j] for i in range(len(c)))
+    return Presheaf(c, c.objects.types[j], values)
+
+
+def presheaves(c: QCategory) -> list[Presheaf]:
+    """Every pair of ``enumerate_presheaves``, validated as a ``Presheaf``."""
+    return [Presheaf(c, q, values) for q, values in enumerate_presheaves(c)]
+
+
 def presheaf_relation(mu: Presheaf, name: str = "*") -> QRelation:
     dq = mu.base.quantaloid
     target = single_set(dq, mu.q, name)
@@ -620,6 +677,37 @@ def table_tight_columns(c: QCategory, q) -> Iterator[tuple]:
         yield from walk(0, floor[n])
     finally:
         del walk  # walk's own cell holds it: break the cycle, even when abandoned
+
+
+def is_ambient(c: QCategory, mu: Presheaf) -> bool:
+    """Membership of the ambient set: an admissible presheaf of c."""
+    if mu.base != c:
+        raise ShapeMismatchError("presheaf does not live on this category")
+    return column_admissible(c, mu.q, mu.values)
+
+
+def ambient_presheaves(c: QCategory) -> list[Presheaf]:
+    """The ambient walk before it became one lazy generator (oracle): every
+    presheaf, validated, then filtered through ``is_ambient``."""
+    return [mu for mu in presheaves(c) if is_ambient(c, mu)]
+
+
+def all_pairs_maximal(c: QCategory, members: Sequence[tuple]) -> bool:
+    """The maximality check before it grouped the members by type (oracle):
+    no ambient presheaf lies strictly above a (q, values) member, by the
+    loop over every member and every ambient presheaf."""
+    dq = c.quantaloid
+    maximal = True
+    ambient = ambient_presheaves(c)
+    for q, values in members:
+        for mu in ambient:
+            if mu.q != q:
+                continue
+            if all(dq.leq(values[i], mu.values[i]) for i in range(len(c))) and (
+                mu.values != values
+            ):
+                maximal = False
+    return maximal
 
 
 def tighten(c: QCategory, mu: Presheaf) -> Presheaf:

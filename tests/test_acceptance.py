@@ -150,15 +150,13 @@ def test_criterion_5_maximality():
         dq = diagonal_quantaloid(quantale)
         for cat in enumerate_symmetric_categories(dq, 3):
             span = tight_span(cat)
-            ambient = enumerate_ambient(cat)
-            for lam in span.members:
-                for mu in ambient:
-                    if mu.q != lam.q:
+            ambient = list(enumerate_ambient(cat))
+            for q, lam in span.members:
+                for p, mu in ambient:
+                    if p != q:
                         continue
-                    if all(
-                        dq.leq(lam.values[i], mu.values[i]) for i in range(len(cat))
-                    ):
-                        assert mu.values == lam.values
+                    if all(dq.leq(a, b) for a, b in zip(lam, mu)):
+                        assert mu == lam
                         checked += 1
     # grid brute force over the extended rationals
     rng = random.Random(5)

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from enritch.categories import (
-    Presheaf,
     QCategory,
     QFunctor,
     cograph,
@@ -14,7 +13,6 @@ from enritch.categories import (
     is_symmetric,
     validate_category,
     validate_functor,
-    yoneda,
 )
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import PreconditionError, ShapeMismatchError, UnsupportedQuantaleError
@@ -29,6 +27,7 @@ from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve, rel
 
 from conftest import make_category, value
 from oracles import (
+    Presheaf,
     check_adjunction,
     copresheaf_values,
     functor_compose,
@@ -36,8 +35,10 @@ from oracles import (
     one_object_category,
     presheaf_hom,
     presheaf_relation,
+    presheaves,
     symmetrize,
     underlying_order,
+    yoneda,
     yoneda_lemma_holds,
 )
 from test_relations import random_relation
@@ -380,17 +381,17 @@ class TestGraphs:
 class TestPresheaves:
     def test_empty_category_has_one_presheaf_per_type(self, boolean):
         c = make_category(boolean, [], [], [])
-        sheaves = enumerate_presheaves(c)
-        assert len(sheaves) == 2
-        assert sorted(boolean.elements[m.q] for m in sheaves) == ["0", "1"]
+        sheaves = list(enumerate_presheaves(c))
+        assert sheaves == [(value(boolean, "0"), ()), (value(boolean, "1"), ())]
+        assert sorted(boolean.elements[q] for q, _ in sheaves) == ["0", "1"]
 
     def test_one_point_type_one_presheaves(self, boolean):
         dq = diagonal_quantaloid(boolean)
         c = one_object_category(dq, value(boolean, "1"))
         values = [
-            m.values[0]
-            for m in enumerate_presheaves(c)
-            if m.q == value(boolean, "1")
+            column[0]
+            for q, column in enumerate_presheaves(c)
+            if q == value(boolean, "1")
         ]
         assert values == [value(boolean, "0"), value(boolean, "1")]
 
@@ -398,17 +399,19 @@ class TestPresheaves:
         rows = [["1", "1/2"], ["1/2", "1"]]
         c1 = make_category(luk3, ["a", "b"], ["1", "1"], rows)
         c2 = make_category(luk3, ["left", "right"], ["1", "1"], rows)
-        assert len(enumerate_presheaves(c1)) == len(enumerate_presheaves(c2))
+        assert list(enumerate_presheaves(c1)) == list(enumerate_presheaves(c2))
 
     def test_distributor_law_enforced(self, boolean):
         c = make_category(boolean, ["a", "b"], ["1", "1"], [["1", "1"], ["1", "1"]])
+        column = tuple(value(boolean, v) for v in ("0", "1"))
+        assert (value(boolean, "1"), column) not in set(enumerate_presheaves(c))
         with pytest.raises(PreconditionError):
-            Presheaf(c, value(boolean, "1"), tuple(value(boolean, v) for v in ("0", "1")))
+            Presheaf(c, value(boolean, "1"), column)
 
     def test_lawvere_enumeration_unsupported(self):
         c = make_category(LAWVERE, ["x"], ["0"], [["0"]])
         with pytest.raises(UnsupportedQuantaleError):
-            enumerate_presheaves(c)
+            next(enumerate_presheaves(c))
 
 
 class TestCopresheaves:
@@ -416,7 +419,7 @@ class TestCopresheaves:
         for quantale in (boolean, luk3):
             dq = diagonal_quantaloid(quantale)
             for c in enumerate_symmetric_categories(dq, 2):
-                for mu in enumerate_presheaves(c):
+                for mu in presheaves(c):
                     values = copresheaf_values(mu)  # checks the law itself
                     assert values == tuple(dq.involve(u) for u in mu.values)
 
@@ -432,7 +435,7 @@ class TestYoneda:
         for quantale in (boolean, luk3):
             dq = diagonal_quantaloid(quantale)
             for c in enumerate_symmetric_categories(dq, 2):
-                for mu in enumerate_presheaves(c):
+                for mu in presheaves(c):
                     assert yoneda_lemma_holds(c, mu)
 
     def test_yoneda_is_isometric_onto_its_image(self, boolean, luk3):
@@ -458,7 +461,7 @@ class TestYoneda:
         for quantale in (boolean, luk3):
             dq = diagonal_quantaloid(quantale)
             for c in enumerate_symmetric_categories(dq, 2):
-                sheaves = enumerate_presheaves(c)
+                sheaves = presheaves(c)
                 for mu in sheaves:
                     for nu in sheaves:
                         via_relations = rel_residual(

@@ -12,7 +12,10 @@ and the class key must be the raw loop's n!-relabelling signature.
 validates none of them.  It must yield what the build-and-validate loop it
 replaced (``validated_extensions``) yields, and what the ambient presheaves
 give through ``extension_from_presheaf``; ``enumerate_presheaves`` must be
-the product of the homs filtered by the per-cell distributor law.
+the product of the homs filtered by the per-cell distributor law, and
+``enumerate_ambient`` the validated presheaves filtered by ``is_ambient``
+(``ambient_presheaves``).  Both walks are lazy: the first extension costs
+one admissibility check, not one per presheaf.
 
 nilmin5 (17,809 categories) and lukasiewicz5 (79,424) at bound 4 are
 checked by CI, through ``assert_matches_raw``, rather than here.
@@ -37,8 +40,9 @@ from enritch.hull import (
     one_point_extensions,
 )
 
-from conftest import shipped_quantale, swapped_diamond
+from conftest import make_category, shipped_quantale, swapped_diamond
 from oracles import (
+    ambient_presheaves,
     cell_distributor_holds,
     extension_from_presheaf,
     raw_canonical_signature,
@@ -135,7 +139,9 @@ def test_extensions_are_the_validated_and_the_ambient_ones(name, bound):
         got = [summary(ext) for ext in one_point_extensions(c)]
         validated = validated_extensions(c, _fresh_name(c))
         assert got == [summary(ext) for ext in validated], c.to_dict()
-        ambient = [extension_from_presheaf(c, mu) for mu in enumerate_ambient(c)]
+        oracle = ambient_presheaves(c)
+        assert list(enumerate_ambient(c)) == [mu.pair for mu in oracle], c.to_dict()
+        ambient = [extension_from_presheaf(c, mu) for mu in oracle]
         assert got == [summary(ext) for ext in ambient], c.to_dict()
         built += len(got)
     assert built
@@ -153,7 +159,7 @@ def test_presheaves_are_the_filtered_product(name, bound):
             for values in itertools.product(*(dq.hom(t, q) for t in c.objects.types))
             if cell_distributor_holds(c, q, values)
         ]
-        got = [(mu.q, mu.values) for mu in enumerate_presheaves(c)]
+        got = list(enumerate_presheaves(c))
         assert got == want, c.to_dict()
 
 
@@ -171,3 +177,22 @@ def test_extensions_are_built_only_when_admissible(monkeypatch, nilmin5):
     assert len(list(enumerate_symmetric_categories(diagonal_quantaloid(nilmin5), 3))) == 689
     # the one validation is the empty level-0 category's
     assert calls == {"validate_category": 1, "_extend_matrix": 688}
+
+
+def test_first_extension_checks_one_column(monkeypatch, luk5):
+    # the discrete three-point category of type 1 has 125 presheaves of
+    # type 1 alone; the all-bottom column of the first type comes first and
+    # is ambient, so the lazy walk stops after one admissibility check
+    rows = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    c = make_category(luk5, ["a", "b", "c"], ["1"] * 3, rows)
+    calls = []
+    real = hull.column_admissible
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hull, "column_admissible", counted)
+    first = next(one_point_extensions(c))
+    assert len(first) == 4
+    assert len(calls) == 1 < sum(1 for _ in enumerate_presheaves(c))

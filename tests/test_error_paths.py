@@ -13,14 +13,7 @@ from pathlib import Path
 import pytest
 
 from enritch import fileio, verify
-from enritch.categories import (
-    Presheaf,
-    QCategory,
-    QFunctor,
-    require_functor,
-    require_valid,
-    yoneda,
-)
+from enritch.categories import QCategory, QFunctor, require_functor, require_valid
 from enritch.cli import main
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import (
@@ -32,11 +25,11 @@ from enritch.errors import (
 from enritch.hull import (
     column_admissible,
     full_subcategory,
-    is_ambient,
     is_hypercomplete,
     is_tight_column,
     one_point_extensions,
     tight_span,
+    tight_span_restriction,
 )
 from enritch.parmet import ParMetSpace, RadiusFunction, ambient_violation
 from enritch.quantale import LAWVERE, FiniteQuantale
@@ -44,7 +37,7 @@ from enritch.rationals import ZERO, ExtRat
 from enritch.relations import QRelation, TypedSet
 
 from conftest import make_category, shipped_quantale, swapped_diamond, value
-from oracles import rel_identity
+from oracles import Presheaf, rel_identity
 
 DATA = Path(str(files("enritch") / "data"))
 SPACE = str(DATA / "two_point_classical.json")
@@ -248,7 +241,9 @@ CATEGORY_CASES = {
     ),
     "presheaves_on_different_bases": in_memory(
         ShapeMismatchError,
-        lambda: is_ambient(discrete_pair(), yoneda(indiscrete_pair(), "a")),
+        lambda: tight_span_restriction(
+            QFunctor(indiscrete_pair(), indiscrete_pair(), (0, 1)), tight_span(discrete_pair())
+        ),
     ),
 }
 

@@ -5,8 +5,9 @@ import weakref
 
 import pytest
 
+import enritch.hull as hull
+import enritch.verify as verify
 from enritch.categories import (
-    Presheaf,
     QFunctor,
     _fully_faithful,
     _require_symmetric,
@@ -17,7 +18,6 @@ from enritch.categories import (
     is_symmetric,
     validate_category,
     validate_functor,
-    yoneda,
 )
 from enritch.diagonals import FiniteDiagonals, diagonal_quantaloid
 from enritch.errors import (
@@ -41,7 +41,6 @@ from enritch.hull import (
     find_one_point_retraction,
     full_subcategory,
     inclusion_functor,
-    is_ambient,
     is_codense,
     is_dense,
     is_essential_bruteforce,
@@ -55,13 +54,18 @@ from enritch.parmet import ParMetSpace, to_category
 from enritch.quantale import LAWVERE
 from enritch.rationals import ExtRat
 from enritch.relations import rel_compose
-from enritch.verify import run_suite
+from enritch.verify import _maximal_in_ambient, run_suite
 
 from conftest import make_category, random_partial_metric, shipped_quantale, value
 from oracles import (
+    Presheaf,
     _tight_residual,
+    all_pairs_maximal,
+    ambient_presheaves,
+    cell_distributor_holds,
     extension_from_presheaf,
     functor_compose,
+    is_ambient,
     isomorphic,
     marked_signature,
     one_object_category,
@@ -74,7 +78,11 @@ from oracles import (
     table_tight_columns,
     tighten,
     underlying_order,
+    yoneda,
 )
+
+
+SHIPPED_AND_SWAP = ["boolean", "luk3", "luk5", "nilmin5", "diamond", "diamond_swap"]
 
 
 def boolean_setoid(boolean, pattern):
@@ -267,8 +275,8 @@ class TestMembership:
         dq = diagonal_quantaloid(luk3)
         for c in enumerate_symmetric_categories(dq, 2):
             span = tight_span(c)
-            for mu in span.members:
-                assert is_ambient(c, mu)
+            for q, values in span.members:
+                assert is_ambient(c, Presheaf(c, q, values))
 
 
 class TestTighten:
@@ -289,7 +297,7 @@ class TestTighten:
         for quantale in (boolean, luk3):
             dq = diagonal_quantaloid(quantale)
             for c in enumerate_symmetric_categories(dq, 2):
-                for mu in enumerate_ambient(c):
+                for mu in ambient_presheaves(c):
                     out = tighten(c, mu)
                     assert is_tight_column(c, out.q, out.values)
                     assert all(
@@ -313,7 +321,7 @@ def linear_yoneda_assignment(span):
     for x in span.base.names:
         mu = yoneda(span.base, x)
         for k, lam in enumerate(span.members):
-            if lam.q == mu.q and lam.values == mu.values:
+            if lam == mu.pair:
                 assignment.append(k)
                 break
         else:
@@ -369,17 +377,15 @@ class TestTightSpan:
             [["1", "1", "0"], ["1", "1", "0"], ["0", "0", "1"]],
         )
         span = tight_span(c)
-        images = {(yoneda(c, x).q, yoneda(c, x).values) for x in c.names}
+        images = {yoneda(c, x).pair for x in c.names}
         assert len(images) == 2
         # frozen from the presheaf-filter oracle: the two class columns of
         # type 1 plus the type-0 bottom column
         oracle = [
-            (mu.q, mu.values)
-            for mu in enumerate_presheaves(c)
-            if is_tight_column(c, mu.q, mu.values)
+            (q, values) for q, values in enumerate_presheaves(c) if is_tight_column(c, q, values)
         ]
         assert len(oracle) == 3
-        assert sorted(oracle) == sorted((m.q, m.values) for m in span.members)
+        assert sorted(oracle) == sorted(span.members)
         assert len(span.members) == 3
 
     def test_span_members_match_presheaf_filter(self, boolean, luk3):
@@ -389,17 +395,43 @@ class TestTightSpan:
             for c in enumerate_symmetric_categories(dq, 2):
                 span = tight_span(c)
                 expected = [
-                    (mu.q, mu.values)
-                    for mu in enumerate_presheaves(c)
-                    if is_tight_column(c, mu.q, mu.values)
+                    (q, values)
+                    for q, values in enumerate_presheaves(c)
+                    if is_tight_column(c, q, values)
                 ]
-                assert sorted(expected) == sorted(
-                    (mu.q, mu.values) for mu in span.members
-                )
+                assert sorted(expected) == sorted(span.members)
 
     def test_lawvere_span_unsupported(self):
         c = make_category(LAWVERE, ["a"], ["0"], [["0"]])
         with pytest.raises(UnsupportedQuantaleError):
+            tight_span(c)
+
+    @pytest.mark.parametrize("fixture", SHIPPED_AND_SWAP)
+    def test_every_member_passes_the_presheaf_validator(self, request, fixture):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        members = 0
+        for c in enumerate_symmetric_categories(dq, 3):
+            for q, values in tight_span(c).members:
+                Presheaf(c, q, values)  # refuses a column that is not a presheaf
+                members += 1
+        assert members
+
+    def test_a_column_breaking_the_distributor_law_is_an_invariant_error(
+        self, monkeypatch, boolean
+    ):
+        c = boolean_setoid(boolean, [["1", "1"], ["1", "1"]])
+        zero, one = value(boolean, "0"), value(boolean, "1")
+        # hom(s1, s0) . mu(s0) = 1 is not below mu(s1) = 0
+        assert not cell_distributor_holds(c, one, (one, zero))
+        real = hull._enumerate_tight_columns
+
+        def lying(c, q):
+            yield from real(c, q)
+            if q == one:
+                yield (one, zero)
+
+        monkeypatch.setattr(hull, "_enumerate_tight_columns", lying)
+        with pytest.raises(InvariantError, match="must be a presheaf"):
             tight_span(c)
 
 
@@ -477,7 +509,7 @@ class TestTightColumnSearch:
             found = [
                 (q, values) for q in dq.objects() for values in _enumerate_tight_columns(s, q)
             ]
-            yonedas = {(yoneda(s, x).q, yoneda(s, x).values) for x in s.names}
+            yonedas = {yoneda(s, x).pair for x in s.names}
             assert len(found) == len(s) == len(yonedas)
             assert set(found) == yonedas, c.to_dict()
 
@@ -497,7 +529,7 @@ class TestTightColumnSearch:
         s = span.category
         dq = s.quantaloid
         found = [(q, values) for q in dq.objects() for values in _enumerate_tight_columns(s, q)]
-        assert sorted(found) == sorted((yoneda(s, x).q, yoneda(s, x).values) for x in s.names)
+        assert sorted(found) == sorted(yoneda(s, x).pair for x in s.names)
         assert len(set(found)) == 21
 
     def test_a_search_leaves_nothing_for_the_cyclic_collector(self, nilmin5):
@@ -543,7 +575,7 @@ class TestHypercomplete:
         result = is_hypercomplete(c)
         assert not result.holds
         assert result.witness is not None
-        assert result.witness.values == ()
+        assert result.witness[1] == ()
 
     def test_one_point_type_one_boolean(self, boolean):
         # strict: the type-0 bottom column has no witness of type 0;
@@ -552,7 +584,8 @@ class TestHypercomplete:
         c = one_object_category(dq, value(boolean, "1"), "p")
         strict = is_hypercomplete(c, strict=True)
         assert not strict.holds
-        assert strict.witness.to_dict() == {"type": "0", "values": {"p": "0"}}
+        assert strict.witness == (value(boolean, "0"), (value(boolean, "0"),))
+        assert Presheaf(c, *strict.witness).to_dict() == {"type": "0", "values": {"p": "0"}}
         assert is_hypercomplete(c, strict=False).holds
 
     def test_tight_span_always_hypercomplete(self, boolean, luk3):
@@ -860,8 +893,9 @@ class TestLawvereInput:
         "enumerate_symmetric_categories": lambda c: list(
             enumerate_symmetric_categories(c.quantaloid, 2)
         ),
-        "enumerate_presheaves": enumerate_presheaves,
-        "enumerate_ambient": enumerate_ambient,
+        # both walks are lazy: the refusal comes before the first column
+        "enumerate_presheaves": lambda c: next(enumerate_presheaves(c)),
+        "enumerate_ambient": lambda c: next(enumerate_ambient(c)),
     }
 
     @pytest.mark.parametrize("entry", sorted(REFUSED))
@@ -950,7 +984,7 @@ class TestOnePointRetractions:
                 result = is_hypercomplete(c)
                 if result.holds:
                     continue
-                ext = extension_from_presheaf(c, result.witness)
+                ext = extension_from_presheaf(c, Presheaf(c, *result.witness))
                 assert find_one_point_retraction(c, ext) is None
 
     def test_equal_categories_rejected(self, boolean):
@@ -1431,8 +1465,6 @@ class TestTransport:
         f = QFunctor(c, c, range(len(c)))
         result = tight_span_restriction(f, tight_span(c))
         assert result.ok
-        for lam, image in result.pairs:
-            assert lam.values == image.values
 
     def test_yoneda_transport_is_isomorphism(self, boolean, luk3):
         for quantale in (boolean, luk3):
@@ -1560,21 +1592,70 @@ class TestOtherInstances:
         assert pairs > 5
 
 
+def isomorphism_classes(dq, bound):
+    """The first category of each isomorphism class, as the suites check them."""
+    first = {}
+    for c in enumerate_symmetric_categories(dq, bound):
+        first.setdefault(_canonical_signature(c), c)
+    return list(first.values())
+
+
+def raised_member(c):
+    """A column strictly above a tight span member: the first member with a
+    coordinate below the top of its hom, raised there to the top; or None."""
+    dq, types = c.quantaloid, c.objects.types
+    for q, values in tight_span(c).members:
+        for i, u in enumerate(values):
+            top = dq.hom_top(types[i], q)
+            if u != top:
+                return q, values[:i] + (top,) + values[i + 1 :]
+    return None
+
+
 class TestMaximality:
+    @pytest.mark.parametrize("fixture", SHIPPED_AND_SWAP)
+    def test_grouped_check_matches_the_all_pairs_loop(self, request, fixture):
+        # on the span's members, where both hold, and on every ambient
+        # column, where both fail unless the ambient columns are pairwise
+        # incomparable
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        verdicts = []
+        for c in isomorphism_classes(dq, 3):
+            for members in (tight_span(c).members, list(enumerate_ambient(c))):
+                verdict = _maximal_in_ambient(c, members)
+                assert verdict == all_pairs_maximal(c, members), c.to_dict()
+                verdicts.append(verdict)
+        assert set(verdicts) == {True, False}
+
+    def test_a_column_above_a_member_is_a_discrepancy(self, monkeypatch, luk3):
+        real = verify.enumerate_ambient
+
+        def lying(c):
+            yield from real(c)
+            raised = raised_member(c)
+            if raised is not None:
+                yield raised
+
+        monkeypatch.setattr(verify, "enumerate_ambient", lying)
+        report = run_suite("t44", luk3, 2)
+        cats = enumerate_symmetric_categories(diagonal_quantaloid(luk3), 2)
+        lied = sum(raised_member(c) is not None for c in cats)
+        assert report["discrepancies"] == lied > 0
+        assert not report["result"]
+        assert report["witness"]["tight_maximal_in_ambient"] is False
+        assert report["witness"]["transport_isomorphism"] is True
+
     def test_no_tight_presheaf_strictly_dominated(self, boolean, luk3):
         for quantale in (boolean, luk3):
             dq = diagonal_quantaloid(quantale)
             for c in enumerate_symmetric_categories(dq, 2):
                 span = tight_span(c)
-                for lam in span.members:
-                    for mu in enumerate_ambient(c):
-                        if mu.q != lam.q:
+                for q, lam in span.members:
+                    for p, mu in enumerate_ambient(c):
+                        if p != q:
                             continue
-                        if all(
-                            dq.leq(lam.values[i], mu.values[i])
-                            for i in range(len(c))
-                        ):
-                            assert mu.values == lam.values
+                        if all(dq.leq(a, b) for a, b in zip(lam, mu)):
+                            assert mu == lam
 
 
 class TestRetractionOntoSpan:
@@ -1584,7 +1665,7 @@ class TestRetractionOntoSpan:
         for quantale in (boolean, luk3):
             dq = diagonal_quantaloid(quantale)
             for c in enumerate_symmetric_categories(dq, 2):
-                ambient = enumerate_ambient(c)
+                ambient = ambient_presheaves(c)
                 images = [tighten(c, mu) for mu in ambient]
                 for mu, image in zip(ambient, images):
                     if is_tight_column(c, mu.q, mu.values):

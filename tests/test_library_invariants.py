@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import enritch
@@ -205,3 +206,14 @@ def test_only_the_kernel_reads_the_quantale_tables():
             ):
                 readers.add(path.name)
     assert readers == {"diagonals.py", "quantale.py"}
+
+
+def test_no_module_defines_or_mentions_presheaf_objects():
+    # The library holds a presheaf as the (q, values) pair the kernel takes;
+    # the validating ``Presheaf`` is a test-side reference only.
+    mentions = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if re.search(r"\bPresheaf\b", path.read_text())
+    }
+    assert mentions == set()

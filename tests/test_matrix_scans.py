@@ -17,13 +17,7 @@ import random
 
 import pytest
 
-from enritch.categories import (
-    Presheaf,
-    QCategory,
-    _distributor_holds,
-    enumerate_presheaves,
-    yoneda,
-)
+from enritch.categories import QCategory, _distributor_holds
 from enritch.diagonals import DiagonalQuantaloid, FiniteDiagonals, diagonal_quantaloid
 from enritch.errors import InvariantError, PreconditionError
 from enritch.hull import enumerate_symmetric_categories, is_tight_column, tight_span
@@ -33,11 +27,14 @@ from enritch.relations import QRelation, TypedSet
 
 from conftest import random_partial_metric, shipped_quantale, swapped_diamond
 from oracles import (
+    Presheaf,
     _tight_residual,
     cell_distributor_holds,
     cell_transitivity_witness,
     presheaf_hom_matrix,
+    presheaves,
     raw_symmetric_categories,
+    yoneda,
 )
 
 FINITE = ["boolean", "lukasiewicz3", "lukasiewicz5", "nilmin5", "diamond", "diamond_swap"]
@@ -119,14 +116,13 @@ def test_residual_matrix_on_every_tight_span(name, bound):
     spans = 0
     for c in raw_symmetric_categories(dq, bound, up_to_iso=True):
         span = tight_span(c)
-        members = span.members
-        columns = [(mu.q, mu.values) for mu in members]
-        # tight_span's hom is residual_matrix(columns, columns)
+        members = [Presheaf(c, q, values) for q, values in span.members]
+        # tight_span's hom is residual_matrix(members, members)
         assert span.category.hom.entries == presheaf_hom_matrix(members, members)
         # a rectangular matrix: the members against the Yoneda columns
         yonedas = [yoneda(c, x) for x in c.names]
         assert dq.residual_matrix(
-            columns, [(mu.q, mu.values) for mu in yonedas]
+            span.members, [mu.pair for mu in yonedas]
         ) == presheaf_hom_matrix(members, yonedas)
         spans += 1
     assert spans > 0
@@ -139,11 +135,9 @@ def test_residual_matrix_on_every_presheaf_pair(luk3, diamond_swap):
         for c in enumerate_symmetric_categories(dq, 2):
             if len(c) != 2:
                 continue
-            presheaves = enumerate_presheaves(c)
-            columns = [(mu.q, mu.values) for mu in presheaves]
-            assert dq.residual_matrix(columns, columns) == presheaf_hom_matrix(
-                presheaves, presheaves
-            )
+            sheaves = presheaves(c)
+            columns = [mu.pair for mu in sheaves]
+            assert dq.residual_matrix(columns, columns) == presheaf_hom_matrix(sheaves, sheaves)
 
 
 # -- the extended rationals ---------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from enritch.categories import Presheaf, validate_category, is_symmetric
+from enritch.categories import validate_category, is_symmetric
 from enritch.errors import PreconditionError, SchemaError
 from enritch.hull import column_admissible, is_tight_column
 from enritch.parmet import (
@@ -26,6 +26,7 @@ from enritch.rationals import INF, ZERO, ExtRat
 import oracles
 from conftest import random_partial_metric
 from oracles import (
+    Presheaf,
     classical_sigma_check,
     classical_tight_check,
     presheaf_hom,
