@@ -79,8 +79,11 @@ class DiagonalQuantaloid:
 
     def __init__(self, quantale: Quantale):
         self.quantale = quantale
-        # Memos of ``hull.is_essential_bruteforce``; they die with the quantale.
+        # Memos of ``hull.is_essential_bruteforce`` and of the tight-column
+        # search (``hull._tight_columns``, keyed on (q, types, hom)); they
+        # die with the quantale, so each load starts with both empty.
         self._essentiality: dict = {}
+        self._tight_columns: dict = {}
         self._build()
 
     def _build(self) -> None:

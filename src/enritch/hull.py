@@ -40,6 +40,19 @@ only its Yoneda columns, is nearly all propagation: over lukasiewicz5 the
 span of the discrete three-point category has 21 objects, and the search of
 its span is a fraction of a second.
 
+``tight_span`` and ``is_hypercomplete`` read the search through one memo,
+``_tight_columns``, kept on the kernel and keyed on the category's types
+and hom for each q, so a suite searches each distinct (q, types, hom) once:
+``l43`` the spans it checks for hypercompleteness, ``t44`` the spans of
+spans that ``tight_span_restriction`` builds.  Spans repeat across classes
+because the tight span is the injective hull: a category that embeds
+densely and fully faithfully into another has an isomorphic span (the
+transport ``t44`` checks), and a span lists its points in one fixed order,
+by type and then column, so such spans often come out as the same matrix.
+The spans of the 46 classes of lukasiewicz3 at bound 3 are 13 distinct
+matrices, of 12 isomorphism classes.  The memo dies with the quantale, so
+every load, and so every CLI job, starts with it empty.
+
 The injective hull of X is its tight span with the dense, fully faithful
 Yoneda embedding x |-> hom(-, x) (``TightSpan.yoneda_embedding``); tight
 presheaves transport back along dense fully faithful functors only.
@@ -145,12 +158,23 @@ def is_tight_column(c: QCategory, q, values: Sequence) -> bool:
     """mu deg = hom <swarrow> mu for a raw column; such a column is
     automatically a presheaf (checked)."""
     _require_column(c, values)
+    (holds,) = _tight_equation(c, [(q, values)])
+    return holds
+
+
+def _tight_equation(c: QCategory, columns: Sequence) -> list[bool]:
+    """Whether mu deg = hom <swarrow> mu, for each (q, mu) of ``columns``
+    over the points of c, from one ``residual_matrix`` against the Yoneda
+    columns.  Every column that satisfies it is checked to be a presheaf."""
     dq = c.quantaloid
     yonedas = list(zip(c.objects.types, zip(*c.hom.entries)))
-    (residuals,) = dq.residual_matrix([(q, values)], yonedas)
-    holds = all(dq.involve(v) == r for v, r in zip(values, residuals))
-    if holds and not _distributor_holds(c, q, values):
-        raise InvariantError("a column satisfying the tight equation must be a presheaf")
+    holds = [
+        all(dq.involve(v) == r for v, r in zip(values, row))
+        for (_, values), row in zip(columns, dq.residual_matrix(columns, yonedas))
+    ]
+    for tight, (q, values) in zip(holds, columns):
+        if tight and not _distributor_holds(c, q, values):
+            raise InvariantError("a column satisfying the tight equation must be a presheaf")
     return holds
 
 
@@ -245,6 +269,19 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
     yield from sorted(found)
 
 
+def _tight_columns(c: QCategory, q) -> tuple:
+    """The tight columns of type q, as ``_enumerate_tight_columns`` lists
+    them, searched once per (q, types, hom) on the kernel's memo.  The key
+    is by value, since every tight span is a fresh category, and leaves out
+    the names, which the search does not read."""
+    memo = c.quantaloid._tight_columns
+    key = (q, c.objects.types, c.hom.entries)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = tuple(_enumerate_tight_columns(c, q))
+    return found
+
+
 @dataclass(frozen=True)
 class TightSpan:
     """The tight presheaves of a symmetric category, as (q, values) pairs in
@@ -273,7 +310,7 @@ def tight_span(c: QCategory) -> TightSpan:
     """
     _require_symmetric(c)
     dq = c.quantaloid
-    members = [(q, values) for q in dq.objects() for values in _enumerate_tight_columns(c, q)]
+    members = [(q, values) for q in dq.objects() for values in _tight_columns(c, q)]
     if not all(_distributor_holds(c, q, values) for q, values in members):
         raise InvariantError("every tight column must be a presheaf")
     names = tuple(f"t{i}" for i in range(len(members)))
@@ -313,7 +350,7 @@ def is_hypercomplete(c: QCategory, strict: bool = True) -> HypercompleteResult:
     n = len(types)
     checked = 0
     for q in dq.objects():
-        for values in _enumerate_tight_columns(c, q):
+        for values in _tight_columns(c, q):
             checked += 1
             for z in range(n):
                 if strict and types[z] != q:
@@ -721,23 +758,21 @@ def tight_span_restriction(f: QFunctor, domain_span: TightSpan) -> TransportResu
     gr = graph(f).entries
     dom_types = dom.objects.types
     cod_types = cod.objects.types
+    # image k at x: the join over y of lam_k(y) . hom_Y(f x, y)
+    images = [
+        (q, tuple(dq.hom_join(t, q, map(dq.compose, row, cod_types, lam))
+                  for t, row in zip(dom_types, gr)))
+        for q, lam in span_cod.members
+    ]
 
     failures: list[str] = []
     image_keys = []
     kept = []  # the indices in span_cod of the members whose image is kept
-    for k, (q, lam) in enumerate(span_cod.members):
-        values = tuple(
-            dq.hom_join(
-                dom_types[x],
-                q,
-                (dq.compose(gr[x][y], cod_types[y], lam[y]) for y in range(len(cod))),
-            )
-            for x in range(len(dom))
-        )
-        if not is_tight_column(dom, q, values):
+    for k, (image, tight) in enumerate(zip(images, _tight_equation(dom, images))):
+        if not tight:
             failures.append(f"image of {span_cod.category.names[k]} is not tight on the domain")
             continue
-        image_keys.append((q, values))
+        image_keys.append(image)
         kept.append(k)
 
     if len(set(image_keys)) != len(image_keys):

@@ -21,7 +21,8 @@ and the essentiality receivers, ``validated_extensions`` for the
 one-point extensions, ``Presheaf``, ``yoneda`` and ``presheaves`` for the
 (q, values) pairs the library holds, ``ambient_presheaves`` for
 ``enumerate_ambient``, ``all_pairs_maximal`` for ``t44``'s maximality
-check) and to build inputs.  The quantale constructors pin the shipped tables in
+check, ``per_member_restriction`` for ``tight_span_restriction``'s one
+residual call) and to build inputs.  The quantale constructors pin the shipped tables in
 ``src/enritch/data``, through ``quantale_document``.
 """
 
@@ -54,6 +55,7 @@ from enritch.hull import (
     _fresh_name,
     column_admissible,
     is_fully_faithful,
+    is_tight_column,
 )
 from enritch.parmet import (
     ParMetSpace,
@@ -708,6 +710,43 @@ def all_pairs_maximal(c: QCategory, members: Sequence[tuple]) -> bool:
             ):
                 maximal = False
     return maximal
+
+
+def per_member_restriction(f: QFunctor, domain_span, span_cod) -> tuple[str, ...]:
+    """The failures of ``tight_span_restriction`` by its loop before it took
+    one ``residual_matrix`` for every image (oracle): one ``is_tight_column``
+    call per member of ``span_cod``, the codomain's span.  The entry checks
+    are left to the caller."""
+    dq = f.domain.quantaloid
+    dom, cod = f.domain, f.codomain
+    gr = graph(f).entries
+    failures = []
+    image_keys = []
+    kept = []
+    for k, (q, lam) in enumerate(span_cod.members):
+        values = tuple(
+            dq.hom_join(
+                dom.objects.types[x],
+                q,
+                (dq.compose(gr[x][y], cod.objects.types[y], lam[y]) for y in range(len(cod))),
+            )
+            for x in range(len(dom))
+        )
+        if not is_tight_column(dom, q, values):
+            failures.append(f"image of {span_cod.category.names[k]} is not tight on the domain")
+            continue
+        image_keys.append((q, values))
+        kept.append(k)
+    if len(set(image_keys)) != len(image_keys):
+        failures.append("transport is not injective")
+    if set(image_keys) != set(domain_span.members):
+        failures.append("transport is not onto the domain tight span")
+    span_hom = span_cod.category.hom.entries
+    kept_hom = tuple(tuple(span_hom[i][j] for j in kept) for i in kept)
+    images = [Presheaf(dom, q, values) for q, values in image_keys]
+    if presheaf_hom_matrix(images, images) != kept_hom:
+        failures.append("transport is not an isometry")
+    return tuple(failures)
 
 
 def tighten(c: QCategory, mu: Presheaf) -> Presheaf:

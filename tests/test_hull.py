@@ -2,12 +2,16 @@ import gc
 import itertools
 import random
 import weakref
+from collections import Counter
+from importlib.resources import files
 
 import pytest
 
 import enritch.hull as hull
 import enritch.verify as verify
+from enritch import fileio
 from enritch.categories import (
+    QCategory,
     QFunctor,
     _fully_faithful,
     _require_symmetric,
@@ -33,6 +37,7 @@ from enritch.hull import (
     _chain_bound,
     _enumerate_tight_columns,
     _functor_search,
+    _tight_columns,
     all_functors,
     column_admissible,
     enumerate_ambient,
@@ -53,7 +58,7 @@ from enritch.hull import (
 from enritch.parmet import ParMetSpace, to_category
 from enritch.quantale import LAWVERE
 from enritch.rationals import ExtRat
-from enritch.relations import rel_compose
+from enritch.relations import QRelation, TypedSet, rel_compose
 from enritch.verify import _maximal_in_ambient, run_suite
 
 from conftest import make_category, random_partial_metric, shipped_quantale, value
@@ -69,6 +74,7 @@ from oracles import (
     isomorphic,
     marked_signature,
     one_object_category,
+    per_member_restriction,
     presheaf_hom,
     raw_canonical_signature,
     raw_symmetric_categories,
@@ -431,6 +437,10 @@ class TestTightSpan:
                 yield (one, zero)
 
         monkeypatch.setattr(hull, "_enumerate_tight_columns", lying)
+        # An empty memo for the lie: a search an earlier test left in the
+        # session kernel's memo would never read it, and the lie must not
+        # outlive the test.
+        monkeypatch.setattr(c.quantaloid, "_tight_columns", {})
         with pytest.raises(InvariantError, match="must be a presheaf"):
             tight_span(c)
 
@@ -567,6 +577,110 @@ class TestTightColumnSearch:
         finally:
             gc.set_debug(flags)
             gc.garbage.clear()
+
+
+class TestTightColumnMemo:
+    """``_tight_columns``, the search memoised on the kernel by (q, types,
+    hom), against ``_enumerate_tight_columns`` itself."""
+
+    @pytest.mark.parametrize("fixture", SHIPPED_AND_SWAP)
+    def test_lookup_matches_the_raw_search_cold_and_warm(self, request, monkeypatch, fixture):
+        # every category at bound 3 and its tight span, whose spans repeat
+        # across categories; the memo starts empty, so each key is searched
+        # on its first lookup (cold) and read back on the later ones (warm)
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        monkeypatch.setattr(dq, "_tight_columns", {})  # the session memo comes back after
+        targets = [
+            target
+            for c in enumerate_symmetric_categories(dq, 3)
+            for target in (c, tight_span(c).category)
+        ]
+        dq._tight_columns.clear()  # of the searches tight_span made
+        cases = [(target, q) for target in targets for q in dq.objects()]
+        found = []
+        for target, q in cases:
+            columns = _tight_columns(target, q)
+            assert list(columns) == list(_enumerate_tight_columns(target, q))
+            found.append(columns)
+        assert len(dq._tight_columns) < len(cases)  # some lookups were warm
+        for (target, q), columns in zip(cases, found):
+            assert _tight_columns(target, q) is columns
+
+    @pytest.mark.parametrize("suite", ["l43", "t44"])
+    @pytest.mark.parametrize(
+        "name, bound, searches, lookups",
+        [("lukasiewicz3", 3, 174, 276), ("nilmin5", 2, 215, 340)],
+        ids=["lukasiewicz3", "nilmin5"],
+    )
+    def test_each_distinct_search_runs_once_per_suite(
+        self, monkeypatch, suite, name, bound, searches, lookups
+    ):
+        # the lookups are the searches made before the memo
+        calls = Counter()
+        search, lookup = hull._enumerate_tight_columns, hull._tight_columns
+
+        def counted_search(c, q):
+            calls["search"] += 1
+            return search(c, q)
+
+        def counted_lookup(c, q):
+            calls["lookup"] += 1
+            return lookup(c, q)
+
+        monkeypatch.setattr(hull, "_enumerate_tight_columns", counted_search)
+        monkeypatch.setattr(hull, "_tight_columns", counted_lookup)
+        quantale = shipped_quantale(name)
+        assert run_suite(suite, quantale, bound)["result"]
+        assert calls == {"search": searches, "lookup": lookups}
+        assert len(diagonal_quantaloid(quantale)._tight_columns) == searches
+
+    @pytest.mark.parametrize(
+        "suite, name, bound, strict",
+        [
+            ("l43", "lukasiewicz3", 3, True),
+            ("l43", "lukasiewicz3", 3, False),
+            ("l43", "nilmin5", 2, True),
+            ("l43", "diamond", 2, False),
+            ("t44", "lukasiewicz3", 3, True),
+            ("t44", "nilmin5", 2, True),
+            ("t36", "lukasiewicz3", 3, False),
+        ],
+    )
+    def test_reports_match_with_the_memo_cleared_before_every_class(
+        self, monkeypatch, suite, name, bound, strict
+    ):
+        warm = run_suite(suite, shipped_quantale(name), bound, strict)
+        quantale = shipped_quantale(name)
+        memo = diagonal_quantaloid(quantale)._tight_columns
+        single = getattr(verify, f"_{suite}_single")
+        classes = []
+
+        def cold(*args):
+            memo.clear()
+            classes.append(args[0])
+            return single(*args)
+
+        monkeypatch.setattr(verify, f"_{suite}_single", cold)
+        assert run_suite(suite, quantale, bound, strict) == warm
+        assert len(classes) > 1
+
+    def test_a_suite_reads_the_searches_another_suite_left(self):
+        quantale = shipped_quantale("lukasiewicz3")
+        memo = diagonal_quantaloid(quantale)._tight_columns
+        assert run_suite("l43", quantale, 3)["result"]
+        left = len(memo)
+        assert run_suite("t44", quantale, 3) == run_suite("t44", shipped_quantale("lukasiewicz3"), 3)
+        assert len(memo) - left < 174  # the searches t44 makes on its own
+
+    def test_each_load_starts_with_an_empty_memo(self):
+        path = files("enritch") / "data" / "lukasiewicz3.json"
+        first, second = (diagonal_quantaloid(fileio.load_quantale(path)) for _ in range(2))
+        assert first._tight_columns is not second._tight_columns
+        assert first._tight_columns == {} == second._tight_columns
+        c = next(c for c in enumerate_symmetric_categories(first, 1) if len(c))
+        tight_span(c)
+        assert len(first._tight_columns) == len(first.objects())
+        assert second._tight_columns == {}
 
 
 class TestHypercomplete:
@@ -1514,6 +1628,56 @@ class TestTransport:
         )
         result = tight_span_restriction(f, short)
         assert result.failures == ("transport is not onto the domain tight span",)
+
+    @staticmethod
+    def padded_span(span, extra):
+        """``span`` with the presheaves ``extra`` of its base appended as
+        members, hom from ``residual_matrix``: a codomain span whose extra
+        members' images need not be tight."""
+        dq = span.base.quantaloid
+        members = span.members + tuple(extra)
+        carrier = TypedSet(dq, tuple(f"t{i}" for i in range(len(members))),
+                           tuple(q for q, _ in members))
+        entries = dq.residual_matrix(members, members)
+        return TightSpan(span.base, members, QCategory(carrier, QRelation(carrier, carrier, entries)))
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return run()
+        except InvariantError as error:
+            return type(error), str(error)
+
+    @pytest.mark.parametrize("fixture, bound", [("boolean", 3), ("luk3", 2), ("diamond_swap", 2)])
+    def test_one_residual_call_matches_the_per_member_loop(
+        self, request, monkeypatch, fixture, bound
+    ):
+        # Yoneda embeddings into their spans, whose codomain span is padded
+        # with non-tight presheaves so that some images fail the tight
+        # equation; then a kernel that finds no column a presheaf, which
+        # makes the first tight image an invariant failure
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        cases = []
+        for c in enumerate_symmetric_categories(dq, bound):
+            span = tight_span(c)
+            cod = span.category
+            extra = itertools.islice(
+                (mu for mu in enumerate_presheaves(cod) if not is_tight_column(cod, *mu)), 6
+            )
+            cases.append((span.yoneda_embedding(), span, self.padded_span(tight_span(cod), extra)))
+        spans = {id(f.codomain): padded for f, _, padded in cases}
+        monkeypatch.setattr(hull, "tight_span", lambda c: spans[id(c)])
+        seen = Counter()
+        for lie in (False, True):
+            if lie:
+                monkeypatch.setattr(FiniteDiagonals, "distributor_holds", lambda *args: False)
+            for f, span, padded in cases:
+                got = self.outcome(lambda: tight_span_restriction(f, span).failures)
+                assert got == self.outcome(lambda: per_member_restriction(f, span, padded))
+                seen.update(got if isinstance(got[0], str) else [got[0]])
+        assert seen[InvariantError] == len(cases)
+        assert any("is not tight on the domain" in failure for failure in seen)
+        assert seen["transport is not injective"] and seen["transport is not an isometry"]
 
     @pytest.mark.parametrize("rows_moved", [1, None], ids=["one-entry", "every-row"])
     def test_perturbed_isometry_is_reported_once(self, monkeypatch, luk3, rows_moved):
