@@ -15,11 +15,16 @@ order.  The report bytes depend only on the inputs; wall-clock timing goes
 to stderr as a single ``timing_ms=...`` line.  Exit codes: 0 pass, 1 check
 failed, 2 schema error (also a file that cannot be read or written),
 3 precondition error, 4 bound refusal, 5 broken library invariant.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused: parsing does not change it, and usage errors and ``--help``
+write to the ``sys.stderr`` and ``sys.stdout`` of the call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -44,6 +49,7 @@ EXIT_BOUND = 4
 EXIT_INVARIANT = 5
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enritch",

@@ -34,7 +34,7 @@ from .categories import QCategory
 from .diagonals import diagonal_quantaloid
 from .errors import InvariantError, PreconditionError, SchemaError, ShapeMismatchError
 from .quantale import LAWVERE
-from .rationals import ExtRat, integer_rows
+from .rationals import ExtRat, from_scaled, integer_rows
 from .relations import QRelation, TypedSet
 
 __all__ = [
@@ -121,6 +121,9 @@ class ParMetReport:
             "triangle": self.triangle,
             "triangle_witness": list(self.triangle_witness) if self.triangle_witness else None,
         }
+
+
+_ONE = ExtRat(1)
 
 
 def _le(x: int | None, y: int | None) -> bool:
@@ -214,14 +217,45 @@ def _require_well_typed(space: ParMetSpace, mu: RadiusFunction) -> None:
             )
 
 
+def _integers(space: ParMetSpace, mu: RadiusFunction):
+    """alpha, r and mu's values as ``integer_rows`` over one common
+    denominator, which is returned last (it is the image of 1)."""
+    *a, (r, *values), (one,) = integer_rows(space.alpha + ((mu.r, *mu.values), (_ONE,)))
+    return a, r, values, one
+
+
+def _max(x: int | None, y: int | None) -> int | None:
+    """max on ``integer_rows`` values (None is infinity)."""
+    return None if x is None or y is None else max(x, y)
+
+
+def _sup_term(row: list, r: int | None, values: list, start: int | None, skip: int = -1):
+    """start max sup_y (row[y] + r) monus values[y] over y != skip, on
+    ``integer_rows`` values; start is at least 0, so no term needs truncating."""
+    if start is None:
+        return None
+    for y, vy in enumerate(values):
+        if vy is None or y == skip:
+            continue  # (row[y] + r) monus inf = 0
+        ay = row[y]
+        if ay is None or r is None:
+            return None
+        term = ay + r - vy
+        if term > start:
+            start = term
+    return start
+
+
 def ambient_violation(space: ParMetSpace, mu: RadiusFunction) -> tuple[str, str] | None:
     """First pair violating alpha(x,y) <= mu(x) - r + mu(y), or None."""
     _require_well_typed(space, mu)
-    a = space.alpha
-    n = len(space)
-    for i in range(n):
-        for j in range(n):
-            if not a[i][j] <= mu.values[i].monus(mu.r) + mu.values[j]:
+    a, r, v, _ = _integers(space, mu)
+    for i, row in enumerate(a):
+        slack = _monus(v[i], r)
+        if slack is None:
+            continue  # an infinite bound for every y
+        for j, vj in enumerate(v):
+            if vj is not None and not _le(row[j], slack + vj):
                 return (space.points[i], space.points[j])
     return None
 
@@ -229,15 +263,9 @@ def ambient_violation(space: ParMetSpace, mu: RadiusFunction) -> tuple[str, str]
 def tight_violation(space: ParMetSpace, mu: RadiusFunction) -> str | None:
     """First point where the tight fixed-point equation fails, or None."""
     _require_well_typed(space, mu)
-    a = space.alpha
-    n = len(space)
-    for i in range(n):
-        rhs = max(mu.r, a[i][i])
-        for j in range(n):
-            term = (a[i][j] + mu.r).monus(mu.values[j])
-            if term > rhs:
-                rhs = term
-        if mu.values[i] != rhs:
+    a, r, v, _ = _integers(space, mu)
+    for i, row in enumerate(a):
+        if v[i] != _sup_term(row, r, v, _max(r, row[i])):
             return space.points[i]
     return None
 
@@ -260,24 +288,15 @@ def tighten_sweep(space: ParMetSpace, mu: RadiusFunction) -> RadiusFunction:
         raise PreconditionError(
             f"input is not ambient: pair {violation} violates the ball condition"
         )
-    a = space.alpha
-    n = len(space)
-    r = mu.r
-    values = list(mu.values)
-    cap = max(n * n, 1)
+    a, r, old, one = _integers(space, mu)
+    values = list(old)
+    cap = max(len(space) ** 2, 1)
     for _ in range(cap):
-        for z in range(n):
-            new = max(r, a[z][z])
-            for y in range(n):
-                if y == z:
-                    continue
-                term = (a[z][y] + r).monus(values[y])
-                if term > new:
-                    new = term
-            values[z] = new
-        candidate = RadiusFunction(r, tuple(values))
+        for z, row in enumerate(a):
+            values[z] = _sup_term(row, r, values, _max(r, row[z]), skip=z)
+        candidate = RadiusFunction(mu.r, tuple(from_scaled(k, one) for k in values))
         if tight_member(space, candidate):
-            if any(new > old for old, new in zip(mu.values, candidate.values)):
+            if not all(map(_le, values, old)):
                 raise InvariantError("tightening must not increase any value")
             return candidate
     raise InvariantError(f"tightening did not reach a fixed point within {cap} sweeps")
@@ -288,20 +307,16 @@ def sigma(space: ParMetSpace, mu: RadiusFunction, lam: RadiusFunction) -> ExtRat
     for f in (mu, lam):
         if not tight_member(space, f):
             raise PreconditionError("sigma is only defined between tight functions")
-
-    def one_way(first: RadiusFunction, second: RadiusFunction) -> ExtRat:
-        result = max(first.r, second.r)
-        for i in range(len(space)):
-            term = (second.values[i] + first.r).monus(first.values[i])
-            if term > result:
-                result = term
-        return result
-
-    forward = one_way(mu, lam)
-    backward = one_way(lam, mu)
+    (r_mu, *v_mu), (r_lam, *v_lam), (one,) = integer_rows(
+        ((mu.r, *mu.values), (lam.r, *lam.values), (_ONE,))
+    )
+    # r_mu max r_lam max sup_x (lam(x) + r_mu) monus mu(x), and the converse
+    start = _max(r_mu, r_lam)
+    forward = _sup_term(v_lam, r_mu, v_mu, start)
+    backward = _sup_term(v_mu, r_lam, v_lam, start)
     if forward != backward:
         raise InvariantError("sigma must be symmetric between tight functions")
-    return forward
+    return from_scaled(forward, one)
 
 
 # -- ball families -------------------------------------------------------------
@@ -389,28 +404,48 @@ def dense_isometry_check(
     """
     image = _require_isometric(mapping, dom, cod)
     b = integer_rows(cod.alpha)
-    m = len(cod)
-    for y in range(m):
-        byy = b[y][y]
+    # beta(y,y') equals the max of its terms beta(y',y'), beta(y,y) and
+    # beta(fx,y') + beta(y,y) - beta(fx,y) iff it bounds every term and one
+    # term reaches it; both are tested for a whole row y' at once.  Each row
+    # is packed into one int, a field of ``width`` bits per column.  With M
+    # the largest finite entry, a finite term lies in [-M, 2M]; reading
+    # infinity as top = 3M + 1 puts an infinite one in [2M + 1, 4M + 1].
+    # Shifted up by M, every term lies in [0, 5M + 1], below the high bit of
+    # a field, so high + bound - term and high + term - bound neither borrow
+    # nor carry between fields, and a field keeps its high bit iff
+    # term <= bound or term >= bound, respectively.  An infinite beta(y,y')
+    # is bounded by 5M + 1 and reached at 3M + 1, by infinite terms only.
+    m = len(b)
+    big = max((v for row in b for v in row if v is not None), default=0)
+    top = 3 * big + 1
+    width = (5 * big + 1).bit_length() + 1
+    ones = sum(1 << (width * k) for k in range(m))
+    high = ones << (width - 1)
+    finite = [sum(v << (width * k) for k, v in enumerate(row) if v is not None) for row in b]
+    infinite = [sum(1 << (width * k) for k, v in enumerate(row) if v is None) for row in b]
+    capped = [f + top * i for f, i in zip(finite, infinite)]
+    diag = sum((top if row[y] is None else row[y] + big) << (width * y) for y, row in enumerate(b))
+    for y, row_y in enumerate(b):
+        byy = row_y[y]
         if byy is None:
             # rhs >= beta(y,y) is infinite for every y'.
-            if any(v is not None for v in b[y]):
+            if any(v is not None for v in row_y):
                 return False
             continue
-        # term = beta(fx,y') + (beta(y,y) - beta(fx,y)), truncated at 0; it
-        # is 0 when beta(fx,y) is infinite and infinite when beta(fx,y') is.
-        shifts = [(b[fx], byy - b[fx][y]) for fx in image if b[fx][y] is not None]
-        for y2 in range(m):
-            rhs = b[y2][y2]
-            if rhs is not None:
-                rhs = max(rhs, byy)
-                for row, shift in shifts:
-                    if row[y2] is None:
-                        rhs = None
-                        break
-                    rhs = max(rhs, row[y2] + shift)
-            if b[y][y2] != rhs:
+        shifted = finite[y] + big * ones
+        upper = high + shifted + (4 * big + 1) * infinite[y]
+        lower = high - shifted - (2 * big + 1) * infinite[y]
+        # The term of fx is 0 (and dropped) when beta(fx,y) is infinite.
+        terms = [diag, (byy + big) * ones] + [
+            capped[fx] + (byy - b[fx][y] + big) * ones for fx in image if b[fx][y] is not None
+        ]
+        reached = 0
+        for term in terms:
+            if (upper - term) & high != high:
                 return False
+            reached |= lower + term
+        if reached & high != high:
+            return False
     return True
 
 

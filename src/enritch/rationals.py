@@ -32,12 +32,15 @@ from math import gcd, lcm
 
 from .errors import BoundExceededError, SchemaError
 
-__all__ = ["ExtRat", "INF", "ZERO", "integer_rows"]
+__all__ = ["ExtRat", "INF", "ZERO", "integer_rows", "from_scaled"]
 
 # The interpreter's int-to-string digit limit (its default where the limit
 # is off): ``str`` of a numerator or denominator of more digits raises.
 _MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 _TOO_LONG = 10**_MAX_DIGITS
+# The least value the digit limit can be set to: ``int`` reads a shorter
+# literal whatever the limit is at the time of the call.
+_FAST_LENGTH = 640
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\Z")
 
 
@@ -68,9 +71,19 @@ class ExtRat:
 
         Any other literal ``Fraction`` reads is accepted too, unless its
         numerator or denominator has more digits than ``str`` will write.
+        The canonical "n" and "p/q" of ASCII digits, short of
+        ``_FAST_LENGTH`` and with a non-zero denominator, skip ``Fraction``:
+        ``from_scaled`` reduces them.  Every other text takes the
+        ``Fraction`` path, which gives the same values and every error.
         """
         if not isinstance(text, str):
             raise SchemaError(f"expected a string rational, got {text!r}")
+        if len(text) < _FAST_LENGTH and text.isascii():
+            p, slash, q = text.partition("/")
+            if p.isdigit() and (not slash or q.isdigit()):
+                d = int(q) if slash else 1
+                if d:
+                    return from_scaled(int(p), d)
         text = text.strip()
         if text == "inf":
             return cls(None)
@@ -226,3 +239,12 @@ def integer_rows(matrix) -> list[list[int | None]]:
         [cell._n * (denominator // cell._d) if cell._d else None for cell in row]
         for row in matrix
     ]
+
+
+def from_scaled(k: int | None, denominator: int) -> ExtRat:
+    """The ExtRat ``k / denominator``, the inverse of an ``integer_rows``
+    scaling by ``denominator``: None is infinity."""
+    if k is None:
+        return INF
+    g = gcd(k, denominator)
+    return _pair(k // g, denominator // g)

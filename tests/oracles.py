@@ -22,7 +22,10 @@ one-point extensions, ``Presheaf``, ``yoneda`` and ``presheaves`` for the
 (q, values) pairs the library holds, ``ambient_presheaves`` for
 ``enumerate_ambient``, ``all_pairs_maximal`` for ``t44``'s maximality
 check, ``per_member_restriction`` for ``tight_span_restriction``'s one
-residual call) and to build inputs.  The quantale constructors pin the shipped tables in
+residual call, ``fraction_parse`` for the literal fast path of
+``ExtRat.parse``, the ``extrat_*`` loops for the integer-row scans of
+``ambient_violation``, ``tight_violation``, ``tighten_sweep`` and
+``sigma``) and to build inputs.  The quantale constructors pin the shipped tables in
 ``src/enritch/data``, through ``quantale_document``.
 """
 
@@ -67,7 +70,15 @@ from enritch.parmet import (
     tight_member,
 )
 from enritch.quantale import FiniteQuantale
-from enritch.rationals import INF, ZERO, ExtRat
+from enritch.rationals import (
+    _TOO_LONG,
+    INF,
+    ZERO,
+    ExtRat,
+    _bounded_exponent,
+    _pair,
+    _too_long,
+)
 from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve
 from enritch.verify import _l43_single, _t36_single, _t44_single, _t54_single
 
@@ -1009,6 +1020,27 @@ def to_fraction(v: ExtRat) -> Fraction:
     return Fraction(v._n, v._d)
 
 
+def fraction_parse(text: str) -> ExtRat:
+    """``ExtRat.parse`` as it was before its fast path: every literal
+    through one ``Fraction``."""
+    if not isinstance(text, str):
+        raise SchemaError(f"expected a string rational, got {text!r}")
+    text = text.strip()
+    if text == "inf":
+        return INF
+    if "e" in text or "E" in text:
+        text = _bounded_exponent(text)
+    try:
+        frac = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad rational literal {text!r}: {exc}") from exc
+    if frac.numerator < 0:
+        raise SchemaError(f"negative rational {text!r} not allowed")
+    if frac.numerator >= _TOO_LONG or frac.denominator >= _TOO_LONG:
+        raise _too_long(text)
+    return _pair(frac.numerator, frac.denominator)
+
+
 class FractionExtRat:
     """``ExtRat`` as it was on a ``fractions.Fraction`` (None is infinity),
     the reference for the int-pair class."""
@@ -1131,6 +1163,89 @@ FRACTION_ZERO = FractionExtRat(0)
 
 
 # -- partial metrics -----------------------------------------------------------
+
+
+def extrat_ambient_violation(space: ParMetSpace, mu: RadiusFunction) -> tuple[str, str] | None:
+    """``ambient_violation`` as an ExtRat loop, cell by cell."""
+    _require_well_typed(space, mu)
+    a = space.alpha
+    n = len(space)
+    for i in range(n):
+        for j in range(n):
+            if not a[i][j] <= mu.values[i].monus(mu.r) + mu.values[j]:
+                return (space.points[i], space.points[j])
+    return None
+
+
+def extrat_tight_violation(space: ParMetSpace, mu: RadiusFunction) -> str | None:
+    """``tight_violation`` as an ExtRat loop, cell by cell."""
+    _require_well_typed(space, mu)
+    a = space.alpha
+    n = len(space)
+    for i in range(n):
+        rhs = max(mu.r, a[i][i])
+        for j in range(n):
+            term = (a[i][j] + mu.r).monus(mu.values[j])
+            if term > rhs:
+                rhs = term
+        if mu.values[i] != rhs:
+            return space.points[i]
+    return None
+
+
+def extrat_tight_member(space: ParMetSpace, mu: RadiusFunction) -> bool:
+    return extrat_tight_violation(space, mu) is None
+
+
+def extrat_tighten_sweep(space: ParMetSpace, mu: RadiusFunction) -> RadiusFunction:
+    """``tighten_sweep`` as an ExtRat loop, with the checks above."""
+    violation = extrat_ambient_violation(space, mu)
+    if violation is not None:
+        raise PreconditionError(
+            f"input is not ambient: pair {violation} violates the ball condition"
+        )
+    a = space.alpha
+    n = len(space)
+    r = mu.r
+    values = list(mu.values)
+    cap = max(n * n, 1)
+    for _ in range(cap):
+        for z in range(n):
+            new = max(r, a[z][z])
+            for y in range(n):
+                if y == z:
+                    continue
+                term = (a[z][y] + r).monus(values[y])
+                if term > new:
+                    new = term
+            values[z] = new
+        candidate = RadiusFunction(r, tuple(values))
+        if extrat_tight_member(space, candidate):
+            if any(new > old for old, new in zip(mu.values, candidate.values)):
+                raise InvariantError("tightening must not increase any value")
+            return candidate
+    raise InvariantError(f"tightening did not reach a fixed point within {cap} sweeps")
+
+
+def extrat_sigma(space: ParMetSpace, mu: RadiusFunction, lam: RadiusFunction) -> ExtRat:
+    """``sigma`` as an ExtRat loop, with the checks above."""
+    for f in (mu, lam):
+        if not extrat_tight_member(space, f):
+            raise PreconditionError("sigma is only defined between tight functions")
+
+    def one_way(first: RadiusFunction, second: RadiusFunction) -> ExtRat:
+        result = max(first.r, second.r)
+        for i in range(len(space)):
+            term = (second.values[i] + first.r).monus(first.values[i])
+            if term > result:
+                result = term
+        return result
+
+    forward = one_way(mu, lam)
+    backward = one_way(lam, mu)
+    if forward != backward:
+        raise InvariantError("sigma must be symmetric between tight functions")
+    return forward
 
 
 def _signed(a: ExtRat, b: ExtRat) -> tuple:

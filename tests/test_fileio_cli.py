@@ -1,10 +1,12 @@
+import argparse
 import json
+import re
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
-from enritch import fileio, hull, parmet, verify
+from enritch import cli, fileio, hull, parmet, verify
 from enritch.cli import main
 from enritch.diagonals import FiniteDiagonals, diagonal_quantaloid
 from enritch.errors import InvariantError, SchemaError
@@ -446,3 +448,51 @@ class TestReportStability:
         from enritch.parmet import tight_violation
 
         assert tight_violation(space, mu) == name
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ("hull",),
+        ("--help",),
+        ("verify", "bogus"),
+        ("hull", "member", str(DATA / "two_point_classical.json"), str(DATA / "mu_13.json")),
+        ("hull",),
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        """Exit code, stdout and stderr (timing masked) of one ``main`` call."""
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, re.sub(r"timing_ms=\d+", "timing_ms=N", captured.err)
+
+    def test_one_parser_answers_like_a_fresh_one(self, capsys, monkeypatch):
+        builds = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            if parser.prog == "enritch":  # subparsers are named "enritch ..."
+                builds.append(parser)
+
+        cached = cli._build_parser
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cached.cache_clear()
+        try:
+            reused = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+            assert len(builds) == 1
+            monkeypatch.setattr(cli, "_build_parser", cached.__wrapped__)
+            fresh = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+            assert len(builds) == 1 + len(self.SEQUENCE)
+        finally:
+            cached.cache_clear()
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 0, 2, 0, 2]
+        assert reused[0] == reused[-1]
+        assert reused[0][2].startswith("usage: enritch hull")
+        assert reused[1][1].startswith("usage: enritch")
+        assert "invalid choice: 'bogus'" in reused[2][2]
+        assert json.loads(reused[3][1])["result"] == {"tight": True, "failing_point": None}

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from enritch import parmet
 from enritch.categories import validate_category, is_symmetric
-from enritch.errors import PreconditionError, SchemaError
+from enritch.errors import EnritchError, InvariantError, PreconditionError, SchemaError
 from enritch.hull import column_admissible, is_tight_column
 from enritch.parmet import (
     ParMetReport,
@@ -717,6 +718,16 @@ class TestIntegerScansDifferential:
             report = validate_partial_metric(stretched)
             assert report.self_bound and report.symmetric and not report.triangle
 
+    def test_identity_maps_reach_every_pair(self):
+        # The term of fx = y reaches beta(y,y') at every pair, so the packed
+        # density check runs every row to the end and accepts.
+        rng = random.Random(6)
+        for n in (1, 2, 24, 40):
+            valid = random_partial_metric(rng, n, allow_inf=True)
+            identity = {p: p for p in valid.points}
+            assert dense_isometry_check(identity, valid, valid)
+            assert reference_dense(identity, valid, valid)
+
 
 # -- (rank, value) signed values against the tagged helpers they replaced ---------
 
@@ -839,3 +850,122 @@ class TestSignedValuesDifferential:
                     verdicts.add(verdict)
             monkeypatch.setattr(oracles, "sigma", true_sigma)
         assert verdicts == {True, False}
+
+
+# -- integer-row tight scans against the ExtRat loops they replaced ----------------
+
+
+def split_space(rng, n: int) -> ParMetSpace:
+    """Two random partial metrics side by side, at infinite distance."""
+    k = rng.randint(1, n - 1)
+    halves = [random_partial_metric(rng, m, allow_inf=True, max_self=8,
+                                    denominators=DENOMINATORS) for m in (k, n - k)]
+    rows = [list(row) + [INF] * (n - k) for row in halves[0].alpha]
+    rows += [[INF] * k + list(row) for row in halves[1].alpha]
+    return from_rows(rows)
+
+
+def scan_spaces():
+    """Seeded spaces of up to 24 points: valid ones with infinite distances
+    and mixed denominators, split ones, and matrices failing the axioms."""
+    rng = random.Random(28)
+    for n in list(range(0, 9)) * 6 + [12, 16, 24] * 3:
+        kind = rng.randrange(3)
+        if kind == 0:
+            yield rng, random_partial_metric(rng, n, allow_inf=True, max_self=8,
+                                             denominators=DENOMINATORS)
+        elif kind == 1 and n >= 2:
+            yield rng, split_space(rng, n)
+        else:
+            yield rng, random_matrix(rng, n)
+
+
+def random_radius(rng, space_: ParMetSpace) -> RadiusFunction:
+    """Well typed (mostly), ambient or not, with infinite values and radii."""
+    n = len(space_)
+    r = random_cell(rng)
+    above_rows = rng.random() < 0.6  # start at the row maxima: ambient, mostly
+    values = []
+    for i in range(n):
+        row = space_.alpha[i] if above_rows else (space_.alpha[i][i],)
+        base = max([r, *row])
+        slack = ExtRat(Fraction(rng.choice((0, 0, 1, 2, 3)), rng.choice(DENOMINATORS)))
+        values.append(INF if rng.random() < 0.08 else base + slack)
+    if n and rng.random() < 0.1:  # ill typed or lowered at one point
+        values[rng.randrange(n)] = random_cell(rng)
+    if rng.random() < 0.02:
+        values.append(ZERO)  # one value too many
+    return RadiusFunction(r, tuple(values))
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)`` and its printed form, or the error's type and message."""
+    try:
+        value = fn(*args)
+    except EnritchError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, RadiusFunction):
+        return value, [str(value.r)] + [str(v) for v in value.values]
+    return value, str(value)
+
+
+class TestTightScansDifferential:
+    def test_member_scans_and_the_sweep(self):
+        seen = {"ambient": set(), "tight": set(), "sweep": set()}
+        for rng, space_ in scan_spaces():
+            for _ in range(6):
+                mu = random_radius(rng, space_)
+                for name, new, old in (
+                    ("ambient", ambient_violation, oracles.extrat_ambient_violation),
+                    ("tight", tight_violation, oracles.extrat_tight_violation),
+                    ("sweep", tighten_sweep, oracles.extrat_tighten_sweep),
+                ):
+                    got = outcome(new, space_, mu)
+                    assert got == outcome(old, space_, mu), (name, space_, mu)
+                    seen[name].add(got[0] if isinstance(got[0], type) else got[0] is None)
+        # witnesses and values, and every precondition error, were compared
+        assert seen["ambient"] >= {True, False, PreconditionError}
+        assert seen["tight"] >= {True, False, PreconditionError}
+        assert seen["sweep"] >= {False, PreconditionError}
+
+    def test_sigma_on_swept_pairs(self):
+        values = set()
+        for rng, space_ in scan_spaces():
+            ambient = []
+            while len(ambient) < 3 and len(space_):
+                mu = random_radius(rng, space_)
+                if outcome(oracles.extrat_ambient_violation, space_, mu)[0] is None:
+                    ambient.append(mu)
+            tight = [oracles.extrat_tighten_sweep(space_, mu) for mu in ambient]
+            for mu, lam in itertools.product(tight + ambient[:1], repeat=2):
+                got = outcome(sigma, space_, mu, lam)
+                assert got == outcome(oracles.extrat_sigma, space_, mu, lam)
+                values.add(got[1] if got[0] is PreconditionError else got[1] == "inf")
+        assert values >= {True, False, "sigma is only defined between tight functions"}
+
+    def test_invariant_errors_under_lies(self, monkeypatch):
+        # A member check that lies makes the sweep run out of sweeps, lets
+        # non-ambient input through to an increase, and lets sigma meet an
+        # asymmetric pair: the errors must match the ExtRat loops'.
+        errors = set()
+        for lie in (False, True):
+            for module, name in ((parmet, "tight_member"), (oracles, "extrat_tight_member")):
+                monkeypatch.setattr(module, name, lambda space_, mu, lie=lie: lie)
+            if lie:
+                monkeypatch.setattr(parmet, "ambient_violation", lambda space_, mu: None)
+                monkeypatch.setattr(oracles, "extrat_ambient_violation", lambda space_, mu: None)
+            for rng, space_ in itertools.islice(scan_spaces(), 40):
+                for _ in range(3):
+                    mu, lam = random_radius(rng, space_), random_radius(rng, space_)
+                    if len(mu.values) != len(space_) or len(lam.values) != len(space_):
+                        continue
+                    got = outcome(tighten_sweep, space_, mu)
+                    assert got == outcome(oracles.extrat_tighten_sweep, space_, mu)
+                    errors.add(got[1] if got[0] is InvariantError else None)
+                    if lie:
+                        got = outcome(sigma, space_, mu, lam)
+                        assert got == outcome(oracles.extrat_sigma, space_, mu, lam)
+                        errors.add(got[1] if got[0] is InvariantError else None)
+        assert {"tightening must not increase any value",
+                "sigma must be symmetric between tight functions"} <= errors
+        assert any(e and "did not reach a fixed point" in e for e in errors)

@@ -12,7 +12,7 @@ import pytest
 from enritch.errors import BoundExceededError, SchemaError
 from enritch.rationals import INF, ZERO, ExtRat, integer_rows
 
-from oracles import FractionExtRat, to_fraction
+from oracles import FractionExtRat, fraction_parse, to_fraction
 
 # The interpreter's int-to-string digit limit, or its default where it is off.
 _MAX_DIGITS = sys.get_int_max_str_digits() or 4300
@@ -310,3 +310,60 @@ class TestAgainstFractionExtRat:
                 assert (cell == INF) == (k is None)
                 if k is not None:
                     assert Fraction(k, scale) == to_fraction(cell)
+
+
+def parse_outcome(parse, text):
+    """(numerator, denominator) of ``parse(text)``, or its SchemaError message."""
+    try:
+        value = parse(text)
+    except SchemaError as exc:
+        return ("error", str(exc))
+    return (value._n, value._d)
+
+
+def digits(rng, width: int) -> str:
+    return "".join(rng.choice("0123456789") for _ in range(width))
+
+
+class TestParseFastPath:
+    """``ExtRat.parse`` against the Fraction-only parse it replaced."""
+
+    def assert_same(self, texts):
+        for text in texts:
+            assert parse_outcome(ExtRat.parse, text) == parse_outcome(fraction_parse, text), text
+
+    def test_seeded_canonical_literals(self):
+        rng = random.Random(28)
+        texts = []
+        for _ in range(400):
+            n, d = rng.randint(0, 10**rng.randint(1, 30)), rng.randint(1, 10**rng.randint(1, 30))
+            k = rng.randint(1, 50)
+            zeros = "0" * rng.randint(0, 3)
+            texts += [str(n), f"{n}/{d}", f"{n * k}/{d * k}", f"{zeros}{n}/{zeros}{d}", zeros + str(n)]
+        texts += ["0", "00", "0/7", "000/0001", "12/4", "1/1"]
+        self.assert_same(texts)
+
+    def test_literals_at_the_length_limits(self):
+        rng = random.Random(4300)
+        texts = []
+        # around the fast path's length, and around the interpreter's digit limit
+        for width in (638, 639, 640, 641, _MAX_DIGITS - 1, _MAX_DIGITS, _MAX_DIGITS + 1):
+            body = "1" + digits(rng, width - 1)
+            texts += [body, "0" * (width - 1) + "7", f"{body}/3", f"3/{body}", f"{body}/{body}"]
+            texts += [f"{body[: width // 2]}/{body[width // 2 :]}"]
+        self.assert_same(texts)
+
+    def test_hostile_literals(self):
+        self.assert_same([
+            "+1", "-1", "1/0", "0/0", "1 / 2", " 3/4 ", "1_000", "\u0661\u0662", "1/2/3",
+            "/2", "2/", "", "1.5", "2e3", "1e5000", "inf", " inf ", "/", "1/+2", "1/-2",
+            "3\n", "\t3/4", "1/0_0", "\u00b2", "1/\u0662", "0x10", "Inf", "in", "1/2 ",
+        ])
+        for bad in (12, None, 1.5, b"1/2"):
+            assert parse_outcome(ExtRat.parse, bad) == parse_outcome(fraction_parse, bad)
+
+    def test_the_fast_path_values_are_reduced(self):
+        for text in ("6/8", "0/9", "0012/0018", "10/5"):
+            value = ExtRat.parse(text)
+            assert_reduced(value)
+            assert to_fraction(value) == Fraction(text)
