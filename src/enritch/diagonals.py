@@ -33,10 +33,20 @@ verifies that homs are closed under joins, contain the bottom, and that the
 three composition expressions agree on every triple.  Once that has passed,
 the finite kernel is tabulated once per quantale: compose, both residuals and
 the hom meets become table lookups over element indices, next to the
-quantale's own order, join, meet and involution tables.  ``column_tables(q)``
-hands a search over type-q columns those tables themselves (the meet, join,
-leq and involution tables, and the residuals and hom meets out of q), so
-that its inner loops index tuples instead of calling the kernel.
+quantale's own order, join, meet and involution tables.
+
+The build also codes each element a as the bitset of the join-irreducibles
+below it (Ait-Kaci, Boyer, Lincoln and Nasr, "Efficient implementation of
+lattice operations", ACM TOPLAS 1989).  In every finite lattice j <= a meet b
+exactly when j <= a and j <= b, and every element is the join of the
+join-irreducibles below it, so the code is injective and the meet of two
+elements is the AND of their codes; no distributivity is needed, since only
+meets are read off the codes.  ``column_tables(q)`` hands a search over
+type-q columns the codes, the join, leq and involution tables, the residuals
+out of q, and per type t a decoder from a code to the involute of the
+largest element of hom(q, t) below it.  The search packs a whole residual
+row into one integer, a field of code bits per point, so that its meets are
+ANDs and its inner loops index tuples instead of calling the kernel.
 
 Three matrix scans take a whole matrix where the other ops take a cell:
 ``transitivity_witness`` finds the first failure of hom . hom <= hom,
@@ -79,11 +89,11 @@ class DiagonalQuantaloid:
 
     def __init__(self, quantale: Quantale):
         self.quantale = quantale
-        # Memos of ``hull.is_essential_bruteforce`` and of the tight-column
-        # search (``hull._tight_columns``, keyed on (q, types, hom)); they
-        # die with the quantale, so each load starts with both empty.
+        # Memos of ``hull.is_essential_bruteforce`` and of the tight spans
+        # (``hull._SpanMemo``, keyed on a span's (types, hom)); they die
+        # with the quantale, so each load starts with both empty.
         self._essentiality: dict = {}
-        self._tight_columns: dict = {}
+        self._spans: dict = {}
         self._build()
 
     def _build(self) -> None:
@@ -201,18 +211,35 @@ class DiagonalQuantaloid:
 
     def column_tables(self, q) -> tuple:
         """The lookup tables of a search over columns of type q (finite
-        quantales only):
-        ``(meet, join, leq, involve, residual, hom_meet)``.
+        quantales only): ``(codes, join, leq, involve, residual, decoders)``.
 
-        ``meet``, ``join``, ``leq`` and ``involve`` are the quantale's tables
-        over element indices.  Every hom is closed under
-        joins (the build verifies it), so ``join[a][b]`` is
-        ``hom_join(p, t, (a, b))`` for a and b in hom(p, t).
-        ``residual[r][u][w]`` is ``limpl(q, r, u, w)`` and ``hom_meet[t][m]``
-        is the largest element of hom(q, t) below m, so
-        ``hom_meet(q, t, (a, b))`` is ``hom_meet[t][meet[a][b]]``.
+        ``codes[a]`` is the bitset of the join-irreducibles below a, so
+        ``codes[meet(a, b)] == codes[a] & codes[b]`` and the top's code has
+        every bit set.  ``join``, ``leq`` and ``involve`` are the quantale's
+        tables over element indices.  Every hom is closed under joins (the
+        build verifies it), so ``join[a][b]`` is ``hom_join(p, t, (a, b))``
+        for a and b in hom(p, t).  ``residual[r][u][w]`` is
+        ``limpl(q, r, u, w)``, and ``decoders[t]`` maps the code of m to the
+        involute of ``hom_meet(q, t, (m,))``, the largest element of hom(q, t)
+        below m, so ``decoders[t][codes[a] & codes[b]]`` is the involute of
+        ``hom_meet(q, t, (a, b))``.
         """
         raise NotImplementedError
+
+
+def _join_irreducible_codes(leq: Sequence[Sequence[bool]]) -> tuple[int, ...]:
+    """The code of each element of the finite lattice ordered by ``leq``:
+    bit k is set when the k-th join-irreducible, in element order, lies below
+    it.  A join-irreducible is an element with exactly one lower cover."""
+    n = len(leq)
+    below = [[b for b in range(n) if b != a and leq[b][a]] for a in range(n)]
+    irreducibles = [
+        a for a in range(n)
+        if sum(not any(leq[b][c] for c in below[a] if c != b) for b in below[a]) == 1
+    ]
+    return tuple(
+        sum(1 << k for k, j in enumerate(irreducibles) if leq[j][a]) for a in range(n)
+    )
 
 
 class FiniteDiagonals(DiagonalQuantaloid):
@@ -270,6 +297,12 @@ class FiniteDiagonals(DiagonalQuantaloid):
         ) for mid in rng) for p in rng)
         self._hom_meet = tuple(
             tuple(joins_below([(v, v) for v in homs[(p, t)]]) for t in rng) for p in rng
+        )
+        codes = self._codes = _join_irreducible_codes(leq)
+        involve = self._involution
+        self._decoders = tuple(
+            tuple({codes[m]: involve[cap[m]] for m in rng} for cap in caps)
+            for caps in self._hom_meet
         )
 
     def _verify_kernels(self) -> None:
@@ -388,8 +421,8 @@ class FiniteDiagonals(DiagonalQuantaloid):
         return tuple(matrix)
 
     def column_tables(self, q) -> tuple:
-        return (self._meets, self._joins, self._order, self._involution,
-                self._limpl[q], self._hom_meet[q])
+        return (self._codes, self._joins, self._order, self._involution,
+                self._limpl[q], self._decoders[q])
 
 
 class LawvereDiagonals(DiagonalQuantaloid):

@@ -38,19 +38,24 @@ node whose bounds meet is one; any other node branches on the coordinate
 with the fewest values left.  The tight span of a tight span, which has
 only its Yoneda columns, is nearly all propagation: over lukasiewicz5 the
 span of the discrete three-point category has 21 objects, and the search of
-its span is a fraction of a second.
+its span is a fraction of a second.  The search's residuals are packed:
+the kernel codes each element by the join-irreducibles below it
+(``column_tables``), a meet of codes is an AND, and a whole residual row
+is one integer with a field per point, so a row costs one AND per
+coordinate and is decoded only where a bound is capped and involuted.
 
-``tight_span`` and ``is_hypercomplete`` read the search through one memo,
-``_tight_columns``, kept on the kernel and keyed on the category's types
-and hom for each q, so a suite searches each distinct (q, types, hom) once:
-``l43`` the spans it checks for hypercompleteness, ``t44`` the spans of
-spans that ``tight_span_restriction`` builds.  Spans repeat across classes
-because the tight span is the injective hull: a category that embeds
-densely and fully faithfully into another has an isomorphic span (the
-transport ``t44`` checks), and a span lists its points in one fixed order,
-by type and then column, so such spans often come out as the same matrix.
-The spans of the 46 classes of lukasiewicz3 at bound 3 are 13 distinct
-matrices, of 12 isomorphism classes.  The memo dies with the quantale, so
+The kernel keeps one memo for the hull, ``_SpanMemo``, keyed on the types
+and hom of every span ``tight_span`` has built: the span's tight columns of
+each type, once searched, and its own tight span, once built.  Spans repeat
+across classes because the tight span is the injective hull: a category
+that embeds densely and fully faithfully into another has an isomorphic
+span (the transport ``t44`` checks), and a span lists its points in one
+fixed order, by type and then column, so such spans often come out as the
+same matrix.  The spans of the 46 classes of lukasiewicz3 at bound 3 are 13
+distinct matrices, of 12 isomorphism classes.  So ``l43`` searches each
+distinct span once, and ``t44`` builds and checks the span of each
+distinct span once.  A suite meets each class's own category once, so no
+other category's search is kept.  The memo dies with the quantale, so
 every load, and so every CLI job, starts with it empty.
 
 The injective hull of X is its tight span with the dense, fully faithful
@@ -70,7 +75,7 @@ behind a flag for cross-checking the partial-metric formulation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Iterator, Sequence
 
 from .categories import (
@@ -196,47 +201,68 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
     root (bottom, top) propagates to the least and greatest fixed points of
     f squared, the alternating fixpoint of Van Gelder (JCSS 1993).
 
-    The residuals hom <swarrow> mu are rows of the kernel's
-    ``residual_matrix`` against the Yoneda columns, so f(hi) is one row,
-    evaluated afresh.  Raising lo only lowers the residuals, so ``below`` =
-    residuals(lo) starts as one row and is kept up to date by meeting in the
-    rows of the raised coordinates.  Each round that does not end the
-    propagation moves a bound strictly inward, so a node takes at most
+    The residuals run on the kernel's element codes (``column_tables``),
+    in which a meet is an AND.  Once per search, each coordinate x and value
+    w in hom(|x|, q) gets one packed row whose field z holds the code of
+    limpl(q, |z|, w, hom(x, z)), so the residual row hom <swarrow> mu is the
+    AND of n packed rows, and f(hi) is that row decoded field by field (the
+    decoders cap into hom(q, |z|) and involute).  Raising lo only lowers the
+    residuals, so ``below`` = residuals(lo) starts as one row and is kept up
+    to date by one AND per raised coordinate.  Each round that does not end
+    the propagation moves a bound strictly inward, so a node takes at most
     ``_chain_bound`` rounds.  The columns found are sorted.
     """
     dq = c.quantaloid
     types = c.objects.types
-    meet, join, leq, involve, limpl, hom_meet = dq.column_tables(q)
-    # caps[z][m]: the largest element of hom(q, |z|) below m.
-    caps = [hom_meet[t] for t in types]
-    # yonedas[z]: |z| and the column hom(-, z); rows[z]: the residuals into
-    # |z| and the same column.
-    columns = list(zip(*c.hom.entries))
-    yonedas = list(zip(types, columns))
-    rows = list(zip((limpl[t] for t in types), columns))
+    codes, join, leq, involve, limpl, decoders = dq.column_tables(q)
+    width = max(codes).bit_length()  # the top's code has every bit set
+    mask = (1 << width) - 1
+    shifts = range(0, len(types) * width, width)
     homs = [dq.hom(t, q) for t in types]
+    # packed[x][w]: the residual row of w alone at x, field z at shift z
+    lims = [limpl[t] for t in types]
+    packed = []
+    for row, hom_x in zip(c.hom.entries, homs):
+        fields = [None] * len(codes)
+        for w in hom_x:
+            acc = 0
+            for lim, h, shift in zip(lims, row, shifts):
+                acc |= codes[lim[w][h]] << shift
+            fields[w] = acc
+        packed.append(fields)
+    # decode[z]: a field's code to the involute of its cap into hom(q, |z|)
+    decode = [decoders[t] for t in types]
+    flipped = [codes[a] for a in involve]  # the code of a deg
+    full = (1 << len(types) * width) - 1  # every field the top
     steps = _chain_bound(c, q)
 
-    def narrowed(below: Sequence, lo: Sequence, grown: Sequence) -> Sequence:
+    def residuals(mu: Sequence) -> int:
+        """hom <swarrow> mu, packed and uncapped."""
+        r = full
+        for fields, w in zip(packed, mu):
+            r &= fields[w]
+        return r
+
+    def narrowed(below: int, lo: Sequence, grown: Sequence) -> int:
         """residuals(grown) from below = residuals(lo), for grown >= lo: each
-        raised coordinate only lowers the residuals, so its rows meet in."""
-        for x, (v, w) in enumerate(zip(lo, grown)):
+        raised coordinate only lowers the residuals, so its row meets in."""
+        for fields, v, w in zip(packed, lo, grown):
             if v != w:
-                below = [meet[m][lim[w][col[x]]] for m, (lim, col) in zip(below, rows)]
+                below &= fields[w]
         return below
 
-    def propagate(lo: list, hi: list, below: Sequence) -> tuple | None:
+    def propagate(lo: list, hi: list, below: int) -> tuple | None:
         """The fixpoint of the node [lo, hi], or None when it is empty."""
         for rounds in range(steps):
             # hi meet f(lo), met in hom(q, |z|) and involuted back.  ``below``
-            # mixes a capped row with uncapped meets; both cap alike, since
-            # cap(m meet s) = cap(cap(m) meet s) when homs are closed under joins.
-            narrower = [involve[cap[meet[involve[u]][m]]] for cap, u, m in zip(caps, hi, below)]
+            # is uncapped; the cap is the same, since cap(m meet s) =
+            # cap(cap(m) meet s) when homs are closed under joins.
+            narrower = [d[flipped[u] & below >> s] for d, u, s in zip(decode, hi, shifts)]
             if rounds and narrower == hi:
                 return lo, hi, below  # lo already holds f(hi)
             hi = narrower
-            (residuals,) = dq.residual_matrix([(q, hi)], yonedas)  # capped
-            grown = [join[v][involve[m]] for v, m in zip(lo, residuals)]
+            r = residuals(hi)
+            grown = [join[v][d[r >> s & mask]] for v, d, s in zip(lo, decode, shifts)]
             if not all(leq[v][u] for v, u in zip(grown, hi)):
                 return None
             if grown == lo:
@@ -246,8 +272,7 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
 
     found = []
     bottom = [dq.hom_bottom(t, q) for t in types]
-    (below,) = dq.residual_matrix([(q, bottom)], yonedas)
-    stack = [(bottom, [dq.hom_top(t, q) for t in types], below)]
+    stack = [(bottom, [dq.hom_top(t, q) for t in types], residuals(bottom))]
     while stack:
         node = propagate(*stack.pop())
         if node is None:
@@ -269,16 +294,32 @@ def _enumerate_tight_columns(c: QCategory, q) -> Iterator[tuple]:
     yield from sorted(found)
 
 
-def _tight_columns(c: QCategory, q) -> tuple:
+@dataclass
+class _SpanMemo:
+    """What the kernel keeps of a category that ``tight_span`` built: its
+    tight columns of each type q searched so far, and its own tight span as
+    (members, category) once built."""
+
+    columns: dict = field(default_factory=dict)
+    span: tuple | None = None
+
+
+def _span_memo(c: QCategory) -> _SpanMemo | None:
+    """The kernel's memo of c when ``tight_span`` built a category with c's
+    types and hom, else None.  The key is by value, since spans repeat as
+    fresh categories, and leaves out the names, which the search does not
+    read."""
+    return c.quantaloid._spans.get((c.objects.types, c.hom.entries))
+
+
+def _tight_columns(c: QCategory, q, memo: _SpanMemo | None) -> tuple:
     """The tight columns of type q, as ``_enumerate_tight_columns`` lists
-    them, searched once per (q, types, hom) on the kernel's memo.  The key
-    is by value, since every tight span is a fresh category, and leaves out
-    the names, which the search does not read."""
-    memo = c.quantaloid._tight_columns
-    key = (q, c.objects.types, c.hom.entries)
-    found = memo.get(key)
+    them: searched once per memo, and afresh for a category without one."""
+    if memo is None:
+        return tuple(_enumerate_tight_columns(c, q))
+    found = memo.columns.get(q)
     if found is None:
-        found = memo[key] = tuple(_enumerate_tight_columns(c, q))
+        found = memo.columns[q] = tuple(_enumerate_tight_columns(c, q))
     return found
 
 
@@ -306,11 +347,16 @@ def tight_span(c: QCategory) -> TightSpan:
     Each member is checked to be a presheaf.  The span's hom is the
     kernel's ``residual_matrix`` of the members with themselves.  The span
     is checked symmetric and valid here and comes back marked, so
-    ``_require_symmetric`` does not check it again.
+    ``_require_symmetric`` does not check it again.  The kernel keeps a
+    ``_SpanMemo`` for every span built here, so the span of a span is built
+    and checked once per distinct (types, hom) and read back after that.
     """
     _require_symmetric(c)
     dq = c.quantaloid
-    members = [(q, values) for q in dq.objects() for values in _tight_columns(c, q)]
+    memo = _span_memo(c)
+    if memo is not None and memo.span is not None:
+        return TightSpan(c, *memo.span)
+    members = tuple((q, values) for q in dq.objects() for values in _tight_columns(c, q, memo))
     if not all(_distributor_holds(c, q, values) for q, values in members):
         raise InvariantError("every tight column must be a presheaf")
     names = tuple(f"t{i}" for i in range(len(members)))
@@ -323,7 +369,10 @@ def tight_span(c: QCategory) -> TightSpan:
     if not report.valid:
         raise InvariantError(f"the tight span must be a category: {report.to_dict()}")
     _mark_symmetric(category)
-    return TightSpan(base=c, members=tuple(members), category=category)
+    dq._spans.setdefault((carrier.types, entries), _SpanMemo())
+    if memo is not None:
+        memo.span = members, category
+    return TightSpan(base=c, members=members, category=category)
 
 
 # -- hypercompleteness -------------------------------------------------------
@@ -349,8 +398,9 @@ def is_hypercomplete(c: QCategory, strict: bool = True) -> HypercompleteResult:
     hom = c.hom.entries
     n = len(types)
     checked = 0
+    memo = _span_memo(c)
     for q in dq.objects():
-        for values in _tight_columns(c, q):
+        for values in _tight_columns(c, q, memo):
             checked += 1
             for z in range(n):
                 if strict and types[z] != q:
@@ -684,7 +734,9 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
 
     One memo lives on the kernel ``f.domain.quantaloid``, so it lasts as
     long as its quantale: the receiving categories, keyed on the object
-    bound, each with its points' indices by type, the pools of the search.
+    bound, each with its points' indices by type, the pools of the search;
+    and, per bound and set of codomain types, the positions of the receivers
+    that have every one of those types, the only ones a functor can reach.
 
     Only the entry checks validate: ``is_fully_faithful(f)`` refuses an
     invalid f and cross-checks its answer, and both ends of f must be valid
@@ -715,10 +767,15 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
         )
     hom, types = cod.hom.entries, cod.objects.types
     image = set(f.assignment)
-    needed = set(types)
-    for k, (z_cat, by_type) in enumerate(receivers):
-        if not by_type.keys() >= needed:
-            continue  # Z lacks a type of the codomain: no functor
+    needed = frozenset(types)
+    reachable = memo.get(("reachable", z_bound, needed))
+    if reachable is None:
+        # a receiver lacking a type of the codomain takes no functor
+        reachable = memo[("reachable", z_bound, needed)] = tuple(
+            k for k, (_, by_type) in enumerate(receivers) if by_type.keys() >= needed
+        )
+    for k in reachable:
+        z_cat, by_type = receivers[k]
         pools = [by_type[t] for t in types]
         z_hom = z_cat.hom.entries
         for g in _functor_search(cod, z_cat, pools, image):

@@ -126,8 +126,14 @@ def _t44_single(x_cat: QCategory) -> dict:
 
     fully_faithful = dense = codense = columns_tight = transport_ok = maximal = False
     if embedded:
-        fully_faithful = is_fully_faithful(embedding)
-        dense = is_dense(embedding)
+        # The transport's entry checks are full faithfulness and density:
+        # when it runs, both hold, and only a refusal asks which failed.
+        try:
+            transport_ok = tight_span_restriction(embedding, span).ok
+            fully_faithful = dense = True
+        except PreconditionError:
+            fully_faithful = is_fully_faithful(embedding)
+            dense = is_dense(embedding)
         codense = is_codense(embedding)
         # Graph columns land in the tight span of the domain.
         gr = graph(embedding).entries
@@ -135,7 +141,6 @@ def _t44_single(x_cat: QCategory) -> dict:
             is_tight_column(x_cat, q, tuple(row[j] for row in gr))
             for j, (q, _) in enumerate(span.members)
         )
-        transport_ok = fully_faithful and dense and tight_span_restriction(embedding, span).ok
         maximal = _maximal_in_ambient(x_cat, span.members)
     ok = all(
         [embedded, fully_faithful, dense, codense, columns_tight, transport_ok, maximal]

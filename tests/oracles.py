@@ -2,7 +2,8 @@
 
 The CLI, the suites and the benchmark reach none of these.  The tests keep
 them as independent oracles for library code (``check_adjunction`` for the
-graph calculus, ``table_tight_columns`` for the tight-column search,
+graph calculus, ``table_tight_columns`` and ``row_tight_columns`` (on
+``row_tables``) for the tight-column search,
 ``tighten`` and ``extension_from_presheaf`` for the tight columns and
 one-point retractions, the classical checks for
 ``tighten_sweep`` and ``sigma``, ``FractionExtRat`` for the int-pair
@@ -10,8 +11,9 @@ one-point retractions, the classical checks for
 forms, the ``cell_*`` loops, ``presheaf_hom``, ``_tight_residual`` and
 ``presheaf_hom_matrix`` for the kernel's matrix scans,
 ``run_suite_per_category`` and ``run_t54_per_functor`` for the suites'
-per-class verdicts, ``reference_functor_search`` and
-``reference_all_functors`` for the pruned functor search,
+per-class verdicts, ``t44_single_checked_twice`` for ``t44``'s verdict,
+``reference_functor_search`` and ``reference_all_functors`` for the pruned
+functor search,
 ``functor_compose`` for the composites of the essentiality brute force,
 ``underlying_order`` for the iso classes ``extend_along`` reads from the
 hom,
@@ -57,8 +59,12 @@ from enritch.hull import (
     _extend_matrix,
     _fresh_name,
     column_admissible,
+    is_codense,
+    is_dense,
     is_fully_faithful,
     is_tight_column,
+    tight_span,
+    tight_span_restriction,
 )
 from enritch.parmet import (
     ParMetSpace,
@@ -80,7 +86,7 @@ from enritch.rationals import (
     _too_long,
 )
 from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve
-from enritch.verify import _l43_single, _t36_single, _t44_single, _t54_single
+from enritch.verify import _l43_single, _maximal_in_ambient, _t36_single, _t44_single, _t54_single
 
 
 # -- quantales -----------------------------------------------------------------
@@ -575,12 +581,111 @@ def yoneda_lemma_holds(c: QCategory, mu: Presheaf) -> bool:
 # -- hull ----------------------------------------------------------------------
 
 
+def row_tables(dq: DiagonalQuantaloid, q) -> tuple:
+    """The tables of a search over type-q columns before the kernel coded
+    its elements: ``(meet, join, leq, involve, residual, hom_meet)`` with
+    ``residual[t][u][w] = limpl(q, t, u, w)`` and ``hom_meet[t][m] =
+    hom_meet(q, t, (m,))``, read from the finite kernel's own tables."""
+    return (dq._meets, dq._joins, dq._order, dq._involution, dq._limpl[q], dq._hom_meet[q])
+
+
+def row_tight_columns(c: QCategory, q) -> Iterator[tuple]:
+    """The branch-and-propagate search on per-cell table rows that the
+    packed search replaced (oracle).  All tight columns of type q, in
+    lexicographic hom order.
+
+    A node of the search is an interval [lo, hi] of columns, and it first
+    propagates to a fixpoint: hi <- hi meet f(lo), then lo <- lo join f(hi),
+    in each hom(|z|, q), with f(mu) = (hom <swarrow> mu) deg.  f is
+    antitone, so every tight mu in [lo, hi] has f(hi) <= f(mu) = mu <= f(lo)
+    and stays in the narrowed interval.  Both bounds stay diagonals, since
+    homs are closed under joins.  A node is pruned when lo(z) is not below
+    hi(z) at some z; at a fixpoint with lo = hi it is tight, because there
+    mu <= f(mu) <= mu.  Any other node branches on the open coordinate with
+    the fewest diagonals between its bounds, one child per diagonal.  The
+    root (bottom, top) propagates to the least and greatest fixed points of
+    f squared, the alternating fixpoint of Van Gelder (JCSS 1993).
+
+    The residuals hom <swarrow> mu are rows of the kernel's
+    ``residual_matrix`` against the Yoneda columns, so f(hi) is one row,
+    evaluated afresh.  Raising lo only lowers the residuals, so ``below`` =
+    residuals(lo) starts as one row and is kept up to date by meeting in the
+    rows of the raised coordinates.  Each round that does not end the
+    propagation moves a bound strictly inward, so a node takes at most
+    ``_chain_bound`` rounds.  The columns found are sorted.
+    """
+    dq = c.quantaloid
+    types = c.objects.types
+    meet, join, leq, involve, limpl, hom_meet = row_tables(dq, q)
+    # caps[z][m]: the largest element of hom(q, |z|) below m.
+    caps = [hom_meet[t] for t in types]
+    # yonedas[z]: |z| and the column hom(-, z); rows[z]: the residuals into
+    # |z| and the same column.
+    columns = list(zip(*c.hom.entries))
+    yonedas = list(zip(types, columns))
+    rows = list(zip((limpl[t] for t in types), columns))
+    homs = [dq.hom(t, q) for t in types]
+    steps = _chain_bound(c, q)
+
+    def narrowed(below: Sequence, lo: Sequence, grown: Sequence) -> Sequence:
+        """residuals(grown) from below = residuals(lo), for grown >= lo: each
+        raised coordinate only lowers the residuals, so its rows meet in."""
+        for x, (v, w) in enumerate(zip(lo, grown)):
+            if v != w:
+                below = [meet[m][lim[w][col[x]]] for m, (lim, col) in zip(below, rows)]
+        return below
+
+    def propagate(lo: list, hi: list, below: Sequence) -> tuple | None:
+        """The fixpoint of the node [lo, hi], or None when it is empty."""
+        for rounds in range(steps):
+            # hi meet f(lo), met in hom(q, |z|) and involuted back.  ``below``
+            # mixes a capped row with uncapped meets; both cap alike, since
+            # cap(m meet s) = cap(cap(m) meet s) when homs are closed under joins.
+            narrower = [involve[cap[meet[involve[u]][m]]] for cap, u, m in zip(caps, hi, below)]
+            if rounds and narrower == hi:
+                return lo, hi, below  # lo already holds f(hi)
+            hi = narrower
+            (residuals,) = dq.residual_matrix([(q, hi)], yonedas)  # capped
+            grown = [join[v][involve[m]] for v, m in zip(lo, residuals)]
+            if not all(leq[v][u] for v, u in zip(grown, hi)):
+                return None
+            if grown == lo:
+                return lo, hi, below
+            lo, below = grown, narrowed(below, lo, grown)
+        raise InvariantError("the bound propagation failed to converge")
+
+    found = []
+    bottom = [dq.hom_bottom(t, q) for t in types]
+    (below,) = dq.residual_matrix([(q, bottom)], yonedas)
+    stack = [(bottom, [dq.hom_top(t, q) for t in types], below)]
+    while stack:
+        node = propagate(*stack.pop())
+        if node is None:
+            continue
+        lo, hi, below = node
+        candidates = [
+            (z, [w for w in homs[z] if leq[v][w] and leq[w][u]])
+            for z, (v, u) in enumerate(zip(lo, hi))
+            if v != u
+        ]
+        if not candidates:
+            found.append(tuple(lo))
+            continue
+        z, between = min(candidates, key=lambda pair: len(pair[1]))
+        for w in between:
+            lo_w, hi_w = lo.copy(), hi.copy()
+            lo_w[z] = hi_w[z] = w
+            stack.append((lo_w, hi_w, narrowed(below, lo, lo_w)))
+    yield from sorted(found)
+
+
+
 def table_tight_columns(c: QCategory, q) -> Iterator[tuple]:
     """The table-driven cut search that the branch-and-propagate search
     replaced (oracle).  All tight columns of type q, in lexicographic hom
     order.
 
-    The search runs on the finite kernel's tables (``column_tables``): a
+    The search runs on the finite kernel's tables (``row_tables``): a
     hom meet is a lookup after one meet-table step, and the residual
     hom(x, z) <swarrow> v is read from a row per coordinate x and value v,
     built once per search.
@@ -613,7 +718,7 @@ def table_tight_columns(c: QCategory, q) -> Iterator[tuple]:
         yield ()
         return
 
-    meet, _join, leq, involve, limpl, hom_meet = dq.column_tables(q)
+    meet, _join, leq, involve, limpl, hom_meet = row_tables(dq, q)
     top = dq.quantale.top
     # caps[z][m]: the largest element of hom(q, |z|) below m.
     caps = [hom_meet[t] for t in types]
@@ -867,6 +972,43 @@ def functor_compose(g: QFunctor, f: QFunctor) -> QFunctor:
 
 
 # -- suites --------------------------------------------------------------------
+
+
+def t44_single_checked_twice(x_cat: QCategory) -> dict:
+    """The ``t44`` verdict of one category as ``verify._t44_single`` made it
+    before it let ``tight_span_restriction`` decide full faithfulness and
+    density (oracle): both are computed here, and the transport checks
+    them again at its entry."""
+    span = tight_span(x_cat)
+    embedding = span.yoneda_embedding()
+    embedded = embedding is not None
+
+    fully_faithful = dense = codense = columns_tight = transport_ok = maximal = False
+    if embedded:
+        fully_faithful = is_fully_faithful(embedding)
+        dense = is_dense(embedding)
+        codense = is_codense(embedding)
+        # Graph columns land in the tight span of the domain.
+        gr = graph(embedding).entries
+        columns_tight = all(
+            is_tight_column(x_cat, q, tuple(row[j] for row in gr))
+            for j, (q, _) in enumerate(span.members)
+        )
+        transport_ok = fully_faithful and dense and tight_span_restriction(embedding, span).ok
+        maximal = _maximal_in_ambient(x_cat, span.members)
+    ok = all(
+        [embedded, fully_faithful, dense, codense, columns_tight, transport_ok, maximal]
+    )
+    return {
+        "yoneda_in_span": embedded,
+        "fully_faithful": fully_faithful,
+        "dense": dense,
+        "codense": codense,
+        "graph_columns_tight": columns_tight,
+        "transport_isomorphism": transport_ok,
+        "tight_maximal_in_ambient": maximal,
+        "agree": ok,
+    }
 
 
 def run_suite_per_category(

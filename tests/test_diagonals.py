@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from enritch.diagonals import diagonal_quantaloid
+from enritch.diagonals import _join_irreducible_codes, diagonal_quantaloid
 from enritch.errors import PreconditionError, UnsupportedQuantaleError
 from enritch.fileio import load_quantale
 from enritch.quantale import LAWVERE
@@ -363,7 +363,7 @@ class TestFiniteKernelTables:
         dq = diagonal_quantaloid(quantale)
         rng = quantale.payloads()
         for q in rng:
-            meet, join, leq, involve, residual, hom_meet = dq.column_tables(q)
+            codes, join, leq, involve, residual, decoders = dq.column_tables(q)
             # the join that grows a search's lower bounds, inside every hom
             for p in rng:
                 hom = dq.hom(p, q)
@@ -373,15 +373,16 @@ class TestFiniteKernelTables:
             for a in rng:
                 assert involve[a] == dq.involve(a)
             for a, b in itertools.product(rng, repeat=2):
-                assert meet[a][b] == quantale.meet_table[a][b]
+                assert codes[quantale.meet_table[a][b]] == codes[a] & codes[b]
                 assert leq[a][b] == dq.leq(a, b)
             for t, u, w in itertools.product(rng, repeat=3):
                 assert residual[t][u][w] == dq.limpl(q, t, u, w)
-            for t, m in itertools.product(rng, repeat=2):
-                assert hom_meet[t][m] == dq.hom_meet(q, t, (m,))
-            # the two-argument hom meet of the tight-column search
+            # the two-argument hom meet of the tight-column search, capped
+            # and involuted from the AND of two codes
             for t, a, b in itertools.product(rng, repeat=3):
-                assert hom_meet[t][meet[a][b]] == dq.hom_meet(q, t, (a, b))
+                capped = dq.hom_meet(q, t, (a, b))
+                assert decoders[t][codes[a] & codes[b]] == dq.involve(capped)
+                assert dq.is_hom(involve[t], involve[q], decoders[t][codes[a] & codes[b]])
 
     def test_mutated_boolean_refused(self):
         q = load_quantale(DATA / "mutated_boolean.json")
@@ -396,3 +397,72 @@ class TestFiniteKernelTables:
         del q
         gc.collect()
         assert ref() is None
+
+
+def meet_from_order(leq):
+    """The meet table of a finite lattice given by its order (test-side)."""
+    n = len(leq)
+    meet = [[None] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        lower = [c for c in range(n) if leq[c][a] and leq[c][b]]
+        (meet[a][b],) = [c for c in lower if all(leq[d][c] for d in lower)]
+    return meet
+
+
+def order_from_covers(n, covers):
+    """The reflexive-transitive closure of the (lower, upper) cover pairs."""
+    leq = [[a == b for b in range(n)] for a in range(n)]
+    for _ in range(n):
+        for a, b in covers:
+            for c in range(n):
+                if leq[c][a]:
+                    leq[c][b] = True
+    return leq
+
+
+# bottom 0, top 4: N5 is 0 < 1 < 2 < 4 with 0 < 3 < 4; M3 has 1, 2, 3 side
+# by side.  Neither is distributive, and the codes need no distributivity.
+NON_DISTRIBUTIVE = {
+    "N5": order_from_covers(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]),
+    "M3": order_from_covers(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+}
+
+
+class TestJoinIrreducibleCodes:
+    """enc(a meet b) = enc(a) & enc(b), and dec(enc(a)) = a."""
+
+    @staticmethod
+    def assert_laws(leq, meet):
+        codes = _join_irreducible_codes(leq)
+        decode = {code: a for a, code in enumerate(codes)}
+        n = len(leq)
+        for a in range(n):
+            assert decode[codes[a]] == a
+        for a, b in itertools.product(range(n), repeat=2):
+            assert codes[meet[a][b]] == codes[a] & codes[b], (a, b)
+        return codes
+
+    @pytest.mark.parametrize(
+        "fixture", ["boolean", "luk3", "luk5", "nilmin5", "diamond", "diamond_swap"]
+    )
+    def test_laws_on_every_shipped_quantale(self, request, fixture):
+        quantale = request.getfixturevalue(fixture)
+        codes = self.assert_laws(quantale.leq_table, quantale.meet_table)
+        assert diagonal_quantaloid(quantale).column_tables(quantale.top)[0] == codes
+
+    @pytest.mark.parametrize("name", sorted(NON_DISTRIBUTIVE))
+    def test_laws_on_non_distributive_lattices(self, name):
+        leq = NON_DISTRIBUTIVE[name]
+        meet = meet_from_order(leq)
+        join = meet_from_order([list(column) for column in zip(*leq)])  # the dual's meet
+        assert any(
+            meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]
+            for a, b, c in itertools.product(range(5), repeat=3)
+        )
+        self.assert_laws(leq, meet)
+
+    def test_the_codes_of_n5_and_m3(self):
+        # N5's join-irreducibles are 1, 2 and 3; M3's are its three atoms
+        n5, m3 = (_join_irreducible_codes(NON_DISTRIBUTIVE[name]) for name in ("N5", "M3"))
+        assert n5 == (0b000, 0b001, 0b011, 0b100, 0b111)
+        assert m3 == (0b000, 0b001, 0b010, 0b100, 0b111)

@@ -37,6 +37,7 @@ from enritch.hull import (
     _chain_bound,
     _enumerate_tight_columns,
     _functor_search,
+    _span_memo,
     _tight_columns,
     all_functors,
     column_admissible,
@@ -81,7 +82,9 @@ from oracles import (
     reference_all_functors,
     reference_functor_search,
     relabel,
+    row_tight_columns,
     table_tight_columns,
+    t44_single_checked_twice,
     tighten,
     underlying_order,
     yoneda,
@@ -437,10 +440,10 @@ class TestTightSpan:
                 yield (one, zero)
 
         monkeypatch.setattr(hull, "_enumerate_tight_columns", lying)
-        # An empty memo for the lie: a search an earlier test left in the
-        # session kernel's memo would never read it, and the lie must not
-        # outlive the test.
-        monkeypatch.setattr(c.quantaloid, "_tight_columns", {})
+        # An empty memo for the lie: a span an earlier test left in the
+        # session kernel's memo would never be searched again, and the lie
+        # must not outlive the test.
+        monkeypatch.setattr(c.quantaloid, "_spans", {})
         with pytest.raises(InvariantError, match="must be a presheaf"):
             tight_span(c)
 
@@ -498,6 +501,41 @@ class TestTightColumnSearch:
                 assert got == list(table_tight_columns(c, q)), (c.to_dict(), dq.format(q))
                 searches += 1
         assert searches == 1420 * len(dq.objects())
+
+    @pytest.mark.parametrize(
+        "fixture, pairs, distinct",
+        [
+            ("boolean", 138, 48),
+            ("luk3", 1053, 438),
+            ("luk5", 21300, 11400),
+            ("nilmin5", 10335, 4140),
+            ("diamond", 3060, 1080),
+        ],
+    )
+    def test_matches_the_row_search_on_spans_of_spans_at_bound_3(
+        self, request, fixture, pairs, distinct
+    ):
+        # every (category, span, span of span, q) at bound 3: 35,886 pairs
+        # over the five shipped quantales; the search reads only q, the
+        # types and the hom, so each distinct triple is compared once
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        seen = set()
+        count = 0
+        for c in enumerate_symmetric_categories(dq, 3):
+            span = tight_span(c).category
+            for target in (c, span, tight_span(span).category):
+                for q in dq.objects():
+                    count += 1
+                    key = (q, target.objects.types, target.hom.entries)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    got = list(_enumerate_tight_columns(target, q))
+                    assert got == list(row_tight_columns(target, q)), (
+                        target.to_dict(),
+                        dq.format(q),
+                    )
+        assert (count, len(seen)) == (pairs, distinct)
 
     # (quantale fixture, bound, one category per isomorphism class)
     SPAN_CASES = [(fixture, bound, False) for fixture, bound, _ in CASES]
@@ -579,60 +617,79 @@ class TestTightColumnSearch:
             gc.garbage.clear()
 
 
+def span_key(c):
+    return c.objects.types, c.hom.entries
+
+
 class TestTightColumnMemo:
-    """``_tight_columns``, the search memoised on the kernel by (q, types,
-    hom), against ``_enumerate_tight_columns`` itself."""
+    """The kernel's span memo (``_SpanMemo``): entries only for the
+    categories ``tight_span`` built, each with its tight columns and its
+    own tight span, against ``_enumerate_tight_columns`` and the suites
+    run cold."""
 
     @pytest.mark.parametrize("fixture", SHIPPED_AND_SWAP)
     def test_lookup_matches_the_raw_search_cold_and_warm(self, request, monkeypatch, fixture):
-        # every category at bound 3 and its tight span, whose spans repeat
-        # across categories; the memo starts empty, so each key is searched
-        # on its first lookup (cold) and read back on the later ones (warm)
+        # every category at bound 3 and its tight span; spans repeat across
+        # categories, so a span's first lookup searches (cold) and the later
+        # ones read it back (warm); a base category is searched every time
         dq = diagonal_quantaloid(request.getfixturevalue(fixture))
-        monkeypatch.setattr(dq, "_tight_columns", {})  # the session memo comes back after
-        targets = [
-            target
-            for c in enumerate_symmetric_categories(dq, 3)
-            for target in (c, tight_span(c).category)
-        ]
-        dq._tight_columns.clear()  # of the searches tight_span made
-        cases = [(target, q) for target in targets for q in dq.objects()]
-        found = []
-        for target, q in cases:
-            columns = _tight_columns(target, q)
-            assert list(columns) == list(_enumerate_tight_columns(target, q))
-            found.append(columns)
-        assert len(dq._tight_columns) < len(cases)  # some lookups were warm
-        for (target, q), columns in zip(cases, found):
-            assert _tight_columns(target, q) is columns
+        monkeypatch.setattr(dq, "_spans", {})  # the session memo comes back after
+        cats = list(enumerate_symmetric_categories(dq, 3))
+        spans = [tight_span(c).category for c in cats]
+        assert set(dq._spans) == {span_key(s) for s in spans}  # no base entries
+        # a base category with the hom of an earlier span reads that entry
+        # and keeps its own span there
+        built = {key for key, memo in dq._spans.items() if memo.span is not None}
+        assert built == set(dq._spans) & {span_key(c) for c in cats}
+        found = {}
+        for target in cats + spans:
+            memo = _span_memo(target)
+            assert (memo is not None) == (span_key(target) in dq._spans)
+            for q in dq.objects():
+                columns = _tight_columns(target, q, memo)
+                assert list(columns) == list(_enumerate_tight_columns(target, q))
+                if memo is not None:
+                    assert found.setdefault((span_key(target), q), columns) is columns
+        assert set(dq._spans) == {span_key(s) for s in spans}  # lookups add none
+        assert len(found) == len(dq._spans) * len(dq.objects()) < len(spans) * len(dq.objects())
 
     @pytest.mark.parametrize("suite", ["l43", "t44"])
     @pytest.mark.parametrize(
-        "name, bound, searches, lookups",
-        [("lukasiewicz3", 3, 174, 276), ("nilmin5", 2, 215, 340)],
+        "name, bound, counts",
+        [
+            ("lukasiewicz3", 3, {"l43": (174, 46, 13, 1), "t44": (174, 58, 19, 13)}),
+            ("nilmin5", 2, {"l43": (215, 34, 9, 0), "t44": (215, 43, 13, 9)}),
+        ],
         ids=["lukasiewicz3", "nilmin5"],
     )
     def test_each_distinct_search_runs_once_per_suite(
-        self, monkeypatch, suite, name, bound, searches, lookups
+        self, monkeypatch, suite, name, bound, counts
     ):
-        # the lookups are the searches made before the memo
+        # (searches, span builds, memo entries, entries with their own span)
+        # lukasiewicz3: 46 classes and 13 distinct spans, one of which is
+        # also a class, so 3 x (46 + 13 - 1) searches; t44 builds each
+        # distinct span's span once, 46 + 13 - 1 builds, and keeps the 6
+        # spans of spans that are not spans already.  Before the span memo
+        # the t44 counts were 174 searches and 92 builds.
         calls = Counter()
-        search, lookup = hull._enumerate_tight_columns, hull._tight_columns
+        search, validate = hull._enumerate_tight_columns, hull.validate_category
 
         def counted_search(c, q):
             calls["search"] += 1
             return search(c, q)
 
-        def counted_lookup(c, q):
-            calls["lookup"] += 1
-            return lookup(c, q)
+        def counted_validate(c):
+            calls["build"] += 1
+            return validate(c)
 
         monkeypatch.setattr(hull, "_enumerate_tight_columns", counted_search)
-        monkeypatch.setattr(hull, "_tight_columns", counted_lookup)
+        monkeypatch.setattr(hull, "validate_category", counted_validate)
         quantale = shipped_quantale(name)
-        assert run_suite(suite, quantale, bound)["result"]
-        assert calls == {"search": searches, "lookup": lookups}
-        assert len(diagonal_quantaloid(quantale)._tight_columns) == searches
+        report = run_suite(suite, quantale, bound)
+        assert report["result"]
+        memo = diagonal_quantaloid(quantale)._spans
+        spans = sum(memo.span is not None for memo in memo.values())
+        assert (calls["search"], calls["build"], len(memo), spans) == counts[suite]
 
     @pytest.mark.parametrize(
         "suite, name, bound, strict",
@@ -651,7 +708,7 @@ class TestTightColumnMemo:
     ):
         warm = run_suite(suite, shipped_quantale(name), bound, strict)
         quantale = shipped_quantale(name)
-        memo = diagonal_quantaloid(quantale)._tight_columns
+        memo = diagonal_quantaloid(quantale)._spans
         single = getattr(verify, f"_{suite}_single")
         classes = []
 
@@ -664,23 +721,50 @@ class TestTightColumnMemo:
         assert run_suite(suite, quantale, bound, strict) == warm
         assert len(classes) > 1
 
-    def test_a_suite_reads_the_searches_another_suite_left(self):
+    def test_a_suite_reads_the_searches_another_suite_left(self, monkeypatch):
         quantale = shipped_quantale("lukasiewicz3")
-        memo = diagonal_quantaloid(quantale)._tight_columns
+        memo = diagonal_quantaloid(quantale)._spans
         assert run_suite("l43", quantale, 3)["result"]
         left = len(memo)
-        assert run_suite("t44", quantale, 3) == run_suite("t44", shipped_quantale("lukasiewicz3"), 3)
-        assert len(memo) - left < 174  # the searches t44 makes on its own
+        calls = Counter()
+        search = hull._enumerate_tight_columns
+
+        def counted_search(c, q):
+            calls["search"] += 1
+            return search(c, q)
+
+        monkeypatch.setattr(hull, "_enumerate_tight_columns", counted_search)
+        warm = run_suite("t44", quantale, 3)
+        # only the classes' bases are searched, except the one class whose
+        # hom is a span's: l43 left every span's columns
+        assert calls["search"] == (46 - 1) * 3 < 174
+        assert len(memo) > left  # the spans of spans
+        assert warm == run_suite("t44", shipped_quantale("lukasiewicz3"), 3)
+
+    def test_a_span_of_a_span_is_built_once_and_based_on_its_argument(self, luk3):
+        dq = diagonal_quantaloid(luk3)
+        c = make_category(luk3, ["p", "q"], ["1", "1"], [["1", "1/2"], ["1/2", "1"]])
+        span = tight_span(c).category
+        first = tight_span(span)
+        # the same types and hom under other names: read back, not rebuilt
+        carrier = TypedSet(dq, tuple(f"u{i}" for i in range(len(span))), span.objects.types)
+        renamed = QCategory(carrier, QRelation(carrier, carrier, span.hom.entries))
+        second = tight_span(renamed)
+        assert second.category is first.category and second.members is first.members
+        assert first.base is span and second.base is renamed
+        assert second.yoneda_embedding().domain is renamed
 
     def test_each_load_starts_with_an_empty_memo(self):
         path = files("enritch") / "data" / "lukasiewicz3.json"
         first, second = (diagonal_quantaloid(fileio.load_quantale(path)) for _ in range(2))
-        assert first._tight_columns is not second._tight_columns
-        assert first._tight_columns == {} == second._tight_columns
+        assert first._spans is not second._spans
+        assert first._spans == {} == second._spans
         c = next(c for c in enumerate_symmetric_categories(first, 1) if len(c))
-        tight_span(c)
-        assert len(first._tight_columns) == len(first.objects())
-        assert second._tight_columns == {}
+        span = tight_span(c).category
+        # the span's entry, with nothing searched on it yet; c's search is not kept
+        assert list(first._spans) == [span_key(span)]
+        assert _span_memo(c) is None
+        assert second._spans == {}
 
 
 class TestHypercomplete:
@@ -1275,6 +1359,29 @@ class TestEssentialMemo:
         assert {want[0] for want in expected} == {True, False}
         # some counterexample lies past the first receiver
         assert max(want[2] for want in expected if not want[0]) > 1
+
+    def test_walks_only_the_receivers_with_every_codomain_type(self, monkeypatch, nilmin5):
+        # every fully faithful functor between one-point categories is
+        # essential, so each call searches every receiver it walks
+        dq = diagonal_quantaloid(nilmin5)
+        functors = self.fully_faithful_functors(dq, 1)
+        searched = []
+        real = hull._functor_search
+
+        def counted(cod, z_cat, *rest):
+            searched.append(z_cat)
+            return real(cod, z_cat, *rest)
+
+        monkeypatch.setattr(hull, "_functor_search", counted)
+        for f in functors:
+            searched.clear()
+            result = is_essential_bruteforce(f, max_objects=2)
+            receivers = [z_cat for z_cat, _ in dq._essentiality[("receivers", len(f.codomain) + 1)]]
+            needed = set(f.codomain.objects.types)
+            assert result.essential and result.categories_checked == len(receivers)
+            assert searched == [z for z in receivers if needed <= set(z.objects.types)]
+            assert len(searched) < len(receivers) or not needed
+        assert any(len(f.codomain) for f in functors)
 
     def test_memos_do_not_keep_the_quantale_alive(self):
         q = shipped_quantale("boolean")

@@ -23,6 +23,7 @@ from enritch.diagonals import diagonal_quantaloid
 from enritch.hull import enumerate_symmetric_categories
 from enritch.verify import _l43_single, _t36_single, _t44_single, run_suite
 
+import oracles
 from conftest import shipped_quantale, swapped_diamond
 from oracles import (
     marked_signature,
@@ -30,6 +31,7 @@ from oracles import (
     relabel,
     run_suite_per_category,
     run_t54_per_functor,
+    t44_single_checked_twice,
 )
 
 # Every shipped quantale, at every bound whose oracle run finishes in about
@@ -185,3 +187,35 @@ def test_single_checks_ignore_the_labelling(name, bound):
         assert _t44_single(y_cat) == _t44_single(x_cat)
     assert moved > 0  # some relabellings give a different labelled category
 
+
+
+T44_CLASSES = ["boolean", "lukasiewicz3", "lukasiewicz5", "nilmin5", "diamond", "diamond_swap"]
+
+
+@pytest.mark.parametrize("name", T44_CLASSES)
+def test_t44_verdict_matches_the_oracle_that_checks_twice(name):
+    # every class at bound 3: the transport decides full faithfulness and
+    # density, and only a refusal computes them apart
+    dq = diagonal_quantaloid(quantale_named(name))
+    classes = list(raw_symmetric_categories(dq, 3, up_to_iso=True))
+    for x_cat in classes:
+        assert _t44_single(x_cat) == t44_single_checked_twice(x_cat), x_cat.to_dict()
+    assert classes
+
+
+@pytest.mark.parametrize("name", ["lukasiewicz3", "nilmin5"])
+def test_t44_verdict_matches_the_oracle_when_density_fails(monkeypatch, name):
+    # a lying is_dense for the embedding of one class, on every path that reads it
+    dq = diagonal_quantaloid(quantale_named(name))
+    classes = [c for c in raw_symmetric_categories(dq, 3, up_to_iso=True) if len(c) == 2]
+    liar = classes[len(classes) // 2]
+    real = hull.is_dense
+    lying = lambda f: False if f.domain == liar else real(f)
+    for module in (hull, verify, oracles):
+        monkeypatch.setattr(module, "is_dense", lying)
+    want = t44_single_checked_twice(liar)
+    assert want["fully_faithful"] and not want["dense"]
+    assert not want["transport_isomorphism"] and not want["agree"]
+    assert _t44_single(liar) == want
+    for x_cat in classes:
+        assert _t44_single(x_cat) == t44_single_checked_twice(x_cat), x_cat.to_dict()
