@@ -720,11 +720,11 @@ def enumerate_symmetric_categories(
 def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResult:
     """Test essentiality by brute force over small receiving categories.
 
-    Enumerates symmetric categories Z with at most |codomain| + 1 objects,
-    up to relabeling (the first of each isomorphism class), and every functor
-    g out of the codomain, and checks that g is fully faithful whenever the
-    composite g . f is.  Refuses when
-    the implied bound exceeds ``max_objects``.
+    Walks the symmetric categories Z with at most |codomain| points, up to
+    relabeling (the first of each isomorphism class), and every functor g
+    out of the codomain, and checks that g is fully faithful whenever the
+    composite g . f is.  Refuses when |codomain| + 1, the bound of the
+    receivers that essentiality quantifies over, exceeds ``max_objects``.
 
     Because f is fully faithful, hom_X(x, x') = hom_Y(fx, fx'), so g . f is
     fully faithful exactly when g preserves the homs between the points of
@@ -732,10 +732,28 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
     g, in the order of ``all_functors``, and the first that is not fully
     faithful is the counterexample; no composite is formed.
 
+    The image lemma: receivers of at most |codomain| points suffice.  Let
+    g : Y -> Z be a functor, W the full subcategory of Z on g(Y) and
+    g' : Y -> W the same map with its codomain cut down to W.  That g is a
+    functor, that g . f is fully faithful and that g is fully faithful each
+    read only the homs of Z between points of g(Y), which are W's; so g' is
+    a counterexample exactly when g is.  W is valid and symmetric, as a full
+    subcategory of Z, with |W| <= |Y| points, so it is isomorphic to a
+    receiver, and the isomorphism carries g' to a counterexample into it.
+    The receivers come by size, the first of each class in enumeration
+    order, so the classes of at most |Y| points are the first ones of the
+    list with |Y| + 1 points: the walk over them finds the same first
+    counterexample at the same position, and finds none exactly when the
+    longer walk does.  In the essential case ``categories_checked`` is the
+    number of receivers of at most |Y| points.
+
     One memo lives on the kernel ``f.domain.quantaloid``, so it lasts as
-    long as its quantale: the receiving categories, keyed on the object
-    bound, each with its points' indices by type, the pools of the search;
-    and, per bound and set of codomain types, the positions of the receivers
+    long as its quantale.  Under ``"receivers"`` it holds one list of the
+    receiving categories, by size, each with its points' indices by type,
+    the pools of the search, and the end offset of each size; a call takes
+    the prefix of its size, and the list is built again, with the same
+    order, only when a call needs a larger size.  Under ("reachable", size,
+    codomain types) it holds the positions in that prefix of the receivers
     that have every one of those types, the only ones a functor can reach.
 
     Only the entry checks validate: ``is_fully_faithful(f)`` refuses an
@@ -748,31 +766,33 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
         raise PreconditionError("essentiality is only defined for fully faithful functors")
     _require_symmetric(f.domain)
     _require_symmetric(f.codomain)
-    z_bound = len(f.codomain) + 1
-    if z_bound > max_objects:
-        raise BoundExceededError(
-            f"would need categories of size {z_bound}, above the bound {max_objects}"
-        )
     cod = f.codomain
+    size = len(cod)
+    if size + 1 > max_objects:
+        raise BoundExceededError(
+            f"would need categories of size {size + 1}, above the bound {max_objects}"
+        )
     dq = f.domain.quantaloid
     memo = dq._essentiality
-    receivers = memo.get(("receivers", z_bound))
-    if receivers is None:
+    receivers, ends = memo.get("receivers", ((), ()))
+    if len(ends) <= size:
         classes: dict = {}
-        for z_cat in enumerate_symmetric_categories(dq, z_bound):
+        for z_cat in enumerate_symmetric_categories(dq, size):
             classes.setdefault(_canonical_signature(z_cat), z_cat)
-        receivers = memo[("receivers", z_bound)] = tuple(
+        receivers = tuple(
             (z_cat, {t: _of_type(z_cat, t) for t in z_cat.objects.types})
             for z_cat in classes.values()
         )
+        ends = tuple(sum(len(z_cat) <= n for z_cat in classes.values()) for n in range(size + 1))
+        memo["receivers"] = receivers, ends
     hom, types = cod.hom.entries, cod.objects.types
     image = set(f.assignment)
     needed = frozenset(types)
-    reachable = memo.get(("reachable", z_bound, needed))
+    reachable = memo.get(("reachable", size, needed))
     if reachable is None:
         # a receiver lacking a type of the codomain takes no functor
-        reachable = memo[("reachable", z_bound, needed)] = tuple(
-            k for k, (_, by_type) in enumerate(receivers) if by_type.keys() >= needed
+        reachable = memo[("reachable", size, needed)] = tuple(
+            k for k in range(ends[size]) if receivers[k][1].keys() >= needed
         )
     for k in reachable:
         z_cat, by_type = receivers[k]
@@ -781,7 +801,7 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
         for g in _functor_search(cod, z_cat, pools, image):
             if any(row[j] != z_hom[a][b] for row, a in zip(hom, g) for j, b in enumerate(g)):
                 return EssentialResult(False, (z_cat, QFunctor(cod, z_cat, g)), k + 1)
-    return EssentialResult(True, None, len(receivers))
+    return EssentialResult(True, None, ends[size])
 
 
 # -- transport along dense embeddings -------------------------------------------

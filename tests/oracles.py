@@ -15,6 +15,8 @@ per-class verdicts, ``t44_single_checked_twice`` for ``t44``'s verdict,
 ``reference_functor_search`` and ``reference_all_functors`` for the pruned
 functor search,
 ``functor_compose`` for the composites of the essentiality brute force,
+``essential_over_one_more_point`` (on ``one_more_point_receivers``) for its
+walk over receivers of at most |codomain| points,
 ``underlying_order`` for the iso classes ``extend_along`` reads from the
 hom,
 ``marked_signature`` for the marked canonical signature,
@@ -55,10 +57,15 @@ from enritch.categories import (
 from enritch.diagonals import DiagonalQuantaloid, diagonal_quantaloid
 from enritch.errors import InvariantError, PreconditionError, SchemaError, ShapeMismatchError
 from enritch.hull import (
+    EssentialResult,
+    _canonical_signature,
     _chain_bound,
     _extend_matrix,
     _fresh_name,
+    _functor_search,
+    _of_type,
     column_admissible,
+    enumerate_symmetric_categories,
     is_codense,
     is_dense,
     is_fully_faithful,
@@ -969,6 +976,44 @@ def functor_compose(g: QFunctor, f: QFunctor) -> QFunctor:
     if f.codomain != g.domain:
         raise ShapeMismatchError("functors are not composable")
     return QFunctor(f.domain, g.codomain, tuple(g.assignment[y] for y in f.assignment))
+
+
+def one_more_point_receivers(dq: DiagonalQuantaloid, max_objects: int) -> tuple:
+    """The receivers of ``essential_over_one_more_point``: the first of each
+    isomorphism class of the symmetric categories with at most
+    ``max_objects`` points, in enumeration order, each with its points'
+    indices by type."""
+    classes: dict = {}
+    for z_cat in enumerate_symmetric_categories(dq, max_objects):
+        classes.setdefault(_canonical_signature(z_cat), z_cat)
+    return tuple(
+        (z_cat, {t: _of_type(z_cat, t) for t in z_cat.objects.types})
+        for z_cat in classes.values()
+    )
+
+
+def essential_over_one_more_point(f: QFunctor, receivers: Sequence) -> EssentialResult:
+    """``is_essential_bruteforce`` as it was before the image lemma: the walk
+    over every receiver with at most |codomain| + 1 points (oracle).
+    ``receivers`` is ``one_more_point_receivers`` of any bound from
+    |codomain| + 1 up; its receivers of more points are not walked.  In the
+    essential case ``categories_checked`` counts every receiver of at most
+    |codomain| + 1 points."""
+    if not is_fully_faithful(f):
+        raise PreconditionError("essentiality is only defined for fully faithful functors")
+    cod = f.codomain
+    hom, types = cod.hom.entries, cod.objects.types
+    image = set(f.assignment)
+    walked = [r for r in receivers if len(r[0]) <= len(cod) + 1]
+    for k, (z_cat, by_type) in enumerate(walked):
+        if not by_type.keys() >= set(types):
+            continue
+        pools = [by_type[t] for t in types]
+        z_hom = z_cat.hom.entries
+        for g in _functor_search(cod, z_cat, pools, image):
+            if any(row[j] != z_hom[a][b] for row, a in zip(hom, g) for j, b in enumerate(g)):
+                return EssentialResult(False, (z_cat, QFunctor(cod, z_cat, g)), k + 1)
+    return EssentialResult(True, None, len(walked))
 
 
 # -- suites --------------------------------------------------------------------

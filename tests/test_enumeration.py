@@ -5,7 +5,8 @@ subcategory on the first n points.  ``raw_symmetric_categories``
 (``tests/oracles.py``) is the loop it replaced: it validates every candidate
 matrix, a type tuple with an upper triangle.  Both must yield the same
 categories, with the same names, in the same order.  The receivers of
-``is_essential_bruteforce`` must be the raw loop's ``up_to_iso`` output,
+``is_essential_bruteforce``, one list by size, must be the raw loop's
+``up_to_iso`` output, each size's end where the raw loop's next size starts,
 and the class key must be the raw loop's n!-relabelling signature.
 
 ``one_point_extensions`` builds only the admissible presheaf columns and
@@ -92,8 +93,9 @@ def test_small_and_empty_bounds(luk3):
     assert list(enumerate_symmetric_categories(dq, -1)) == []
 
 
-# (quantale, receiver bound): every receiver set t54 builds up to bound 3
-# on the quantales whose raw up_to_iso loop stays near a second.
+# (quantale, receiver size): every receiver list t54 builds up to bound 3,
+# and the one bound 4 would build on the quantales whose raw up_to_iso loop
+# stays near a second.
 RECEIVERS = [(name, z) for name in FINITE for z in (1, 2, 3)] + [
     ("lukasiewicz3", 4),
     ("diamond", 4),
@@ -105,12 +107,14 @@ RECEIVERS = [(name, z) for name in FINITE for z in (1, 2, 3)] + [
 )
 def test_receivers_are_the_raw_classes(name, z_bound):
     dq = diagonal_quantaloid(quantale_named(name))
-    size = z_bound - 1
-    y_cat = next(c for c in enumerate_symmetric_categories(dq, size) if len(c) == size)
-    assert is_essential_bruteforce(QFunctor(y_cat, y_cat, range(size)), z_bound).essential
-    receivers = [z_cat for z_cat, _ in dq._essentiality[("receivers", z_bound)]]
-    want = raw_symmetric_categories(dq, z_bound, up_to_iso=True)
-    assert [summary(c) for c in receivers] == [summary(c) for c in want]
+    y_cat = next(c for c in enumerate_symmetric_categories(dq, z_bound) if len(c) == z_bound)
+    identity = QFunctor(y_cat, y_cat, range(z_bound))
+    assert is_essential_bruteforce(identity, z_bound + 1).essential
+    receivers, ends = dq._essentiality["receivers"]
+    want = [summary(c) for c in raw_symmetric_categories(dq, z_bound, up_to_iso=True)]
+    assert [summary(z_cat) for z_cat, _ in receivers] == want
+    # the first k sizes of the one list are the classes of at most k points
+    assert list(ends) == [sum(len(c[0]) <= k for c in want) for k in range(z_bound + 1)]
 
 
 @pytest.mark.parametrize("name", FINITE)

@@ -69,11 +69,13 @@ from oracles import (
     all_pairs_maximal,
     ambient_presheaves,
     cell_distributor_holds,
+    essential_over_one_more_point,
     extension_from_presheaf,
     functor_compose,
     is_ambient,
     isomorphic,
     marked_signature,
+    one_more_point_receivers,
     one_object_category,
     per_member_restriction,
     presheaf_hom,
@@ -1295,6 +1297,16 @@ def essential_summary(result):
     return result.essential, counterexample, result.categories_checked
 
 
+def walked_summary(want, receivers, f):
+    """The summary ``is_essential_bruteforce`` owes for f, given the summary
+    ``want`` of a walk over ``receivers`` of |codomain| + 1 points: the same,
+    except that an essential f has walked only the receivers of at most
+    |codomain| points (the image lemma)."""
+    if not want[0]:
+        return want
+    return True, None, sum(len(z_cat) <= len(f.codomain) for z_cat in receivers)
+
+
 class TestEssentialMemo:
     @staticmethod
     def fully_faithful_functors(dq, bound):
@@ -1320,12 +1332,15 @@ class TestEssentialMemo:
     def test_memoised_search_matches_reference_loop(self, name, bound, verdicts):
         dq = diagonal_quantaloid(shipped_quantale(name))
         functors = self.fully_faithful_functors(dq, bound)
-        expected = [reference_essential(f) for f in functors]
+        receivers = list(raw_symmetric_categories(dq, bound + 1, up_to_iso=True))
+        expected = [
+            walked_summary(reference_essential(f), receivers, f) for f in functors
+        ]
         for f, want in zip(functors, expected):
             dq._essentiality.clear()
             cold = is_essential_bruteforce(f, max_objects=bound + 1)
             assert essential_summary(cold) == want
-        # the warm memo now holds the receivers of every size met above
+        # the warm memo now holds the receivers of the largest size met above
         for f, want in zip(functors, expected):
             warm = is_essential_bruteforce(f, max_objects=bound + 1)
             assert essential_summary(warm) == want
@@ -1345,7 +1360,10 @@ class TestEssentialMemo:
             size: list(raw_symmetric_categories(dq, size, up_to_iso=True))
             for size in (1, 2, 3)
         }
-        expected = [reference_essential(f, receivers[len(f.codomain) + 1]) for f in functors]
+        expected = [
+            walked_summary(reference_essential(f, receivers[len(f.codomain) + 1]), receivers[3], f)
+            for f in functors
+        ]
         seen = set()
         for f, want in zip(functors, expected):
             if f.codomain not in seen:
@@ -1376,12 +1394,44 @@ class TestEssentialMemo:
         for f in functors:
             searched.clear()
             result = is_essential_bruteforce(f, max_objects=2)
-            receivers = [z_cat for z_cat, _ in dq._essentiality[("receivers", len(f.codomain) + 1)]]
+            listed, ends = dq._essentiality["receivers"]
+            receivers = [z_cat for z_cat, _ in listed[: ends[len(f.codomain)]]]
             needed = set(f.codomain.objects.types)
             assert result.essential and result.categories_checked == len(receivers)
             assert searched == [z for z in receivers if needed <= set(z.objects.types)]
             assert len(searched) < len(receivers) or not needed
         assert any(len(f.codomain) for f in functors)
+
+    def test_the_list_is_built_again_only_for_a_larger_size(self, monkeypatch):
+        dq = diagonal_quantaloid(shipped_quantale("lukasiewicz3"))
+        built = []
+        real = hull.enumerate_symmetric_categories
+
+        def counted(kernel, size):
+            built.append(size)
+            return real(kernel, size)
+
+        monkeypatch.setattr(hull, "enumerate_symmetric_categories", counted)
+        cats = list(real(dq, 3))
+        identity = lambda c: QFunctor(c, c, range(len(c)))
+        sizes = [2, 1, 2, 3, 0, 3, 1]
+        for size in sizes:
+            y_cat = next(c for c in cats if len(c) == size)
+            assert is_essential_bruteforce(identity(y_cat), max_objects=size + 1).essential
+        assert built == [2, 3]
+        # the list built for three points starts with the classes of at most two
+        receivers, ends = dq._essentiality["receivers"]
+        assert len(ends) == 4 and ends[-1] == len(receivers)
+        summary = lambda z: (z.names, z.objects.types, z.hom.entries)
+        want = list(raw_symmetric_categories(dq, 2, up_to_iso=True))
+        assert [summary(z) for z, _ in receivers[: ends[2]]] == [summary(z) for z in want]
+
+    def test_t54_at_bound_two_builds_no_receiver_above_two_points(self):
+        diamond = shipped_quantale("diamond")
+        report = run_suite("t54", diamond, 2)
+        assert report["functors"] == 188 and report["discrepancies"] == 0
+        receivers, ends = diagonal_quantaloid(diamond)._essentiality["receivers"]
+        assert len(ends) == 3 and max(len(z_cat) for z_cat, _ in receivers) == 2
 
     def test_memos_do_not_keep_the_quantale_alive(self):
         q = shipped_quantale("boolean")
@@ -1393,6 +1443,58 @@ class TestEssentialMemo:
         del q, pair, f
         gc.collect()
         assert ref() is None
+
+
+def assert_image_lemma(quantale, bound: int) -> tuple[int, int]:
+    """Compare ``is_essential_bruteforce`` with the walk over receivers of
+    |codomain| + 1 points (``essential_over_one_more_point``) on the first
+    functor of every ``t54`` class up to ``bound``, from an empty memo.  The
+    verdicts must agree; a non-essential functor must also get the same
+    counterexample and ``categories_checked``, and an essential one the
+    count of the receivers of at most |codomain| points.  Returns the
+    number of classes and of non-essential ones."""
+    dq = diagonal_quantaloid(quantale)
+    dq._essentiality.clear()
+    receivers = one_more_point_receivers(dq, bound + 1)
+    cats = list(enumerate_symmetric_categories(dq, bound))
+    firsts = {}
+    for x_cat in cats:
+        for y_cat in cats:
+            for f in all_functors(x_cat, y_cat, full=True):
+                firsts.setdefault(_canonical_signature(y_cat, frozenset(f.assignment)), f)
+    failing = 0
+    for f in firsts.values():
+        got = essential_summary(is_essential_bruteforce(f, max_objects=bound + 1))
+        want = essential_summary(essential_over_one_more_point(f, receivers))
+        assert got == walked_summary(want, [z_cat for z_cat, _ in receivers], f), f.as_dict()
+        failing += not got[0]
+    return len(firsts), failing
+
+
+class TestImageLemma:
+    """Receivers of at most |codomain| points give the verdict, the
+    counterexample and its position that receivers of one more point give."""
+
+    # (quantale, bound, classes, non-essential classes)
+    CASES = [
+        ("boolean", 2, 18, 2),
+        ("luk3", 2, 41, 9),
+        ("luk5", 2, 136, 50),
+        ("nilmin5", 2, 110, 31),
+        ("diamond", 2, 68, 16),
+        ("diamond_swap", 2, 22, 5),
+        ("boolean", 3, 54, 13),
+        ("luk3", 3, 231, 106),
+    ]
+
+    @pytest.mark.parametrize(
+        "fixture, bound, classes, failing", CASES, ids=[f"{c[0]}-b{c[1]}" for c in CASES]
+    )
+    def test_same_summary_as_the_walk_over_one_more_point(
+        self, request, fixture, bound, classes, failing
+    ):
+        quantale = request.getfixturevalue(fixture)
+        assert assert_image_lemma(quantale, bound) == (classes, failing)
 
 
 def via_graphs(f):
