@@ -19,12 +19,7 @@ from typing import Iterator, Sequence
 
 from .diagonals import DiagonalQuantaloid
 from .errors import InvariantError, PreconditionError, ShapeMismatchError
-from .relations import (
-    QRelation,
-    TypedSet,
-    rel_compose,
-    rel_involve,
-)
+from .relations import QRelation, TypedSet, rel_compose
 
 __all__ = [
     "QCategory",
@@ -128,7 +123,12 @@ def require_valid(c: QCategory) -> None:
 
 
 def is_symmetric(c: QCategory) -> bool:
-    return c.hom == rel_involve(c.hom)
+    """hom(y, x) = hom(x, y) deg at every pair: the hom equals its involute
+    transpose, compared entry by entry."""
+    involve, hom = c.quantaloid.involve, c.hom.entries
+    return all(
+        u == involve(v) for row, column in zip(hom, zip(*hom)) for u, v in zip(row, column)
+    )
 
 
 def _require_symmetric(c: QCategory) -> None:
@@ -256,8 +256,10 @@ def is_fully_faithful(f: QFunctor) -> bool:
 
     This is the validating boundary: it refuses an invalid functor, and a
     disagreement between the two criteria raises ``InvariantError``.  The
-    essentiality search calls the pointwise ``_fully_faithful`` directly on
-    functors its own search built or composed from valid ones.
+    cross-check builds the graphs through the validating ``graph`` and
+    ``cograph``.  The essentiality search calls the pointwise
+    ``_fully_faithful`` directly on functors its own search built or composed
+    from valid ones.
     """
     require_functor(f)
     pointwise = _fully_faithful(f)
@@ -268,16 +270,30 @@ def is_fully_faithful(f: QFunctor) -> bool:
 
 
 def graph(f: QFunctor) -> QRelation:
-    """The relation X -> Y with entries hom_Y(fx, y)."""
-    cod_hom = f.codomain.hom.entries
-    entries = tuple(cod_hom[a] for a in f.assignment)
-    return QRelation(f.domain.objects, f.codomain.objects, entries)
+    """The relation X -> Y with entries hom_Y(fx, y), each checked to be a
+    diagonal |x| -> |y|, so an assignment that breaks types is refused."""
+    trusted = _graph(f)
+    return QRelation(trusted.source, trusted.target, trusted.entries)
 
 
 def cograph(f: QFunctor) -> QRelation:
-    """The relation Y -> X with entries hom_Y(y, fx)."""
+    """The relation Y -> X with entries hom_Y(y, fx), checked as ``graph``'s."""
+    trusted = _cograph(f)
+    return QRelation(trusted.source, trusted.target, trusted.entries)
+
+
+def _graph(f: QFunctor) -> QRelation:
+    """``graph`` of a functor that ``require_functor`` has passed, unchecked:
+    f keeps types, so row x is the codomain's checked row at fx, of type |x|."""
+    cod_hom = f.codomain.hom.entries
+    entries = tuple(cod_hom[a] for a in f.assignment)
+    return QRelation._trusted(f.domain.objects, f.codomain.objects, entries)
+
+
+def _cograph(f: QFunctor) -> QRelation:
+    """``cograph`` of a functor that ``require_functor`` has passed, unchecked."""
     entries = tuple(tuple(row[a] for a in f.assignment) for row in f.codomain.hom.entries)
-    return QRelation(f.codomain.objects, f.domain.objects, entries)
+    return QRelation._trusted(f.codomain.objects, f.domain.objects, entries)
 
 
 # -- presheaves -------------------------------------------------------------

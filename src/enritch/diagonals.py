@@ -48,10 +48,12 @@ largest element of hom(q, t) below it.  The search packs a whole residual
 row into one integer, a field of code bits per point, so that its meets are
 ANDs and its inner loops index tuples instead of calling the kernel.
 
-Three matrix scans take a whole matrix where the other ops take a cell:
+Five matrix scans take a whole matrix where the other ops take a cell:
 ``transitivity_witness`` finds the first failure of hom . hom <= hom,
-``distributor_holds`` checks one column's distributor law and
-``residual_matrix`` fills the presheaf homs between two lists of columns.
+``distributor_holds`` checks one column's distributor law, ``admissible``
+checks a column's mu deg . mu <= hom, ``closure`` builds the least
+presheaf above a column and ``residual_matrix`` fills the presheaf homs
+between two lists of columns.
 The finite kernel runs them on its tables; the base runs them cell by cell
 through the ops above, which is what the extended rationals use.
 ``residual_matrix`` is the one presheaf residual of the library: the tight
@@ -89,11 +91,13 @@ class DiagonalQuantaloid:
 
     def __init__(self, quantale: Quantale):
         self.quantale = quantale
-        # Memos of ``hull.is_essential_bruteforce`` and of the tight spans
-        # (``hull._SpanMemo``, keyed on a span's (types, hom)); they die
-        # with the quantale, so each load starts with both empty.
+        # Memos of ``hull.is_essential_bruteforce``, of the tight spans
+        # (``hull._SpanMemo``, keyed on a span's (types, hom)) and of
+        # ``covers``; they die with the quantale, so each load starts with
+        # all three empty.
         self._essentiality: dict = {}
         self._spans: dict = {}
+        self._covers: dict = {}
         self._build()
 
     def _build(self) -> None:
@@ -124,6 +128,19 @@ class DiagonalQuantaloid:
     def hom_bottom(self, p, t):
         """The least diagonal p -> t: the quantale's bottom."""
         raise NotImplementedError
+
+    def covers(self, p, t, a) -> tuple:
+        """The upper covers of a in hom(p, t), in element load order (finite
+        quantales only): the b of hom(p, t) above a with nothing of hom(p, t)
+        strictly between.  Each (p, t, a) is computed once per kernel."""
+        key = (p, t, a)
+        found = self._covers.get(key)
+        if found is None:
+            above = [b for b in self.hom(p, t) if b != a and self.leq(a, b)]
+            found = self._covers[key] = tuple(
+                b for b in above if not any(m != b and self.leq(m, b) for m in above)
+            )
+        return found
 
     def hom_top(self, p, t):
         raise NotImplementedError
@@ -193,6 +210,29 @@ class DiagonalQuantaloid:
             if not self.leq(composed, values[i]):
                 return False
         return True
+
+    def admissible(self, types: Sequence, hom: Sequence, q, values: Sequence) -> bool:
+        """values deg . values <= hom for a column of type q: at every (x, z)
+        the composite of values[x] with the involute of values[z] lies below
+        hom[x][z].  No distributor law is asked of the column."""
+        for row, u in zip(hom, values):
+            for h, v in zip(row, values):
+                if not self.leq(self.compose(u, q, self.involve(v)), h):
+                    return False
+        return True
+
+    def closure(self, types: Sequence, hom: Sequence, q, values: Sequence) -> tuple:
+        """The least presheaf of type q above a column: at every i the join in
+        hom(|i|, q) over j of values[j] . hom[i][j], the join that
+        ``distributor_holds`` bounds.  It is a presheaf because hom absorbs
+        its own square, and lies above values because hom contains the
+        identities."""
+        return tuple(
+            self.hom_join(
+                t, q, (self.compose(u, mid, v) for mid, u, v in zip(types, row, values))
+            )
+            for t, row in zip(types, hom)
+        )
 
     def residual_matrix(self, left: Sequence, right: Sequence) -> tuple:
         """The matrix of nu <swarrow> mu for (p, mu) in ``left`` and (t, nu) in
@@ -406,6 +446,28 @@ class FiniteDiagonals(DiagonalQuantaloid):
                 if not order[compose[mid][u][v]][w]:
                     return False
         return True
+
+    def admissible(self, types: Sequence, hom: Sequence, q, values: Sequence) -> bool:
+        # values[x] . values[z] deg reads the row compose[q][values[x]] at the
+        # involuted column.
+        via, order, involve = self._compose[q], self._order, self._involution
+        flipped = [involve[v] for v in values]
+        for row, u in zip(hom, values):
+            out = via[u]
+            for h, w in zip(row, flipped):
+                if not order[out[w]][h]:
+                    return False
+        return True
+
+    def closure(self, types: Sequence, hom: Sequence, q, values: Sequence) -> tuple:
+        compose, join, bottom = self._compose, self._joins, self._bottom
+        result = []
+        for row in hom:
+            acc = bottom
+            for mid, u, v in zip(types, row, values):
+                acc = join[acc][compose[mid][u][v]]
+            result.append(acc)
+        return tuple(result)
 
     def residual_matrix(self, left: Sequence, right: Sequence) -> tuple:
         meet, top, limpl, caps = self._meets, self._top, self._limpl, self._hom_meet

@@ -11,7 +11,10 @@ The ambient presheaves are also the one-point extensions of X: a new point
 with hom column mu and hom row mu deg makes a valid symmetric category
 exactly when mu is ambient, so the extensions, and the enumeration of
 small categories grown from them, build no candidate they then reject.
-``enumerate_ambient`` is the one lazy walk over them.
+``enumerate_ambient`` is the one lazy walk over them.  The extension
+matrices, the tight span's hom and the graphs of functors already checked
+are built as trusted relations (``QRelation._trusted``): their entries are
+diagonals of the right types by construction, so none is checked again.
 
 Hypercompleteness asks every self-compatible column to admit a witness
 object.  Because the admissible columns of a fixed type form a
@@ -81,13 +84,13 @@ from typing import Collection, Iterator, Sequence
 from .categories import (
     QCategory,
     QFunctor,
+    _cograph,
     _distributor_holds,
     _fully_faithful,
+    _graph,
     _mark_symmetric,
     _require_symmetric,
-    cograph,
     enumerate_presheaves,
-    graph,
     is_fully_faithful,
     is_symmetric,
     require_functor,
@@ -130,23 +133,16 @@ def _require_column(c: QCategory, values: Sequence) -> None:
 
 
 def column_admissible(c: QCategory, q, values: Sequence) -> bool:
-    """mu deg . mu <= hom for a raw column of type q (no distributor needed)."""
+    """mu deg . mu <= hom for a raw column of type q (no distributor needed):
+    the kernel's ``admissible`` scan."""
     _require_column(c, values)
-    dq = c.quantaloid
-    hom = c.hom.entries
-    n = len(c)
-    for x in range(n):
-        for z in range(n):
-            composed = dq.compose(values[x], q, dq.involve(values[z]))
-            if not dq.leq(composed, hom[x][z]):
-                return False
-    return True
+    return c.quantaloid.admissible(c.objects.types, c.hom.entries, q, values)
 
 
 def enumerate_ambient(c: QCategory) -> Iterator[tuple]:
     """(q, values) for every ambient presheaf, lazily, in the order of
     ``enumerate_presheaves``: the one walk over ambient columns, which the
-    one-point extensions and ``t44``'s maximality check share."""
+    one-point extensions read."""
     for q, values in enumerate_presheaves(c):
         if column_admissible(c, q, values):
             yield q, values
@@ -362,7 +358,7 @@ def tight_span(c: QCategory) -> TightSpan:
     names = tuple(f"t{i}" for i in range(len(members)))
     carrier = TypedSet(dq, names, tuple(q for q, _ in members))
     entries = dq.residual_matrix(members, members)
-    category = QCategory(carrier, QRelation(carrier, carrier, entries))
+    category = QCategory(carrier, QRelation._trusted(carrier, carrier, entries))
     if not is_symmetric(category):
         raise InvariantError("the tight span must be symmetric")
     report = validate_category(category)
@@ -607,7 +603,7 @@ def _extend_matrix(c: QCategory, carrier: TypedSet, column: Sequence) -> QCatego
     dq = c.quantaloid
     entries = tuple(row + (u,) for row, u in zip(c.hom.entries, column))
     entries += (tuple(dq.involve(u) for u in column) + (dq.identity(carrier.types[-1]),),)
-    return QCategory(carrier, QRelation(carrier, carrier, entries))
+    return QCategory(carrier, QRelation._trusted(carrier, carrier, entries))
 
 
 def find_one_point_retraction(x_cat: QCategory, y_cat: QCategory) -> QFunctor | None:
@@ -645,14 +641,14 @@ def find_one_point_retraction(x_cat: QCategory, y_cat: QCategory) -> QFunctor | 
 def is_dense(f: QFunctor) -> bool:
     """hom_Y = graph <swarrow> graph."""
     require_functor(f)
-    gr = graph(f)
+    gr = _graph(f)
     return rel_residual("left", gr, gr) == f.codomain.hom
 
 
 def is_codense(f: QFunctor) -> bool:
     """hom_Y = cograph <searrow> cograph."""
     require_functor(f)
-    co = cograph(f)
+    co = _cograph(f)
     return rel_residual("right", co, co) == f.codomain.hom
 
 
@@ -832,7 +828,8 @@ def tight_span_restriction(f: QFunctor, domain_span: TightSpan) -> TransportResu
     dq = f.domain.quantaloid
     dom, cod = f.domain, f.codomain
     span_cod = tight_span(cod)
-    gr = graph(f).entries
+    cod_hom = cod.hom.entries
+    gr = [cod_hom[a] for a in f.assignment]  # the rows of f's graph
     dom_types = dom.objects.types
     cod_types = cod.objects.types
     # image k at x: the join over y of lam_k(y) . hom_Y(f x, y)

@@ -3,9 +3,12 @@
 A ``TypedSet`` is a finite list of named objects, each carrying a type from
 the symmetric objects of a diagonal quantaloid.  A ``QRelation`` from X to Y
 stores one diagonal value |x| -> |y| per pair; composition joins through the
-middle set, residuation meets across it, and the involution transposes with
-entrywise involution.  Matrices are dense, validated eagerly, and immutable;
-list inputs are stored as tuples, so that they compare and hash like tuples.
+middle set and residuation meets across it.  Matrices are dense, validated
+eagerly, and immutable; list inputs are stored as tuples, so that they
+compare and hash like tuples.  The one exception is ``QRelation._trusted``,
+for matrices the library has just built from checked inputs: the outputs of
+``rel_compose`` and ``rel_residual`` here, and a few in the category and
+hull layers.
 
 Empty sets are legal throughout; composites over an empty middle set give
 the bottom relation, residuals over an empty index give hom-lattice tops.
@@ -23,7 +26,6 @@ __all__ = [
     "QRelation",
     "rel_compose",
     "rel_residual",
-    "rel_involve",
 ]
 
 
@@ -105,6 +107,17 @@ class QRelation:
                         f" {dq.format(s)} -> {dq.format(t)}"
                     )
 
+    @classmethod
+    def _trusted(cls, source: TypedSet, target: TypedSet, entries: tuple) -> QRelation:
+        """The relation, without ``__post_init__``: for a tuple of tuples the
+        library has just built from checked inputs, each entry a diagonal of
+        the right types by construction, over one quantaloid."""
+        relation = object.__new__(cls)
+        object.__setattr__(relation, "source", source)
+        object.__setattr__(relation, "target", target)
+        object.__setattr__(relation, "entries", entries)
+        return relation
+
     @property
     def quantaloid(self) -> DiagonalQuantaloid:
         return self.source.quantaloid
@@ -133,7 +146,7 @@ def rel_compose(psi: QRelation, phi: QRelation) -> QRelation:
         )
         for i in range(len(phi.source))
     )
-    return QRelation(phi.source, psi.target, entries)
+    return QRelation._trusted(phi.source, psi.target, entries)
 
 
 def rel_residual(side: str, outer: QRelation, inner: QRelation) -> QRelation:
@@ -167,7 +180,7 @@ def rel_residual(side: str, outer: QRelation, inner: QRelation) -> QRelation:
             )
             for j in range(len(y_set))
         )
-        return QRelation(y_set, z_set, entries)
+        return QRelation._trusted(y_set, z_set, entries)
     if side == "right":
         if inner.target != outer.target:
             raise ShapeMismatchError("right residual needs a common target")
@@ -191,14 +204,6 @@ def rel_residual(side: str, outer: QRelation, inner: QRelation) -> QRelation:
             )
             for i in range(len(x_set))
         )
-        return QRelation(x_set, y_set, entries)
+        return QRelation._trusted(x_set, y_set, entries)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-
-def rel_involve(phi: QRelation) -> QRelation:
-    dq = phi.quantaloid
-    entries = tuple(
-        tuple(dq.involve(phi.entries[i][j]) for i in range(len(phi.source)))
-        for j in range(len(phi.target))
-    )
-    return QRelation(phi.target, phi.source, entries)

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import itertools
 
-from .categories import QCategory, QFunctor, graph
+from .categories import QCategory, QFunctor
 from .diagonals import diagonal_quantaloid
 from .errors import BoundExceededError, PreconditionError
 from .hull import (
     _canonical_signature,
     all_functors,
-    enumerate_ambient,
     enumerate_symmetric_categories,
     extend_along,
     find_one_point_retraction,
@@ -107,16 +106,32 @@ def _l43_single(x_cat: QCategory, strict: bool) -> dict:
 
 def _maximal_in_ambient(c: QCategory, members) -> bool:
     """No ambient column lies strictly above a (q, values) member of its
-    type: one walk over the ambient columns, against the members by type."""
-    leq = c.quantaloid.leq
-    by_type: dict = {}
+    type, decided by the upper covers of each coordinate, without listing
+    the ambient columns.
+
+    Lemma.  Let lam be a column of type q.  Some ambient mu != lam lies above
+    lam exactly when, for some point z and some upper cover w of lam(z) in
+    hom(|z|, q) (the kernel's ``covers``), the closure nu of lam' = lam[z |-> w]
+    is admissible.  The closure (the kernel's ``closure``) is nu(x) = the
+    join over y of lam'(y) . hom(x, y), the join that ``distributor_holds``
+    bounds.
+
+    Proof.  nu is a presheaf, as hom absorbs its own square, and nu >= lam',
+    as hom contains the identities.  Given mu, pick z with lam(z) < mu(z) and
+    a cover w of lam(z) with w <= mu(z); the hom is finite, so there is one.
+    Then lam' <= mu, and nu <= mu since mu is a presheaf.  Admissibility is
+    downward closed, so nu is admissible, hence ambient, and nu(z) >= w >
+    lam(z), so nu != lam.  Conversely an admissible nu is such a mu.
+    """
+    dq = c.quantaloid
+    types, hom = c.objects.types, c.hom.entries
     for q, lam in members:
-        by_type.setdefault(q, []).append(lam)
-    return not any(
-        mu != lam and all(map(leq, lam, mu))
-        for q, mu in enumerate_ambient(c)
-        for lam in by_type.get(q, ())
-    )
+        for z, (t, u) in enumerate(zip(types, lam)):
+            for w in dq.covers(t, q, u):
+                raised = lam[:z] + (w,) + lam[z + 1 :]
+                if dq.admissible(types, hom, q, dq.closure(types, hom, q, raised)):
+                    return False
+    return True
 
 
 def _t44_single(x_cat: QCategory) -> dict:
@@ -136,7 +151,8 @@ def _t44_single(x_cat: QCategory) -> dict:
             dense = is_dense(embedding)
         codense = is_codense(embedding)
         # Graph columns land in the tight span of the domain.
-        gr = graph(embedding).entries
+        span_hom = span.category.hom.entries
+        gr = [span_hom[a] for a in embedding.assignment]
         columns_tight = all(
             is_tight_column(x_cat, q, tuple(row[j] for row in gr))
             for j, (q, _) in enumerate(span.members)

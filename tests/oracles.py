@@ -8,8 +8,11 @@ graph calculus, ``table_tight_columns`` and ``row_tight_columns`` (on
 one-point retractions, the classical checks for
 ``tighten_sweep`` and ``sigma``, ``FractionExtRat`` for the int-pair
 ``ExtRat``, ``LawvereReference`` for the extended-rational kernel's closed
-forms, the ``cell_*`` loops, ``presheaf_hom``, ``_tight_residual`` and
-``presheaf_hom_matrix`` for the kernel's matrix scans,
+forms, the ``cell_*`` loops (``cell_column_admissible`` for the
+``admissible`` scan), ``least_presheaf_above`` for ``closure``,
+``presheaf_hom``, ``_tight_residual`` and
+``presheaf_hom_matrix`` for the kernel's matrix scans, ``rel_involve``
+for ``is_symmetric``'s entrywise comparison,
 ``run_suite_per_category`` and ``run_t54_per_functor`` for the suites'
 per-class verdicts, ``t44_single_checked_twice`` for ``t44``'s verdict,
 ``reference_functor_search`` and ``reference_all_functors`` for the pruned
@@ -24,10 +27,10 @@ hom,
 and the essentiality receivers, ``validated_extensions`` for the
 one-point extensions, ``Presheaf``, ``yoneda`` and ``presheaves`` for the
 (q, values) pairs the library holds, ``ambient_presheaves`` for
-``enumerate_ambient``, ``all_pairs_maximal`` for ``t44``'s maximality
-check, ``per_member_restriction`` for ``tight_span_restriction``'s one
-residual call, ``fraction_parse`` for the literal fast path of
-``ExtRat.parse``, the ``extrat_*`` loops for the integer-row scans of
+``enumerate_ambient``, ``all_pairs_maximal`` and ``grouped_walk_maximal``
+for ``t44``'s maximality check by covers, ``per_member_restriction`` for
+``tight_span_restriction``'s one residual call, ``fraction_parse`` for
+the literal fast path of ``ExtRat.parse``, the ``extrat_*`` loops for the integer-row scans of
 ``ambient_violation``, ``tight_violation``, ``tighten_sweep`` and
 ``sigma``) and to build inputs.  The quantale constructors pin the shipped tables in
 ``src/enritch/data``, through ``quantale_document``.
@@ -64,7 +67,7 @@ from enritch.hull import (
     _fresh_name,
     _functor_search,
     _of_type,
-    column_admissible,
+    enumerate_ambient,
     enumerate_symmetric_categories,
     is_codense,
     is_dense,
@@ -92,7 +95,7 @@ from enritch.rationals import (
     _pair,
     _too_long,
 )
-from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve
+from enritch.relations import QRelation, TypedSet, rel_compose
 from enritch.verify import _l43_single, _maximal_in_ambient, _t36_single, _t44_single, _t54_single
 
 
@@ -333,6 +336,18 @@ def rel_meet(relations: Sequence[QRelation]) -> QRelation:
     return QRelation(first.source, first.target, entries)
 
 
+def rel_involve(phi: QRelation) -> QRelation:
+    """The involute transpose, (phi deg)(y, x) = phi(x, y) deg: what
+    ``categories.is_symmetric`` compared a hom with before it compared the
+    entries themselves (oracle)."""
+    dq = phi.quantaloid
+    entries = tuple(
+        tuple(dq.involve(phi.entries[i][j]) for i in range(len(phi.source)))
+        for j in range(len(phi.target))
+    )
+    return QRelation(phi.target, phi.source, entries)
+
+
 def bottom_relation(x: TypedSet, y: TypedSet) -> QRelation:
     dq = x.quantaloid
     entries = tuple(
@@ -537,6 +552,32 @@ def cell_distributor_holds(c: QCategory, q, values: Sequence) -> bool:
         if not dq.leq(composed, values[i]):
             return False
     return True
+
+
+def cell_column_admissible(c: QCategory, q, values: Sequence) -> bool:
+    """The per-cell loop of ``hull.column_admissible`` before it became the
+    kernel's ``admissible`` scan (oracle): mu deg . mu <= hom, cell by cell."""
+    dq = c.quantaloid
+    hom = c.hom.entries
+    n = len(c)
+    for x in range(n):
+        for z in range(n):
+            composed = dq.compose(values[x], q, dq.involve(values[z]))
+            if not dq.leq(composed, hom[x][z]):
+                return False
+    return True
+
+
+def least_presheaf_above(c: QCategory, q, values: Sequence) -> tuple:
+    """The least type-q presheaf above a column, found among every presheaf
+    of ``enumerate_presheaves`` (oracle for the kernel's ``closure``): the
+    one above the column that lies below all the others above it."""
+    leq = c.quantaloid.leq
+    above = [mu for p, mu in enumerate_presheaves(c) if p == q and all(map(leq, values, mu))]
+    least = [mu for mu in above if all(all(map(leq, mu, nu)) for nu in above)]
+    if len(least) != 1:
+        raise InvariantError("the presheaves above a column have no least element")
+    return least[0]
 
 
 def presheaf_hom(mu: Presheaf, nu: Presheaf):
@@ -808,7 +849,7 @@ def is_ambient(c: QCategory, mu: Presheaf) -> bool:
     """Membership of the ambient set: an admissible presheaf of c."""
     if mu.base != c:
         raise ShapeMismatchError("presheaf does not live on this category")
-    return column_admissible(c, mu.q, mu.values)
+    return cell_column_admissible(c, mu.q, mu.values)
 
 
 def ambient_presheaves(c: QCategory) -> list[Presheaf]:
@@ -833,6 +874,22 @@ def all_pairs_maximal(c: QCategory, members: Sequence[tuple]) -> bool:
             ):
                 maximal = False
     return maximal
+
+
+def grouped_walk_maximal(c: QCategory, members: Sequence[tuple]) -> bool:
+    """The maximality check of ``verify._maximal_in_ambient`` before it went
+    by covers (oracle): no ambient column lies strictly above a (q, values)
+    member of its type, by one walk over the ambient columns against the
+    members grouped by type."""
+    leq = c.quantaloid.leq
+    by_type: dict = {}
+    for q, lam in members:
+        by_type.setdefault(q, []).append(lam)
+    return not any(
+        mu != lam and all(map(leq, lam, mu))
+        for q, mu in enumerate_ambient(c)
+        for lam in by_type.get(q, ())
+    )
 
 
 def per_member_restriction(f: QFunctor, domain_span, span_cod) -> tuple[str, ...]:

@@ -6,6 +6,8 @@ import pytest
 from enritch.categories import (
     QCategory,
     QFunctor,
+    _cograph,
+    _graph,
     cograph,
     enumerate_presheaves,
     graph,
@@ -19,13 +21,17 @@ from enritch.errors import PreconditionError, ShapeMismatchError, UnsupportedQua
 from enritch.hull import (
     all_functors,
     enumerate_symmetric_categories,
+    full_subcategory,
+    inclusion_functor,
     one_point_extensions,
     tight_span,
 )
+from enritch.parmet import to_category
+from enritch.rationals import ExtRat
 from enritch.quantale import LAWVERE
-from enritch.relations import QRelation, TypedSet, rel_compose, rel_involve, rel_residual
+from enritch.relations import QRelation, TypedSet, rel_compose, rel_residual
 
-from conftest import make_category, value
+from conftest import make_category, random_partial_metric, value
 from oracles import (
     Presheaf,
     check_adjunction,
@@ -36,6 +42,7 @@ from oracles import (
     presheaf_hom,
     presheaf_relation,
     presheaves,
+    rel_involve,
     symmetrize,
     underlying_order,
     yoneda,
@@ -146,6 +153,29 @@ class TestSymmetry:
                         f = QFunctor(x_cat, y_cat, tuple(assignment))
                         g = QFunctor(x_cat, y_sym, tuple(assignment))
                         assert validate_functor(f).valid == validate_functor(g).valid
+
+    @pytest.mark.parametrize("fixture", ["boolean", "luk3", "diamond_swap"])
+    def test_entrywise_check_matches_the_involute_transpose(self, request, fixture):
+        # every 2-point matrix of diagonals, symmetric or not; diamond_swap's
+        # involution is not the identity, so a transpose without it fails
+        quantale = request.getfixturevalue(fixture)
+        verdicts = []
+        for names, types, rows in _all_small_categories(quantale, 2):
+            c = make_category(quantale, names, types, rows)
+            verdicts.append(is_symmetric(c))
+            assert verdicts[-1] == (c.hom == rel_involve(c.hom)), c.to_dict()
+        assert set(verdicts) == {True, False}
+
+    def test_entrywise_check_on_partial_metrics(self):
+        rng = random.Random(404)
+        for _ in range(20):
+            c = to_category(random_partial_metric(rng, rng.randint(0, 5)))
+            assert is_symmetric(c) and c.hom == rel_involve(c.hom)
+            if len(c) > 1:
+                rows = [list(row) for row in c.hom.entries]
+                rows[0][1] = rows[0][1] + ExtRat(1)
+                bent = make_category(LAWVERE, c.names, c.objects.types, rows)
+                assert not is_symmetric(bent) and bent.hom != rel_involve(bent.hom)
 
 
 def _all_small_categories(quantale, max_n):
@@ -376,6 +406,78 @@ class TestGraphs:
             assert lhs2 == rhs2
             checked += 1
         assert checked > 30
+
+
+def assert_trusted(relation: QRelation) -> None:
+    """The relation equals the one the validating constructor builds from
+    its parts, and its entries are tuples of tuples."""
+    assert relation == QRelation(relation.source, relation.target, relation.entries)
+    assert type(relation.entries) is tuple and all(type(row) is tuple for row in relation.entries)
+
+
+def assert_trusted_functor(f: QFunctor) -> None:
+    """The trusted graph, cograph and the relation ops on them equal the
+    validated values."""
+    gr, co = _graph(f), _cograph(f)
+    assert gr == graph(f) and co == cograph(f)
+    for relation in (gr, co):
+        assert_trusted(relation)
+    for relation in (
+        rel_compose(co, gr),
+        rel_compose(gr, co),
+        rel_residual("left", gr, gr),
+        rel_residual("right", co, co),
+        rel_residual("left", f.codomain.hom, co),
+        rel_residual("right", f.codomain.hom, f.codomain.hom),
+    ):
+        assert_trusted(relation)
+
+
+class TestTrustedConstruction:
+    @pytest.mark.parametrize(
+        "fixture", ["boolean", "luk3", "luk5", "nilmin5", "diamond", "diamond_swap"]
+    )
+    def test_trusted_values_equal_the_validated_ones(self, request, fixture):
+        # every extension (each category past the empty one is one), span
+        # hom, graph, cograph and relation op output at bound 2
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        functors = 0
+        for c in enumerate_symmetric_categories(dq, 2):
+            assert_trusted(c.hom)
+            for ext in one_point_extensions(c):
+                assert_trusted(ext.hom)
+            span = tight_span(c)
+            assert_trusted(span.category.hom)
+            for f in [span.yoneda_embedding(), *all_functors(c, c)]:
+                assert_trusted_functor(f)
+                functors += 1
+        assert functors > 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trusted_values_on_partial_metrics(self, seed):
+        rng = random.Random(f"trusted-{seed}")
+        c = to_category(random_partial_metric(rng, rng.randint(1, 6), allow_inf=seed % 2 == 1))
+        names = rng.sample(c.names, rng.randint(0, len(c)))
+        for f in (QFunctor(c, c, tuple(range(len(c)))), inclusion_functor(full_subcategory(c, names), c)):
+            assert_trusted_functor(f)
+
+    def test_the_public_constructors_refuse(self, boolean):
+        dq = diagonal_quantaloid(boolean)
+        zero, one = value(boolean, "0"), value(boolean, "1")
+        low, high = TypedSet(dq, ("a",), (zero,)), TypedSet(dq, ("b",), (one,))
+        with pytest.raises(PreconditionError, match="is not a diagonal"):
+            QRelation(low, high, ((one,),))
+        # a one-point assignment of type 0 into a point of type 1: not a
+        # functor, and its graph and cograph hold hom(b, b) = 1 at type 0
+        x_cat = make_category(boolean, ["a"], ["0"], [["0"]])
+        y_cat = make_category(boolean, ["b"], ["1"], [["1"]])
+        f = QFunctor(x_cat, y_cat, (0,))
+        assert not validate_functor(f).valid
+        for build in (graph, cograph):
+            with pytest.raises(PreconditionError, match="is not a diagonal"):
+                build(f)
+        # the trusted path checks nothing: it is for functors already checked
+        assert _graph(f).entries == ((one,),) == _cograph(f).entries
 
 
 class TestPresheaves:

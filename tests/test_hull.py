@@ -72,6 +72,7 @@ from oracles import (
     essential_over_one_more_point,
     extension_from_presheaf,
     functor_compose,
+    grouped_walk_maximal,
     is_ambient,
     isomorphic,
     marked_signature,
@@ -1985,31 +1986,63 @@ def raised_member(c):
     return None
 
 
-class TestMaximality:
-    @pytest.mark.parametrize("fixture", SHIPPED_AND_SWAP)
-    def test_grouped_check_matches_the_all_pairs_loop(self, request, fixture):
-        # on the span's members, where both hold, and on every ambient
-        # column, where both fail unless the ambient columns are pairwise
-        # incomparable
-        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
-        verdicts = []
-        for c in isomorphism_classes(dq, 3):
-            for members in (tight_span(c).members, list(enumerate_ambient(c))):
-                verdict = _maximal_in_ambient(c, members)
+def assert_covers_match_walk(quantale, bound: int, all_pairs: bool = False) -> tuple[int, int]:
+    """Compare ``_maximal_in_ambient``, which goes by covers, with the walk
+    over the ambient columns it replaced (``grouped_walk_maximal``, and with
+    ``all_pairs`` also ``all_pairs_maximal``) on the first category of every
+    isomorphism class up to ``bound``.  Two member sets: the span's members,
+    where every check holds, and every ambient column, where they fail unless
+    the ambient columns of each type are pairwise incomparable.  One column
+    at a time, the maximal ambient columns must be the span's members.
+    Returns the number of classes and of those whose ambient columns are
+    not all maximal."""
+    dq = diagonal_quantaloid(quantale)
+    classes = isomorphism_classes(dq, bound)
+    dominated = 0
+    for c in classes:
+        span, ambient = tight_span(c).members, list(enumerate_ambient(c))
+        for members in (span, ambient):
+            verdict = _maximal_in_ambient(c, members)
+            assert verdict == grouped_walk_maximal(c, members), c.to_dict()
+            if all_pairs:
                 assert verdict == all_pairs_maximal(c, members), c.to_dict()
-                verdicts.append(verdict)
-        assert set(verdicts) == {True, False}
+        assert _maximal_in_ambient(c, span), c.to_dict()
+        dominated += not _maximal_in_ambient(c, ambient)
+        maximal = [pair for pair in ambient if _maximal_in_ambient(c, [pair])]
+        assert set(maximal) == set(span), c.to_dict()
+    return len(classes), dominated
+
+
+class TestMaximality:
+    # (quantale, classes, classes with a dominated ambient column) at bound 3
+    CASES = [
+        ("boolean", 14, 10),
+        ("luk3", 46, 42),
+        ("luk5", 354, 350),
+        ("nilmin5", 200, 196),
+        ("diamond", 87, 83),
+        ("diamond_swap", 22, 18),
+    ]
+
+    @pytest.mark.parametrize(
+        "fixture, classes, dominated", CASES, ids=[case[0] for case in CASES]
+    )
+    def test_grouped_check_matches_the_all_pairs_loop(self, request, fixture, classes, dominated):
+        # the covers check against the grouped walk and the all-pairs loop
+        quantale = request.getfixturevalue(fixture)
+        assert assert_covers_match_walk(quantale, 3, all_pairs=True) == (classes, dominated)
 
     def test_a_column_above_a_member_is_a_discrepancy(self, monkeypatch, luk3):
-        real = verify.enumerate_ambient
+        # The kernel's closure lies: it answers the all-bottom column, which
+        # is admissible, so every member with a coordinate below the top of
+        # its hom, where a cover raises it, seems to have an ambient column
+        # above it.
+        dq = diagonal_quantaloid(luk3)
 
-        def lying(c):
-            yield from real(c)
-            raised = raised_member(c)
-            if raised is not None:
-                yield raised
+        def lying(types, hom, q, values):
+            return tuple(dq.hom_bottom(t, q) for t in types)
 
-        monkeypatch.setattr(verify, "enumerate_ambient", lying)
+        monkeypatch.setattr(dq, "closure", lying)
         report = run_suite("t44", luk3, 2)
         cats = enumerate_symmetric_categories(diagonal_quantaloid(luk3), 2)
         lied = sum(raised_member(c) is not None for c in cats)
@@ -2017,6 +2050,28 @@ class TestMaximality:
         assert not report["result"]
         assert report["witness"]["tight_maximal_in_ambient"] is False
         assert report["witness"]["transport_isomorphism"] is True
+
+    def test_each_kernel_keeps_its_own_covers(self):
+        # Both quantales number their elements from 0, so a memo keyed on
+        # (p, t, a) alone would hand diamond's covers to lukasiewicz3.
+        data = files("enritch") / "data"
+        quantales = [fileio.load_quantale(data / f"{n}.json") for n in ("lukasiewicz3", "diamond")]
+        kernels = [diagonal_quantaloid(q) for q in quantales]
+        assert kernels[0]._covers == {} == kernels[1]._covers
+        assert kernels[0]._covers is not kernels[1]._covers
+        reports = [run_suite("t44", q, 2) for q in quantales + quantales]
+        assert reports[:2] == reports[2:] and all(r["result"] for r in reports)
+        for dq in kernels:
+            assert dq._covers
+            for (p, t, a), found in dq._covers.items():
+                hom, leq = dq.hom(p, t), dq.leq
+                below = lambda x, y: x != y and leq(x, y)  # noqa: E731
+                assert found == tuple(
+                    b for b in hom if below(a, b) and not any(below(a, m) and below(m, b) for m in hom)
+                ), (dq.quantale.name, p, t, a)
+        # some key means different covers in the two quantales
+        shared = kernels[0]._covers.keys() & kernels[1]._covers.keys()
+        assert any(kernels[0]._covers[k] != kernels[1]._covers[k] for k in shared)
 
     def test_no_tight_presheaf_strictly_dominated(self, boolean, luk3):
         for quantale in (boolean, luk3):

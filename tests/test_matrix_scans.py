@@ -1,8 +1,9 @@
 """The kernel's matrix scans against the per-cell loops they replaced.
 
-``transitivity_witness``, ``distributor_holds`` and ``residual_matrix`` run
-on the finite kernel's tables and, over the extended rationals, cell by
-cell through the closed forms.  Each is compared with the loop it took over
+``transitivity_witness``, ``distributor_holds``, ``admissible``, ``closure``
+and ``residual_matrix`` run on the finite kernel's tables and, over the
+extended rationals, cell by cell through the closed forms.  Each is
+compared with the loop it took over
 (``tests/oracles.py``) on every input the suites can hand it: raw candidate
 matrices, rejected ones included, product columns and tight spans, and on
 seeded partial metrics for the extended rationals.  ``is_tight_column``,
@@ -17,7 +18,7 @@ import random
 
 import pytest
 
-from enritch.categories import QCategory, _distributor_holds
+from enritch.categories import QCategory, _distributor_holds, enumerate_presheaves
 from enritch.diagonals import DiagonalQuantaloid, FiniteDiagonals, diagonal_quantaloid
 from enritch.errors import InvariantError, PreconditionError
 from enritch.hull import enumerate_symmetric_categories, is_tight_column, tight_span
@@ -29,8 +30,10 @@ from conftest import random_partial_metric, shipped_quantale, swapped_diamond
 from oracles import (
     Presheaf,
     _tight_residual,
+    cell_column_admissible,
     cell_distributor_holds,
     cell_transitivity_witness,
+    least_presheaf_above,
     presheaf_hom_matrix,
     presheaves,
     raw_symmetric_categories,
@@ -104,6 +107,34 @@ def test_distributor_on_every_product_column(name):
                 assert dq.distributor_holds(types, hom, q, values) == want, (c.to_dict(), values)
                 verdicts.add(want)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_admissible_on_every_presheaf(name):
+    dq = diagonal_quantaloid(quantale_named(name))
+    verdicts = set()
+    for c in enumerate_symmetric_categories(dq, 2):
+        types, hom = c.objects.types, c.hom.entries
+        for q, values in enumerate_presheaves(c):
+            want = cell_column_admissible(c, q, values)
+            assert dq.admissible(types, hom, q, values) == want, (c.to_dict(), values)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_closure_on_every_product_column(name):
+    # the least presheaf above each column, presheaves or not
+    dq = diagonal_quantaloid(quantale_named(name))
+    moved = 0
+    for c in enumerate_symmetric_categories(dq, 2):
+        types, hom = c.objects.types, c.hom.entries
+        for q in dq.objects():
+            for values in itertools.product(*(dq.hom(t, q) for t in types)):
+                nu = dq.closure(types, hom, q, values)
+                assert nu == least_presheaf_above(c, q, values), (c.to_dict(), values)
+                moved += nu != values
+    assert moved > 0
 
 
 # The suite bounds of l43 and t44, one class per isomorphism type.
@@ -194,6 +225,30 @@ def test_lawvere_scans_match_the_cell_loops(seed):
 
     columns = [(mu.q, mu.values) for mu in presheaves]
     assert dq.residual_matrix(columns, columns) == presheaf_hom_matrix(presheaves, presheaves)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lawvere_admissible_and_closure_match_the_cell_loops(seed):
+    # columns of diagonals, admissible or not; each closure is a presheaf
+    # above its column and below every presheaf above it that is found here
+    rng = random.Random(f"admissible-{seed}")
+    c = to_category(random_partial_metric(rng, rng.randint(2, 6), allow_inf=seed % 2 == 1))
+    dq = c.quantaloid
+    types, hom = c.objects.types, c.hom.entries
+    verdicts = set()
+    for _ in range(40):
+        q = rng.choice(types) + ExtRat(rng.randint(0, 4))
+        values = tuple(max(t, q) + ExtRat(rng.choice((0, 0, 1, 3, 12))) for t in types)
+        want = cell_column_admissible(c, q, values)
+        assert dq.admissible(types, hom, q, values) == want, (q, values)
+        verdicts.add(want)
+        nu = dq.closure(types, hom, q, values)
+        assert cell_distributor_holds(c, q, nu) and all(map(dq.leq, values, nu))
+        for x, t in enumerate(types):  # hom(-, x) raised to type q, above values or not
+            above = tuple(max(h + q.monus(t), q) for h in (row[x] for row in hom))
+            if cell_distributor_holds(c, q, above) and all(map(dq.leq, values, above)):
+                assert all(map(dq.leq, nu, above))
+    assert verdicts == {True, False}
 
 
 # -- the tight equation -------------------------------------------------------

@@ -11,12 +11,19 @@ from enritch.relations import (
     QRelation,
     TypedSet,
     rel_compose,
-    rel_involve,
     rel_residual,
 )
 
 from conftest import value
-from oracles import bottom_relation, rel_identity, rel_join, rel_leq, rel_meet, single_set
+from oracles import (
+    bottom_relation,
+    rel_identity,
+    rel_involve,
+    rel_join,
+    rel_leq,
+    rel_meet,
+    single_set,
+)
 
 
 def typed_set(quantale, names, types):
