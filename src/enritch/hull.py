@@ -504,7 +504,9 @@ def all_functors(
     This path validates: each object's pool is the codomain objects of its
     type, and the search checks every pair of each functor it yields, so
     callers trust what comes out.  ``full`` asks the search to preserve the
-    homs between all positions.  ``extend_along`` and
+    homs between all positions; its one caller in the library is the walk
+    of ``verify t54`` to the first functor of a failing class, which runs
+    only when some class fails.  ``extend_along`` and
     ``find_one_point_retraction`` run the same search on narrower pools.
     """
     types = domain.objects.types
@@ -641,6 +643,12 @@ def find_one_point_retraction(x_cat: QCategory, y_cat: QCategory) -> QFunctor | 
 def is_dense(f: QFunctor) -> bool:
     """hom_Y = graph <swarrow> graph."""
     require_functor(f)
+    return _dense(f)
+
+
+def _dense(f: QFunctor) -> bool:
+    """``is_dense`` of a functor that ``require_functor`` has passed, read
+    from its unchecked graph."""
     gr = _graph(f)
     return rel_residual("left", gr, gr) == f.codomain.hom
 

@@ -20,9 +20,13 @@ signature that also picks ``is_essential_bruteforce``'s receivers) and
 reused for every relabelling; the counts and the witness, the first raw
 category that disagrees, are those of the per-category run.  t54 keys its
 verdict on the codomain and the image of the functor, up to isomorphism (the
-codomain's canonical signature with the image marked), and checks the first
-functor of each class; its counts and witness are those of the per-functor
-run.
+codomain's canonical signature with the image marked).  It lists no
+functor: it generates the classes from the pairs (codomain, image), checks
+the inclusion of the image into the codomain once per class, and counts the
+functors of each class in closed form (``_t54_classes``).  Only when some
+class fails does it walk the functors, in enumeration order, to the first
+one of a failing class, the witness.  Its counts and witness are those of
+the per-functor run.
 
 The in-bound extension family for t36 consists of, for each candidate X:
 the identity of X along the inclusion into every one-point extension of X,
@@ -35,12 +39,14 @@ column itself builds a failing extension) while staying desk-scale.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .categories import QCategory, QFunctor
 from .diagonals import diagonal_quantaloid
-from .errors import BoundExceededError, PreconditionError
+from .errors import BoundExceededError, InvariantError, PreconditionError
 from .hull import (
     _canonical_signature,
+    _dense,
     all_functors,
     enumerate_symmetric_categories,
     extend_along,
@@ -174,9 +180,67 @@ def _t44_single(x_cat: QCategory) -> dict:
 
 
 def _t54_single(f: QFunctor, bound: int) -> dict:
-    dense = is_dense(f)
+    # is_fully_faithful, at the brute force's entry, validates f, so density
+    # reads the graph unchecked.
     essential = is_essential_bruteforce(f, max_objects=bound + 1).essential
+    dense = _dense(f)
     return {"dense": dense, "essential": essential, "agree": dense == essential}
+
+
+def _maps_onto(size: int, bound: int) -> int:
+    """The maps from m points onto ``size`` points, summed over m <= bound:
+    the surjections from m points onto k are, by inclusion-exclusion,
+    surj(m, k) = sum over i of (-1)^i C(k, i) (k - i)^m (Stanley,
+    *Enumerative Combinatorics* I, 1.9), and surj(0, 0) = 1."""
+    return sum(
+        (-1) ** i * math.comb(size, i) * (size - i) ** m
+        for m in range(size, bound + 1)
+        for i in range(size + 1)
+    )
+
+
+def _t54_classes(cats: list, bound: int) -> dict:
+    """The (codomain, image) classes of the fully faithful functors between
+    the categories ``cats`` (every symmetric category with at most ``bound``
+    points), each with its first (codomain, image positions) pair and the
+    number of functors in it, keyed on the codomain's canonical signature
+    with the image marked.
+
+    Why the count is exact.  A fully faithful f : X -> Y is fixed by Y, its
+    image S and the surjection s from X's points onto S, with f = s.  X is
+    then the pullback of Y along s: its point i has the type of s(i) in Y,
+    as f keeps types, and hom_X(i, j) = hom_Y(s i, s j), as f is fully
+    faithful.  Conversely, for any Y in ``cats``, any subset S of its points
+    and any surjection s from m <= bound points onto S, that pullback is a
+    valid symmetric category, since each of its hom entries, and each
+    instance of its identity, transitivity and symmetry laws, is one of Y's
+    at the points s(i); ``cats`` lists it exactly once, on the points
+    x0 ... x{m-1}, and s is a fully faithful functor from it into Y with
+    image S.  So the functors with codomain Y and image S number the maps
+    onto S from at most ``bound`` points, ``_maps_onto`` of |S|.  The empty
+    S takes only the empty functor, out of the empty category.
+    """
+    per = [_maps_onto(size, bound) for size in range(bound + 1)]
+    classes: dict = {}
+    for y_cat in cats:
+        for size in range(len(y_cat) + 1):
+            for image in itertools.combinations(range(len(y_cat)), size):
+                key = _canonical_signature(y_cat, marked=frozenset(image))
+                classes.setdefault(key, [y_cat, image, 0])[2] += per[size]
+    return classes
+
+
+def _first_in_classes(cats: list, keys) -> tuple:
+    """The first fully faithful functor, in enumeration order (domain,
+    codomain, then assignment), whose class is one of ``keys``, and its
+    class."""
+    for x_cat in cats:
+        for y_cat in cats:
+            for f in all_functors(x_cat, y_cat, full=True):
+                key = _canonical_signature(y_cat, marked=frozenset(f.assignment))
+                if key in keys:
+                    return f, key
+    raise InvariantError("a failing t54 class holds no functor")
 
 
 def run_suite(
@@ -206,48 +270,48 @@ def run_suite(
     cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
 
     if theorem == "t54":
-        # The search of all_functors(full=True) checks every pair of each
-        # functor it yields, so the items are trusted as they come; the
-        # first of each class is validated again by is_fully_faithful at
-        # is_essential_bruteforce's entry.  For a fully faithful f, density
-        # reads only the rows hom_Y(fx, -), and g . f is fully faithful
-        # exactly when g is on f(X) x f(X): both verdicts depend only on the
-        # codomain and the image f(X), so they are keyed on the two up to
-        # isomorphism.
-        items = [
-            f
-            for x_cat in cats
-            for y_cat in cats
-            for f in all_functors(x_cat, y_cat, full=True)
-        ]
-        key = lambda f: _canonical_signature(f.codomain, marked=frozenset(f.assignment))
-        single = lambda f: _t54_single(f, bound)
-        shown = lambda f: {
-            "domain": f.domain.to_dict(),
-            "codomain": f.codomain.to_dict(),
-            "map": f.as_dict(),
-        }
+        # The verdicts of a fully faithful f read only its codomain and its
+        # image: density reads the rows hom_Y(fx, -), and g . f is fully
+        # faithful exactly when g is on f(X) x f(X).  So each class is
+        # checked on the inclusion of its image, a plain QFunctor that
+        # _t54_single validates once.
+        classes = _t54_classes(cats, bound)
+        verdicts = {}
+        for key, (y_cat, image, _) in classes.items():
+            sub = full_subcategory(y_cat, [y_cat.names[k] for k in image])
+            verdicts[key] = _t54_single(QFunctor(sub, y_cat, image), bound)
+        failing = {key for key, verdict in verdicts.items() if not verdict["agree"]}
+        label, count = "functors", sum(n for _, _, n in classes.values())
+        discrepancies = sum(classes[key][2] for key in failing)
+        witness = None
+        if failing:
+            f, key = _first_in_classes(cats, failing)
+            witness = {
+                "domain": f.domain.to_dict(),
+                "codomain": f.codomain.to_dict(),
+                "map": f.as_dict(),
+                **verdicts[key],
+            }
     else:
-        # Each verdict is invariant under relabelling the points.
-        items, key = cats, _canonical_signature
         single = {
             "t36": lambda x_cat: _t36_single(x_cat, strict),
             "l43": lambda x_cat: _l43_single(x_cat, strict),
             "t44": _t44_single,
         }[theorem]
-        shown = lambda x_cat: {"category": x_cat.to_dict()}
-    # Check the first item of each class and reuse its verdict.
-    memo: dict = {}
-    verdicts = []
-    for item in items:
-        k = key(item)
-        if k not in memo:
-            memo[k] = single(item)
-        verdicts.append(memo[k])
-    label = "functors" if theorem == "t54" else "categories"
-
-    failing = [k for k, verdict in enumerate(verdicts) if not verdict["agree"]]
-    witness = {**shown(items[failing[0]]), **verdicts[failing[0]]} if failing else None
+        # Each verdict is invariant under relabelling the points: check the
+        # first category of each class and reuse its verdict.
+        memo: dict = {}
+        verdicts = []
+        for x_cat in cats:
+            key = _canonical_signature(x_cat)
+            if key not in memo:
+                memo[key] = single(x_cat)
+            verdicts.append(memo[key])
+        failing = [k for k, verdict in enumerate(verdicts) if not verdict["agree"]]
+        label, count, discrepancies = "categories", len(verdicts), len(failing)
+        witness = (
+            {"category": cats[failing[0]].to_dict(), **verdicts[failing[0]]} if failing else None
+        )
     return {
         "check": theorem,
         "result": not failing,
@@ -255,6 +319,6 @@ def run_suite(
         "quantale": quantale.name,
         "bound": bound,
         "strict_typing": strict,
-        label: len(verdicts),
-        "discrepancies": len(failing),
+        label: count,
+        "discrepancies": discrepancies,
     }

@@ -14,7 +14,8 @@ forms, the ``cell_*`` loops (``cell_column_admissible`` for the
 ``presheaf_hom_matrix`` for the kernel's matrix scans, ``rel_involve``
 for ``is_symmetric``'s entrywise comparison,
 ``run_suite_per_category`` and ``run_t54_per_functor`` for the suites'
-per-class verdicts, ``t44_single_checked_twice`` for ``t44``'s verdict,
+per-class verdicts, ``run_t54_listed`` for ``t54``'s classes and counts
+without a functor list, ``t44_single_checked_twice`` for ``t44``'s verdict,
 ``reference_functor_search`` and ``reference_all_functors`` for the pruned
 functor search,
 ``functor_compose`` for the composites of the essentiality brute force,
@@ -67,6 +68,7 @@ from enritch.hull import (
     _fresh_name,
     _functor_search,
     _of_type,
+    all_functors,
     enumerate_ambient,
     enumerate_symmetric_categories,
     is_codense,
@@ -1168,6 +1170,44 @@ def run_t54_per_functor(quantale: FiniteQuantale, bound: int) -> dict:
         "strict_typing": True,
         "functors": len(results),
         "discrepancies": len(discrepancies),
+    }
+
+
+def run_t54_listed(quantale: FiniteQuantale, bound: int) -> dict:
+    """The report of ``verify.run_suite`` for t54 as it was built before the
+    classes were counted (oracle): every fully faithful functor between
+    labelled categories is listed by the pruned search and keyed on its
+    codomain with its image marked, the first functor of each class is
+    checked, and its verdict is reused for the rest.  Bounds are not
+    re-checked."""
+    cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
+    items = [f for x_cat in cats for y_cat in cats for f in all_functors(x_cat, y_cat, full=True)]
+    memo: dict = {}
+    verdicts = []
+    for f in items:
+        key = _canonical_signature(f.codomain, marked=frozenset(f.assignment))
+        if key not in memo:
+            memo[key] = _t54_single(f, bound)
+        verdicts.append(memo[key])
+    failing = [k for k, verdict in enumerate(verdicts) if not verdict["agree"]]
+    witness = None
+    if failing:
+        f = items[failing[0]]
+        witness = {
+            "domain": f.domain.to_dict(),
+            "codomain": f.codomain.to_dict(),
+            "map": f.as_dict(),
+            **verdicts[failing[0]],
+        }
+    return {
+        "check": "t54",
+        "result": not failing,
+        "witness": witness,
+        "quantale": quantale.name,
+        "bound": bound,
+        "strict_typing": True,
+        "functors": len(verdicts),
+        "discrepancies": len(failing),
     }
 
 

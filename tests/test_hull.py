@@ -1677,15 +1677,15 @@ class TestValidateOnce:
     CASES = [("boolean", 2, 18), ("diamond", 2, 68), ("nilmin5", 2, 110), ("diamond_swap", 2, 22)]
 
     @pytest.mark.parametrize("fixture, bound, classes", CASES, ids=[c[0] for c in CASES])
-    def test_t54_filter_matches_the_validating_filter(
+    def test_t54_keys_each_image_once_and_validates_each_class_once(
         self, request, monkeypatch, fixture, bound, classes
     ):
-        import enritch.verify as verify
+        import enritch.categories as categories
 
         quantale = request.getfixturevalue(fixture)
-        keyed, checked, validating, essential = [], [], [], []
+        keyed, checked, validating, validated = [], [], [], []
         real_signature, real_single = verify._canonical_signature, verify._t54_single
-        real_essential = verify.is_essential_bruteforce
+        real_validate = categories.validate_functor
         monkeypatch.setattr(
             verify,
             "_canonical_signature",
@@ -1694,32 +1694,41 @@ class TestValidateOnce:
         monkeypatch.setattr(
             verify, "_t54_single", lambda f, bound: checked.append(f) or real_single(f, bound)
         )
+        for module in (hull, verify):
+            monkeypatch.setattr(
+                module,
+                "is_fully_faithful",
+                lambda f: validating.append(f) or is_fully_faithful(f),
+            )
         monkeypatch.setattr(
-            verify, "is_fully_faithful", lambda f: validating.append(f) or is_fully_faithful(f)
+            categories, "validate_functor", lambda f: validated.append(f) or real_validate(f)
         )
-        monkeypatch.setattr(
-            verify,
-            "is_essential_bruteforce",
-            lambda f, **kw: essential.append(f) or real_essential(f, **kw),
-        )
-        run_suite("t54", quantale, bound)
-        assert validating == []  # the filter trusts what all_functors yields
+        report = run_suite("t54", quantale, bound)
+        assert report["result"]
         cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
-        every = [f for x in cats for y in cats for f in all_functors(x, y)]
-        want = [f for f in every if is_fully_faithful(f)]
-        assert 0 < len(want) < len(every)  # the filter drops some functors
-        # each kept functor is keyed on its codomain with its image marked
-        assert len(keyed) == len(want)
-        for (c, marked), f in zip(keyed, want):
-            assert c == f.codomain and marked == frozenset(f.assignment)
-        # the first functor of each class, by the n! oracle signature, is checked
+        # one key per labelled codomain and subset of its points, in order,
+        # and none per functor
+        images = [
+            (y, image)
+            for y in cats
+            for size in range(len(y) + 1)
+            for image in itertools.combinations(range(len(y)), size)
+        ]
+        assert len(keyed) == len(images) < report["functors"]
+        for (c, marked), (y, image) in zip(keyed, images):
+            assert c == y and marked == frozenset(image)
+        # one check per class, on the inclusion of the first image of each
+        # class, by the n! oracle signature
         firsts: dict = {}
-        for f in want:
-            firsts.setdefault(marked_signature(f.codomain, f.assignment), f)
-        assert len(checked) == len(firsts) < len(want)
-        assert all(same_functor(got, f) for got, f in zip(checked, firsts.values()))
-        assert essential == checked
-        assert len(checked) == classes
+        for y, image in images:
+            firsts.setdefault(marked_signature(y, image), (y, image))
+        assert len(checked) == len(firsts) == classes
+        for f, (y, image) in zip(checked, firsts.values()):
+            assert f.codomain == y and f.assignment == image
+            assert f.domain.names == tuple(y.names[k] for k in image)
+        # and one validation of each, at the brute force's entry
+        assert validating == checked
+        assert validated == checked
 
 
 T54_INSTANCES = ["boolean", "luk3", "luk5", "nilmin5", "diamond", "diamond_swap"]

@@ -2,15 +2,18 @@
 class.
 
 ``run_suite`` reuses the verdict of the first labelled category of each
-class for the rest of it, and the t54 verdict of the first functor of each
-class of (codomain, image).  The differential tests compare whole reports
-with the per-category and per-functor oracles; the relabelling tests keep a
+class for the rest of it.  t54 generates the classes of (codomain, image)
+from the subsets of each codomain's points, checks one inclusion per class
+and counts each class's functors in closed form.  The differential tests
+compare whole reports with the per-category and per-functor oracles and,
+for t54, with the listing of every functor; the relabelling tests keep a
 labelling bug in a single-category check visible, since the suite no longer
 runs every labelling.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -21,7 +24,7 @@ import enritch.hull as hull
 import enritch.verify as verify
 from enritch.diagonals import diagonal_quantaloid
 from enritch.hull import enumerate_symmetric_categories
-from enritch.verify import _l43_single, _t36_single, _t44_single, run_suite
+from enritch.verify import _l43_single, _maps_onto, _t36_single, _t44_single, run_suite
 
 import oracles
 from conftest import shipped_quantale, swapped_diamond
@@ -30,6 +33,7 @@ from oracles import (
     raw_symmetric_categories,
     relabel,
     run_suite_per_category,
+    run_t54_listed,
     run_t54_per_functor,
     t44_single_checked_twice,
 )
@@ -77,9 +81,77 @@ def test_t54_report_matches_the_per_functor_oracle(name, bound):
     assert json.dumps(got) == json.dumps(want)
 
 
+def assert_counting_matches_listing(quantale, bound: int) -> int:
+    """Compare the t54 report, whose counts come from the classes, with the
+    listing of every fully faithful functor (``run_t54_listed``), byte for
+    byte.  Returns the number of functors."""
+    want = run_t54_listed(quantale, bound)
+    got = run_suite("t54", quantale, bound)
+    assert json.dumps(got) == json.dumps(want)
+    return got["functors"]
+
+
+# Bound 3 on diamond, nilmin5 and lukasiewicz5 runs in a CI step.
+LISTED_INSTANCES = [
+    (name, bound)
+    for name in ["boolean", "lukasiewicz3", "diamond", "nilmin5", "lukasiewicz5", "diamond_swap"]
+    for bound in range(3)
+] + [("boolean", 3), ("lukasiewicz3", 3)]
+
+
+@pytest.mark.parametrize(
+    "name, bound", LISTED_INSTANCES, ids=[f"{n}-b{b}" for n, b in LISTED_INSTANCES]
+)
+def test_t54_counts_match_the_listing_oracle(name, bound):
+    assert assert_counting_matches_listing(quantale_named(name), bound) > 0
+
+
+def test_maps_onto_counts_the_surjections():
+    for bound in range(6):
+        for size in range(6):
+            onto = sum(
+                set(m) == set(range(size))
+                for points in range(bound + 1)
+                for m in itertools.product(range(size), repeat=points)
+            )
+            assert _maps_onto(size, bound) == onto, (size, bound)
+    assert _maps_onto(0, 0) == _maps_onto(0, 5) == 1  # the empty functor only
+    assert _maps_onto(3, 2) == 0
+
+
+def test_a_passing_t54_never_walks_the_functors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a passing t54 lists no functor")
+
+    monkeypatch.setattr(verify, "all_functors", refuse)
+    report = run_suite("t54", quantale_named("diamond"), 2)
+    assert report["result"] and report["functors"] == 188
+
+
 def image_class(f) -> tuple:
     """The n! oracle's signature of f's codomain with f's image marked."""
     return marked_signature(f.codomain, f.assignment)
+
+
+def fully_faithful_functors(quantale, bound: int) -> list:
+    """Every fully faithful functor between labelled categories, in
+    enumeration order, by the unpruned search."""
+    cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
+    return [
+        f
+        for x in cats
+        for y in cats
+        for f in hull.all_functors(x, y)
+        if categories.is_fully_faithful(f)
+    ]
+
+
+def lie_about_density(monkeypatch, liar: tuple) -> None:
+    """Flip the density verdict of every functor of the class ``liar``, on
+    the suite and on the per-functor oracle alike: both reach it through
+    ``_t54_single``."""
+    real = verify._dense
+    monkeypatch.setattr(verify, "_dense", lambda f: real(f) != (image_class(f) == liar))
 
 
 # The report form of each case's witness map, domain name -> codomain name.
@@ -89,24 +161,14 @@ WITNESS_MAPS = {("diamond", 2): {"x0": "x0"}, ("boolean", 3): {"x0": "x0", "x1":
 @pytest.mark.parametrize("name, bound", [("diamond", 2), ("boolean", 3)])
 def test_t54_witness_is_the_first_functor_of_the_failing_class(monkeypatch, name, bound):
     quantale = quantale_named(name)
-    cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
-    kept = [
-        f
-        for x in cats
-        for y in cats
-        for f in hull.all_functors(x, y)
-        if categories.is_fully_faithful(f)
-    ]
+    kept = fully_faithful_functors(quantale, bound)
     classes: dict = {}
     for f in kept:
         classes.setdefault(image_class(f), []).append(f)
     # the largest class that does not hold the first functor
     chosen = max((c for c in classes.values() if c[0] is not kept[0]), key=len)
     assert 1 < len(chosen) < len(kept)
-    liar = image_class(chosen[0])
-    real = verify.is_dense
-    # the same lie for every functor of the class, on both paths
-    monkeypatch.setattr(verify, "is_dense", lambda f: real(f) != (image_class(f) == liar))
+    lie_about_density(monkeypatch, image_class(chosen[0]))
     want = run_t54_per_functor(quantale, bound)
     got = run_suite("t54", quantale, bound)
     assert json.dumps(got) == json.dumps(want)
@@ -118,6 +180,29 @@ def test_t54_witness_is_the_first_functor_of_the_failing_class(monkeypatch, name
     assert set(shown.values()) <= set(got["witness"]["codomain"]["set"]["names"])
     assert got["witness"]["domain"] == first.domain.to_dict()
     assert got["witness"]["codomain"] == first.codomain.to_dict()
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+@pytest.mark.parametrize("name, bound", [("diamond", 2), ("lukasiewicz3", 2), ("boolean", 3)])
+def test_t54_witness_at_either_end_of_the_walk(monkeypatch, name, bound, which):
+    # "first": the class of the empty functor out of and into the empty
+    # category, the very first functor; "last": the class whose first
+    # functor comes after the first functor of every other class
+    quantale = quantale_named(name)
+    kept = fully_faithful_functors(quantale, bound)
+    firsts: dict = {}
+    for f in kept:
+        firsts.setdefault(image_class(f), f)
+    first = kept[0] if which == "first" else list(firsts.values())[-1]
+    assert (len(first.domain), len(first.codomain)) == ((0, 0) if which == "first" else (bound, bound))
+    lie_about_density(monkeypatch, image_class(first))
+    want = run_t54_per_functor(quantale, bound)
+    got = run_suite("t54", quantale, bound)
+    assert json.dumps(got) == json.dumps(want)
+    assert got["witness"]["map"] == first.as_dict()
+    assert got["witness"]["domain"] == first.domain.to_dict()
+    assert got["witness"]["codomain"] == first.codomain.to_dict()
+    assert got["discrepancies"] == sum(image_class(f) == image_class(first) for f in kept)
 
 
 @pytest.mark.parametrize("theorem", ["t36", "l43", "t44"])
