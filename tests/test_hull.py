@@ -1730,6 +1730,22 @@ class TestValidateOnce:
         assert validating == checked
         assert validated == checked
 
+    @pytest.mark.parametrize("fixture, bound, classes", CASES, ids=[c[0] for c in CASES])
+    def test_t54_filter_matches_the_validating_filter(self, request, fixture, bound, classes):
+        # the classes counted in closed form are those of the functors that
+        # is_fully_faithful keeps out of all_functors, class by class
+        quantale = request.getfixturevalue(fixture)
+        cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
+        every = [f for x in cats for y in cats for f in all_functors(x, y)]
+        want = [f for f in every if is_fully_faithful(f)]
+        assert 0 < len(want) < len(every)  # the filter drops some functors
+        counts = Counter(marked_signature(f.codomain, f.assignment) for f in want)
+        got = verify._t54_classes(cats, bound)
+        assert len(got) == len(counts) == classes
+        # the same classes, by the n! oracle signature, with the same counts
+        assert {marked_signature(y, image): n for y, image, n in got.values()} == counts
+        assert run_suite("t54", quantale, bound)["functors"] == len(want)
+
 
 T54_INSTANCES = ["boolean", "luk3", "luk5", "nilmin5", "diamond", "diamond_swap"]
 
