@@ -28,6 +28,10 @@ order, where the quantale order is the reverse one):
     w <swarrow> u        = max(q, r, (w + q) - u)    for u: p->q, w: p->r
     v <searrow> w        = max(p, q, (w + q) - v)    for v: q->r, w: p->r
 
+Both residuals are one ``rationals.max_monus`` call, which computes
+max(floor, (w + q) - u) on the values' integer pairs with one sum over one
+denominator and reduces only when the difference wins.
+
 For finite quantales every hom is enumerated at construction, which
 verifies that homs are closed under joins, contain the bottom, and that the
 three composition expressions agree on every triple.  Once that has passed,
@@ -68,7 +72,7 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionError, UnsupportedQuantaleError
 from .quantale import FiniteQuantale, Quantale, _first_witness
-from .rationals import INF
+from .rationals import INF, max_monus
 
 __all__ = ["DiagonalQuantaloid", "diagonal_quantaloid"]
 
@@ -525,10 +529,10 @@ class LawvereDiagonals(DiagonalQuantaloid):
         return v.monus(mid) + u
 
     def limpl(self, mid, r, u, w):
-        return max(mid, r, (w + mid).monus(u))
+        return max_monus(mid, r, w, mid, u)
 
     def rimpl(self, p, mid, v, w):
-        return max(p, mid, (w + mid).monus(v))
+        return max_monus(p, mid, w, mid, v)
 
     def hom_join(self, p, t, values: Iterable):
         result = INF

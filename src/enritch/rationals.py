@@ -21,6 +21,12 @@ numerator 1 is the other value's positive denominator, so infinity sits
 above every finite value with no branch, as ``n / d`` does for ``d -> 0``;
 two infinities give ``0 <= 0``.  Equal values have equal pairs, which makes
 ``==`` and ``hash`` a pair comparison.
+
+``max_monus(p, q, w, a, u)`` is max(p, q, (w + a) monus u) in one step on
+the pairs, the shape of both residuals of the extended-rational diagonals:
+it puts w + a - u over one denominator, compares it with the floor
+max(p, q) by one cross-multiplication, and reduces with one ``gcd`` only
+when the difference is above the floor; otherwise it returns p or q itself.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from math import gcd, lcm
 
 from .errors import BoundExceededError, SchemaError
 
-__all__ = ["ExtRat", "INF", "ZERO", "integer_rows", "from_scaled"]
+__all__ = ["ExtRat", "INF", "ZERO", "integer_rows", "from_scaled", "max_monus"]
 
 # The interpreter's int-to-string digit limit (its default where the limit
 # is off): ``str`` of a numerator or denominator of more digits raises.
@@ -239,6 +245,37 @@ def integer_rows(matrix) -> list[list[int | None]]:
         [cell._n * (denominator // cell._d) if cell._d else None for cell in row]
         for row in matrix
     ]
+
+
+def max_monus(p: ExtRat, q: ExtRat, w: ExtRat, a: ExtRat, u: ExtRat) -> ExtRat:
+    """max(p, q, (w + a).monus(u)), with the ``monus`` conventions, from one
+    sum over one denominator, one comparison and at most one reduction.
+
+    A difference at or below 0 never beats the floor, which is at least 0;
+    an infinite floor has denominator 0, so the cross-multiplication puts
+    it above every finite difference.
+    """
+    floor = p if q._n * p._d <= p._n * q._d else q
+    e = u._d
+    if not e:
+        return floor
+    b, c = w._d, a._d
+    if not b or not c:
+        return INF
+    if b == c:
+        n = w._n + a._n
+    else:
+        n = w._n * c + a._n * b
+        b *= c
+    if b == e:
+        n -= u._n
+    else:
+        n = n * e - u._n * b
+        b *= e
+    if n * floor._d <= floor._n * b:
+        return floor
+    g = gcd(n, b)
+    return _pair(n // g, b // g)
 
 
 def from_scaled(k: int | None, denominator: int) -> ExtRat:

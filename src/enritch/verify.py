@@ -219,15 +219,30 @@ def _t54_classes(cats: list, bound: int) -> dict:
     image S.  So the functors with codomain Y and image S number the maps
     onto S from at most ``bound`` points, ``_maps_onto`` of |S|.  The empty
     S takes only the empty functor, out of the empty category.
+
+    Only the first labelled copy of each codomain class is keyed.  Its key
+    with every point marked is the key of its isomorphism class, so a later
+    copy is known by that one key; an isomorphism from the first copy onto
+    it maps each subset to one of the same class.  So each class first
+    occurs in the first copy, and its count is the first copy's times the
+    number of copies.
     """
     per = [_maps_onto(size, bound) for size in range(bound + 1)]
     classes: dict = {}
+    copies: dict = {}
     for y_cat in cats:
-        for size in range(len(y_cat) + 1):
-            for image in itertools.combinations(range(len(y_cat)), size):
+        points = range(len(y_cat))
+        whole = _canonical_signature(y_cat, marked=frozenset(points))
+        if whole in copies:
+            copies[whole] += 1
+            continue
+        copies[whole] = 1
+        for size in range(len(y_cat)):
+            for image in itertools.combinations(points, size):
                 key = _canonical_signature(y_cat, marked=frozenset(image))
-                classes.setdefault(key, [y_cat, image, 0])[2] += per[size]
-    return classes
+                classes.setdefault(key, [y_cat, image, 0, whole])[2] += per[size]
+        classes[whole] = [y_cat, tuple(points), per[len(y_cat)], whole]
+    return {key: [y, image, n * copies[c]] for key, (y, image, n, c) in classes.items()}
 
 
 def _first_in_classes(cats: list, keys) -> tuple:

@@ -8,14 +8,18 @@ graph calculus, ``table_tight_columns`` and ``row_tight_columns`` (on
 one-point retractions, the classical checks for
 ``tighten_sweep`` and ``sigma``, ``FractionExtRat`` for the int-pair
 ``ExtRat``, ``LawvereReference`` for the extended-rational kernel's closed
-forms, the ``cell_*`` loops (``cell_column_admissible`` for the
-``admissible`` scan), ``least_presheaf_above`` for ``closure``,
-``presheaf_hom``, ``_tight_residual`` and
+forms (its ``limpl``/``rimpl`` are the three-op form ``max(mid, r, (w +
+mid) monus u)`` that ``rationals.max_monus`` computes in one step), and
+``lawvere_rel_residual`` for ``rel_residual`` over them, the ``cell_*``
+loops (``cell_column_admissible`` for the ``admissible`` scan),
+``least_presheaf_above`` for ``closure``, ``presheaf_hom``, ``_tight_residual`` and
 ``presheaf_hom_matrix`` for the kernel's matrix scans, ``rel_involve``
 for ``is_symmetric``'s entrywise comparison,
 ``run_suite_per_category`` and ``run_t54_per_functor`` for the suites'
 per-class verdicts, ``run_t54_listed`` for ``t54``'s classes and counts
-without a functor list, ``t44_single_checked_twice`` for ``t44``'s verdict,
+without a functor list, ``t54_classes_every_codomain`` for
+``_t54_classes``, which keys only the first labelled copy of each
+codomain, ``t44_single_checked_twice`` for ``t44``'s verdict,
 ``reference_functor_search`` and ``reference_all_functors`` for the pruned
 functor search,
 ``functor_compose`` for the composites of the essentiality brute force,
@@ -98,7 +102,14 @@ from enritch.rationals import (
     _too_long,
 )
 from enritch.relations import QRelation, TypedSet, rel_compose
-from enritch.verify import _l43_single, _maximal_in_ambient, _t36_single, _t44_single, _t54_single
+from enritch.verify import (
+    _l43_single,
+    _maps_onto,
+    _maximal_in_ambient,
+    _t36_single,
+    _t44_single,
+    _t54_single,
+)
 
 
 # -- quantales -----------------------------------------------------------------
@@ -233,6 +244,15 @@ class LawvereReference:
     def _involve(self, a: ExtRat) -> ExtRat:
         return a
 
+    def limpl(self, mid: ExtRat, r: ExtRat, u: ExtRat, w: ExtRat) -> ExtRat:
+        """w <swarrow> u for u: p -> mid, w: p -> r: the meet, in hom(mid, r),
+        of mid, r and the residual of w (x) mid by u."""
+        return self._meet((mid, r, self._residual_left(self._tensor(w, mid), u)))
+
+    def rimpl(self, p: ExtRat, mid: ExtRat, v: ExtRat, w: ExtRat) -> ExtRat:
+        """v <searrow> w for v: mid -> r, w: p -> r, in hom(p, mid)."""
+        return self._meet((p, mid, self._residual_right(v, self._tensor(w, mid))))
+
     @property
     def unit(self) -> ExtRat:
         return ZERO
@@ -246,6 +266,39 @@ class LawvereReference:
 
 
 LAWVERE_REFERENCE = LawvereReference()
+
+
+def lawvere_rel_residual(side: str, outer: QRelation, inner: QRelation) -> tuple:
+    """The entries of ``rel_residual(side, outer, inner)`` over the extended
+    rationals, cell by cell from ``LAWVERE_REFERENCE``: each cell is the meet
+    of its hom's top max(|a|, |b|) and the residuals over the summed index."""
+    ref = LAWVERE_REFERENCE
+    if side == "left":
+        y_types, z_types = inner.target.types, outer.target.types
+        return tuple(
+            tuple(
+                ref._meet(
+                    [y, z]
+                    + [
+                        ref.limpl(y, z, row[j], out[k])
+                        for row, out in zip(inner.entries, outer.entries)
+                    ]
+                )
+                for k, z in enumerate(z_types)
+            )
+            for j, y in enumerate(y_types)
+        )
+    x_types, y_types = outer.source.types, inner.source.types
+    return tuple(
+        tuple(
+            ref._meet(
+                [x, y]
+                + [ref.rimpl(x, y, v, w) for v, w in zip(inner.entries[j], outer.entries[i])]
+            )
+            for j, y in enumerate(y_types)
+        )
+        for i, x in enumerate(x_types)
+    )
 
 
 def reference_is_divisible(q: FiniteQuantale) -> bool:
@@ -1209,6 +1262,20 @@ def run_t54_listed(quantale: FiniteQuantale, bound: int) -> dict:
         "functors": len(verdicts),
         "discrepancies": len(failing),
     }
+
+
+def t54_classes_every_codomain(cats: list, bound: int) -> dict:
+    """``verify._t54_classes`` as it keyed before it skipped later labelled
+    copies of a codomain (oracle): every subset of every labelled codomain
+    is keyed, and each adds its maps onto it to its class's count."""
+    per = [_maps_onto(size, bound) for size in range(bound + 1)]
+    classes: dict = {}
+    for y_cat in cats:
+        for size in range(len(y_cat) + 1):
+            for image in itertools.combinations(range(len(y_cat)), size):
+                key = _canonical_signature(y_cat, marked=frozenset(image))
+                classes.setdefault(key, [y_cat, image, 0])[2] += per[size]
+    return classes
 
 
 def raw_canonical_signature(types: tuple, entries: tuple) -> tuple:

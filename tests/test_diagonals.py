@@ -11,11 +11,13 @@ import pytest
 from enritch.diagonals import _join_irreducible_codes, diagonal_quantaloid
 from enritch.errors import PreconditionError, UnsupportedQuantaleError
 from enritch.fileio import load_quantale
+from enritch.parmet import ParMetSpace, to_category, validate_partial_metric
 from enritch.quantale import LAWVERE
 from enritch.rationals import INF, ZERO, ExtRat
+from enritch.relations import QRelation, rel_residual
 
-from conftest import value
-from oracles import LAWVERE_REFERENCE, reference_is_divisible
+from conftest import random_partial_metric, value
+from oracles import LAWVERE_REFERENCE, lawvere_rel_residual, reference_is_divisible
 
 DATA = Path(str(files("enritch") / "data"))
 
@@ -296,6 +298,129 @@ class TestKernelOpsAgainstTheQuantale:
                         expected = q.join_table[expected][v]
                     assert dq.hom_join(p, t, values) == expected
                     assert dq.hom_join(p, t, iter(values)) == expected
+
+
+# -- the Lawvere residuals in one step against the three-op form -------------
+
+# 0, infinity, integers, fractions over shared and over coprime denominators,
+# and values past 10**12
+RESIDUAL_POOL = [ZERO, INF] + [
+    ExtRat(Fraction(n, d))
+    for n, d in [
+        (1, 1), (3, 1), (7, 1), (1, 4), (3, 4), (5, 4), (2, 3), (5, 7), (11, 13),
+        (10**12 + 1, 1), (10**13 + 3, 7), (3 * 10**15 + 1, 10**12 + 39),
+    ]
+]
+
+
+def assert_residuals_match(quadruples) -> int:
+    """``LV.limpl`` and ``LV.rimpl`` on each quadruple equal the three-op
+    ``LAWVERE_REFERENCE`` as values and as text, and are the floor argument
+    itself, not a new value, whenever the floor max(a, b) wins.  Returns how
+    many quadruples the difference wins in."""
+    ref = LAWVERE_REFERENCE
+    won = 0
+    for args in quadruples:
+        floor = max(args[0], args[1])
+        left = ref.limpl(*args)
+        for got, expected in ((LV.limpl(*args), left), (LV.rimpl(*args), ref.rimpl(*args))):
+            assert got == expected and str(got) == str(expected), (args, got, expected)
+            if expected == floor:
+                assert got is floor, args
+        won += left != floor
+    return won
+
+
+def assert_residuals_match_reference(seed: int, count: int, limit: int = 10**9) -> int:
+    """``assert_residuals_match`` on ``count`` seeded quadruples whose
+    numerators and denominators go up to ``limit``, with 0 and infinity mixed
+    in; the difference must win in some of them and the floor in others."""
+    rng = random.Random(seed)
+
+    def draw():
+        roll = rng.random()
+        if roll < 0.05:
+            return INF
+        if roll < 0.1:
+            return ZERO
+        return ExtRat(Fraction(rng.randint(0, limit), rng.randint(1, limit)))
+
+    won = assert_residuals_match((draw(), draw(), draw(), draw()) for _ in range(count))
+    assert 0 < won < count
+    return won
+
+
+def split_partial_metric(rng, n_points):
+    """A random partial metric on ``n_points`` whose two halves lie at
+    infinite distance from each other, one of them with infinite edges too."""
+    half = n_points // 2
+    left = random_partial_metric(rng, half, allow_inf=True)
+    right = random_partial_metric(rng, n_points - half)
+    alpha = tuple(row + (INF,) * (n_points - half) for row in left.alpha) + tuple(
+        (INF,) * half + row for row in right.alpha
+    )
+    space = ParMetSpace(tuple(f"p{i}" for i in range(n_points)), alpha)
+    assert validate_partial_metric(space).valid
+    return space
+
+
+class TestLawvereResidualsOnPairs:
+    def test_every_quadruple_of_the_pool_matches_the_three_op_form(self):
+        won = assert_residuals_match(itertools.product(RESIDUAL_POOL, repeat=4))
+        assert 0 < won < len(RESIDUAL_POOL) ** 4
+
+    def test_conventions_at_zero_and_infinity(self):
+        one, two = ExtRat(1), ExtRat(2)
+        # anything monus infinity is 0, infinity monus infinity included
+        assert LV.limpl(one, two, INF, INF) is two
+        assert LV.rimpl(two, one, INF, INF) is two
+        # infinity monus a finite value is infinity
+        assert LV.limpl(one, two, ExtRat(5), INF) == INF
+        assert LV.rimpl(one, two, ExtRat(5), INF) == INF
+        # a difference at 0 or below leaves the floor, which is returned itself
+        assert LV.limpl(ZERO, ZERO, ExtRat(3), one) is ZERO
+        # a difference above the floor is reduced: 3/4 + 1/4 - 1/2 = 1/2
+        quarter = ExtRat(Fraction(1, 4))
+        half = LV.limpl(quarter, ZERO, ExtRat(Fraction(1, 2)), ExtRat(Fraction(3, 4)))
+        assert (half._n, half._d) == (1, 2) and str(half) == "1/2"
+
+    def test_seeded_random_quadruples(self):
+        assert assert_residuals_match_reference(5, 4000) > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rel_residual_on_partial_metrics_matches_the_cells(self, seed):
+        rng = random.Random(700 + seed)
+        for n_points in (8, 13, 24):
+            if seed % 2:
+                space = split_partial_metric(rng, n_points)
+            else:
+                space = random_partial_metric(rng, n_points, allow_inf=True)
+            hom = to_category(space).hom
+            carrier = hom.source
+            # a second typed relation on the same carrier: each entry above
+            # its hom's top, some infinite
+            other = QRelation(
+                carrier,
+                carrier,
+                tuple(
+                    tuple(
+                        INF if rng.random() < 0.1
+                        else max(p, t) + ExtRat(Fraction(rng.randint(0, 9), rng.choice((1, 2, 3))))
+                        for t in carrier.types
+                    )
+                    for p in carrier.types
+                ),
+            )
+            for side in ("left", "right"):
+                for outer, inner in ((hom, hom), (other, hom), (hom, other)):
+                    got = rel_residual(side, outer, inner).entries
+                    expected = lawvere_rel_residual(side, outer, inner)
+                    assert got == expected
+                    assert [[str(v) for v in row] for row in got] == [
+                        [str(v) for v in row] for row in expected
+                    ]
+            # hom is transitive and reflexive, so hom <swarrow> hom = hom
+            assert rel_residual("left", hom, hom).entries == hom.entries
 
 
 # -- the finite kernel against the exhaustive definitions it tabulates -------

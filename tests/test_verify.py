@@ -36,6 +36,7 @@ from oracles import (
     run_t54_listed,
     run_t54_per_functor,
     t44_single_checked_twice,
+    t54_classes_every_codomain,
 )
 
 # Every shipped quantale, at every bound whose oracle run finishes in about
@@ -104,6 +105,24 @@ LISTED_INSTANCES = [
 )
 def test_t54_counts_match_the_listing_oracle(name, bound):
     assert assert_counting_matches_listing(quantale_named(name), bound) > 0
+
+
+@pytest.mark.parametrize(
+    "name, bound", LISTED_INSTANCES, ids=[f"{n}-b{b}" for n, b in LISTED_INSTANCES]
+)
+def test_t54_classes_match_keying_every_labelled_codomain(monkeypatch, name, bound):
+    # keying only the first labelled copy of each codomain class keeps every
+    # class, in the same order, with the same representative and count
+    quantale = quantale_named(name)
+    cats = list(enumerate_symmetric_categories(diagonal_quantaloid(quantale), bound))
+    want = t54_classes_every_codomain(cats, bound)
+    got = verify._t54_classes(cats, bound)
+    assert list(got) == list(want)
+    for key, (y_cat, image, count) in want.items():
+        assert got[key][0] is y_cat and got[key][1:] == [image, count]
+    report = run_suite("t54", quantale, bound)
+    monkeypatch.setattr(verify, "_t54_classes", t54_classes_every_codomain)
+    assert json.dumps(report) == json.dumps(run_suite("t54", quantale, bound))
 
 
 def test_maps_onto_counts_the_surjections():
