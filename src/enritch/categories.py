@@ -4,6 +4,11 @@ A category here is a typed set with a square hom relation that contains the
 identity relation and absorbs its own square.  Symmetry means the hom equals
 its involution transpose.
 
+A functor is checked when it is built: ``QFunctor`` refuses an assignment
+that breaks types or lowers a hom, so every functor the library holds is
+one, and ``graph`` and ``cograph`` read the codomain's checked rows as they
+stand.
+
 A presheaf is a (type, column) pair (q, values), a distributor column into
 the one-object category of type q, as the kernel's ``residual_matrix``
 takes it; the library builds every presheaf it holds.  The presheaf
@@ -30,7 +35,6 @@ __all__ = [
     "require_valid",
     "is_symmetric",
     "validate_functor",
-    "require_functor",
     "is_fully_faithful",
     "graph",
     "cograph",
@@ -59,9 +63,6 @@ class QCategory:
 
     def __len__(self) -> int:
         return len(self.objects)
-
-    def type_payload(self, name: str):
-        return self.objects.type_of(name)
 
     def to_dict(self) -> dict:
         fmt = self.quantaloid.format
@@ -166,9 +167,11 @@ def _mark_symmetric(c: QCategory, parent: QCategory | None = None) -> None:
 
 @dataclass(frozen=True)
 class QFunctor:
-    """A type-preserving hom-increasing map, stored as a total assignment:
-    the codomain position of each domain point, in domain order.  Names
-    appear only in ``as_dict``, the form a report shows."""
+    """A functor: a type-preserving hom-increasing map, stored as a total
+    assignment, the codomain position of each domain point, in domain order.
+    The constructor refuses any other assignment with the report of
+    ``validate_functor``.  Names appear only in ``as_dict``, the form a
+    report shows."""
 
     domain: QCategory
     codomain: QCategory
@@ -185,6 +188,9 @@ class QFunctor:
         for target in self.assignment:
             if type(target) is not int or not 0 <= target < n:
                 raise ShapeMismatchError(f"{target!r} is not a position in the codomain")
+        report = validate_functor(self.domain, self.codomain, self.assignment)
+        if not report.valid:
+            raise PreconditionError(f"not a functor: {report.to_dict()}")
 
     def as_dict(self) -> dict[str, str]:
         names = self.codomain.names
@@ -211,21 +217,25 @@ class FunctorReport:
         }
 
 
-def validate_functor(f: QFunctor) -> FunctorReport:
-    dq = f.domain.quantaloid
-    dom, cod, fx = f.domain, f.codomain, f.assignment
+def validate_functor(
+    domain: QCategory, codomain: QCategory, assignment: tuple[int, ...]
+) -> FunctorReport:
+    """Whether ``assignment``, a codomain position for each domain point,
+    keeps types and increases homs, with the first witness of a failure."""
+    dq = domain.quantaloid
+    names, fx = domain.names, assignment
     type_witness = None
-    for i, name in enumerate(dom.names):
-        if dom.objects.types[i] != cod.objects.types[fx[i]]:
+    for i, name in enumerate(names):
+        if domain.objects.types[i] != codomain.objects.types[fx[i]]:
             type_witness = name
             break
     hom_witness = None
     if type_witness is None:
-        n = len(dom)
+        n = len(domain)
         for i in range(n):
             for j in range(n):
-                if not dq.leq(dom.hom.entries[i][j], cod.hom.entries[fx[i]][fx[j]]):
-                    hom_witness = (dom.names[i], dom.names[j])
+                if not dq.leq(domain.hom.entries[i][j], codomain.hom.entries[fx[i]][fx[j]]):
+                    hom_witness = (names[i], names[j])
                     break
             if hom_witness:
                 break
@@ -237,14 +247,8 @@ def validate_functor(f: QFunctor) -> FunctorReport:
     )
 
 
-def require_functor(f: QFunctor) -> None:
-    report = validate_functor(f)
-    if not report.valid:
-        raise PreconditionError(f"not a functor: {report.to_dict()}")
-
-
 def _fully_faithful(f: QFunctor) -> bool:
-    """Entrywise hom equality, trusting that f is already a valid functor."""
+    """Entrywise hom equality."""
     dom_hom, cod_hom, fx = f.domain.hom.entries, f.codomain.hom.entries, f.assignment
     return all(
         row[j] == cod_hom[a][b] for row, a in zip(dom_hom, fx) for j, b in enumerate(fx)
@@ -252,46 +256,25 @@ def _fully_faithful(f: QFunctor) -> bool:
 
 
 def is_fully_faithful(f: QFunctor) -> bool:
-    """Entrywise hom equality, cross-checked against cograph . graph = hom.
-
-    This is the validating boundary: it refuses an invalid functor, and a
-    disagreement between the two criteria raises ``InvariantError``.  The
-    cross-check builds the graphs through the validating ``graph`` and
-    ``cograph``.  The essentiality search calls the pointwise
-    ``_fully_faithful`` directly on functors its own search built or composed
-    from valid ones.
-    """
-    require_functor(f)
+    """Entrywise hom equality, cross-checked against cograph . graph = hom:
+    a disagreement between the two criteria raises ``InvariantError``."""
     pointwise = _fully_faithful(f)
-    via_graphs = rel_compose(cograph(f), graph(f)) == f.domain.hom
-    if pointwise != via_graphs:
+    composite = rel_compose(cograph(f), graph(f)) == f.domain.hom
+    if pointwise != composite:
         raise InvariantError("fully-faithful criteria disagree")
     return pointwise
 
 
 def graph(f: QFunctor) -> QRelation:
-    """The relation X -> Y with entries hom_Y(fx, y), each checked to be a
-    diagonal |x| -> |y|, so an assignment that breaks types is refused."""
-    trusted = _graph(f)
-    return QRelation(trusted.source, trusted.target, trusted.entries)
-
-
-def cograph(f: QFunctor) -> QRelation:
-    """The relation Y -> X with entries hom_Y(y, fx), checked as ``graph``'s."""
-    trusted = _cograph(f)
-    return QRelation(trusted.source, trusted.target, trusted.entries)
-
-
-def _graph(f: QFunctor) -> QRelation:
-    """``graph`` of a functor that ``require_functor`` has passed, unchecked:
-    f keeps types, so row x is the codomain's checked row at fx, of type |x|."""
+    """The relation X -> Y with entries hom_Y(fx, y): f keeps types, so row
+    x is the codomain's row at fx, of type |x|."""
     cod_hom = f.codomain.hom.entries
     entries = tuple(cod_hom[a] for a in f.assignment)
     return QRelation._trusted(f.domain.objects, f.codomain.objects, entries)
 
 
-def _cograph(f: QFunctor) -> QRelation:
-    """``cograph`` of a functor that ``require_functor`` has passed, unchecked."""
+def cograph(f: QFunctor) -> QRelation:
+    """The relation Y -> X with entries hom_Y(y, fx)."""
     entries = tuple(tuple(row[a] for a in f.assignment) for row in f.codomain.hom.entries)
     return QRelation._trusted(f.codomain.objects, f.domain.objects, entries)
 

@@ -12,9 +12,9 @@ with hom column mu and hom row mu deg makes a valid symmetric category
 exactly when mu is ambient, so the extensions, and the enumeration of
 small categories grown from them, build no candidate they then reject.
 ``enumerate_ambient`` is the one lazy walk over them.  The extension
-matrices, the tight span's hom and the graphs of functors already checked
-are built as trusted relations (``QRelation._trusted``): their entries are
-diagonals of the right types by construction, so none is checked again.
+matrices, the tight span's hom and full subcategories' homs are built as
+trusted relations (``QRelation._trusted``): their entries are diagonals of
+the right types by construction, so none is checked again.
 
 Hypercompleteness asks every self-compatible column to admit a witness
 object.  Because the admissible columns of a fixed type form a
@@ -84,16 +84,15 @@ from typing import Collection, Iterator, Sequence
 from .categories import (
     QCategory,
     QFunctor,
-    _cograph,
     _distributor_holds,
     _fully_faithful,
-    _graph,
     _mark_symmetric,
     _require_symmetric,
+    cograph,
     enumerate_presheaves,
+    graph,
     is_fully_faithful,
     is_symmetric,
-    require_functor,
     validate_category,
 )
 from .diagonals import DiagonalQuantaloid
@@ -414,9 +413,10 @@ def is_hypercomplete(c: QCategory, strict: bool = True) -> HypercompleteResult:
 def full_subcategory(c: QCategory, names: Sequence[str]) -> QCategory:
     """The objects ``names`` of c with the homs of c between them.
 
-    Nothing is validated here.  The result carries the valid-and-symmetric
-    mark only when c does: restricting both laws, and the equality of the
-    hom with its involute transpose, to a subset of the objects keeps them.
+    Nothing is validated here: the entries are c's own, between c's own
+    types.  The result carries the valid-and-symmetric mark only when c
+    does: restricting both laws, and the equality of the hom with its
+    involute transpose, to a subset of the objects keeps them.
     """
     indices = [c.objects.index(name) for name in names]
     carrier = TypedSet(
@@ -427,15 +427,13 @@ def full_subcategory(c: QCategory, names: Sequence[str]) -> QCategory:
     entries = tuple(
         tuple(c.hom.entries[i][j] for j in indices) for i in indices
     )
-    sub = QCategory(carrier, QRelation(carrier, carrier, entries))
+    sub = QCategory(carrier, QRelation._trusted(carrier, carrier, entries))
     _mark_symmetric(sub, parent=c)
     return sub
 
 
 def inclusion_functor(sub: QCategory, sup: QCategory) -> QFunctor:
-    f = QFunctor(sub, sup, tuple(map(sup.objects.index, sub.names)))
-    require_functor(f)
-    return f
+    return QFunctor(sub, sup, tuple(map(sup.objects.index, sub.names)))
 
 
 def _functor_search(
@@ -450,10 +448,9 @@ def _functor_search(
     J. ACM 1976): the points are placed in order, and each candidate is
     checked only against the points already placed and itself, in both
     directions, so a branch is cut at its first failing pair.  This is the
-    check ``validate_functor`` makes, pair by pair, except for types: the
-    search trusts that each pool holds codomain points of its domain
-    point's type, as every caller builds them with ``_of_type`` or from
-    points of that type.
+    hom check of ``validate_functor``, pair by pair; types are the pools'
+    business, and every caller builds them with ``_of_type`` or from points
+    of the right type.
     """
     if not pools:
         yield ()  # the empty functor
@@ -501,13 +498,11 @@ def all_functors(
     """Every valid functor, in lexicographic assignment order; with ``full``,
     only the fully faithful ones, in the same order.
 
-    This path validates: each object's pool is the codomain objects of its
-    type, and the search checks every pair of each functor it yields, so
-    callers trust what comes out.  ``full`` asks the search to preserve the
-    homs between all positions; its one caller in the library is the walk
-    of ``verify t54`` to the first functor of a failing class, which runs
-    only when some class fails.  ``extend_along`` and
-    ``find_one_point_retraction`` run the same search on narrower pools.
+    Each object's pool is the codomain objects of its type.  ``full`` asks
+    the search to preserve the homs between all positions; its one caller
+    in the library is the walk of ``verify t54`` to the first functor of a
+    failing class, which runs only when some class fails.  ``extend_along``
+    and ``find_one_point_retraction`` run the same search on narrower pools.
     """
     types = domain.objects.types
     if not set(types) <= set(codomain.objects.types):
@@ -525,19 +520,13 @@ def extend_along(f: QFunctor, g: QFunctor) -> QFunctor | None:
     sends each y to an object of its type isomorphic to f(x) whenever
     g(x) = y, or None when there is none.  The iso class of f(x) is read
     from Z's hom: the points k of f(x)'s type t with hom(f(x), k) =
-    hom(k, f(x)) = the identity on t, in ascending position.
-
-    The boundary checks stay: f and g must be valid functors and their three
-    categories valid and symmetric, which ``_require_symmetric`` trusts for a
-    marked category such as a one-point extension.  Once g is known to be a
-    functor, its full faithfulness is the pointwise ``_fully_faithful``.
+    hom(k, f(x)) = the identity on t, in ascending position.  The three
+    categories must be valid and symmetric.
     """
     if f.domain != g.domain:
         raise ShapeMismatchError("f and g must share their domain")
     for cat in (f.domain, f.codomain, g.codomain):
         _require_symmetric(cat)
-    require_functor(f)
-    require_functor(g)
     if not _fully_faithful(g):
         raise PreconditionError("g must be fully faithful")
 
@@ -616,23 +605,27 @@ def find_one_point_retraction(x_cat: QCategory, y_cat: QCategory) -> QFunctor | 
     """
     _require_symmetric(x_cat)
     _require_symmetric(y_cat)
-    extra = [name for name in y_cat.names if name not in x_cat.names]
-    if len(extra) != 1 or len(y_cat) != len(x_cat) + 1:
+    position = {name: k for k, name in enumerate(y_cat.names)}
+    at = [position.get(name) for name in x_cat.names]  # each X point's place in Y
+    if len(y_cat) != len(x_cat) + 1 or None in at:
         raise ShapeMismatchError(
             "the supercategory must contain exactly one extra point"
         )
-    for name in x_cat.names:
-        if x_cat.type_payload(name) != y_cat.type_payload(name):
+    x_types, y_types = x_cat.objects.types, y_cat.objects.types
+    x_hom, y_hom = x_cat.hom.entries, y_cat.hom.entries
+    for i, (name, k) in enumerate(zip(x_cat.names, at)):
+        if x_types[i] != y_types[k]:
             raise ShapeMismatchError(f"types disagree at {name!r}")
-        for other in x_cat.names:
-            if x_cat.hom.at(name, other) != y_cat.hom.at(name, other):
+        for j, other in enumerate(x_cat.names):
+            if x_hom[i][j] != y_hom[k][at[j]]:
                 raise ShapeMismatchError(
                     f"homs disagree at ({name!r}, {other!r}); not a supercategory"
                 )
-    y0 = extra[0]
-    y0_pool = _of_type(x_cat, y_cat.type_payload(y0))
-    index = x_cat.names.index
-    pools = [y0_pool if name == y0 else (index(name),) for name in y_cat.names]
+    pools = [None] * len(y_cat)
+    for i, k in enumerate(at):
+        pools[k] = (i,)
+    y0 = pools.index(None)
+    pools[y0] = _of_type(x_cat, y_types[y0])
     found = next(_functor_search(y_cat, x_cat, pools), None)
     return None if found is None else QFunctor(y_cat, x_cat, found)
 
@@ -642,21 +635,13 @@ def find_one_point_retraction(x_cat: QCategory, y_cat: QCategory) -> QFunctor | 
 
 def is_dense(f: QFunctor) -> bool:
     """hom_Y = graph <swarrow> graph."""
-    require_functor(f)
-    return _dense(f)
-
-
-def _dense(f: QFunctor) -> bool:
-    """``is_dense`` of a functor that ``require_functor`` has passed, read
-    from its unchecked graph."""
-    gr = _graph(f)
+    gr = graph(f)
     return rel_residual("left", gr, gr) == f.codomain.hom
 
 
 def is_codense(f: QFunctor) -> bool:
     """hom_Y = cograph <searrow> cograph."""
-    require_functor(f)
-    co = _cograph(f)
+    co = cograph(f)
     return rel_residual("right", co, co) == f.codomain.hom
 
 
@@ -751,6 +736,10 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
     longer walk does.  In the essential case ``categories_checked`` is the
     number of receivers of at most |Y| points.
 
+    f must be fully faithful (``is_fully_faithful``, with its cross-check)
+    and both its ends valid and symmetric.  The test that a g of the search
+    is fully faithful compares the homs pointwise.
+
     One memo lives on the kernel ``f.domain.quantaloid``, so it lasts as
     long as its quantale.  Under ``"receivers"`` it holds one list of the
     receiving categories, by size, each with its points' indices by type,
@@ -759,12 +748,6 @@ def is_essential_bruteforce(f: QFunctor, max_objects: int = 4) -> EssentialResul
     order, only when a call needs a larger size.  Under ("reachable", size,
     codomain types) it holds the positions in that prefix of the receivers
     that have every one of those types, the only ones a functor can reach.
-
-    Only the entry checks validate: ``is_fully_faithful(f)`` refuses an
-    invalid f and cross-checks its answer, and both ends of f must be valid
-    and symmetric.  The search checks every pair of each g it yields, from
-    pools of the right type, and the test that g is fully faithful trusts
-    it and compares the homs pointwise.
     """
     if not is_fully_faithful(f):
         raise PreconditionError("essentiality is only defined for fully faithful functors")

@@ -62,9 +62,6 @@ class TypedSet:
         except ValueError:
             raise ShapeMismatchError(f"unknown object {name!r}") from None
 
-    def type_of(self, name: str):
-        return self.types[self.index(name)]
-
     def to_dict(self) -> dict:
         fmt = self.quantaloid.format
         return {"names": list(self.names), "types": [fmt(t) for t in self.types]}
@@ -121,9 +118,6 @@ class QRelation:
     @property
     def quantaloid(self) -> DiagonalQuantaloid:
         return self.source.quantaloid
-
-    def at(self, x: str, y: str):
-        return self.entries[self.source.index(x)][self.target.index(y)]
 
 
 def rel_compose(psi: QRelation, phi: QRelation) -> QRelation:

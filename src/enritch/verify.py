@@ -46,7 +46,6 @@ from .diagonals import diagonal_quantaloid
 from .errors import BoundExceededError, InvariantError, PreconditionError
 from .hull import (
     _canonical_signature,
-    _dense,
     all_functors,
     enumerate_symmetric_categories,
     extend_along,
@@ -180,10 +179,8 @@ def _t44_single(x_cat: QCategory) -> dict:
 
 
 def _t54_single(f: QFunctor, bound: int) -> dict:
-    # is_fully_faithful, at the brute force's entry, validates f, so density
-    # reads the graph unchecked.
     essential = is_essential_bruteforce(f, max_objects=bound + 1).essential
-    dense = _dense(f)
+    dense = is_dense(f)
     return {"dense": dense, "essential": essential, "agree": dense == essential}
 
 
@@ -288,8 +285,7 @@ def run_suite(
         # The verdicts of a fully faithful f read only its codomain and its
         # image: density reads the rows hom_Y(fx, -), and g . f is fully
         # faithful exactly when g is on f(X) x f(X).  So each class is
-        # checked on the inclusion of its image, a plain QFunctor that
-        # _t54_single validates once.
+        # checked on the inclusion of its image.
         classes = _t54_classes(cats, bound)
         verdicts = {}
         for key, (y_cat, image, _) in classes.items():

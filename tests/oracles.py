@@ -20,8 +20,9 @@ per-class verdicts, ``run_t54_listed`` for ``t54``'s classes and counts
 without a functor list, ``t54_classes_every_codomain`` for
 ``_t54_classes``, which keys only the first labelled copy of each
 codomain, ``t44_single_checked_twice`` for ``t44``'s verdict,
-``reference_functor_search`` and ``reference_all_functors`` for the pruned
-functor search,
+``reference_validate_functor`` for the check ``QFunctor`` makes when it
+is built, ``reference_functor_search`` and ``reference_all_functors`` for
+the pruned functor search,
 ``functor_compose`` for the composites of the essentiality brute force,
 ``essential_over_one_more_point`` (on ``one_more_point_receivers``) for its
 walk over receivers of at most |codomain| points,
@@ -50,6 +51,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from enritch.categories import (
+    FunctorReport,
     QCategory,
     QFunctor,
     _distributor_holds,
@@ -60,7 +62,6 @@ from enritch.categories import (
     is_symmetric,
     require_valid,
     validate_category,
-    validate_functor,
 )
 from enritch.diagonals import DiagonalQuantaloid, diagonal_quantaloid
 from enritch.errors import InvariantError, PreconditionError, SchemaError, ShapeMismatchError
@@ -1053,7 +1054,39 @@ def extension_from_presheaf(c: QCategory, mu: Presheaf) -> QCategory:
     return extended
 
 
-# -- functor search ----------------------------------------------------------------
+# -- functors ----------------------------------------------------------------------
+
+
+def reference_validate_functor(
+    domain: QCategory, codomain: QCategory, assignment: Sequence
+) -> FunctorReport:
+    """``validate_functor`` as it read when a ``QFunctor`` could hold any
+    assignment, on the assignment's parts: the first domain point whose
+    type the assignment changes, else the first pair, row-major, whose hom
+    it lowers."""
+    dq = domain.quantaloid
+    dom, cod, fx = domain, codomain, assignment
+    type_witness = None
+    for i, name in enumerate(dom.names):
+        if dom.objects.types[i] != cod.objects.types[fx[i]]:
+            type_witness = name
+            break
+    hom_witness = None
+    if type_witness is None:
+        n = len(dom)
+        for i in range(n):
+            for j in range(n):
+                if not dq.leq(dom.hom.entries[i][j], cod.hom.entries[fx[i]][fx[j]]):
+                    hom_witness = (dom.names[i], dom.names[j])
+                    break
+            if hom_witness:
+                break
+    return FunctorReport(
+        type_preserving=type_witness is None,
+        type_witness=type_witness,
+        hom_increasing=hom_witness is None,
+        hom_witness=hom_witness,
+    )
 
 
 def reference_functor_search(
@@ -1061,16 +1094,14 @@ def reference_functor_search(
 ) -> Iterator[QFunctor]:
     """The functor search before it was pruned: every candidate of
     ``itertools.product`` over pools of codomain positions, kept when
-    ``validate_functor`` passes it and, between two positions both in
-    ``equal``, the homs are preserved."""
+    ``reference_validate_functor`` passes it and, between two positions both
+    in ``equal``, the homs are preserved; only the kept ones are built."""
     dom, cod = domain.hom.entries, codomain.hom.entries
-    for assignment in itertools.product(*pools):
-        f = QFunctor(domain, codomain, assignment)
-        if not validate_functor(f).valid:
+    for a in itertools.product(*pools):
+        if not reference_validate_functor(domain, codomain, a).valid:
             continue
-        a = assignment
         if all(dom[i][j] == cod[a[i]][a[j]] for i in equal for j in equal):
-            yield f
+            yield QFunctor(domain, codomain, a)
 
 
 def reference_all_functors(domain: QCategory, codomain: QCategory) -> Iterator[QFunctor]:

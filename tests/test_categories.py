@@ -6,8 +6,6 @@ import pytest
 from enritch.categories import (
     QCategory,
     QFunctor,
-    _cograph,
-    _graph,
     cograph,
     enumerate_presheaves,
     graph,
@@ -42,6 +40,7 @@ from oracles import (
     presheaf_hom,
     presheaf_relation,
     presheaves,
+    reference_validate_functor,
     rel_involve,
     symmetrize,
     underlying_order,
@@ -150,9 +149,9 @@ class TestSymmetry:
                     y_sym = symmetrize(y_cat)
                     maps = itertools.product(range(len(y_cat)), repeat=len(x_cat))
                     for assignment in maps:
-                        f = QFunctor(x_cat, y_cat, tuple(assignment))
-                        g = QFunctor(x_cat, y_sym, tuple(assignment))
-                        assert validate_functor(f).valid == validate_functor(g).valid
+                        f = validate_functor(x_cat, y_cat, assignment)
+                        g = validate_functor(x_cat, y_sym, assignment)
+                        assert f.valid == g.valid
 
     @pytest.mark.parametrize("fixture", ["boolean", "luk3", "diamond_swap"])
     def test_entrywise_check_matches_the_involute_transpose(self, request, fixture):
@@ -250,7 +249,7 @@ class TestFunctors:
             luk3, ["a", "b"], ["1", "1"], [["1", "1/2"], ["1/2", "1"]]
         )
         f = QFunctor(c, c, (0, 1))
-        assert validate_functor(f).valid
+        assert validate_functor(c, c, (0, 1)).valid
         assert is_fully_faithful(f)
 
     def test_collapsing_map_is_functor_but_not_fully_faithful(self):
@@ -259,16 +258,45 @@ class TestFunctors:
         )
         p = make_category(LAWVERE, ["p"], ["0"], [["0"]])
         f = QFunctor(c, p, (0, 0))
-        assert validate_functor(f).valid
+        assert validate_functor(c, p, (0, 0)).valid
         assert not is_fully_faithful(f)
 
     def test_type_violation_reported(self, luk3):
         c = make_category(luk3, ["a"], ["1/2"], [["1/2"]])
         d = make_category(luk3, ["b"], ["1"], [["1"]])
-        f = QFunctor(c, d, (0,))
-        report = validate_functor(f)
+        report = validate_functor(c, d, (0,))
         assert not report.type_preserving
         assert report.type_witness == "a"
+        with pytest.raises(PreconditionError, match="'type_witness': 'a'"):
+            QFunctor(c, d, (0,))
+
+    @pytest.mark.parametrize(
+        "fixture", ["boolean", "luk3", "luk5", "nilmin5", "diamond", "diamond_swap"]
+    )
+    def test_construction_refuses_exactly_the_non_functors(self, request, fixture):
+        # every assignment between two categories at bound 2, types broken
+        # or not: QFunctor refuses exactly what the old check reported, with
+        # its report, and the graphs of what it builds are the validated ones
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        cats = list(enumerate_symmetric_categories(dq, 2))
+        seen = {"functor": 0, "type": 0, "hom": 0}
+        for x_cat in cats:
+            for y_cat in cats:
+                for assignment in itertools.product(range(len(y_cat)), repeat=len(x_cat)):
+                    report = reference_validate_functor(x_cat, y_cat, assignment)
+                    if report.valid:
+                        f = QFunctor(x_cat, y_cat, assignment)
+                        assert validate_functor(x_cat, y_cat, assignment) == report
+                        assert_trusted(graph(f))
+                        assert_trusted(cograph(f))
+                        seen["functor"] += 1
+                        continue
+                    with pytest.raises(PreconditionError) as refused:
+                        QFunctor(x_cat, y_cat, assignment)
+                    assert str(refused.value) == f"not a functor: {report.to_dict()}"
+                    seen["hom" if report.type_preserving else "type"] += 1
+        # functors, type breaks and hom breaks all occur
+        assert all(seen.values()), seen
 
     def test_inclusion_fully_faithful(self, luk3):
         big = make_category(
@@ -297,8 +325,6 @@ class TestFunctors:
             lambda: c.objects.index("z"),
             lambda: full_subcategory(c, ["a", "z"]),
             lambda: yoneda(c, "z"),
-            lambda: c.hom.at("a", "z"),
-            lambda: c.type_payload("z"),
         ]
         for lookup in lookups:
             with pytest.raises(ShapeMismatchError, match="unknown object 'z'"):
@@ -416,10 +442,9 @@ def assert_trusted(relation: QRelation) -> None:
 
 
 def assert_trusted_functor(f: QFunctor) -> None:
-    """The trusted graph, cograph and the relation ops on them equal the
-    validated values."""
-    gr, co = _graph(f), _cograph(f)
-    assert gr == graph(f) and co == cograph(f)
+    """The graph, the cograph and the relation ops on them equal the values
+    the validating constructor builds."""
+    gr, co = graph(f), cograph(f)
     for relation in (gr, co):
         assert_trusted(relation)
     for relation in (
@@ -467,17 +492,13 @@ class TestTrustedConstruction:
         low, high = TypedSet(dq, ("a",), (zero,)), TypedSet(dq, ("b",), (one,))
         with pytest.raises(PreconditionError, match="is not a diagonal"):
             QRelation(low, high, ((one,),))
-        # a one-point assignment of type 0 into a point of type 1: not a
-        # functor, and its graph and cograph hold hom(b, b) = 1 at type 0
+        # a one-point assignment of type 0 into a point of type 1 is not a
+        # functor, so no graph can hold hom(b, b) = 1 at type 0
         x_cat = make_category(boolean, ["a"], ["0"], [["0"]])
         y_cat = make_category(boolean, ["b"], ["1"], [["1"]])
-        f = QFunctor(x_cat, y_cat, (0,))
-        assert not validate_functor(f).valid
-        for build in (graph, cograph):
-            with pytest.raises(PreconditionError, match="is not a diagonal"):
-                build(f)
-        # the trusted path checks nothing: it is for functors already checked
-        assert _graph(f).entries == ((one,),) == _cograph(f).entries
+        assert not reference_validate_functor(x_cat, y_cat, (0,)).valid
+        with pytest.raises(PreconditionError, match="not a functor"):
+            QFunctor(x_cat, y_cat, (0,))
 
 
 class TestPresheaves:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from enritch import fileio, verify
-from enritch.categories import QCategory, QFunctor, require_functor, require_valid
+from enritch.categories import QCategory, QFunctor, require_valid
 from enritch.cli import main
 from enritch.diagonals import diagonal_quantaloid
 from enritch.errors import (
@@ -222,7 +222,7 @@ CATEGORY_CASES = {
     ),
     "not_hom_increasing": in_memory(
         PreconditionError,
-        lambda: require_functor(QFunctor(indiscrete_pair(), discrete_pair(), (0, 1))),
+        lambda: QFunctor(indiscrete_pair(), discrete_pair(), (0, 1)),
     ),
     "presheaf_type_not_fixed": in_memory(
         PreconditionError,

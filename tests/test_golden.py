@@ -1,7 +1,9 @@
 """Golden report digests: the sha256 of stdout and the exit code of
 
-* ``verify t54`` at bounds 0-2 on the shipped quantales, the two broken
+* ``verify t54`` at bounds 0-3 on the shipped quantales, the two broken
   tables included (``golden/t54.json``);
+* ``verify t36`` (strict and ``--lax-typing``), ``l43`` and ``t44`` at
+  bounds 0-3 on the same tables (``golden/verify.json``);
 * every ``hull`` command over the shipped data files, and the schema,
   precondition and usage errors of the ``hull`` commands
   (``golden/hull.json``);
@@ -10,7 +12,7 @@
 
 Each command runs in-process through ``cli.main``, with its files given by
 paths relative to the working directory (the report names its inputs by
-path): the repo root for ``verify t54``, and for the others a temporary
+path): the repo root for ``verify``, and for the others a temporary
 directory holding a copy of ``src/enritch/data``, so that ``hull tighten``
 writes its output there.  ``timing_ms`` goes to stderr, so stdout is
 stable; a usage error writes only to stderr and exits 2.  A change that
@@ -46,7 +48,15 @@ T54_QUANTALES = [
     "mutated_boolean",
     "mutated_lukasiewicz3",
 ]
-T54_CASES = [(name, bound) for name in T54_QUANTALES for bound in range(3)]
+T54_CASES = [(name, bound) for name in T54_QUANTALES for bound in range(4)]
+# (suite, lax typing) of the other suites, each at bounds 0-3 on every table
+VERIFY_SUITES = [("t36", False), ("t36", True), ("l43", False), ("t44", False)]
+VERIFY_CASES = [
+    (suite, lax, name, bound)
+    for suite, lax in VERIFY_SUITES
+    for name in T54_QUANTALES
+    for bound in range(4)
+]
 
 SPACES = [
     "discrete_pair",
@@ -131,6 +141,21 @@ def t54_digests() -> dict:
     return {case_key(*case): digest(t54_argv(*case)) for case in T54_CASES}
 
 
+def verify_argv(suite: str, lax: bool, name: str, bound: int) -> list[str]:
+    argv = ["verify", suite, "--quantale", data(name), "--bound", str(bound)]
+    return argv + ["--lax-typing"] if lax else argv
+
+
+def verify_key(suite: str, lax: bool, name: str, bound: int) -> str:
+    return f"{suite}{'-lax' if lax else ''}-{name}-b{bound}"
+
+
+def verify_digests() -> dict:
+    """The t36, l43 and t44 digests; the working directory must be the repo
+    root."""
+    return {verify_key(*case): digest(verify_argv(*case)) for case in VERIFY_CASES}
+
+
 def command_digests(cases: list[list[str]], workdir: Path) -> dict:
     """The digests of ``cases``, keyed on their argv, run in ``workdir`` on a
     copy of the shipped data."""
@@ -150,6 +175,15 @@ def test_t54_reports_match_the_golden_digests(monkeypatch):
     assert t54_digests() == golden
     # every exit code the suite reports occurs: pass and refused input
     assert {d["exit"] for d in golden.values()} == {0, 3}
+
+
+def test_verify_reports_match_the_golden_digests(monkeypatch):
+    golden = json.loads((GOLDEN_DIR / "verify.json").read_text())
+    assert sorted(golden) == sorted(verify_key(*case) for case in VERIFY_CASES)
+    monkeypatch.chdir(ROOT)
+    assert verify_digests() == golden
+    # pass, a discrepancy (lax typing) and refused input
+    assert {d["exit"] for d in golden.values()} == {0, 1, 3}
 
 
 def test_hull_reports_match_the_golden_digests(tmp_path):
@@ -176,6 +210,7 @@ if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN_DIR.mkdir(exist_ok=True)
     write("t54.json", t54_digests())
+    write("verify.json", verify_digests())
     for name, cases in (("hull.json", hull_cases()), ("quantale.json", quantale_cases())):
         with tempfile.TemporaryDirectory() as workdir:
             write(name, command_digests(cases, Path(workdir)))

@@ -21,7 +21,6 @@ from enritch.categories import (
     is_fully_faithful,
     is_symmetric,
     validate_category,
-    validate_functor,
 )
 from enritch.diagonals import FiniteDiagonals, diagonal_quantaloid
 from enritch.errors import (
@@ -84,6 +83,7 @@ from oracles import (
     raw_symmetric_categories,
     reference_all_functors,
     reference_functor_search,
+    reference_validate_functor,
     relabel,
     row_tight_columns,
     table_tight_columns,
@@ -879,14 +879,14 @@ def reference_retraction(x_cat, y_cat):
     of all_functors (oracle): the extra point tried at each X point of its
     type, in X order."""
     (y0,) = [name for name in y_cat.names if name not in x_cat.names]
-    target_type = y_cat.type_payload(y0)
+    target_type = y_cat.objects.types[y_cat.names.index(y0)]
     position = {name: i for i, name in enumerate(x_cat.names)}
-    for k, z in enumerate(x_cat.names):
-        if x_cat.type_payload(z) != target_type:
+    for k, t in enumerate(x_cat.objects.types):
+        if t != target_type:
             continue
-        h = QFunctor(y_cat, x_cat, [k if name == y0 else position[name] for name in y_cat.names])
-        if validate_functor(h).valid:
-            return h
+        assignment = [k if name == y0 else position[name] for name in y_cat.names]
+        if reference_validate_functor(y_cat, x_cat, assignment).valid:
+            return QFunctor(y_cat, x_cat, assignment)
     return None
 
 
@@ -1548,7 +1548,9 @@ class TestTrustedFullyFaithful:
                     image = set(f.assignment)
                     for g in non_full[y_cat]:
                         h = functor_compose(g, f)
-                        assert validate_functor(h).valid, (f.as_dict(), g.as_dict())
+                        assert reference_validate_functor(
+                            h.domain, h.codomain, h.assignment
+                        ).valid, (f.as_dict(), g.as_dict())
                         assert _fully_faithful(h) == via_graphs(h), h.as_dict()
                         gy, z_hom = g.assignment, g.codomain.hom.entries
                         on_image = all(
@@ -1639,10 +1641,24 @@ class TestSymmetricMark:
                 assert not marked(full_subcategory(one_way, names))
 
 
+def record_functor_checks(monkeypatch) -> list:
+    """The list that gets the (domain, codomain, assignment) of every
+    functor check from now on."""
+    import enritch.categories as categories
+
+    checks = []
+    real = categories.validate_functor
+    monkeypatch.setattr(
+        categories, "validate_functor", lambda *args: checks.append(args) or real(*args)
+    )
+    return checks
+
+
 class TestValidateOnce:
     """find_one_point_retraction and extend_along trust the mark of a
-    one-point extension, and extend_along tests g pointwise once require_functor
-    has passed it."""
+    one-point extension, and a functor is checked once, when it is built:
+    extend_along checks neither functor it is given, and the suites check
+    one functor per t44 and t54 class."""
 
     @pytest.mark.parametrize("fixture, bound", [("boolean", 2), ("luk3", 2)])
     def test_extensions_are_not_validated_again(self, request, monkeypatch, fixture, bound):
@@ -1671,6 +1687,40 @@ class TestValidateOnce:
         # every category involved carries the mark, so nothing is revalidated
         assert calls == []
 
+    @pytest.mark.parametrize("fixture, bound", [("boolean", 3), ("luk3", 2)])
+    def test_extend_along_checks_only_the_functor_it_builds(
+        self, request, monkeypatch, fixture, bound
+    ):
+        dq = diagonal_quantaloid(request.getfixturevalue(fixture))
+        problems = [
+            pair
+            for x_cat in enumerate_symmetric_categories(dq, bound)
+            for pair in t36_extension_family(x_cat)
+        ]
+        validated = record_functor_checks(monkeypatch)
+        found = 0
+        for f, g in problems:
+            validated.clear()
+            h = extend_along(f, g)
+            # f and g are not checked again; a found h once, as it is built
+            assert validated == ([] if h is None else [(h.domain, h.codomain, h.assignment)])
+            found += h is not None
+        assert 0 < found < len(problems)
+
+    @pytest.mark.parametrize("fixture, bound", [("luk3", 3), ("nilmin5", 2), ("diamond_swap", 2)])
+    def test_t44_checks_one_functor_per_class(self, request, monkeypatch, fixture, bound):
+        quantale = request.getfixturevalue(fixture)
+        singles, real_single = [], verify._t44_single
+        monkeypatch.setattr(verify, "_t44_single", lambda x: singles.append(x) or real_single(x))
+        validated = record_functor_checks(monkeypatch)
+        report = run_suite("t44", quantale, bound)
+        assert report["result"]
+        # the Yoneda embedding of each class, checked as it is built; the
+        # transport and the density checks check it no more
+        assert 0 < len(validated) == len(singles) < report["categories"]
+        for x_cat, (domain, codomain, assignment) in zip(singles, validated):
+            assert domain == x_cat and codomain == tight_span(x_cat).category
+
     # (quantale, bound, (codomain, image) classes): one is_essential_bruteforce
     # call per class, against one per fully faithful functor (boolean 42,
     # diamond 188, nilmin5 317, diamond_swap 56)
@@ -1680,12 +1730,10 @@ class TestValidateOnce:
     def test_t54_keys_each_image_once_and_validates_each_class_once(
         self, request, monkeypatch, fixture, bound, classes
     ):
-        import enritch.categories as categories
-
         quantale = request.getfixturevalue(fixture)
-        keyed, checked, validating, validated = [], [], [], []
+        keyed, checked, validating, essential = [], [], [], []
         real_signature, real_single = verify._canonical_signature, verify._t54_single
-        real_validate = categories.validate_functor
+        real_essential = verify.is_essential_bruteforce
         monkeypatch.setattr(
             verify,
             "_canonical_signature",
@@ -1700,8 +1748,11 @@ class TestValidateOnce:
                 "is_fully_faithful",
                 lambda f: validating.append(f) or is_fully_faithful(f),
             )
+        validated = record_functor_checks(monkeypatch)
         monkeypatch.setattr(
-            categories, "validate_functor", lambda f: validated.append(f) or real_validate(f)
+            verify,
+            "is_essential_bruteforce",
+            lambda f, max_objects: essential.append(real_essential(f, max_objects)) or essential[-1],
         )
         report = run_suite("t54", quantale, bound)
         assert report["result"]
@@ -1740,9 +1791,18 @@ class TestValidateOnce:
         for f, (y, image) in zip(checked, firsts.values()):
             assert f.codomain == y and f.assignment == image
             assert f.domain.names == tuple(y.names[k] for k in image)
-        # and one validation of each, at the brute force's entry
+        # one fully faithful check of each, at the brute force's entry, and
+        # one functor check of each as it is built, then one of each
+        # counterexample the brute force builds, and no other
         assert validating == checked
-        assert validated == checked
+        expected = []
+        for f, result in zip(checked, essential, strict=True):
+            expected.append((f.domain, f.codomain, f.assignment))
+            if result.counterexample is not None:
+                _, g = result.counterexample
+                expected.append((g.domain, g.codomain, g.assignment))
+        assert len(checked) < len(expected) < 2 * len(checked)
+        assert validated == expected
 
     @pytest.mark.parametrize("fixture, bound, classes", CASES, ids=[c[0] for c in CASES])
     def test_t54_filter_matches_the_validating_filter(self, request, fixture, bound, classes):

@@ -169,8 +169,8 @@ def lie_about_density(monkeypatch, liar: tuple) -> None:
     """Flip the density verdict of every functor of the class ``liar``, on
     the suite and on the per-functor oracle alike: both reach it through
     ``_t54_single``."""
-    real = verify._dense
-    monkeypatch.setattr(verify, "_dense", lambda f: real(f) != (image_class(f) == liar))
+    real = verify.is_dense
+    monkeypatch.setattr(verify, "is_dense", lambda f: real(f) != (image_class(f) == liar))
 
 
 # The report form of each case's witness map, domain name -> codomain name.
